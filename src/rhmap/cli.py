@@ -80,7 +80,7 @@ def _dataset_frames(scans_dir, poses_file, labels_dir):
                                               expected_count=len(scan))
 
 
-def _write_report(result, cfg, path):
+def _write_report(result, ev, path):
     reports = [{"columns_flagged": f.report.columns_flagged,
                 "regions_flagged": f.report.regions_flagged,
                 "cubes_removed": f.report.cubes_removed,
@@ -89,9 +89,8 @@ def _write_report(result, cfg, path):
     body = {"frames": reports}
     if result.frames:
         body["timing"] = timing_report(result.frame_times_ms)
-    if result.truth_points is not None:
-        body["eval"] = evaluate(result.map, result.truth_points,
-                                result.truth_mask).to_dict()
+    if ev is not None:
+        body["eval"] = ev.to_dict()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2)
 
@@ -112,12 +111,14 @@ def cmd_run(args) -> int:
     out = args.out or cfg.out_map
     if out:
         write_map_ply(result.map, out)
+    ev = None
+    if result.truth_points is not None:
+        ev = evaluate(result.map, result.truth_points, result.truth_mask)
     report = args.report or cfg.report
     if report:
-        _write_report(result, cfg, report)
-    if result.truth_points is not None:
-        print(json.dumps(evaluate(result.map, result.truth_points,
-                                  result.truth_mask).to_dict()))
+        _write_report(result, ev, report)
+    if ev is not None:
+        print(json.dumps(ev.to_dict()))
     return EXIT_OK
 
 
@@ -128,9 +129,9 @@ def cmd_eval(args) -> int:
     class _StaticMap:
         """Minimal occupied-key view over an exported point list."""
         def __init__(self, pts, cube_size):
-            from .indexing import pack3
+            from .indexing import cube_indices, pack3
             self.config = MapConfig(cube_size=cube_size)
-            gidx = np.floor(pts / cube_size).astype(np.int64)
+            gidx = cube_indices(pts, cube_size)
             self._keys = np.unique(pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2]))
 
         def occupied_keys(self):

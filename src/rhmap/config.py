@@ -14,10 +14,6 @@ class ConfigError(ValueError):
 class MapConfig:
     cube_size: float = 0.1
     mask_bits: int = 3
-    table_size: int = 1 << 20
-    hash_prime_x: int = 73856093
-    hash_prime_y: int = 19349663
-    hash_prime_z: int = 83492791
     log_odds_hit: float = 0.85
     log_odds_clamp_lo: float = -2.0
     log_odds_clamp_hi: float = 3.5
@@ -36,8 +32,6 @@ class MapConfig:
             raise ConfigError(f"cube_size must be positive, got {self.cube_size}")
         if self.mask_bits < 1:
             raise ConfigError(f"mask_bits must be >= 1, got {self.mask_bits}")
-        if self.table_size <= 0:
-            raise ConfigError(f"table_size must be positive, got {self.table_size}")
         if self.log_odds_clamp_lo >= self.log_odds_clamp_hi:
             raise ConfigError("log_odds clamp interval is empty")
         return self
@@ -56,7 +50,6 @@ class FrontendConfig:
     fov_down_deg: float = -24.8
     fov_up_deg: float = 2.0
     r_max: float = 80.0
-    signed_jump: bool = False      # True: use the signed range difference for sup/inf
     bootstrap_margin: float = 0.3  # provisional ground reference above column min z
     eps_div: float = 1e-6
     min_ground_normal_z: float = 0.8  # reject ground fits steeper than ~37 degrees

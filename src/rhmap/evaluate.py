@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import pack3
+from .indexing import cube_indices, find_sorted, pack3, sorted_unique
 
 
 @dataclass
@@ -35,17 +35,9 @@ def f1_score(pr: float, rr: float) -> float:
     return 2.0 * pr * rr / (pr + rr)
 
 
-def _occupied_membership(occupied_keys: np.ndarray, points: np.ndarray,
-                         cube_size: float) -> np.ndarray:
-    if len(points) == 0:
-        return np.zeros(0, dtype=bool)
-    gidx = np.floor(np.asarray(points, dtype=np.float64)
-                    / cube_size).astype(np.int64)
-    keys = pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2])
-    pos = np.searchsorted(occupied_keys, keys)
-    hit = pos < len(occupied_keys)
-    hit[hit] &= occupied_keys[pos[hit]] == keys[hit]
-    return hit
+def _cube_keys(points: np.ndarray, cube_size: float) -> np.ndarray:
+    gidx = cube_indices(np.asarray(points).reshape(-1, 3), cube_size)
+    return pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2])
 
 
 def evaluate(map_, points: np.ndarray, dynamic_mask: np.ndarray) -> EvalResult:
@@ -55,8 +47,8 @@ def evaluate(map_, points: np.ndarray, dynamic_mask: np.ndarray) -> EvalResult:
     is occupied in the final map.  Metrics with an empty denominator are
     reported as None.
     """
-    occupied = map_.occupied_keys()
-    hit = _occupied_membership(occupied, points, map_.config.cube_size)
+    keys = _cube_keys(points, map_.config.cube_size)
+    _, hit = find_sorted(map_.occupied_keys(), keys)
     dynamic_mask = np.asarray(dynamic_mask, dtype=bool)
     n_sta = int((~dynamic_mask).sum())
     n_dyn = int(dynamic_mask.sum())
@@ -75,12 +67,8 @@ def count_dynamic_cubes(map_, points: np.ndarray,
     pts = np.asarray(points, dtype=np.float64)[dynamic_mask]
     if len(pts) == 0:
         return 0
-    occupied = map_.occupied_keys()
-    gidx = np.floor(pts / map_.config.cube_size).astype(np.int64)
-    keys = np.unique(pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2]))
-    pos = np.searchsorted(occupied, keys)
-    hit = pos < len(occupied)
-    hit[hit] &= occupied[pos[hit]] == keys[hit]
+    keys = sorted_unique(_cube_keys(pts, map_.config.cube_size))
+    _, hit = find_sorted(map_.occupied_keys(), keys)
     return int(hit.sum())
 
 

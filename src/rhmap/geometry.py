@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,7 +15,6 @@ class Scan:
 
     points: np.ndarray                      # (N, 3) float64, meters
     timestamp: float = 0.0
-    ring: np.ndarray | None = None          # optional per-point ring id
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64)

@@ -14,12 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FrontendConfig
-from .indexing import ScanCubes, find_sorted, group_sorted, pack2, pack3, unpack3
-from .map_core import Region, RHMap
-
-
-class PlaneFitError(ValueError):
-    """Raised when a region has too few or degenerate cubes for a plane fit."""
+from .indexing import ScanCubes, find_sorted, group_sorted, pack2, unpack3
+from .map_core import RHMap
 
 
 @dataclass
@@ -73,93 +69,26 @@ def elect_candidate_ground_regions(map_: RHMap, points_world: np.ndarray,
     return rkeys[hit.any(axis=1)].tolist()
 
 
-def _initial_ground_set(map_: RHMap, region: Region):
-    """Low cubes of a region: centers at or below the region mean height."""
-    idx, rows = map_.region_cube_indices(region)
-    zc = (idx[:, 2] + 0.5) * map_.config.cube_size
-    sel = zc <= region.z_mean + 1e-12
-    return idx[sel], rows[sel]
+def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
+                      report: GroundReport):
+    """Fit ground planes to existing regions and mark their ground cubes.
 
+    A region's plane is the PCA fit, in cube-index units, of its low cubes
+    (centers at or below the region's mean height): the normal is the
+    smallest-eigenvalue direction of their covariance, oriented upward,
+    and the offset is the normal dotted with their mean index.  A fit
+    fails for fewer than three low cubes, for a rank-deficient (collinear)
+    configuration, or for a normal steeper than
+    ``fcfg.min_ground_normal_z`` allows (walls are not ground); a failed
+    region records its live-cube count in its ``fit_failed_at``.
 
-def fit_region_plane(map_: RHMap, region_key: int, min_normal_z: float = 0.0):
-    """PCA-fit a ground plane to a region's low cubes, in index units.
-
-    The normal is the smallest-eigenvalue direction of the cube-index
-    covariance, oriented upward; the offset is the normal dotted with the
-    mean index.  Raises :class:`PlaneFitError` for fewer than three cubes,
-    a rank-deficient (collinear) configuration, or a fit steeper than
-    ``min_normal_z`` allows (walls are not ground).
+    Every live cube of a fitted region within ``fcfg.r_gro`` of the plane
+    is marked as ground, so staircase levels above the mean on sloped
+    terrain count too, and its z-center is folded into the ground height
+    table G.  All regions' fits, checks and markings run as single array
+    operations over one stacked eigendecomposition.
     """
-    region = map_.regions.get(int(region_key))
-    if region is None:
-        raise PlaneFitError(f"region {region_key} does not exist")
-    idx, _ = _initial_ground_set(map_, region)
-    if len(idx) < 3:
-        raise PlaneFitError(f"region {region_key}: only {len(idx)} low cubes")
-    pts = idx.astype(np.float64)
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / len(pts)
-    evals, evecs = np.linalg.eigh(cov)
-    if evals[1] <= 1e-9 * max(evals[2], 1.0):
-        raise PlaneFitError(f"region {region_key}: collinear cubes")
-    n = evecs[:, 0]
-    if n[2] < 0 or (n[2] == 0 and (n[0] < 0 or (n[0] == 0 and n[1] < 0))):
-        n = -n
-    if n[2] < min_normal_z:
-        raise PlaneFitError(f"region {region_key}: fit too steep "
-                            f"(n_z={n[2]:.3f} < {min_normal_z})")
-    d = float(n @ pts.mean(axis=0))
-    i = map_._region_index(region.key)
-    map_._rnormal[i] = n
-    map_._rd[i] = d
-    map_._rfitted[i] = True
-    return n, d
-
-
-def extract_ground_cubes(map_: RHMap, region_key: int, r_gro: float,
-                         g_batch: list | None = None) -> np.ndarray:
-    """Mark a fitted region's near-plane cubes as ground.
-
-    The plane is fitted to the low cubes only, but the distance margin is
-    evaluated over every live cube of the region, so staircase levels
-    above the mean on sloped terrain are still recognized as ground.
-    Returns the packed keys of the marked cubes.  Each marked cube's
-    z-center is folded into the ground height table G, either directly or
-    through ``g_batch``, a caller-owned list of (column keys, heights)
-    pairs flushed in one table merge later.  A region without a valid
-    plane yields an empty result.
-    """
-    region = map_.regions.get(int(region_key))
-    if region is None or not region.fitted:
-        return np.empty(0, dtype=np.int64)
-    idx, rows = map_.region_cube_indices(region)
-    if len(idx) == 0:
-        return np.empty(0, dtype=np.int64)
-    dist = np.abs(idx.astype(np.float64) @ region.plane_n - region.plane_d)
-    within = dist < r_gro
-    idx, rows = idx[within], rows[within]
-    map_._is_ground[rows] = True
-    zc = (idx[:, 2] + 0.5) * map_.config.cube_size
-    okeys = pack2(idx[:, 0], idx[:, 1])
-    if g_batch is None:
-        map_.update_ground_samples(okeys, zc)
-    else:
-        g_batch.append((okeys, zc))
-    return pack3(idx[:, 0], idx[:, 1], idx[:, 2])
-
-
-def _batch_fit_and_extract(map_: RHMap, regions, fcfg: FrontendConfig,
-                           report: GroundReport):
-    """Fit all pending regions with one stacked eigendecomposition.
-
-    ``regions`` holds region keys or :class:`Region` views.
-    Matches the per-region :func:`fit_region_plane` and
-    :func:`extract_ground_cubes` pair, but gathers every region's low
-    cubes first so the plane fits, the validity checks and the ground
-    marking all run as single array operations.
-    """
-    rkeys = np.fromiter((getattr(r, "key", r) for r in regions),
-                        dtype=np.int64)
+    rkeys = np.asarray(rkeys, dtype=np.int64)
     at = np.searchsorted(map_._rkeys, rkeys)
     n_reg = len(rkeys)
     rows_cat, gid = map_._region_rows(rkeys)
@@ -243,5 +172,5 @@ def r_gpe(map_: RHMap, points_world: np.ndarray, fcfg: FrontendConfig,
     report.planes_failed += int(retry_pointless.sum())
     pending = elected[unfitted & ~retry_pointless]
     if len(pending):
-        _batch_fit_and_extract(map_, pending, fcfg, report)
+        fit_ground_planes(map_, pending, fcfg, report)
     return report

@@ -1,4 +1,4 @@
-"""Signed integer cube indexing, packed 64-bit keys and the spatial hash.
+"""Signed integer cube indexing, packed 64-bit keys and sorted-key lookup.
 
 A point is quantised to a global cube index ``I = floor(p / cube_size)``
 per axis.  Applying the per-axis binary mask ``m = 2^mask_bits - 1`` splits
@@ -10,9 +10,14 @@ two's-complement semantics so negative coordinates group correctly
 Indexes are packed into a single int64 key with 21 bits per axis, which
 keeps region extraction a single AND on the packed value.  A region's
 column key is its packed key shifted right by 21 (the z field dropped).
+Only indexes in ``[-2**20, 2**20)`` fit a field; :func:`cube_indices`
+rejects the rest.
 
-The map keeps its tables as sorted int64 key arrays; the helpers at the
-end of this module are the grouping and lookup primitives over them.
+This is how the paper's two-layer region-wise hash is realised: the map
+keeps every table as a sorted array of exact packed keys and looks keys
+up with ``searchsorted``.  There is no probe table and no hash function,
+so two distinct indexes never collide.  The helpers at the end of this
+module are the grouping and lookup primitives over those arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import numpy as np
 AXIS_BITS = 21
 AXIS_MASK = (1 << AXIS_BITS) - 1
 _SIGN = 1 << (AXIS_BITS - 1)
-_U64 = (1 << 64) - 1
 
 
 def pack3(ix, iy, iz) -> np.ndarray:
@@ -48,15 +52,6 @@ def pack2(ix, iy) -> np.ndarray:
     ix = np.asarray(ix, dtype=np.int64)
     iy = np.asarray(iy, dtype=np.int64)
     return ((ix & AXIS_MASK) << 21) | (iy & AXIS_MASK)
-
-
-def unpack2(key) -> np.ndarray:
-    key = np.asarray(key, dtype=np.int64)
-    out = np.empty(key.shape + (2,), dtype=np.int64)
-    for axis, shift in enumerate((21, 0)):
-        v = (key >> shift) & AXIS_MASK
-        out[..., axis] = v - ((v & _SIGN) << 1)
-    return out
 
 
 def region_major(keys, mask_bits: int) -> np.ndarray:
@@ -101,22 +96,22 @@ def region_key_mask(mask_bits: int) -> int:
     return ~cube_local_key_mask(mask_bits)
 
 
-def column_of_key(key, mask_bits: int) -> np.ndarray:
-    """2D region-column key (x_r, y_r) of a packed 3D key."""
-    idx = unpack3(key)
-    m = (1 << mask_bits) - 1
-    return pack2(idx[..., 0] & ~m, idx[..., 1] & ~m)
-
-
 def cube_indices(points, cube_size: float) -> np.ndarray:
     """Global cube indexes ``floor(p / cube_size)`` of (3,) or (N, 3) points.
 
-    Non-finite coordinates are rejected.
+    Non-finite coordinates are rejected, and so are indexes outside
+    ``[-2**20, 2**20)``, which a packed key cannot hold (about 104.8 km
+    from the origin at 0.1 m cubes).
     """
     p = np.asarray(points, dtype=np.float64)
     if not np.isfinite(p).all():
         raise ValueError("non-finite point coordinate")
-    return np.floor(p / cube_size).astype(np.int64)
+    idx = np.floor(p / cube_size)
+    if idx.size and (idx.min() < -_SIGN or idx.max() >= _SIGN):
+        raise ValueError(
+            f"point more than {_SIGN * cube_size:g} m from the origin on an "
+            f"axis: its cube index does not fit a packed key")
+    return idx.astype(np.int64)
 
 
 def point_to_indices(points, cfg):
@@ -128,20 +123,6 @@ def point_to_indices(points, cfg):
     gidx = cube_indices(points, cfg.cube_size)
     m = cfg.mask
     return gidx, gidx & ~m, gidx & m
-
-
-def hash_index(idx, cfg) -> int:
-    """Bucket of an index triple under the prime-xor spatial hash.
-
-    Signed coordinates map through their two's-complement 64-bit pattern;
-    products wrap mod 2^64 before the xor and the final mod table_size.
-    """
-    idx = np.asarray(idx, dtype=np.int64).reshape(3)
-    primes = (cfg.hash_prime_x, cfg.hash_prime_y, cfg.hash_prime_z)
-    acc = 0
-    for v, prime in zip(idx.tolist(), primes):
-        acc ^= ((v & _U64) * prime) & _U64
-    return acc % cfg.table_size
 
 
 def cube_centers(keys, cube_size: float) -> np.ndarray:

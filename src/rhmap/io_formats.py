@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import Pose, Scan
@@ -13,17 +11,6 @@ DEFAULT_MOVING_CLASSES = frozenset(range(252, 260))
 
 class FormatError(ValueError):
     """Raised for malformed dataset files, with a positioned diagnostic."""
-
-
-@dataclass
-class LabeledCloud:
-    points: np.ndarray        # (N, 3) world frame
-    labels: np.ndarray        # (N,) class ids
-    dynamic_mask: np.ndarray  # (N,) bool
-
-    def __post_init__(self):
-        if not (len(self.points) == len(self.labels) == len(self.dynamic_mask)):
-            raise FormatError("points, labels and mask lengths differ")
 
 
 def read_kitti_scan(path) -> Scan:

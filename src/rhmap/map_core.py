@@ -35,15 +35,11 @@ from .indexing import (
     ScanCubes,
     cube_centers,
     find_sorted,
-    from_region_major,
     gather_runs,
-    pack2,
-    pack3,
     region_key_mask,
     region_major,
     run_starts,
     sorted_unique,
-    unpack3,
 )
 
 _SIGN = 1 << 20
@@ -198,15 +194,6 @@ class RHMap:
         alive[present] = self._alive[rows[present]]
         return pos, rows, present, alive
 
-    def cube_state(self, gidx):
-        """(log_odds, is_ground) of a global index, or None if absent."""
-        key = pack3(gidx[0], gidx[1], gidx[2])
-        rows, _, alive = self.lookup_rows(np.atleast_1d(key))
-        if not alive[0]:
-            return None
-        row = rows[0]
-        return float(self._log_odds[row]), bool(self._is_ground[row])
-
     # --------------------------------------------------------------- insertion
 
     def integrate_points(self, points_world: np.ndarray,
@@ -221,17 +208,6 @@ class RHMap:
         if cubes is None:
             cubes = ScanCubes(points_world, self.config)
         return self._integrate(cubes.cube_rm, cubes.cube_keys, cubes.cube_count)
-
-    def integrate_hit(self, gidx) -> tuple[float, bool]:
-        """Single-cube hit update; returns the cube state after the update."""
-        self.integrate_keys(np.atleast_1d(pack3(gidx[0], gidx[1], gidx[2])))
-        return self.cube_state(gidx)
-
-    def integrate_keys(self, keys: np.ndarray) -> int:
-        """Apply one hit per packed cube key; see :meth:`_integrate`."""
-        rm, counts = np.unique(self._rm(keys), return_counts=True)
-        return self._integrate(rm, from_region_major(rm, self.config.mask_bits),
-                               counts)
 
     def _integrate(self, rm: np.ndarray, uk: np.ndarray, counts: np.ndarray) -> int:
         """Apply ``counts`` hits to distinct cubes given in region-major order.
@@ -400,10 +376,6 @@ class RHMap:
 
     # ---------------------------------------------------------------- removal
 
-    def remove_region_nonground(self, region_key: int) -> int:
-        """Delete every non-ground cube of a region; returns the removed count."""
-        return self.remove_regions_nonground(np.array([region_key], dtype=np.int64))
-
     def remove_regions_nonground(self, region_keys) -> int:
         """Delete every non-ground cube of the given regions in one masked pass.
 
@@ -481,26 +453,7 @@ class RHMap:
         hi[known] = self._h_hi[pos[known]]
         return lo, hi, known
 
-    def column_band(self, col_key: int):
-        """(min, max) occupied-cube z-centers of a region column, or None."""
-        lo, hi, known = self.column_bands(np.array([col_key], dtype=np.int64))
-        return (float(lo[0]), float(hi[0])) if known[0] else None
-
-    def column_occupied(self, col_key: int) -> bool:
-        return len(self.column_regions(col_key)) > 0
-
-    def column_regions(self, col_key: int) -> list[int]:
-        rkeys, _ = self.regions_in_columns(np.array([col_key], dtype=np.int64))
-        return rkeys.tolist()
-
     # ------------------------------------------------------------ ground table
-
-    def update_ground_mean(self, oidx, z: float):
-        """Fold one ground height sample into G at a 2D global index."""
-        if not np.isfinite(z):
-            raise ValueError("non-finite ground sample")
-        self.update_ground_samples(np.atleast_1d(pack2(oidx[0], oidx[1])),
-                                   np.atleast_1d(np.float64(z)))
 
     def update_ground_samples(self, okeys: np.ndarray, zs: np.ndarray):
         if len(okeys) == 0:
@@ -526,10 +479,6 @@ class RHMap:
         mean[found] = self._g_sum[pos[found]] / self._g_cnt[pos[found]]
         return mean, found
 
-    def ground_entry(self, oidx):
-        mean, found = self.ground_mean(np.atleast_1d(pack2(oidx[0], oidx[1])))
-        return float(mean[0]) if found[0] else None
-
     # ------------------------------------------------------------------ export
 
     def occupied_mask(self) -> np.ndarray:
@@ -548,16 +497,3 @@ class RHMap:
         rows = self._srows[self.occupied_mask()[self._srows]]
         return cube_centers(self._keys[rows], self.config.cube_size), \
             self._is_ground[rows]
-
-    # ------------------------------------------------------------- region info
-
-    def region_block_z(self, region_key: int) -> tuple[float, float]:
-        """z extent (meters) of a region's cube block."""
-        ridx = unpack3(np.int64(region_key))
-        lo = float(ridx[2]) * self.config.cube_size
-        return lo, lo + self.config.region_size
-
-    def region_cube_indices(self, region: Region) -> tuple[np.ndarray, np.ndarray]:
-        """(global indexes (N, 3), rows) of a region's live cubes."""
-        rows = region.rows
-        return unpack3(self._keys[rows]), rows

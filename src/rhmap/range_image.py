@@ -90,14 +90,12 @@ def extract_max_ring(image: RangeImage) -> np.ndarray:
 
 
 def extract_sup_inf(image: RangeImage, r1: float, r2: float,
-                    max_search: int = 10, signed: bool = False):
+                    max_search: int = 10):
     """Per-point occlusion bounds found across vertical range jumps.
 
     For each filled cell, scan upward until the range difference to a
-    filled cell exceeds ``r1``; that cell's point becomes the upper bound.
-    The downward scan with ``r2`` gives the lower bound.  By default the
-    absolute difference is compared; ``signed=True`` uses the raw
-    ``range(i, j) - range(i +/- t, j)`` difference.
+    filled cell exceeds ``r1`` in absolute value; that cell's point becomes
+    the upper bound.  The downward scan with ``r2`` gives the lower bound.
 
     Returns ``(sup_ids, sup_bound_ids, inf_ids, inf_bound_ids)`` where the
     bound ids reference the point whose height defines the bound.  Both
@@ -111,11 +109,10 @@ def extract_sup_inf(image: RangeImage, r1: float, r2: float,
     sup, sup_b, inf, inf_b = [], [], [], []
     for t in range(1, min(max_search, rows - 1) + 1):
         low, high = slice(0, rows - t), slice(t, rows)
-        diff = rng[low] - rng[high]        # range(i, j) - range(i + t, j)
-        size = diff if signed else np.abs(diff)
+        size = np.abs(rng[low] - rng[high])
         up = open_up[low] & (size > r1)    # (i, j) bounded from above by (i + t, j)
         open_up[low] ^= up
-        down = open_down[high] & ((-diff if signed else size) > r2)
+        down = open_down[high] & (size > r2)
         open_down[high] ^= down            # (i + t, j) bounded from below by (i, j)
         sup.append(image.pid[low][up])
         sup_b.append(image.pid[high][up])

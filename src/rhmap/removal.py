@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import FrontendConfig
 from .geometry import Pose, Scan, transform_scan
-from .indexing import ScanCubes, find_sorted, pack2, sorted_unique, unpack3
+from .indexing import (ScanCubes, cube_indices, find_sorted, pack2,
+                       sorted_unique, unpack3)
 from .map_core import RHMap
 from .range_image import (RangeImage, build_range_image, extract_max_ring,
                           extract_sup_inf)
@@ -83,7 +84,7 @@ def build_scan_context_2d(cubes: ScanCubes, max_ring_w: np.ndarray,
     max_ring = np.zeros(len(keys), dtype=bool)
     if len(max_ring_w):
         m = cfg.mask
-        midx = np.floor(max_ring_w / cfg.cube_size).astype(np.int64)
+        midx = cube_indices(max_ring_w, cfg.cube_size)
         ring_cols = sorted_unique(pack2(midx[:, 0] & ~m, midx[:, 1] & ~m))
         _, max_ring = find_sorted(ring_cols, keys)
     return ScanContext2D(keys, z_max, z_min, count[seen], max_ring)
@@ -186,7 +187,7 @@ def s2m_removal(map_: RHMap, scan: Scan, pose: Pose, fcfg: FrontendConfig,
                                   fcfg.image_cols, fcfg.fov)
     max_ids = extract_max_ring(image)
     sup_ids, sup_bounds, inf_ids, inf_bounds = extract_sup_inf(
-        image, fcfg.r1, fcfg.r2, fcfg.max_search, fcfg.signed_jump)
+        image, fcfg.r1, fcfg.r2, fcfg.max_search)
 
     if cubes is None:
         cubes = ScanCubes(transform_scan(scan, pose), map_.config)

@@ -1,5 +1,6 @@
-"""Shared fixtures: benchmark scenes, session-scoped pipeline runs and a
-global guard that counts any ground cube killed by region removal."""
+"""Shared fixtures: benchmark scenes, session-scoped pipeline runs, a
+global guard that counts any ground cube killed by region removal, and
+helpers that insert and read single cubes through the batch map API."""
 
 from __future__ import annotations
 
@@ -11,16 +12,17 @@ import pytest
 from rhmap import map_core
 from rhmap.config import PipelineConfig
 from rhmap.evaluate import count_dynamic_cubes, evaluate
+from rhmap.indexing import pack3
 from rhmap.pipeline import run_pipeline
 from rhmap.synth import MovingBox, SceneSpec, synth_scene
 
 # ---------------------------------------------------------------------------
 # Ground-preservation guard.  Every call to remove_regions_nonground, the
-# batched removal entry point that scan-to-map removal and the single-region
-# remove_region_nonground both go through, is checked anywhere in the test
-# session: a cube that was alive and marked is_ground anywhere in the map
-# before the call must still be alive afterwards.  Violations accumulate in
-# GROUND_KILLS for an exact-count assertion.
+# one removal entry point of the map, which scan-to-map removal and the
+# back end both go through, is checked anywhere in the test session: a cube
+# that was alive and marked is_ground anywhere in the map before the call
+# must still be alive afterwards.  Violations accumulate in GROUND_KILLS for
+# an exact-count assertion.
 
 GROUND_KILLS = {"count": 0, "calls": 0}
 
@@ -37,6 +39,27 @@ def _guarded_remove(self, region_keys):
 
 
 map_core.RHMap.remove_regions_nonground = _guarded_remove
+
+
+# ---------------------------------------------------------------------------
+# Single-cube access for unit tests.  The map's API is batched; these insert
+# a hit through a point at each cube's centre and read a cube back through
+# lookup_rows.
+
+def hit_cubes(map_, idx) -> int:
+    """One hit on each cube index of ``idx`` ((3,) or (N, 3)); returns the
+    count of cubes that came alive."""
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1, 3)
+    return map_.integrate_points((idx + 0.5) * map_.config.cube_size)
+
+
+def cube_state(map_, idx):
+    """(log_odds, is_ground) of the live cube at index ``idx``, or None."""
+    x, y, z = idx
+    rows, _, alive = map_.lookup_rows(pack3([x], [y], [z]))
+    if not alive[0]:
+        return None
+    return float(map_._log_odds[rows[0]]), bool(map_._is_ground[rows[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -58,11 +58,14 @@ def test_index_bitmask_fuzz():
 
 
 def test_plane_fit_matches_tls_oracle():
-    from rhmap.ground import fit_region_plane
+    from rhmap.config import FrontendConfig
+    from rhmap.ground import GroundReport, fit_ground_planes
     from rhmap.map_core import RHMap
 
     rng = np.random.default_rng(1)
+    fcfg = FrontendConfig(min_ground_normal_z=0.0)
     worst = 0.0
+    fitted = 0
     for _ in range(100):
         theta = rng.uniform(0.0, np.radians(30.0))
         phi = rng.uniform(0.0, 2.0 * np.pi)
@@ -75,7 +78,12 @@ def test_plane_fit_matches_tls_oracle():
         pts = np.column_stack([xy, z])
         map_.integrate_points(pts)
         (rkey,) = map_.regions.keys()
-        fitted_n, _ = fit_region_plane(map_, rkey)
+        fit_ground_planes(map_, np.array([rkey]), fcfg, GroundReport())
+        region = map_.regions[rkey]
+        if not region.fitted:
+            continue
+        fitted += 1
+        fitted_n = region.plane_n
 
         # independent total-least-squares oracle on the same low-cube subset
         gidx = np.unique(np.floor(pts / 0.1).astype(np.int64), axis=0)
@@ -87,9 +95,9 @@ def test_plane_fit_matches_tls_oracle():
             oracle_n = -oracle_n
         ang = np.arccos(np.clip(abs(fitted_n @ oracle_n), -1.0, 1.0))
         worst = max(worst, float(ang))
-    ok = worst < 1e-4
+    ok = fitted == 100 and worst < 1e-4
     _report("plane-fit oracle", ok,
-            f"worst angular error {worst:.2e} rad over 100 planes "
+            f"{fitted}/100 planes fitted, worst angular error {worst:.2e} rad "
             f"(tolerance 1e-4)")
     assert ok
 

@@ -10,6 +10,8 @@ from rhmap.geometry import Pose, Scan, transform_scan
 from rhmap.map_core import RHMap
 from rhmap.range_image import RangeImage, build_range_image
 
+from conftest import cube_state, hit_cubes
+
 BCFG = BackendConfig()
 FOV = (-np.pi / 4, np.pi / 6)
 
@@ -105,8 +107,7 @@ def test_backend_step_removes_residue_and_pops_frame():
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
     map_ = _grounded_map(scan, pose)
     trail = [(20, 10, z) for z in range(2, 15)]
-    for idx in trail:
-        map_.integrate_hit(idx)
+    hit_cubes(map_, trail)
     q = KeyframeQueue(10)
     q.push(Keyframe(scan, pose, 0.0, 50.0))
     far_pose = Pose(np.eye(3), np.array([30.0, 0.0, 1.0]))
@@ -114,7 +115,7 @@ def test_backend_step_removes_residue_and_pops_frame():
     assert len(reports) == 1
     assert reports[0].cubes_removed >= len(trail)
     for idx in trail:
-        assert map_.cube_state(idx) is None
+        assert cube_state(map_, idx) is None
     assert len(q) == 0          # replayed frames are popped
 
 
@@ -122,8 +123,7 @@ def test_backend_step_idempotent_after_cleanup():
     scan = _ground_scan()
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
     map_ = _grounded_map(scan, pose)
-    for z in range(2, 15):
-        map_.integrate_hit((20, 10, z))
+    hit_cubes(map_, [(20, 10, z) for z in range(2, 15)])
     far_pose = Pose(np.eye(3), np.array([30.0, 0.0, 1.0]))
     q = KeyframeQueue(10)
     q.push(Keyframe(scan, pose, 0.0, 50.0))
@@ -153,8 +153,7 @@ def test_backend_step_never_adds_cubes():
     scan = _ground_scan(seed=3)
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
     map_ = _grounded_map(scan, pose)
-    for z in range(2, 10):
-        map_.integrate_hit((-15, 25, z))
+    hit_cubes(map_, [(-15, 25, z) for z in range(2, 10)])
     before = int(map_.occupied_mask().sum())
     q = KeyframeQueue(10)
     q.push(Keyframe(scan, pose, 0.0, 50.0))

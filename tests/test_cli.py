@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from rhmap.cli import main
-from rhmap.io_formats import read_map_ply
+from rhmap.geometry import Pose
+from rhmap.io_formats import (read_map_ply, write_kitti_scan, write_labels,
+                               write_poses)
 
 SCENE = {
     "ground_z": 0.0,
@@ -37,12 +39,24 @@ def scene_file(tmp_path):
     return str(p)
 
 
-def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys):
+def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys,
+                                           monkeypatch):
+    import rhmap.cli as cli
+
+    calls = []
+    real = cli.evaluate
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "evaluate", counting)
     out_map = str(tmp_path / "map.ply")
     report = str(tmp_path / "report.json")
     rc = main(["run", "--synthetic", scene_file, "--out", out_map,
                "--report", report] + CFG_FLAGS)
     assert rc == 0
+    assert len(calls) == 1          # the report and stdout share one score
     body = json.loads((tmp_path / "report.json").read_text())
     assert len(body["frames"]) == SCENE["frames"]
     assert body["timing"]["mean_ms"] > 0
@@ -105,11 +119,18 @@ def test_config_file_plus_flag_precedence(tmp_path, scene_file, capsys):
     assert len(read_map_ply(out_map)[0]) > 0
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["run"]) == 1                      # no inputs given
     assert main(["frobnicate"]) == 1               # unknown subcommand
     assert main(["run", "--synthetic", "x.json",
                  "--mask_bits", "zero"]) == 1      # bad config value
+    # keys of the removed prime-xor hash and signed-jump option are unknown
+    assert main(["run", "--synthetic", "x.json", "--table_size", "5"]) == 1
+    assert main(["run", "--synthetic", "x.json",
+                 "--signed_jump", "true"]) == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("hash_prime_x = 3\n")
+    assert main(["run", "--synthetic", "x.json", "--config", str(cfg)]) == 1
     capsys.readouterr()
 
 
@@ -120,7 +141,25 @@ def test_data_errors_exit_two(tmp_path, capsys):
     bad_ply.write_text("garbage\n")
     assert main(["eval", "--map", str(bad_ply),
                  "--truth", str(tmp_path)]) == 2
-    capsys.readouterr()
+    # a pose 209715 m out puts the scan past the 21-bit cube index range
+    (tmp_path / "velodyne").mkdir()
+    write_kitti_scan(tmp_path / "velodyne" / "000000.bin",
+                     np.array([[1.0, 0.0, -1.0], [2.0, 1.0, -1.0]]))
+    write_poses(tmp_path / "poses.txt",
+                [Pose(np.eye(3), np.array([209715.0, 0.0, 0.0]))])
+    assert main(["run", "--scans", str(tmp_path / "velodyne"),
+                 "--poses", str(tmp_path / "poses.txt")]) == 2
+    assert "packed key" in capsys.readouterr().err
+    # so does a map vertex there; packed unchecked it would score as cube 0
+    (tmp_path / "labels").mkdir()
+    write_labels(tmp_path / "labels" / "000000.label",
+                 np.zeros(2, dtype=np.uint32))
+    far_ply = tmp_path / "far.ply"
+    far_ply.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                       "end_header\n209715.25 0.05 0.05 0\n")
+    assert main(["eval", "--map", str(far_ply),
+                 "--truth", str(tmp_path)]) == 2
+    assert "packed key" in capsys.readouterr().err
 
 
 def test_bench_reports_throughput(capsys):

@@ -24,8 +24,6 @@ def test_map_config_rejections():
     with pytest.raises(ConfigError):
         MapConfig(mask_bits=0).validate()
     with pytest.raises(ConfigError):
-        MapConfig(table_size=0).validate()
-    with pytest.raises(ConfigError):
         MapConfig(log_odds_clamp_lo=1.0, log_odds_clamp_hi=1.0).validate()
 
 

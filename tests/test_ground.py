@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from rhmap.config import FrontendConfig, MapConfig
-from rhmap.ground import (GroundReport, PlaneFitError, _batch_fit_and_extract,
-                          elect_candidate_ground_regions, extract_ground_cubes,
-                          fit_region_plane, r_gpe)
-from rhmap.indexing import pack2, pack3
+from rhmap.ground import (GroundReport, elect_candidate_ground_regions,
+                          fit_ground_planes, r_gpe)
+from rhmap.indexing import pack2, pack3, unpack3
 from rhmap.map_core import RHMap
+
+from conftest import cube_state, hit_cubes
 
 
 FCFG = FrontendConfig()
@@ -18,89 +19,132 @@ def make_map(mask_bits=3):
     return RHMap(MapConfig(cube_size=0.1, mask_bits=mask_bits))
 
 
-def test_flat_lattice_plane():
+def fit_all(map_, fcfg=FCFG) -> GroundReport:
+    """Run fit_ground_planes over every region of the map."""
+    report = GroundReport()
+    fit_ground_planes(map_, np.array(list(map_.regions), dtype=np.int64),
+                      fcfg, report)
+    return report
+
+
+def assert_fit_failed(map_, report):
+    (region,) = map_.regions.values()
+    assert not region.fitted
+    assert report.regions_fitted == 0 and report.planes_failed == 1
+    assert region.fit_failed_at == region.occupied_count
+    assert report.ground_cubes_added == 0
+    assert not map_._is_ground[: map_._n].any()
+
+
+# Scalar oracle of fit_ground_planes, one region at a time.
+
+def fit_region_plane(map_, region_key, min_normal_z):
+    """PCA plane (n, d) of a region's low cubes in index units, or None.
+
+    The low cubes are those whose center lies at or below the region mean
+    height; the normal is the smallest-eigenvalue direction, oriented
+    upward.  Fewer than three low cubes, collinear cubes and normals
+    steeper than ``min_normal_z`` allows give None.
+    """
+    region = map_.regions[region_key]
+    idx = unpack3(map_._keys[region.rows])
+    zc = (idx[:, 2] + 0.5) * map_.config.cube_size
+    pts = idx[zc <= region.z_mean + 1e-12].astype(np.float64)
+    if len(pts) < 3:
+        return None
+    centered = pts - pts.mean(axis=0)
+    cov = centered.T @ centered / len(pts)
+    evals, evecs = np.linalg.eigh(cov)
+    if evals[1] <= 1e-9 * max(evals[2], 1.0):
+        return None
+    n = evecs[:, 0]
+    if n[2] < 0 or (n[2] == 0 and (n[0] < 0 or (n[0] == 0 and n[1] < 0))):
+        n = -n
+    if n[2] < min_normal_z:
+        return None
+    return n, float(n @ pts.mean(axis=0))
+
+
+def extract_ground_cubes(map_, region_key, n, d, r_gro):
+    """Keys and z-centers of a region's live cubes within r_gro of a plane."""
+    keys = map_._keys[map_.regions[region_key].rows]
+    idx = unpack3(keys)
+    near = np.abs(idx.astype(np.float64) @ n - d) < r_gro
+    return keys[near], (idx[near, 2] + 0.5) * map_.config.cube_size
+
+
+def _lattice_map():
     map_ = make_map()
-    for x in range(8):
-        for y in range(8):
-            map_.integrate_hit((x, y, 0))
-    (rkey,) = map_.regions.keys()
-    n, d = fit_region_plane(map_, rkey)
+    hit_cubes(map_, [(x, y, 0) for x in range(8) for y in range(8)])
+    return map_
+
+
+def test_flat_lattice_plane():
+    map_ = _lattice_map()
+    report = fit_all(map_)
+    (region,) = map_.regions.values()
+    assert region.fitted and report.regions_fitted == 1
+    n, d = region.plane_n, region.plane_d
     assert np.allclose(n, [0.0, 0.0, 1.0], atol=1e-9)
     assert abs(d) < 1e-9
     # every member cube satisfies the plane equation
-    idx, _ = map_.region_cube_indices(map_.regions[rkey])
+    idx = unpack3(map_._keys[region.rows])
     assert np.abs(idx @ n - d).max() <= 1e-6
 
 
 def test_tilted_lattice_plane():
     # index-space plane I_z = I_x / 5, i.e. z = 0.2 x in meters
     map_ = make_map(mask_bits=4)
-    for x in (0, 5, 10, 15):
-        for y in range(0, 16, 2):
-            map_.integrate_hit((x, y, x // 5))
-    (rkey,) = map_.regions.keys()
-    n, d = fit_region_plane(map_, rkey)
+    hit_cubes(map_, [(x, y, x // 5) for x in (0, 5, 10, 15)
+                     for y in range(0, 16, 2)])
+    fit_all(map_)
+    (region,) = map_.regions.values()
+    assert region.fitted
     expect = np.array([-0.2, 0.0, 1.0])
     expect /= np.linalg.norm(expect)
-    assert np.allclose(n, expect, atol=1e-6)
+    assert np.allclose(region.plane_n, expect, atol=1e-6)
 
 
 def test_collinear_cubes_rejected():
     map_ = make_map()
-    for x in range(3):
-        map_.integrate_hit((x, 0, 0))
-    (rkey,) = map_.regions.keys()
-    with pytest.raises(PlaneFitError):
-        fit_region_plane(map_, rkey)
+    hit_cubes(map_, [(x, 0, 0) for x in range(3)])
+    assert_fit_failed(map_, fit_all(map_))
 
 
 def test_too_few_cubes_rejected():
     map_ = make_map()
-    map_.integrate_hit((0, 0, 0))
-    (rkey,) = map_.regions.keys()
-    with pytest.raises(PlaneFitError):
-        fit_region_plane(map_, rkey)
-    with pytest.raises(PlaneFitError):
-        fit_region_plane(map_, 999999)
+    hit_cubes(map_, [(0, 0, 0), (1, 1, 0)])
+    assert_fit_failed(map_, fit_all(map_))
 
 
 def test_steep_wall_rejected_by_normal_gate():
     map_ = make_map()
-    for y in range(8):
-        for z in range(8):
-            map_.integrate_hit((3, y, z))
-    (rkey,) = map_.regions.keys()
-    with pytest.raises(PlaneFitError):
-        fit_region_plane(map_, rkey, min_normal_z=0.8)
+    hit_cubes(map_, [(3, y, z) for y in range(8) for z in range(8)])
+    report = fit_all(map_, FrontendConfig(min_ground_normal_z=0.8))
+    assert_fit_failed(map_, report)
 
 
 def test_extract_flat_region_marks_all_low_cubes():
-    map_ = make_map()
-    for x in range(8):
-        for y in range(8):
-            map_.integrate_hit((x, y, 0))
-    map_.integrate_hit((0, 0, 5))  # above the mean; not in the low set
-    (rkey,) = map_.regions.keys()
-    fit_region_plane(map_, rkey)
-    got = set(extract_ground_cubes(map_, rkey, FCFG.r_gro).tolist())
+    map_ = _lattice_map()
+    hit_cubes(map_, (0, 0, 5))  # above the mean; not in the low set
+    report = fit_all(map_)
+    assert report.ground_cubes_added == 64
+    got = set(map_._keys[: map_._n][map_._is_ground[: map_._n]].tolist())
     expect = {int(pack3(np.int64(x), np.int64(y), np.int64(0)))
               for x in range(8) for y in range(8)}
     assert got == expect
-    assert map_.cube_state((0, 0, 5))[1] is False
-    assert map_.cube_state((3, 3, 0))[1] is True
+    assert cube_state(map_, (0, 0, 5))[1] is False
+    assert cube_state(map_, (3, 3, 0))[1] is True
     # every marked ground height entered G
-    assert abs(map_.ground_entry((3, 3)) - 0.05) < 1e-12
+    mean, found = map_.ground_mean(pack2([3], [3]))
+    assert found[0] and abs(mean[0] - 0.05) < 1e-12
 
 
 def test_extract_excludes_displaced_cube():
-    map_ = make_map()
-    for x in range(8):
-        for y in range(8):
-            map_.integrate_hit((x, y, 0))
-    map_.integrate_hit((0, 0, 3))  # 3 cube units off the plane
-    (rkey,) = map_.regions.keys()
-    fit_region_plane(map_, rkey)
-    got = set(extract_ground_cubes(map_, rkey, 1.25).tolist())
+    map_ = _lattice_map()
+    hit_cubes(map_, (0, 0, 3))  # 3 cube units off the plane
+    fit_all(map_, FrontendConfig(r_gro=1.25))
+    got = set(map_._keys[: map_._n][map_._is_ground[: map_._n]].tolist())
     assert int(pack3(np.int64(0), np.int64(0), np.int64(3))) not in got
     assert len(got) == 64
 
@@ -111,24 +155,22 @@ def test_extract_matches_brute_force_filter():
     pts = np.column_stack([rng.uniform(0, 0.8, size=(150, 2)),
                            rng.uniform(0, 0.25, size=150)])
     map_.integrate_points(pts)
-    (rkey,) = map_.regions.keys()
-    region = map_.regions[rkey]
-    try:
-        n, d = fit_region_plane(map_, rkey)
-    except PlaneFitError:
+    fit_all(map_, FrontendConfig(r_gro=1.25))
+    (region,) = map_.regions.values()
+    if not region.fitted:
         pytest.skip("degenerate random draw")
-    got = set(extract_ground_cubes(map_, rkey, 1.25).tolist())
-    idx, _ = map_.region_cube_indices(region)
-    near = idx[np.abs(idx @ n - d) < 1.25]
+    got = set(map_._keys[: map_._n][map_._is_ground[: map_._n]].tolist())
+    idx = unpack3(map_._keys[region.rows])
+    near = idx[np.abs(idx @ region.plane_n - region.plane_d) < 1.25]
     expect = {int(pack3(*i)) for i in near}
     assert got == expect
 
 
 def test_extract_without_plane_is_empty():
     map_ = make_map()
-    map_.integrate_hit((0, 0, 0))
-    (rkey,) = map_.regions.keys()
-    assert len(extract_ground_cubes(map_, rkey, 1.25)) == 0
+    hit_cubes(map_, (0, 0, 0))
+    assert_fit_failed(map_, fit_all(map_))
+    assert len(map_._g_keys) == 0
 
 
 def test_election_isolated_region_excluded():
@@ -191,33 +233,39 @@ def test_batch_fit_matches_per_region_path():
     rng = np.random.default_rng(4)
     pts = np.column_stack([rng.uniform(0, 4.0, size=(6000, 2)),
                            rng.uniform(0, 0.3, size=6000)])
-    map_a = make_map()
-    map_a.integrate_points(pts)
-    map_b = make_map()
-    map_b.integrate_points(pts)
+    map_ = make_map()
+    map_.integrate_points(pts)
+    regions = sorted(map_.regions.keys())
 
-    regions = sorted(map_a.regions.keys())
-    _batch_fit_and_extract(map_a, [map_a.regions[k] for k in regions],
-                           FCFG, GroundReport())
+    # oracle first: it only reads the map
+    planes, ground_keys, g_keys, g_z = {}, [], [], []
     for k in regions:
-        try:
-            fit_region_plane(map_b, k, FCFG.min_ground_normal_z)
-            extract_ground_cubes(map_b, k, FCFG.r_gro)
-        except PlaneFitError:
-            pass
+        planes[k] = fit_region_plane(map_, k, FCFG.min_ground_normal_z)
+        if planes[k] is not None:
+            keys, zc = extract_ground_cubes(map_, k, *planes[k], FCFG.r_gro)
+            idx = unpack3(keys)
+            ground_keys.append(keys)
+            g_keys.append(pack2(idx[:, 0], idx[:, 1]))
+            g_z.append(zc)
+    report = GroundReport()
+    fit_ground_planes(map_, np.array(regions), FCFG, report)
 
+    assert report.regions_fitted == sum(p is not None for p in planes.values())
+    assert report.planes_failed == len(regions) - report.regions_fitted
     for k in regions:
-        ra, rb = map_a.regions[k], map_b.regions[k]
-        assert ra.fitted == rb.fitted
-        if ra.fitted:
-            assert np.allclose(ra.plane_n, rb.plane_n, atol=1e-9)
-            assert abs(ra.plane_d - rb.plane_d) < 1e-9
-    na = map_a._is_ground[: map_a._n][map_a._alive[: map_a._n]]
-    nb = map_b._is_ground[: map_b._n][map_b._alive[: map_b._n]]
-    assert np.array_equal(na, nb)
-    assert np.array_equal(map_a._g_keys, map_b._g_keys)
-    assert np.allclose(map_a._g_sum, map_b._g_sum)
-    assert np.array_equal(map_a._g_cnt, map_b._g_cnt)
+        region = map_.regions[k]
+        assert region.fitted == (planes[k] is not None)
+        if region.fitted:
+            assert np.allclose(region.plane_n, planes[k][0], atol=1e-9)
+            assert abs(region.plane_d - planes[k][1]) < 1e-9
+    marked = map_._keys[: map_._n][map_._is_ground[: map_._n]]
+    expect = np.sort(np.concatenate(ground_keys))
+    assert np.array_equal(np.sort(marked), expect)
+    g_keys, g_z = np.concatenate(g_keys), np.concatenate(g_z)
+    uk, inv = np.unique(g_keys, return_inverse=True)
+    assert np.array_equal(map_._g_keys, uk)
+    assert np.allclose(map_._g_sum, np.bincount(inv, weights=g_z))
+    assert np.array_equal(map_._g_cnt, np.bincount(inv))
 
 
 def test_sloped_terrain_ground_coverage():

@@ -1,12 +1,12 @@
-"""Cube indexing, packed keys and the spatial hash."""
+"""Cube indexing, packed keys and the sorted-key grouping primitives."""
 
 import numpy as np
 import pytest
 
 from rhmap.config import MapConfig
-from rhmap.indexing import (column_of_key, cube_centers, cube_local_key_mask,
-                            hash_index, pack2, pack3, point_to_indices,
-                            region_key_mask, unpack2, unpack3)
+from rhmap.indexing import (cube_centers, cube_indices, cube_local_key_mask,
+                            pack2, pack3, point_to_indices, region_key_mask,
+                            unpack3)
 
 
 CFG = MapConfig(cube_size=0.1, mask_bits=3)
@@ -64,7 +64,7 @@ def test_pack_unpack_round_trip():
     keys = pack3(idx[:, 0], idx[:, 1], idx[:, 2])
     assert (unpack3(keys) == idx).all()
     k2 = pack2(idx[:, 0], idx[:, 1])
-    assert (unpack2(k2) == idx[:, :2]).all()
+    assert (unpack3(k2 << 21)[:, :2] == idx[:, :2]).all()
     assert len(np.unique(keys)) == len(np.unique(idx, axis=0))
 
 
@@ -74,50 +74,7 @@ def test_region_mask_on_packed_keys():
     rkey = key & region_key_mask(3)
     assert unpack3(rkey)[0].tolist() == [8, -8, 16]
     assert (rkey & cube_local_key_mask(3) == 0).all()
-    assert int(column_of_key(key, 3)[0]) == int(pack2(np.int64(8),
-                                                      np.int64(-8)))
-
-
-def test_hash_of_zero_index_is_zero():
-    assert hash_index((0, 0, 0), CFG) == 0
-
-
-def test_hash_unit_x_matches_bigint_oracle():
-    # arbitrary-precision oracle for the wrap-multiply / xor / mod chain
-    def oracle(idx):
-        acc = 0
-        for v, p in zip(idx, (CFG.hash_prime_x, CFG.hash_prime_y,
-                              CFG.hash_prime_z)):
-            acc ^= ((v % (1 << 64)) * p) % (1 << 64)
-        return acc % CFG.table_size
-
-    assert hash_index((1, 0, 0), CFG) == 455773
-    assert oracle((1, 0, 0)) == 455773
-    rng = np.random.default_rng(11)
-    for idx in rng.integers(-(1 << 20), 1 << 20, size=(200, 3)).tolist():
-        assert hash_index(idx, CFG) == oracle(idx)
-
-
-def test_colliding_indices_both_retrievable():
-    from rhmap.map_core import RHMap
-
-    # birthday-search a modest index set for two sharing one bucket
-    rng = np.random.default_rng(12)
-    seen: dict[int, tuple] = {}
-    pair = None
-    for idx in rng.integers(-1000, 1000, size=(6000, 3)).tolist():
-        bucket = hash_index(idx, CFG)
-        other = seen.setdefault(bucket, tuple(idx))
-        if other != tuple(idx):
-            pair = (other, tuple(idx))
-            break
-    assert pair is not None, "no bucket collision found in 6000 indices"
-    map_ = RHMap(CFG)
-    for idx in pair:
-        map_.integrate_hit(idx)
-    for idx in pair:
-        state = map_.cube_state(idx)
-        assert state is not None and state[0] > 0
+    assert int(rkey[0] >> 21) == int(pack2(np.int64(8), np.int64(-8)))
 
 
 def test_cube_centers():
@@ -126,7 +83,7 @@ def test_cube_centers():
     assert np.allclose(centers, [[0.05, 0.25, 0.45], [-0.05, 0.35, -0.45]])
 
 
-# ------------------------------------------------- region-major keys, grouping
+# ------------------------------------ key range, region-major keys, grouping
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
@@ -134,6 +91,34 @@ from rhmap.indexing import (ScanCubes, from_region_major, gather_runs,  # noqa: 
                             region_key_mask, region_major, sorted_unique)
 
 _coord = st.integers(-(1 << 20), (1 << 20) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-2.2e5, 2.2e5), min_size=3, max_size=3),
+       st.sampled_from([0.05, 0.1, 0.2, 0.4]))
+def test_cube_indices_pack_round_trip_or_raise(point, cube_size):
+    # an index either survives the 21-bit packing or is rejected: it never
+    # lands silently on another cube, and only indexes that would are refused
+    raw = np.floor(np.array(point) / cube_size).astype(np.int64)
+    round_trips = unpack3(pack3(*raw)).tolist() == raw.tolist()
+    try:
+        idx = cube_indices(point, cube_size)
+    except ValueError:
+        assert not round_trips
+        return
+    assert round_trips
+    assert idx.tolist() == raw.tolist()
+
+
+def test_cube_indices_reject_unpackable_coordinates():
+    # 209715.25 m is cube 2**21 at 0.1 m, which the mask would fold onto 0
+    with pytest.raises(ValueError, match="packed key"):
+        cube_indices(np.array([[0.05, 0.0, 0.0], [209715.25, 0.0, 0.0]]), 0.1)
+    with pytest.raises(ValueError, match="packed key"):
+        cube_indices(np.array([0.0, -104857.7, 0.0]), 0.1)
+    assert cube_indices(np.array([0.0, -104857.6, 104857.5]),
+                        0.1).tolist() == [0, -(1 << 20), (1 << 20) - 1]
+    assert cube_indices(np.empty((0, 3)), 0.1).shape == (0, 3)
 
 
 @settings(max_examples=200, deadline=None)

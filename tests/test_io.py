@@ -10,6 +10,8 @@ from rhmap.io_formats import (FormatError, read_kitti_scan, read_labels,
                               write_labels, write_map_ply, write_poses)
 from rhmap.map_core import RHMap
 
+from conftest import hit_cubes
+
 
 def test_scan_empty_file(tmp_path):
     p = tmp_path / "empty.bin"
@@ -133,7 +135,7 @@ def test_ply_empty_map(tmp_path):
 
 def test_ply_single_cube_center(tmp_path):
     map_ = RHMap(MapConfig())
-    map_.integrate_hit((0, 0, 0))
+    hit_cubes(map_, (0, 0, 0))
     p = tmp_path / "map.ply"
     write_map_ply(map_, p)
     pts, ground = read_map_ply(p)

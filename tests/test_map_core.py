@@ -6,6 +6,8 @@ from rhmap.config import MapConfig
 from rhmap.indexing import pack2, pack3, region_key_mask, unpack3
 from rhmap.map_core import RHMap
 
+from conftest import cube_state, hit_cubes
+
 
 def make_map(**kw):
     return RHMap(MapConfig(cube_size=0.1, mask_bits=3, **kw))
@@ -13,32 +15,35 @@ def make_map(**kw):
 
 def test_fresh_hit_log_odds():
     map_ = make_map()
-    lo, ground = map_.integrate_hit((0, 0, 0))
+    assert hit_cubes(map_, (0, 0, 0)) == 1
+    lo, ground = cube_state(map_, (0, 0, 0))
     assert lo == 0.85
     assert ground is False
 
 
 def test_two_hits_additive():
     map_ = make_map()
-    map_.integrate_hit((0, 0, 0))
-    lo, _ = map_.integrate_hit((0, 0, 0))
+    hit_cubes(map_, (0, 0, 0))
+    assert hit_cubes(map_, (0, 0, 0)) == 0
+    lo, _ = cube_state(map_, (0, 0, 0))
     assert abs(lo - 1.7) < 1e-12
 
 
 def test_clamp_is_fixed_point():
     map_ = make_map()
     for _ in range(10):
-        lo, _ = map_.integrate_hit((1, 2, 3))
-    assert lo == 3.5
-    lo, _ = map_.integrate_hit((1, 2, 3))
-    assert lo == 3.5
+        hit_cubes(map_, (1, 2, 3))
+    assert cube_state(map_, (1, 2, 3))[0] == 3.5
+    hit_cubes(map_, (1, 2, 3))
+    assert cube_state(map_, (1, 2, 3))[0] == 3.5
 
 
 def test_occupancy_monotone_under_hits():
     map_ = make_map()
     prev = -np.inf
     for _ in range(8):
-        lo, _ = map_.integrate_hit((4, 4, 4))
+        hit_cubes(map_, (4, 4, 4))
+        lo, _ = cube_state(map_, (4, 4, 4))
         assert lo >= prev
         assert lo <= map_.config.log_odds_clamp_hi
         prev = lo
@@ -64,17 +69,27 @@ def test_column_band_matches_full_rescan_oracle():
     gidx = np.floor(pts / 0.1).astype(np.int64)
     gidx = np.unique(gidx, axis=0)
     cols = pack2(gidx[:, 0] & ~m, gidx[:, 1] & ~m)
-    for col in np.unique(cols):
+    ucols = np.unique(cols)
+    lo, hi, known = map_.column_bands(ucols)
+    assert known.all()
+    for i, col in enumerate(ucols):
         zc = (gidx[cols == col, 2] + 0.5) * 0.1
-        band = map_.column_band(int(col))
-        assert band is not None
-        assert abs(band[0] - zc.min()) < 1e-12
-        assert abs(band[1] - zc.max()) < 1e-12
+        assert abs(lo[i] - zc.min()) < 1e-12
+        assert abs(hi[i] - zc.max()) < 1e-12
+
+
+def column_band(map_, col):
+    """(lo, hi) occupied band of one region column, or None."""
+    lo, hi, known = map_.column_bands(np.array([col]))
+    return (float(lo[0]), float(hi[0])) if known[0] else None
+
+
+def remove(map_, rkey) -> int:
+    return map_.remove_regions_nonground(np.array([rkey]))
 
 
 def _plant_region(map_, ground_cubes, nonground_cubes):
-    for idx in ground_cubes + nonground_cubes:
-        map_.integrate_hit(idx)
+    hit_cubes(map_, ground_cubes + nonground_cubes)
     keys = pack3(*np.array(ground_cubes).T)
     rows, _, _ = map_.lookup_rows(keys)
     map_._is_ground[rows] = True
@@ -86,25 +101,25 @@ def test_remove_keeps_ground():
     nonground = [(x, 1, 3) for x in range(3)]
     _plant_region(map_, ground, nonground)
     (rkey,) = map_.regions.keys()
-    assert map_.remove_region_nonground(rkey) == 3
+    assert remove(map_, rkey) == 3
     assert len(map_) == 5
     for idx in ground:
-        assert map_.cube_state(idx) is not None
+        assert cube_state(map_, idx) is not None
     for idx in nonground:
-        assert map_.cube_state(idx) is None
+        assert cube_state(map_, idx) is None
 
 
 def test_remove_all_ground_region_is_noop():
     map_ = make_map()
     _plant_region(map_, [(0, 0, 0), (1, 0, 0), (2, 1, 0)], [])
     (rkey,) = map_.regions.keys()
-    assert map_.remove_region_nonground(rkey) == 0
+    assert remove(map_, rkey) == 0
     assert len(map_) == 3
 
 
 def test_remove_missing_region_returns_zero():
     map_ = make_map()
-    assert map_.remove_region_nonground(123456) == 0
+    assert remove(map_, 123456) == 0
 
 
 def test_remove_survivors_match_brute_force():
@@ -117,63 +132,69 @@ def test_remove_survivors_match_brute_force():
     ground_rows = rows[rng.random(len(rows)) < 0.4]
     map_._is_ground[ground_rows] = True
     expected = set(map_._keys[ground_rows].tolist())
-    map_.remove_region_nonground(rkey)
+    remove(map_, rkey)
     survivors = set(map_.occupied_keys().tolist())
     assert survivors == expected
 
 
 def test_empty_region_evicted_and_column_updated():
     map_ = make_map()
-    map_.integrate_hit((0, 0, 0))
+    hit_cubes(map_, (0, 0, 0))
     (rkey,) = map_.regions.keys()
-    map_.remove_region_nonground(rkey)
+    remove(map_, rkey)
     assert rkey not in map_.regions
-    assert not map_.column_occupied(pack2(np.int64(0), np.int64(0)))
-    assert map_.column_band(int(pack2(np.int64(0), np.int64(0)))) is None
+    col = int(pack2(np.int64(0), np.int64(0)))
+    assert len(map_.regions_in_columns(np.array([col]))[0]) == 0
+    assert col not in map_.occupied_columns()
+    assert column_band(map_, col) is None
 
 
 def test_lazy_column_rescan_after_removal():
     map_ = make_map()
-    map_.integrate_hit((0, 0, 1))    # z-center 0.15, ground
-    map_.integrate_hit((0, 0, 20))   # z-center 2.05, region (0,0,16)
+    hit_cubes(map_, (0, 0, 1))       # z-center 0.15, ground
+    hit_cubes(map_, (0, 0, 20))      # z-center 2.05, region (0,0,16)
     keys = pack3(np.array([0]), np.array([0]), np.array([1]))
     rows, _, _ = map_.lookup_rows(keys)
     map_._is_ground[rows] = True
     col = int(pack2(np.int64(0), np.int64(0)))
-    assert np.allclose(map_.column_band(col), (0.15, 2.05))
+    assert np.allclose(column_band(map_, col), (0.15, 2.05))
     upper_rkey = int(pack3(np.int64(0), np.int64(0), np.int64(16)))
-    map_.remove_region_nonground(upper_rkey)
-    assert np.allclose(map_.column_band(col), (0.15, 0.15))
+    remove(map_, upper_rkey)
+    assert np.allclose(column_band(map_, col), (0.15, 0.15))
 
 
 def test_removed_cube_revives_as_fresh():
     map_ = make_map()
     for _ in range(3):
-        map_.integrate_hit((0, 1, 3))
+        hit_cubes(map_, (0, 1, 3))
     (rkey,) = map_.regions.keys()
-    map_.remove_region_nonground(rkey)
-    assert map_.cube_state((0, 1, 3)) is None
-    lo, ground = map_.integrate_hit((0, 1, 3))
+    remove(map_, rkey)
+    assert cube_state(map_, (0, 1, 3)) is None
+    assert hit_cubes(map_, (0, 1, 3)) == 1
+    lo, ground = cube_state(map_, (0, 1, 3))
     assert lo == 0.85
     assert ground is False
 
 
 def test_ground_mean_examples():
     map_ = make_map()
-    map_.update_ground_mean((0, 0), 1.0)
-    assert map_.ground_entry((0, 0)) == 1.0
-    map_.update_ground_mean((0, 0), 2.0)
-    assert map_.ground_entry((0, 0)) == 1.5
-    assert map_.ground_entry((5, 5)) is None
+    at = pack2([0, 5], [0, 5])
+    map_.update_ground_samples(at[:1], np.array([1.0]))
+    assert map_.ground_mean(at[:1])[0].tolist() == [1.0]
+    map_.update_ground_samples(at[:1], np.array([2.0]))
+    mean, found = map_.ground_mean(at)
+    assert mean[0] == 1.5
+    assert found.tolist() == [True, False] and np.isnan(mean[1])
 
 
 def test_ground_mean_matches_batch_average():
     rng = np.random.default_rng(6)
     map_ = make_map()
     samples = rng.normal(size=1000)
+    key = pack2([2], [3])
     for z in samples:
-        map_.update_ground_mean((2, 3), float(z))
-    assert abs(map_.ground_entry((2, 3)) - samples.mean()) < 1e-9
+        map_.update_ground_samples(key, np.array([z]))
+    assert abs(map_.ground_mean(key)[0][0] - samples.mean()) < 1e-9
 
 
 def test_export_empty_map():
@@ -217,7 +238,7 @@ def test_bulk_lookup_after_many_inserts():
     map_ = make_map()
     idx = np.unique(rng.integers(-40, 40, size=(20_000, 3)), axis=0)
     keys = pack3(idx[:, 0], idx[:, 1], idx[:, 2])
-    map_.integrate_keys(keys)
+    assert hit_cubes(map_, idx) == len(idx)
     rows, present, alive = map_.lookup_rows(keys)
     assert present.all() and alive.all()
     assert (map_._keys[rows] == keys).all()
@@ -249,21 +270,20 @@ def test_batched_removal_matches_brute_force():
     cols = rkeys >> 21
     for c in np.unique(cols).tolist():
         z = zc[cols == c]
-        assert map_.column_band(c) == (z.min(), z.max())
+        assert column_band(map_, c) == (z.min(), z.max())
 
 
 def test_removal_at_top_of_key_space():
     # cube (-1, -1, -1) sits in the region and column with the largest
     # region-major keys; their spans end at the largest int64
     map_ = make_map()
-    map_.integrate_hit((-1, -1, -1))
-    map_.integrate_hit((-1, -1, -3))
+    hit_cubes(map_, [(-1, -1, -1), (-1, -1, -3)])
     (rkey,) = map_.regions.keys()
     col = rkey >> 21
-    assert map_.column_band(col) == (-0.25, -0.05)
+    assert column_band(map_, col) == (-0.25, -0.05)
     assert map_.regions[rkey].occupied_count == 2
-    assert map_.remove_region_nonground(rkey) == 2
-    assert map_.column_band(col) is None
+    assert remove(map_, rkey) == 2
+    assert column_band(map_, col) is None
     assert len(map_) == 0
 
 
@@ -272,8 +292,8 @@ def test_column_band_counts_only_occupied_cubes():
     # once a second hit makes it occupied
     map_ = make_map(occupied_threshold=1.0)
     col = int(pack2(np.int64(0), np.int64(0)))
-    map_.integrate_hit((0, 0, 0))
-    map_.integrate_hit((0, 0, 9))
-    assert map_.column_band(col) is None
-    map_.integrate_hit((0, 0, 9))
-    assert np.allclose(map_.column_band(col), (0.95, 0.95))
+    hit_cubes(map_, (0, 0, 0))
+    hit_cubes(map_, (0, 0, 9))
+    assert column_band(map_, col) is None
+    hit_cubes(map_, (0, 0, 9))
+    assert np.allclose(column_band(map_, col), (0.95, 0.95))

@@ -96,16 +96,6 @@ def test_sup_from_range_jump():
     assert inf_b.tolist() == [0]
 
 
-def test_signed_jump_ignores_farther_background():
-    # the cell above is farther, so the signed difference is negative
-    img = _column_image([10.0, 25.0])
-    sup_ids, _, _, _ = extract_sup_inf(img, 1.0, 1.0, signed=True)
-    assert len(sup_ids) == 0
-    img2 = _column_image([25.0, 10.0])
-    sup_ids2, sup_b2, _, _ = extract_sup_inf(img2, 1.0, 1.0, signed=True)
-    assert sup_ids2.tolist() == [0] and sup_b2.tolist() == [1]
-
-
 def test_sup_inf_matches_brute_force():
     rng = np.random.default_rng(1)
     ranges = rng.uniform(0.0, 30.0, size=(12, 20))
@@ -116,27 +106,26 @@ def test_sup_inf_matches_brute_force():
                    -1).astype(np.int32)
     img = RangeImage(ranges, rng.normal(size=ranges.shape), pid, FOV, 0,
                      filled.ravel())
-    for signed in (False, True):
-        sup_ids, sup_b, inf_ids, inf_b = extract_sup_inf(
-            img, 1.5, 2.5, max_search=5, signed=signed)
-        exp_sup, exp_inf = {}, {}
-        for j in range(img.cols):
-            for i in range(img.rows):
-                if not filled[i, j]:
+    sup_ids, sup_b, inf_ids, inf_b = extract_sup_inf(
+        img, 1.5, 2.5, max_search=5)
+    exp_sup, exp_inf = {}, {}
+    for j in range(img.cols):
+        for i in range(img.rows):
+            if not filled[i, j]:
+                continue
+            for t in range(1, 6):
+                if i + t >= img.rows or not filled[i + t, j]:
                     continue
-                for t in range(1, 6):
-                    if i + t >= img.rows or not filled[i + t, j]:
-                        continue
-                    d = ranges[i, j] - ranges[i + t, j]
-                    if (d if signed else abs(d)) > 1.5:
-                        exp_sup[pid[i, j]] = pid[i + t, j]
-                        break
-                for t in range(1, 6):
-                    if i - t < 0 or not filled[i - t, j]:
-                        continue
-                    d = ranges[i, j] - ranges[i - t, j]
-                    if (d if signed else abs(d)) > 2.5:
-                        exp_inf[pid[i, j]] = pid[i - t, j]
-                        break
-        assert dict(zip(sup_ids.tolist(), sup_b.tolist())) == exp_sup
-        assert dict(zip(inf_ids.tolist(), inf_b.tolist())) == exp_inf
+                d = ranges[i, j] - ranges[i + t, j]
+                if abs(d) > 1.5:
+                    exp_sup[pid[i, j]] = pid[i + t, j]
+                    break
+            for t in range(1, 6):
+                if i - t < 0 or not filled[i - t, j]:
+                    continue
+                d = ranges[i, j] - ranges[i - t, j]
+                if abs(d) > 2.5:
+                    exp_inf[pid[i, j]] = pid[i - t, j]
+                    break
+    assert dict(zip(sup_ids.tolist(), sup_b.tolist())) == exp_sup
+    assert dict(zip(inf_ids.tolist(), inf_b.tolist())) == exp_inf

@@ -10,6 +10,8 @@ from rhmap.removal import (_flag_columns, _flag_regions,
                            build_scan_context_2d, build_scan_context_3d,
                            select_candidate_regions, s2m_removal)
 
+from conftest import cube_state, hit_cubes
+
 CFG = MapConfig(cube_size=0.1, mask_bits=3)
 FCFG = FrontendConfig()
 
@@ -40,12 +42,12 @@ def compute_ratio1(ctx, map_, col_key, eps_div=1e-6):
     a max-ring column compares against the scan's own top instead of the
     map's.
     """
-    band = map_.column_band(col_key)
-    if band is None:
+    lo, hi, known = map_.column_bands(np.array([col_key]))
+    if not known[0]:
         return 1.0
     i = ctx.keys.tolist().index(col_key)
     dh = ctx.z_max[i] - ctx.z_min[i]
-    denom = (ctx.z_max[i] - band[0]) if ctx.max_ring[i] else (band[1] - band[0])
+    denom = (ctx.z_max[i] - lo[0]) if ctx.max_ring[i] else (hi[0] - lo[0])
     if denom < eps_div:
         return 1.0
     return dh / denom
@@ -99,8 +101,7 @@ def test_ctx2d_matches_brute_force():
 
 def _map_with_column_band(lo_idx, hi_idx):
     map_ = RHMap(CFG)
-    map_.integrate_hit((0, 0, lo_idx))
-    map_.integrate_hit((0, 0, hi_idx))
+    hit_cubes(map_, [(0, 0, lo_idx), (0, 0, hi_idx)])
     return map_
 
 
@@ -132,7 +133,7 @@ def test_ratio1_missing_column_and_degenerate_band():
     pts = np.array([[0.0, 0.0, 0.5]])
     ctx = ctx_2d(pts, np.empty((0, 3)))
     assert compute_ratio1(ctx, map_, col_key(0, 0)) == 1.0
-    map_.integrate_hit((0, 0, 5))       # single cube, zero-height band
+    hit_cubes(map_, (0, 0, 5))          # single cube, zero-height band
     assert compute_ratio1(ctx, map_, col_key(0, 0)) == 1.0
 
 
@@ -192,8 +193,7 @@ def test_ctx3d_matches_brute_force_group_by():
 
 def test_select_candidates_simple_and_stacked():
     map_ = RHMap(CFG)
-    for z in (0, 10, 20, 40):
-        map_.integrate_hit((0, 0, z))
+    hit_cubes(map_, [(0, 0, z) for z in (0, 10, 20, 40)])
     # entry with a narrow span inside the lowest region only
     ctx = ctx_3d(np.array([[0.0, 0.0, 0.3]]), np.array([0.4]),
                  np.empty((0, 3)), np.empty(0))
@@ -220,10 +220,11 @@ def test_select_candidates_matches_brute_force():
     for k, sup, inf in zip(ctx.keys.tolist(), ctx.sup, ctx.inf):
         kx, ky, _ = unpack3(np.int64(k))
         for rkey in map_.regions:
-            rx, ry, _ = unpack3(np.int64(rkey))
+            rx, ry, rz = unpack3(np.int64(rkey))
             if (rx, ry) != (kx, ky):
                 continue
-            lo, hi = map_.region_block_z(rkey)
+            lo = rz * CFG.cube_size           # the region block's z extent
+            hi = lo + CFG.region_size
             if lo <= sup and hi >= inf:
                 expect.add(rkey)
     assert got == expect
@@ -231,8 +232,7 @@ def test_select_candidates_matches_brute_force():
 
 def test_ratio2_cases():
     map_ = RHMap(CFG)
-    map_.integrate_hit((0, 0, 0))
-    map_.integrate_hit((0, 0, 5))       # region band 0.05 .. 0.55
+    hit_cubes(map_, [(0, 0, 0), (0, 0, 5)])   # region band 0.05 .. 0.55
     rkey = int(pack3(np.int64(0), np.int64(0), np.int64(0)))
     pts = np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.55]])
     ctx = ctx_3d(pts, np.array([9.0, 9.0]), np.empty((0, 3)), np.empty(0))
@@ -282,15 +282,14 @@ def test_s2m_removes_planted_trail_but_keeps_ground():
     r_gpe(map_, pw, fcfg)
     # plant a ghost trail: a 1.5 m tall stack of non-ground cubes
     trail = [(20, 10, z) for z in range(2, 15)]
-    for idx in trail:
-        map_.integrate_hit(idx)
+    hit_cubes(map_, trail)
     ground_before = int(map_._is_ground[: map_._n][map_._alive[: map_._n]].sum())
     removed_total = 0
     for _ in range(3):
         report = s2m_removal(map_, scan, pose, fcfg)
         removed_total += report.cubes_removed
     for idx in trail:
-        assert map_.cube_state(idx) is None
+        assert cube_state(map_, idx) is None
     assert removed_total >= len(trail)
     # every marked ground cube survived the removal passes
     ground_after = int(map_._is_ground[: map_._n][map_._alive[: map_._n]].sum())
@@ -318,8 +317,7 @@ def test_s2m_deterministic_report_and_map():
         map_.integrate_points(pw)
         from rhmap.ground import r_gpe
         r_gpe(map_, pw, fcfg)
-        for idx in [(12, -6, z) for z in range(2, 12)]:
-            map_.integrate_hit(idx)
+        hit_cubes(map_, [(12, -6, z) for z in range(2, 12)])
         report = s2m_removal(map_, scan, pose, fcfg)
         pts, ground = map_.export_occupied_points()
         outputs.append((report.columns_flagged, report.regions_flagged,
@@ -338,11 +336,10 @@ def test_s2m_flags_only_observed_columns():
     map_.integrate_points(pw)
     # a trail far outside the scan's reach must be untouched
     far = [(400, 400, z) for z in range(2, 15)]
-    for idx in far:
-        map_.integrate_hit(idx)
+    hit_cubes(map_, far)
     s2m_removal(map_, scan, pose, fcfg)
     for idx in far:
-        assert map_.cube_state(idx) is not None
+        assert cube_state(map_, idx) is not None
 
 
 def test_flag_regions_matches_per_region_reference():
