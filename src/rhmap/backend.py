@@ -30,11 +30,12 @@ def information_content(image: RangeImage, r_max: float) -> float:
     return float(rng.max(axis=0).sum() / (r_max * image.cols) * 100.0)
 
 
-def keyframe_select(history, candidate: Keyframe, cfg: BackendConfig) -> bool:
-    """Keep a frame when it moved far, waited long, or its view changed."""
-    if not history:
+def keyframe_select(last: Keyframe | None, candidate: Keyframe,
+                    cfg: BackendConfig) -> bool:
+    """Keep a frame when it moved far, waited long, or its view changed
+    since the last accepted keyframe (always, when there is none)."""
+    if last is None:
         return True
-    last = history[-1]
     if candidate.pose.distance_to(last.pose) >= cfg.dist_keyframe:
         return True
     if candidate.timestamp - last.timestamp >= cfg.time_keyframe:

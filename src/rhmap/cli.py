@@ -7,12 +7,14 @@ import json
 import os
 import sys
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 
 from .config import (BackendConfig, ConfigError, FrontendConfig, MapConfig,
                      PipelineConfig, load_config, set_config_key)
-from .evaluate import evaluate, timing_report
+from .evaluate import cube_keys, evaluate, timing_report
+from .indexing import sorted_unique
 from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply,
                          read_poses, write_kitti_scan, write_labels,
                          write_map_ply, write_poses)
@@ -124,30 +126,18 @@ def cmd_run(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _build_config(args)
-    points, ground = read_map_ply(args.map)
-
-    class _StaticMap:
-        """Minimal occupied-key view over an exported point list."""
-        def __init__(self, pts, cube_size):
-            from .indexing import cube_indices, pack3
-            self.config = MapConfig(cube_size=cube_size)
-            gidx = cube_indices(pts, cube_size)
-            self._keys = np.unique(pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2]))
-
-        def occupied_keys(self):
-            return self._keys
-
+    cube = cfg.map.cube_size
+    map_keys = sorted_unique(cube_keys(read_map_ply(args.map)[0], cube))
     truth = args.truth
     scans_dir = os.path.join(truth, "velodyne")
     labels_dir = os.path.join(truth, "labels")
     poses_file = os.path.join(truth, "poses.txt")
-    pts, masks = [], []
-    for frame in _dataset_frames(scans_dir, poses_file, labels_dir):
-        scan, pose, mask = frame
-        pts.append(pose.apply(scan.points))
+    keys, masks = [], []
+    for scan, pose, mask in _dataset_frames(scans_dir, poses_file, labels_dir):
+        keys.append(cube_keys(pose.apply(scan.points), cube))
         masks.append(mask)
-    res = evaluate(_StaticMap(points, cfg.map.cube_size),
-                   np.concatenate(pts), np.concatenate(masks))
+    res = evaluate(SimpleNamespace(occupied_keys=lambda: map_keys),
+                   np.concatenate(keys), np.concatenate(masks))
     print(json.dumps(res.to_dict()))
     return EXIT_OK
 

@@ -35,21 +35,37 @@ def f1_score(pr: float, rr: float) -> float:
     return 2.0 * pr * rr / (pr + rr)
 
 
-def _cube_keys(points: np.ndarray, cube_size: float) -> np.ndarray:
+def cube_keys(points: np.ndarray, cube_size: float) -> np.ndarray:
+    """Packed int64 keys of the cubes holding (N, 3) points, in point order."""
     gidx = cube_indices(np.asarray(points).reshape(-1, 3), cube_size)
     return pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2])
 
 
-def evaluate(map_, points: np.ndarray, dynamic_mask: np.ndarray) -> EvalResult:
+def _truth(truth_keys, dynamic_mask):
+    """Validated (keys, mask) pair of a ground-truth cloud."""
+    keys = np.asarray(truth_keys)
+    if keys.ndim != 1 or keys.dtype.kind not in "iu":
+        raise ValueError("truth must be a 1-D integer array of packed cube "
+                         f"keys, got {keys.dtype} of shape {keys.shape}; "
+                         "quantise points with cube_keys()")
+    mask = np.asarray(dynamic_mask, dtype=bool)
+    if mask.shape != keys.shape:
+        raise ValueError(f"{len(keys)} truth keys but {mask.size} labels")
+    return keys.astype(np.int64, copy=False), mask
+
+
+def evaluate(map_, truth_keys: np.ndarray,
+             dynamic_mask: np.ndarray) -> EvalResult:
     """Score a final map against a labeled ground-truth cloud.
 
-    A ground-truth point counts as preserved when the cube containing it
-    is occupied in the final map.  Metrics with an empty denominator are
-    reported as None.
+    The cloud is given as the packed cube key of each point
+    (:func:`cube_keys` at the map's cube size); only
+    ``map_.occupied_keys()`` is read from the map.  A ground-truth point
+    counts as preserved when the cube containing it is occupied in the
+    final map.  Metrics with an empty denominator are reported as None.
     """
-    keys = _cube_keys(points, map_.config.cube_size)
+    keys, dynamic_mask = _truth(truth_keys, dynamic_mask)
     _, hit = find_sorted(map_.occupied_keys(), keys)
-    dynamic_mask = np.asarray(dynamic_mask, dtype=bool)
     n_sta = int((~dynamic_mask).sum())
     n_dyn = int(dynamic_mask.sum())
     n_tn = int(hit[~dynamic_mask].sum())
@@ -60,15 +76,13 @@ def evaluate(map_, points: np.ndarray, dynamic_mask: np.ndarray) -> EvalResult:
     return EvalResult(pr, rr, f1, n_sta, n_dyn, n_tn, n_tp)
 
 
-def count_dynamic_cubes(map_, points: np.ndarray,
+def count_dynamic_cubes(map_, truth_keys: np.ndarray,
                         dynamic_mask: np.ndarray) -> int:
-    """Occupied cubes of the final map that contain a dynamic-labeled point."""
-    dynamic_mask = np.asarray(dynamic_mask, dtype=bool)
-    pts = np.asarray(points, dtype=np.float64)[dynamic_mask]
-    if len(pts) == 0:
-        return 0
-    keys = sorted_unique(_cube_keys(pts, map_.config.cube_size))
-    _, hit = find_sorted(map_.occupied_keys(), keys)
+    """Occupied cubes of the final map that contain a dynamic-labeled point
+    (truth given as packed cube keys, as for :func:`evaluate`)."""
+    keys, dynamic_mask = _truth(truth_keys, dynamic_mask)
+    dyn_cubes = sorted_unique(keys[dynamic_mask])
+    _, hit = find_sorted(map_.occupied_keys(), dyn_cubes)
     return int(hit.sum())
 
 

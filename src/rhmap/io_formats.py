@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .geometry import Pose, Scan
@@ -124,12 +126,15 @@ def read_map_ply(path):
                 break
         if count is None:
             raise FormatError(f"{path}: missing vertex element")
-        points = np.zeros((count, 3))
-        ground = np.zeros(count, dtype=bool)
-        for i in range(count):
-            parts = fh.readline().split()
-            if len(parts) != 4:
-                raise FormatError(f"{path}: bad vertex line {i}")
-            points[i] = [float(v) for v in parts[:3]]
-            ground[i] = parts[3] != "0"
-    return points, ground
+        # exactly the next ``count`` lines, each "x y z is_ground"; a blank,
+        # short or malformed line leaves fewer or ragged rows
+        try:
+            rows = (np.loadtxt(itertools.islice(fh, count), ndmin=2,
+                               comments=None) if count > 0
+                    else np.zeros((0, 4)))
+        except ValueError as e:
+            raise FormatError(f"{path}: bad vertex data: {e}") from e
+    if rows.shape != (count, 4):
+        raise FormatError(f"{path}: bad vertex data: {rows.shape[0]} rows of "
+                          f"{rows.shape[1]} values for {count} vertices of 4")
+    return rows[:, :3].copy(), rows[:, 3] != 0

@@ -50,14 +50,14 @@ def test_information_content_uses_per_column_max():
 
 
 def test_keyframe_select_thresholds():
-    assert keyframe_select([], _frame(), BCFG) is True
-    hist = [_frame(x=0.0, t=0.0, info=50.0)]
+    assert keyframe_select(None, _frame(), BCFG) is True
+    last = _frame(x=0.0, t=0.0, info=50.0)
     near = _frame(x=1.0, t=1.0, info=52.0)
-    assert keyframe_select(hist, near, BCFG) is False
-    assert keyframe_select(hist, _frame(x=5.0, t=1.0, info=50.0), BCFG)
-    assert keyframe_select(hist, _frame(x=1.0, t=10.0, info=50.0), BCFG)
-    assert keyframe_select(hist, _frame(x=1.0, t=1.0, info=61.0), BCFG)
-    assert keyframe_select(hist, _frame(x=1.0, t=1.0, info=39.0), BCFG)
+    assert keyframe_select(last, near, BCFG) is False
+    assert keyframe_select(last, _frame(x=5.0, t=1.0, info=50.0), BCFG)
+    assert keyframe_select(last, _frame(x=1.0, t=10.0, info=50.0), BCFG)
+    assert keyframe_select(last, _frame(x=1.0, t=1.0, info=61.0), BCFG)
+    assert keyframe_select(last, _frame(x=1.0, t=1.0, info=39.0), BCFG)
 
 
 def test_queue_bounded_fifo_with_eviction_count():

@@ -1,11 +1,13 @@
 """Preservation/rejection metrics, dynamic-cube counting and timing."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rhmap.config import MapConfig
-from rhmap.evaluate import (count_dynamic_cubes, evaluate, f1_score,
-                            timing_report)
+from rhmap.evaluate import (count_dynamic_cubes, cube_keys, evaluate,
+                            f1_score, timing_report)
 from rhmap.map_core import RHMap
 
 
@@ -28,7 +30,7 @@ def test_evaluate_matches_brute_force_tally():
     map_ = _populated_map(map_pts)
     truth = rng.uniform(-4, 4, size=(3000, 3))
     dyn = rng.random(3000) < 0.3
-    res = evaluate(map_, truth, dyn)
+    res = evaluate(map_, cube_keys(truth, 0.1), dyn)
 
     occupied = set(map(tuple, np.floor(map_pts / 0.1).astype(np.int64)))
     hit = np.array([tuple(i) in occupied
@@ -45,13 +47,13 @@ def test_evaluate_matches_brute_force_tally():
 def test_evaluate_perfect_map():
     pts = np.array([[0.05, 0.05, 0.05], [1.05, 0.05, 0.05]])
     map_ = _populated_map(pts)
-    res = evaluate(map_, pts, np.array([False, False]))
+    res = evaluate(map_, cube_keys(pts, 0.1), np.array([False, False]))
     assert res.pr == 1.0 and res.rr is None and res.f1 is None
 
 
 def test_evaluate_empty_denominators_give_none():
     map_ = _populated_map(np.zeros((1, 3)))
-    res = evaluate(map_, np.zeros((0, 3)), np.zeros(0, dtype=bool))
+    res = evaluate(map_, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
     assert res.pr is None and res.rr is None and res.f1 is None
     assert res.n_sta == 0 and res.n_dyn == 0
 
@@ -60,14 +62,14 @@ def test_count_dynamic_cubes():
     map_ = _populated_map(np.array([[0.05, 0.05, 0.05],
                                     [1.05, 0.05, 0.05],
                                     [2.05, 0.05, 0.05]]))
-    truth = np.array([[0.06, 0.04, 0.05],   # same cube as the first point
-                      [0.01, 0.01, 0.01],   # also that cube
-                      [1.01, 0.09, 0.02],
-                      [9.0, 9.0, 9.0]])     # dynamic but not in the map
+    truth = cube_keys([[0.06, 0.04, 0.05],   # same cube as the first point
+                       [0.01, 0.01, 0.01],   # also that cube
+                       [1.01, 0.09, 0.02],
+                       [9.0, 9.0, 9.0]], 0.1)  # dynamic but not in the map
     dyn = np.array([True, True, True, True])
     assert count_dynamic_cubes(map_, truth, dyn) == 2
     assert count_dynamic_cubes(map_, truth, ~dyn) == 0
-    assert count_dynamic_cubes(map_, np.zeros((0, 3)),
+    assert count_dynamic_cubes(map_, np.zeros(0, dtype=np.int64),
                                np.zeros(0, dtype=bool)) == 0
 
 
@@ -81,7 +83,31 @@ def test_timing_report():
 
 def test_eval_result_to_dict_round_trips_fields():
     map_ = _populated_map(np.array([[0.05, 0.05, 0.05]]))
-    res = evaluate(map_, np.array([[0.05, 0.05, 0.05]]),
+    res = evaluate(map_, cube_keys(np.array([[0.05, 0.05, 0.05]]), 0.1),
                    np.array([False]))
     d = res.to_dict()
     assert d["PR"] == 1.0 and d["N_sta"] == 1 and d["N_TP"] == 0
+
+
+def test_scoring_rejects_anything_but_1d_integer_keys():
+    pts = np.array([[0.05, 0.05, 0.05], [1.05, 0.05, 0.05]])
+    map_ = _populated_map(pts)
+    mask = np.array([False, True])
+    for bad in (pts, cube_keys(pts, 0.1).astype(np.float64),
+                cube_keys(pts, 0.1).reshape(2, 1)):
+        with pytest.raises(ValueError, match="1-D integer"):
+            evaluate(map_, bad, mask)
+        with pytest.raises(ValueError, match="1-D integer"):
+            count_dynamic_cubes(map_, bad, mask)
+    with pytest.raises(ValueError, match="labels"):
+        evaluate(map_, cube_keys(pts, 0.1), mask[:1])
+
+
+def test_scoring_reads_only_occupied_keys():
+    pts = np.array([[0.05, 0.05, 0.05], [1.05, 0.05, 0.05]])
+    keys = cube_keys(pts, 0.1)
+    view = SimpleNamespace(occupied_keys=lambda: np.sort(keys[:1]))
+    res = evaluate(view, keys, np.array([False, True]))
+    assert (res.n_tn, res.n_tp) == (1, 0)
+    assert count_dynamic_cubes(view, keys, np.array([True, True])) == 1
+

@@ -166,6 +166,36 @@ def test_ply_bad_files_raise(tmp_path):
                  "0 0 0 0\n")
     with pytest.raises(FormatError, match="bad vertex"):
         read_map_ply(p)
+    for rows in ("0 0 0\n0 0 0 0\n", "0 0 x 0\n0 0 0 0\n",
+                 "0 0 0 0\n\n0 0 0 0\n", "0 0 0 0\n0 0 0 0 0\n"):
+        p.write_text("ply\nformat ascii 1.0\nelement vertex 2\nend_header\n"
+                     + rows)
+        with pytest.raises(FormatError, match="bad vertex"):
+            read_map_ply(p)
     p.write_text("ply\nformat ascii 1.0\nelement vertex 1\n")
     with pytest.raises(FormatError, match="end_header"):
         read_map_ply(p)
+
+
+def _read_ply_vertices_by_line(path):
+    """Line-by-line reference parser for the vertex rows."""
+    with open(path, encoding="utf-8") as fh:
+        while fh.readline().strip() != "end_header":
+            pass
+        rows = [line.split() for line in fh]
+    return (np.array([[float(v) for v in r[:3]] for r in rows]).reshape(-1, 3),
+            np.array([r[3] != "0" for r in rows], dtype=bool))
+
+
+def test_ply_read_matches_line_parser_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(5)
+    map_ = RHMap(MapConfig())
+    map_.integrate_points(rng.uniform(-40, 40, size=(3000, 3)))
+    rows = np.flatnonzero(map_.occupied_mask())
+    map_._is_ground[rows[::3]] = True
+    p = tmp_path / "map.ply"
+    write_map_ply(map_, p)
+    pts, ground = read_map_ply(p)
+    ref_pts, ref_ground = _read_ply_vertices_by_line(p)
+    assert pts.tobytes() == ref_pts.tobytes()
+    assert np.array_equal(ground, ref_ground) and ground.any()

@@ -1,9 +1,13 @@
 """End-to-end pipeline orchestration over synthetic frame sequences."""
 
+import gc
+import weakref
+
 import numpy as np
 
 from rhmap.config import PipelineConfig
-from rhmap.evaluate import count_dynamic_cubes, evaluate
+from rhmap.evaluate import count_dynamic_cubes, cube_keys, evaluate
+from rhmap.geometry import Scan
 from rhmap.pipeline import run_pipeline
 from rhmap.synth import MovingBox, SceneSpec, synth_scene
 
@@ -48,11 +52,16 @@ def test_truth_cloud_accumulates_all_frames():
     frames = synth_scene(_small_scene(frames=10))
     result = run_pipeline(_cfg(), frames)
     total = sum(len(scan) for scan, _, _ in frames)
-    assert len(result.truth_points) == total
     assert len(result.truth_mask) == total
-    # world-frame ground points sit at z = 0
-    ground = result.truth_points[~result.truth_mask]
-    assert np.abs(ground[:, 2]).min() < 1e-9
+    # the truth cloud is each point's cube key, in frame and scan order
+    cube = result.map.config.cube_size
+    expected = np.concatenate([cube_keys(pose.apply(scan.points), cube)
+                               for scan, pose, _ in frames])
+    assert result.truth_points.ndim == 1
+    assert result.truth_points.dtype == np.int64
+    assert np.array_equal(result.truth_points, expected)
+    assert np.array_equal(result.truth_mask,
+                          np.concatenate([m for _, _, m in frames]))
     assert len(result.frames) == 10
     assert result.frames[0].keyframe_added is True
 
@@ -63,6 +72,27 @@ def test_frames_without_masks_skip_truth():
     result = run_pipeline(_cfg(), frames)
     assert result.truth_points is None
     assert len(result.frames) == 5
+
+
+def test_only_the_last_keyframe_and_the_queue_keep_scans():
+    cfg = _cfg()
+    cfg.backend.queue_capacity = 2
+    cfg.backend.dist_keyframe = 0.05     # the sensor moves 0.1 m per frame
+    refs, alive_at_end = [], []
+
+    def stream():
+        for scan, pose, mask in synth_scene(_small_scene(frames=12)):
+            fresh = Scan(scan.points.copy(), scan.timestamp)
+            refs.append(weakref.ref(fresh))
+            yield fresh, pose, mask
+        # every frame is processed, and the pipeline still holds its state
+        gc.collect()
+        alive_at_end.append(sum(r() is not None for r in refs))
+
+    result = run_pipeline(cfg, stream())
+    assert all(f.keyframe_added for f in result.frames)
+    assert len(refs) == 12
+    assert alive_at_end[0] <= cfg.backend.queue_capacity + 1
 
 
 def test_pipeline_removes_most_dynamic_cubes():
