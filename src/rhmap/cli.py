@@ -16,7 +16,7 @@ from .config import (BackendConfig, ConfigError, FrontendConfig, MapConfig,
 from .evaluate import cube_keys, evaluate, timing_report
 from .indexing import sorted_unique
 from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply,
-                         read_poses, write_kitti_scan, write_labels,
+                         read_poses, read_times, write_kitti_scan, write_labels,
                          write_map_ply, write_poses)
 from .pipeline import run_pipeline
 from .synth import SceneSpec, load_scene, synth_scene
@@ -63,10 +63,20 @@ def _sorted_files(directory, suffix):
 
 
 def _dataset_frames(scans_dir, poses_file, labels_dir):
+    """Frames of a KITTI-style sequence.  Timestamps come from the
+    ``times.txt`` beside the scans directory when there is one (the layout
+    ``sequences/NN/{velodyne,times.txt}``), else 0.1 s apart."""
     scan_paths = _sorted_files(scans_dir, ".bin")
     poses = read_poses(poses_file)
     if len(poses) < len(scan_paths):
         raise FormatError(f"{poses_file}: {len(poses)} poses for "
+                          f"{len(scan_paths)} scans")
+    times_file = os.path.join(os.path.dirname(os.path.abspath(scans_dir)),
+                              "times.txt")
+    times = (read_times(times_file) if os.path.exists(times_file)
+             else [i * 0.1 for i in range(len(scan_paths))])
+    if len(times) < len(scan_paths):
+        raise FormatError(f"{times_file}: {len(times)} timestamps for "
                           f"{len(scan_paths)} scans")
     label_paths = _sorted_files(labels_dir, ".label") if labels_dir else None
     if label_paths is not None and len(label_paths) != len(scan_paths):
@@ -74,7 +84,7 @@ def _dataset_frames(scans_dir, poses_file, labels_dir):
                           f"{len(scan_paths)} scans")
     for i, path in enumerate(scan_paths):
         scan = read_kitti_scan(path)
-        scan.timestamp = float(i) * 0.1
+        scan.timestamp = times[i]
         if label_paths is None:
             yield scan, poses[i]
         else:

@@ -14,10 +14,6 @@ class ConfigError(ValueError):
 class MapConfig:
     cube_size: float = 0.1
     mask_bits: int = 3
-    log_odds_hit: float = 0.85
-    log_odds_clamp_lo: float = -2.0
-    log_odds_clamp_hi: float = 3.5
-    occupied_threshold: float = 0.0
 
     @property
     def mask(self) -> int:
@@ -30,10 +26,9 @@ class MapConfig:
     def validate(self):
         if not (self.cube_size > 0 and math.isfinite(self.cube_size)):
             raise ConfigError(f"cube_size must be positive, got {self.cube_size}")
-        if self.mask_bits < 1:
-            raise ConfigError(f"mask_bits must be >= 1, got {self.mask_bits}")
-        if self.log_odds_clamp_lo >= self.log_odds_clamp_hi:
-            raise ConfigError("log_odds clamp interval is empty")
+        # a region key keeps at least one bit of each 21-bit packed axis
+        if not 1 <= self.mask_bits <= 20:
+            raise ConfigError(f"mask_bits must be in 1..20, got {self.mask_bits}")
         return self
 
 

@@ -215,10 +215,9 @@ class ScanCubes:
         self.order = np.argsort(rm)
         rm = rm[self.order]
         starts = run_starts(rm)
-        #: per cube: sorted region-major keys, packed keys, point counts
+        #: per cube: sorted region-major keys and packed keys
         self.cube_rm = rm[starts]
         self.cube_keys = from_region_major(self.cube_rm, bits)
-        self.cube_count = np.diff(np.append(starts, n))
         #: dense cube id of each point
         self.point_cube = np.empty(n, dtype=np.int64)
         self.point_cube[self.order] = _dense_ids(starts, n)

@@ -64,6 +64,23 @@ def read_poses(path) -> list[Pose]:
     return poses
 
 
+def read_times(path) -> list[float]:
+    """Read one finite timestamp in seconds per line (KITTI ``times.txt``)."""
+    times = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                t = float(line)
+            except ValueError as e:
+                raise FormatError(f"{path}:{lineno}: {e}") from e
+            if not np.isfinite(t):
+                raise FormatError(f"{path}:{lineno}: timestamp {t} is not finite")
+            times.append(t)
+    return times
+
+
 def write_poses(path, poses):
     with open(path, "w", encoding="utf-8") as fh:
         for pose in poses:
@@ -93,14 +110,16 @@ def write_labels(path, labels: np.ndarray):
 def write_map_ply(map_, path):
     """ASCII PLY export of occupied cube centers with a ground flag."""
     points, ground = map_.export_occupied_points()
+    # Python floats and ints format faster than numpy scalars, same bytes
+    body = "".join(f"{x:.6f} {y:.6f} {z:.6f} {g}\n" for x, y, z, g in
+                   zip(*points.T.tolist(), ground.astype(np.uint8).tolist()))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("ply\nformat ascii 1.0\n"
                      f"element vertex {len(points)}\n"
                      "property float x\nproperty float y\nproperty float z\n"
                      "property uchar is_ground\nend_header\n")
-            for (x, y, z), g in zip(points, ground):
-                fh.write(f"{x:.6f} {y:.6f} {z:.6f} {int(g)}\n")
+            fh.write(body)
     except OSError as e:
         raise FormatError(f"{path}: {e}") from e
 

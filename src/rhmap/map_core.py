@@ -3,17 +3,16 @@
 The map stores occupancy at cube resolution inside fixed-extent regions.
 Every table is a set of flat parallel numpy arrays:
 
-* cube state (packed key, log-odds, ground flag, alive flag) by row;
+* cube state (packed key, ground flag, alive flag) by row; a cube is
+  occupied from the first point that falls in it until removal kills it;
 * the cube index, the rows sorted by region-major key
   (:func:`~rhmap.indexing.region_major`).  It answers batch lookups, and
-  each region's cubes, like each region column's, form one contiguous run
-  of it;
+  each region's cubes form one contiguous run of it;
 * the region table, sorted by packed region key: z extent, z sum and
   count of the region's live cubes, plus its fitted ground plane.  A
   region's column key is ``region_key >> 21``, so the regions of one
-  column are a contiguous run of the table as well;
-* ``H``, sorted by region-column key: the z band of occupied cubes per
-  region column;
+  column are a contiguous run of the table as well, and a column's z band
+  is the min/max of its regions' z extents;
 * ``G``, sorted by global (cube-resolution) column key: a running mean of
   ground heights.
 
@@ -30,7 +29,6 @@ import numpy as np
 
 from .config import MapConfig
 from .indexing import (
-    AXIS_BITS,
     AXIS_MASK,
     ScanCubes,
     cube_centers,
@@ -143,11 +141,9 @@ class RHMap:
         bits = self.config.mask_bits
         self._rmask = region_key_mask(bits)
         self._region_span = 1 << (3 * bits)            # region-major width
-        self._column_span = 1 << (AXIS_BITS + 2 * bits)
         self._n = 0
         cap = 1024
         self._keys = np.zeros(cap, dtype=np.int64)
-        self._log_odds = np.zeros(cap, dtype=np.float64)
         self._is_ground = np.zeros(cap, dtype=bool)
         self._alive = np.zeros(cap, dtype=bool)
         self._stamp = np.zeros(cap, dtype=np.int64)   # insertion order
@@ -163,9 +159,6 @@ class RHMap:
         self._rd = np.empty(0, dtype=np.float64)
         self._rfitted = np.empty(0, dtype=bool)
         self._rfail_at = np.empty(0, dtype=np.int64)
-        self._h_keys = np.empty(0, dtype=np.int64)
-        self._h_lo = np.empty(0, dtype=np.float64)
-        self._h_hi = np.empty(0, dtype=np.float64)
         self._g_keys = np.empty(0, dtype=np.int64)
         self._g_sum = np.empty(0, dtype=np.float64)
         self._g_cnt = np.empty(0, dtype=np.int64)
@@ -198,7 +191,8 @@ class RHMap:
 
     def integrate_points(self, points_world: np.ndarray,
                          cubes: ScanCubes | None = None) -> int:
-        """Integrate one hit per point; returns the newly occupied cube count.
+        """Occupy the cubes the points fall in; returns the count of cubes
+        that came alive (new or revived).
 
         ``cubes`` is the same points already grouped by cube; it is built
         here when absent.
@@ -207,34 +201,20 @@ class RHMap:
             return 0
         if cubes is None:
             cubes = ScanCubes(points_world, self.config)
-        return self._integrate(cubes.cube_rm, cubes.cube_keys, cubes.cube_count)
+        return self._integrate(cubes.cube_rm, cubes.cube_keys)
 
-    def _integrate(self, rm: np.ndarray, uk: np.ndarray, counts: np.ndarray) -> int:
-        """Apply ``counts`` hits to distinct cubes given in region-major order.
+    def _integrate(self, rm: np.ndarray, uk: np.ndarray) -> int:
+        """Occupy distinct cubes given in region-major order.
 
         Returns the count of cubes that came alive (new or revived); those
-        join their region's statistics.  Cubes that cross the occupancy
-        threshold widen their column's band in ``H``.
+        join their region's statistics.
         """
-        cfg = self.config
         pos, rows, present, live = self._lookup_rm(rm)
-        was_occupied = np.zeros(len(rm), dtype=bool)
-        was_occupied[live] = self._log_odds[rows[live]] > cfg.occupied_threshold
 
-        fresh = np.clip(counts * cfg.log_odds_hit,
-                        cfg.log_odds_clamp_lo, cfg.log_odds_clamp_hi)
-        after = fresh.copy()
-        if live.any():
-            r = rows[live]
-            after[live] = np.clip(self._log_odds[r] + counts[live] * cfg.log_odds_hit,
-                                  cfg.log_odds_clamp_lo, cfg.log_odds_clamp_hi)
-            self._log_odds[r] = after[live]
-
-        # cubes removed earlier come back as fresh occupancy
+        # cubes removed earlier come back as fresh, non-ground cubes
         revive = present & ~live
         if revive.any():
             r = rows[revive]
-            self._log_odds[r] = fresh[revive]
             self._is_ground[r] = False
             self._alive[r] = True
 
@@ -246,7 +226,6 @@ class RHMap:
             rows[new] = new_rows
             self._n += n_new
             self._keys[new_rows] = uk[new]
-            self._log_odds[new_rows] = fresh[new]
             self._is_ground[new_rows] = False
             self._alive[new_rows] = True
             self._skeys = np.insert(self._skeys, pos[new], rm[new])
@@ -260,8 +239,6 @@ class RHMap:
 
         came_alive = ~live
         self._register_alive(rm[came_alive], uk[came_alive])
-        became = (after > cfg.occupied_threshold) & ~was_occupied
-        self._widen_columns(rm[became], uk[became])
         return int(came_alive.sum())
 
     def _ensure_capacity(self, need: int):
@@ -270,7 +247,7 @@ class RHMap:
             return
         while cap < need:
             cap *= 2
-        for name in ("_keys", "_log_odds", "_is_ground", "_alive", "_stamp"):
+        for name in ("_keys", "_is_ground", "_alive", "_stamp"):
             arr = getattr(self, name)
             grown = np.zeros(cap, dtype=arr.dtype)
             grown[: self._n] = arr[: self._n]
@@ -304,23 +281,6 @@ class RHMap:
         for name, vals in zip(_REGION_ARRAYS, values):
             setattr(self, name, np.insert(getattr(self, name), pos, vals, axis=0))
 
-    def _widen_columns(self, rm: np.ndarray, keys: np.ndarray):
-        """Fold newly occupied cubes (region-major sorted) into ``H``."""
-        seg = run_starts(rm >> (AXIS_BITS + 2 * self.config.mask_bits))
-        zc = self._zc(keys)
-        lo = np.minimum.reduceat(zc, seg)
-        hi = np.maximum.reduceat(zc, seg)
-        cols = (keys[seg] & self._rmask) >> 21
-        pos, found = find_sorted(self._h_keys, cols)
-        i = pos[found]
-        self._h_lo[i] = np.minimum(self._h_lo[i], lo[found])
-        self._h_hi[i] = np.maximum(self._h_hi[i], hi[found])
-        new = ~found
-        if new.any():
-            self._h_keys = np.insert(self._h_keys, pos[new], cols[new])
-            self._h_lo = np.insert(self._h_lo, pos[new], lo[new])
-            self._h_hi = np.insert(self._h_hi, pos[new], hi[new])
-
     # ---------------------------------------------------------------- regions
 
     def _region_index(self, key: int) -> int:
@@ -351,6 +311,17 @@ class RHMap:
         pos = np.searchsorted(self._rkeys, rkeys)
         return self._rz_min[pos], self._rz_max[pos]
 
+    def _column_regions(self, cols: np.ndarray):
+        """Region-table positions of the given region columns' regions.
+
+        Returns ``(pos, owner)``: positions grouped by column in the order
+        of ``cols`` (each column's regions are one run of the table), and
+        the index into ``cols`` of each position's column.
+        """
+        rcols = self._rkeys >> 21
+        return gather_runs(np.searchsorted(rcols, cols, side="left"),
+                           np.searchsorted(rcols, cols, side="right"))
+
     def regions_in_columns(self, cols: np.ndarray):
         """Region keys of the given region columns.
 
@@ -358,11 +329,27 @@ class RHMap:
         order of ``cols``, and the index into ``cols`` of each region's
         column.
         """
-        rcols = self._rkeys >> 21
-        starts = np.searchsorted(rcols, cols, side="left")
-        ends = np.searchsorted(rcols, cols, side="right")
-        pos, owner = gather_runs(starts, ends)
+        pos, owner = self._column_regions(cols)
         return self._rkeys[pos], owner
+
+    def column_bands(self, cols: np.ndarray):
+        """Live-cube z bands of region columns, from their regions' extents.
+
+        Returns ``(lo, hi, known)``; columns without live cubes are not
+        known and read NaN.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        pos, owner = self._column_regions(cols)
+        lo = np.full(cols.shape, np.nan)
+        hi = np.full(cols.shape, np.nan)
+        known = np.zeros(cols.shape, dtype=bool)
+        if len(pos):
+            seg = run_starts(owner)
+            i = owner[seg]
+            lo[i] = np.minimum.reduceat(self._rz_min[pos], seg)
+            hi[i] = np.maximum.reduceat(self._rz_max[pos], seg)
+            known[i] = True
+        return lo, hi, known
 
     def occupied_columns(self) -> np.ndarray:
         """Sorted keys of the region columns holding at least one region."""
@@ -381,8 +368,7 @@ class RHMap:
 
         Absent keys are ignored.  Regions that lose cubes get their
         statistics recomputed over their surviving (ground) cubes, or
-        leave the table when none survive, and the bands of their columns
-        are rescanned in one batch.  Returns the removed cube count.
+        leave the table when none survive.  Returns the removed cube count.
         """
         rkeys = sorted_unique(np.atleast_1d(region_keys))
         rkeys = rkeys[find_sorted(self._rkeys, rkeys)[1]]
@@ -410,48 +396,7 @@ class RHMap:
         if len(emptied):
             for name in _REGION_ARRAYS:
                 setattr(self, name, np.delete(getattr(self, name), emptied, axis=0))
-        self._rescan_columns(sorted_unique(rkeys[hit] >> 21))
         return int(doomed.sum())
-
-    # ----------------------------------------------------------- column table
-
-    def _rescan_columns(self, cols: np.ndarray):
-        """Recompute the ``H`` bands of the given sorted columns from their cubes."""
-        lo = self._rm(cols << 21)
-        ends = np.searchsorted(self._skeys, lo + (self._column_span - 1), side="right")
-        pos, owner = gather_runs(np.searchsorted(self._skeys, lo), ends)
-        rows = self._srows[pos]
-        occupied = self._alive[rows] & (
-            self._log_odds[rows] > self.config.occupied_threshold)
-        rows, owner = rows[occupied], owner[occupied]
-        at, found = find_sorted(self._h_keys, cols)
-        if len(owner):
-            seg = run_starts(owner)
-            zc = self._zc(self._keys[rows])
-            i = at[owner[seg]]
-            self._h_lo[i] = np.minimum.reduceat(zc, seg)
-            self._h_hi[i] = np.maximum.reduceat(zc, seg)
-        has = np.zeros(len(cols), dtype=bool)
-        has[owner] = True
-        gone = at[found & ~has]
-        if len(gone):
-            self._h_keys = np.delete(self._h_keys, gone)
-            self._h_lo = np.delete(self._h_lo, gone)
-            self._h_hi = np.delete(self._h_hi, gone)
-
-    def column_bands(self, cols: np.ndarray):
-        """Occupied-cube z bands of region columns.
-
-        Returns ``(lo, hi, known)``; columns without occupied cubes are
-        not known and read NaN.
-        """
-        cols = np.asarray(cols, dtype=np.int64)
-        pos, known = find_sorted(self._h_keys, cols)
-        lo = np.full(cols.shape, np.nan)
-        hi = np.full(cols.shape, np.nan)
-        lo[known] = self._h_lo[pos[known]]
-        hi[known] = self._h_hi[pos[known]]
-        return lo, hi, known
 
     # ------------------------------------------------------------ ground table
 
@@ -482,8 +427,8 @@ class RHMap:
     # ------------------------------------------------------------------ export
 
     def occupied_mask(self) -> np.ndarray:
-        return self._alive[: self._n] & (
-            self._log_odds[: self._n] > self.config.occupied_threshold)
+        """Occupied flag by row: a cube is occupied while it is alive."""
+        return self._alive[: self._n].copy()
 
     def occupied_keys(self) -> np.ndarray:
         """Sorted packed keys of occupied cubes."""

@@ -54,12 +54,12 @@ def hit_cubes(map_, idx) -> int:
 
 
 def cube_state(map_, idx):
-    """(log_odds, is_ground) of the live cube at index ``idx``, or None."""
+    """The is_ground flag of the live cube at index ``idx``, or None."""
     x, y, z = idx
     rows, _, alive = map_.lookup_rows(pack3([x], [y], [z]))
     if not alive[0]:
         return None
-    return float(map_._log_odds[rows[0]]), bool(map_._is_ground[rows[0]])
+    return bool(map_._is_ground[rows[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +172,18 @@ def dor_rerun(dor_frames):
 
 @pytest.fixture(scope="session")
 def residue_runs():
-    """(front-end-only dynamic cube count, full-pipeline count, wall s)."""
+    """(front-end-only dynamic cube count, full-pipeline count, wall s,
+    {backend_enabled: map})."""
     frames = synth_scene(residue_scene(), seed=0)
     t0 = time.perf_counter()
-    counts = {}
+    counts, maps = {}, {}
     for enabled in (False, True):
         result = run_pipeline(residue_config(enabled), frames)
         counts[enabled] = count_dynamic_cubes(
             result.map, result.truth_points, result.truth_mask)
+        maps[enabled] = result.map
     wall = time.perf_counter() - t0
-    return counts[False], counts[True], wall
+    return counts[False], counts[True], wall, maps
 
 
 @pytest.fixture(scope="session")

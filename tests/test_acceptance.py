@@ -6,6 +6,8 @@ failure) before asserting, so a run log doubles as a scorecard.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from rhmap.config import MapConfig
@@ -24,6 +26,17 @@ REFERENCE_ROWS = [
     (94.7130, 98.5007, 0.965697),
     (96.4697, 97.8803, 0.971699),
 ]
+
+# sha256 (first 16 hex chars) of the exported PLY of each reference map.  A
+# change meant to preserve behaviour must leave every one of them as is.
+MAP_SHA256 = {
+    "DOR 0.4 m regions": "7790b410a0d6e545",
+    "DOR 0.8 m regions": "8ef90249017356db",
+    "DOR 1.6 m regions": "658876ae43ecfa3d",
+    "residue, back end off": "e772f84c459b45d3",
+    "residue, back end on": "129e3f576d50ec77",
+    "30-frame throughput scene": "bcd1ce0fcd51d5d8",
+}
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -128,7 +141,7 @@ def test_dor_quality_floor(dor_runs):
 
 
 def test_backend_halves_distant_residue(residue_runs):
-    frontend_only, full, wall = residue_runs
+    frontend_only, full, wall, _ = residue_runs
     ok = full <= 0.5 * frontend_only and wall < 120.0
     _report("back-end efficacy", ok,
             f"dynamic cubes {frontend_only} -> {full} "
@@ -165,6 +178,26 @@ def test_region_size_trend(dor_runs):
     assert pr[4] <= pr[3]
     assert rr[2] <= rr[3]
     assert wall < 180.0
+
+
+def test_exported_maps_match_sha_table(dor_runs, residue_runs, bench_run,
+                                       tmp_path):
+    maps = {f"DOR {size} m regions": dor_runs[bits][0].map
+            for bits, size in ((2, 0.4), (3, 0.8), (4, 1.6))}
+    maps["residue, back end off"] = residue_runs[3][False]
+    maps["residue, back end on"] = residue_runs[3][True]
+    maps["30-frame throughput scene"] = bench_run[0].map
+    got = {}
+    for name, map_ in maps.items():
+        path = tmp_path / "map.ply"
+        write_map_ply(map_, path)
+        got[name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    changed = sorted(name for name in MAP_SHA256 if got[name] != MAP_SHA256[name])
+    ok = not changed
+    _report("map sha table", ok,
+            f"{len(MAP_SHA256) - len(changed)}/{len(MAP_SHA256)} exported maps "
+            f"byte-identical; changed: {changed or 'none'}")
+    assert got == MAP_SHA256
 
 
 def test_determinism_byte_identical(dor_runs, dor_rerun, tmp_path):

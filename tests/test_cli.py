@@ -124,6 +124,11 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["frobnicate"]) == 1               # unknown subcommand
     assert main(["run", "--synthetic", "x.json",
                  "--mask_bits", "zero"]) == 1      # bad config value
+    assert main(["run", "--synthetic", "x.json",
+                 "--mask_bits", "22"]) == 1        # no region field left
+    # keys of the removed log-odds occupancy are unknown
+    assert main(["run", "--synthetic", "x.json",
+                 "--occupied_threshold", "1"]) == 1
     # keys of the removed prime-xor hash and signed-jump option are unknown
     assert main(["run", "--synthetic", "x.json", "--table_size", "5"]) == 1
     assert main(["run", "--synthetic", "x.json",
@@ -192,3 +197,36 @@ def test_bench_front_end_follows_scene_unless_overridden(monkeypatch, capsys,
             scene.fov_up_deg, scene.r_max) == (64, 1600, -24.8, 2.0, 60.0)
     assert (overridden.image_rows, overridden.image_cols,
             overridden.r_max) == (64, 800, 50.0)
+
+
+def test_run_reads_kitti_times_beside_scans(monkeypatch, tmp_path, capsys):
+    import rhmap.cli as cli
+
+    stamps = []
+    real = cli.run_pipeline
+
+    def spy(cfg, frames):
+        frames = list(frames)
+        stamps.append([scan.timestamp for scan, _ in frames])
+        return real(cfg, frames)
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    seq = tmp_path / "sequences" / "00"
+    (seq / "velodyne").mkdir(parents=True)
+    for i in range(3):
+        write_kitti_scan(seq / "velodyne" / f"{i:06d}.bin",
+                         np.array([[1.0, 0.0, -1.0], [2.0, 1.0, -1.0]]))
+    write_poses(seq / "poses.txt",
+                [Pose(np.eye(3), np.array([float(i), 0.0, 0.0]))
+                 for i in range(3)])
+    run = ["run", "--scans", str(seq / "velodyne") + "/",
+           "--poses", str(seq / "poses.txt")]
+    assert main(run) == 0                   # no times.txt: 10 Hz
+    (seq / "times.txt").write_text("0.000000e+00\n1.037783e-01\n\n"
+                                   "3.500000e+00\n")
+    assert main(run) == 0
+    assert stamps == [[0.0, 0.1, 0.2], [0.0, 0.1037783, 3.5]]
+    for bad in ("0.0\n0.1\n", "0.0\n0.1\nsoon\n", "0.0\n0.1\nnan\n"):
+        (seq / "times.txt").write_text(bad)
+        assert main(run) == 2               # short or unreadable stamps
+        assert "times.txt" in capsys.readouterr().err

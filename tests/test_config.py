@@ -23,8 +23,11 @@ def test_map_config_rejections():
         MapConfig(cube_size=0.0).validate()
     with pytest.raises(ConfigError):
         MapConfig(mask_bits=0).validate()
-    with pytest.raises(ConfigError):
-        MapConfig(log_odds_clamp_lo=1.0, log_odds_clamp_hi=1.0).validate()
+    # a region key must keep a region field in each 21-bit packed axis
+    MapConfig(mask_bits=20).validate()
+    for bits in (21, 22):
+        with pytest.raises(ConfigError):
+            MapConfig(mask_bits=bits).validate()
 
 
 def test_frontend_config_rejections():

@@ -177,6 +177,27 @@ def test_ply_bad_files_raise(tmp_path):
         read_map_ply(p)
 
 
+def _write_ply_vertices_by_row(points, ground) -> bytes:
+    """Reference vertex writer: one f-string per row of numpy scalars."""
+    return "".join(f"{x:.6f} {y:.6f} {z:.6f} {int(g)}\n"
+                   for (x, y, z), g in zip(points, ground)).encode()
+
+
+def test_ply_write_matches_row_writer_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(6)
+    map_ = RHMap(MapConfig())
+    # negative, positive and far-out centers, some with long mantissas
+    map_.integrate_points(rng.uniform(-3000, 3000, size=(3000, 3)))
+    map_.integrate_points(rng.uniform(-1, 1, size=(500, 3)))
+    rows = np.flatnonzero(map_.occupied_mask())
+    map_._is_ground[rows[::4]] = True
+    p = tmp_path / "map.ply"
+    write_map_ply(map_, p)
+    header, _, body = p.read_bytes().partition(b"end_header\n")
+    assert header.endswith(b"is_ground\n")
+    assert body == _write_ply_vertices_by_row(*map_.export_occupied_points())
+
+
 def _read_ply_vertices_by_line(path):
     """Line-by-line reference parser for the vertex rows."""
     with open(path, encoding="utf-8") as fh:

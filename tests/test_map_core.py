@@ -9,44 +9,24 @@ from rhmap.map_core import RHMap
 from conftest import cube_state, hit_cubes
 
 
-def make_map(**kw):
-    return RHMap(MapConfig(cube_size=0.1, mask_bits=3, **kw))
+def make_map():
+    return RHMap(MapConfig(cube_size=0.1, mask_bits=3))
 
 
 def test_fresh_hit_log_odds():
+    # one point makes a cube occupied, as a non-ground cube
     map_ = make_map()
     assert hit_cubes(map_, (0, 0, 0)) == 1
-    lo, ground = cube_state(map_, (0, 0, 0))
-    assert lo == 0.85
-    assert ground is False
+    assert cube_state(map_, (0, 0, 0)) is False
+    assert len(map_) == 1
 
 
 def test_two_hits_additive():
     map_ = make_map()
     hit_cubes(map_, (0, 0, 0))
     assert hit_cubes(map_, (0, 0, 0)) == 0
-    lo, _ = cube_state(map_, (0, 0, 0))
-    assert abs(lo - 1.7) < 1e-12
-
-
-def test_clamp_is_fixed_point():
-    map_ = make_map()
-    for _ in range(10):
-        hit_cubes(map_, (1, 2, 3))
-    assert cube_state(map_, (1, 2, 3))[0] == 3.5
-    hit_cubes(map_, (1, 2, 3))
-    assert cube_state(map_, (1, 2, 3))[0] == 3.5
-
-
-def test_occupancy_monotone_under_hits():
-    map_ = make_map()
-    prev = -np.inf
-    for _ in range(8):
-        hit_cubes(map_, (4, 4, 4))
-        lo, _ = cube_state(map_, (4, 4, 4))
-        assert lo >= prev
-        assert lo <= map_.config.log_odds_clamp_hi
-        prev = lo
+    assert cube_state(map_, (0, 0, 0)) is False
+    assert len(map_) == 1
 
 
 def test_region_stats_ordering():
@@ -60,22 +40,42 @@ def test_region_stats_ordering():
 
 
 def test_column_band_matches_full_rescan_oracle():
+    # integration interleaved with removal: after every step each column's
+    # band is the z extent of its live cubes, tallied by brute force
     rng = np.random.default_rng(4)
     map_ = make_map()
-    pts = rng.uniform(-2.0, 2.0, size=(3000, 3))
-    map_.integrate_points(pts)
-    # brute force: group every occupied cube center by its region column
-    m = map_.config.mask
-    gidx = np.floor(pts / 0.1).astype(np.int64)
-    gidx = np.unique(gidx, axis=0)
-    cols = pack2(gidx[:, 0] & ~m, gidx[:, 1] & ~m)
-    ucols = np.unique(cols)
-    lo, hi, known = map_.column_bands(ucols)
-    assert known.all()
-    for i, col in enumerate(ucols):
-        zc = (gidx[cols == col, 2] + 0.5) * 0.1
-        assert abs(lo[i] - zc.min()) < 1e-12
-        assert abs(hi[i] - zc.max()) < 1e-12
+    rmask = region_key_mask(3)
+    live, ground, seen_cols = set(), set(), set()
+    for _ in range(6):
+        pts = rng.uniform(-2.0, 2.0, size=(800, 3))
+        map_.integrate_points(pts)
+        gidx = np.floor(pts / 0.1).astype(np.int64)
+        live |= set(pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2]).tolist())
+        keys = np.array(sorted(live))
+        marked = keys[rng.random(len(keys)) < 0.1]
+        map_._is_ground[map_.lookup_rows(marked)[0]] = True
+        ground |= set(marked.tolist())
+        rkeys = np.unique(keys & rmask)
+        flagged = set(rkeys[rng.random(len(rkeys)) < 0.3].tolist())
+        map_.remove_regions_nonground(np.array(sorted(flagged)))
+        live = {k for k in live if k in ground or k & rmask not in flagged}
+        seen_cols |= set(((keys & rmask) >> 21).tolist())
+
+        keys = np.array(sorted(live))
+        cols = (keys & rmask) >> 21
+        zc = (unpack3(keys)[:, 2] + 0.5) * 0.1
+        # every column ever seen, twice, in two orders
+        query = np.array(sorted(seen_cols))
+        query = np.concatenate([query, query[::-1]])
+        lo, hi, known = map_.column_bands(query)
+        for i, col in enumerate(query.tolist()):
+            z = zc[cols == col]
+            assert known[i] == (len(z) > 0)
+            if len(z):
+                assert (lo[i], hi[i]) == (z.min(), z.max())
+            else:
+                assert np.isnan(lo[i]) and np.isnan(hi[i])
+        assert np.array_equal(map_.occupied_keys(), keys)
 
 
 def column_band(map_, col):
@@ -104,7 +104,7 @@ def test_remove_keeps_ground():
     assert remove(map_, rkey) == 3
     assert len(map_) == 5
     for idx in ground:
-        assert cube_state(map_, idx) is not None
+        assert cube_state(map_, idx) is True
     for idx in nonground:
         assert cube_state(map_, idx) is None
 
@@ -171,9 +171,8 @@ def test_removed_cube_revives_as_fresh():
     remove(map_, rkey)
     assert cube_state(map_, (0, 1, 3)) is None
     assert hit_cubes(map_, (0, 1, 3)) == 1
-    lo, ground = cube_state(map_, (0, 1, 3))
-    assert lo == 0.85
-    assert ground is False
+    assert cube_state(map_, (0, 1, 3)) is False
+    assert len(map_) == 1
 
 
 def test_ground_mean_examples():
@@ -285,15 +284,3 @@ def test_removal_at_top_of_key_space():
     assert remove(map_, rkey) == 2
     assert column_band(map_, col) is None
     assert len(map_) == 0
-
-
-def test_column_band_counts_only_occupied_cubes():
-    # with a threshold above one hit, a cube joins its column's band only
-    # once a second hit makes it occupied
-    map_ = make_map(occupied_threshold=1.0)
-    col = int(pack2(np.int64(0), np.int64(0)))
-    hit_cubes(map_, (0, 0, 0))
-    hit_cubes(map_, (0, 0, 9))
-    assert column_band(map_, col) is None
-    hit_cubes(map_, (0, 0, 9))
-    assert np.allclose(column_band(map_, col), (0.95, 0.95))

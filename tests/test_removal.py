@@ -339,7 +339,7 @@ def test_s2m_flags_only_observed_columns():
     hit_cubes(map_, far)
     s2m_removal(map_, scan, pose, fcfg)
     for idx in far:
-        assert cube_state(map_, idx) is not None
+        assert cube_state(map_, idx) is False
 
 
 def test_flag_regions_matches_per_region_reference():
