@@ -14,8 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FrontendConfig
-from .indexing import ScanCubes, find_sorted, group_sorted, pack2, unpack3
+from .indexing import (ScanCubes, find_sorted, group_sorted, pack2, run_starts,
+                       unpack3)
 from .map_core import RHMap
+
+# Two covariance eigenvalues closer than this, relative to the largest (or
+# to 1), tie: the plane normal between them is undefined.
+_TIE_TOL = 1e-9
 
 
 @dataclass
@@ -28,8 +33,9 @@ class GroundReport:
 
 def elect_candidate_ground_regions(map_: RHMap, points_world: np.ndarray,
                                    fcfg: FrontendConfig,
-                                   cubes: ScanCubes | None = None) -> list[int]:
-    """Region keys worth a ground fit, given the freshly inserted scan.
+                                   cubes: ScanCubes | None = None) -> np.ndarray:
+    """Sorted int64 region keys worth a ground fit, given the freshly
+    inserted scan.
 
     A cube of the scan votes for its region when its height sits below the
     column's ground reference: the running ground mean G when available,
@@ -40,7 +46,7 @@ def elect_candidate_ground_regions(map_: RHMap, points_world: np.ndarray,
     the scan already grouped by cube; it is built here when absent.
     """
     if len(points_world) == 0:
-        return []
+        return np.empty(0, dtype=np.int64)
     cfg = map_.config
     if cubes is None:
         cubes = ScanCubes(points_world, cfg)
@@ -58,7 +64,7 @@ def elect_candidate_ground_regions(map_: RHMap, points_world: np.ndarray,
     rkeys = cubes.region_keys[voted]
 
     if len(rkeys) == 0:
-        return []
+        return rkeys
     step = cfg.mask + 1
     occ_cols = map_.occupied_columns()
     rxy = unpack3(rkeys)
@@ -66,21 +72,32 @@ def elect_candidate_ground_regions(map_: RHMap, points_world: np.ndarray,
                      for dy in (-step, 0, step) if dx or dy], dtype=np.int64)
     nkeys = pack2(rxy[:, None, 0] + offs[:, 0], rxy[:, None, 1] + offs[:, 1])
     _, hit = find_sorted(occ_cols, nkeys)
-    return rkeys[hit.any(axis=1)].tolist()
+    return rkeys[hit.any(axis=1)]
 
 
 def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
                       report: GroundReport):
-    """Fit ground planes to existing regions and mark their ground cubes.
+    """Fit ground planes to the given regions and mark their ground cubes.
 
-    A region's plane is the PCA fit, in cube-index units, of its low cubes
-    (centers at or below the region's mean height): the normal is the
-    smallest-eigenvalue direction of their covariance, oriented upward,
-    and the offset is the normal dotted with their mean index.  A fit
-    fails for fewer than three low cubes, for a rank-deficient (collinear)
-    configuration, or for a normal steeper than
-    ``fcfg.min_ground_normal_z`` allows (walls are not ground); a failed
-    region records its live-cube count in its ``fit_failed_at``.
+    Only regions that want a plane are fitted (see
+    :meth:`RHMap.unfitted_region_cubes`): absent and already fitted
+    regions are skipped, and so is a region whose last fit failed at its
+    current live-cube count, which counts as a failed plane.
+
+    A region's plane is the PCA fit, in cube-index units, of its low
+    cubes.  A live cube is low when its z index ``k`` is at most the
+    region's mean, tested exactly in integers as ``n * k <= sum_k`` over
+    the region's ``n`` live cubes.  The covariance of the ``m`` low cubes
+    comes from raw moments of their integer index offsets from the region
+    origin, ``(m S2 - S1 S1^T) / m^2``: every sum is an integer, so it is
+    exact and does not depend on the order of the cubes.  The normal is
+    the smallest-eigenvalue direction, oriented upward, and the offset is
+    the normal dotted with the low cubes' mean index.  A fit fails for
+    fewer than three low cubes; when the two smallest eigenvalues tie
+    within ``_TIE_TOL`` of the largest (or of 1), since the normal is then
+    any direction of a plane (collinear cubes tie at zero); or for a
+    normal steeper than ``fcfg.min_ground_normal_z`` allows (walls are
+    not ground).
 
     Every live cube of a fitted region within ``fcfg.r_gro`` of the plane
     is marked as ground, so staircase levels above the mean on sloped
@@ -88,35 +105,24 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
     table G.  All regions' fits, checks and markings run as single array
     operations over one stacked eigendecomposition.
     """
-    rkeys = np.asarray(rkeys, dtype=np.int64)
-    at = np.searchsorted(map_._rkeys, rkeys)
-    n_reg = len(rkeys)
-    rows_cat, gid = map_._region_rows(rkeys)
-    live = map_._alive[rows_cat]
-    rows_cat, gid = rows_cat[live], gid[live]
-    if len(rows_cat) == 0:
-        map_._rfail_at[at] = map_._rcount[at]
-        report.planes_failed += n_reg
+    cubes, skipped = map_.unfitted_region_cubes(rkeys)
+    report.planes_failed += skipped
+    if len(cubes.rkeys) == 0:
         return
-    cube_size = map_.config.cube_size
-    idx_cat = unpack3(map_._keys[rows_cat])
-    zmean = map_._rz_sum[at] / map_._rcount[at]
+    owner = cubes.owner
+    idx = unpack3(cubes.keys)
+    low = cubes.count[owner] * idx[:, 2] <= cubes.z_sum[owner]
 
-    zc_all = (idx_cat[:, 2] + 0.5) * cube_size
-    low = zc_all <= zmean[gid] + 1e-12
-    gid_all, pts_all = gid, idx_cat.astype(np.float64)
-    gid = gid[low]
-
-    counts = np.bincount(gid, minlength=n_reg)
-    pts = pts_all[low]
-    sums = np.zeros((n_reg, 3))
-    np.add.at(sums, gid, pts)
-    means = sums / np.maximum(counts, 1)[:, None]
-    centered = pts - means[gid]
-    outer = centered[:, :, None] * centered[:, None, :]
-    cov = np.zeros((n_reg, 3, 3))
-    np.add.at(cov, gid, outer)
-    cov /= np.maximum(counts, 1)[:, None, None]
+    # a region's lowest live cube is always low, so every region owns one
+    # run of the low cubes
+    off = idx[low] & map_.config.mask     # offsets from the region origin
+    seg = run_starts(owner[low])
+    m = np.diff(np.append(seg, len(off)))
+    s1 = np.add.reduceat(off, seg)
+    s2 = np.add.reduceat(off[:, :, None] * off[:, None, :], seg)
+    cov = ((m[:, None, None] * s2 - s1[:, :, None] * s1[:, None, :])
+           / (m * m)[:, None, None])
+    means = (m[:, None] * unpack3(cubes.rkeys) + s1) / m[:, None]
 
     evals, evecs = np.linalg.eigh(cov)
     normals = evecs[:, :, 0]
@@ -124,53 +130,35 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
         (normals[:, 2] == 0) & ((normals[:, 0] < 0) |
                                 ((normals[:, 0] == 0) & (normals[:, 1] < 0))))
     normals[flip] = -normals[flip]
-    ok = ((counts >= 3)
-          & (evals[:, 1] > 1e-9 * np.maximum(evals[:, 2], 1.0))
+    ok = ((m >= 3)
+          & (evals[:, 1] - evals[:, 0] > _TIE_TOL * np.maximum(evals[:, 2], 1.0))
           & (normals[:, 2] >= fcfg.min_ground_normal_z))
     d = np.einsum("ij,ij->i", normals, means)
-
-    map_._rnormal[at[ok]] = normals[ok]
-    map_._rd[at[ok]] = d[ok]
-    map_._rfitted[at[ok]] = True
-    map_._rfail_at[at[~ok]] = map_._rcount[at[~ok]]
+    map_.record_plane_fits(cubes.rkeys, ok, normals, d)
     report.regions_fitted += int(ok.sum())
     report.planes_failed += int((~ok).sum())
 
     # margin extraction runs over every live cube of the fitted regions
-    good = ok[gid_all]
-    gid_all, rows_cat, idx_cat, pts_all, zc_all = (
-        a[good] for a in (gid_all, rows_cat, idx_cat, pts_all, zc_all))
-    dist = np.abs(np.einsum("ij,ij->i", pts_all, normals[gid_all])
-                  - d[gid_all])
+    good = ok[owner]
+    owner, rows, pts = owner[good], cubes.rows[good], idx[good].astype(np.float64)
+    dist = np.abs(np.einsum("ij,ij->i", pts, normals[owner]) - d[owner])
     within = dist < fcfg.r_gro
-    rows_cat, idx_cat, zc_all = (rows_cat[within], idx_cat[within],
-                                 zc_all[within])
-    map_._is_ground[rows_cat] = True
-    map_.update_ground_samples(pack2(idx_cat[:, 0], idx_cat[:, 1]), zc_all)
-    report.ground_cubes_added += int(len(rows_cat))
+    map_.mark_ground(rows[within])
+    report.ground_cubes_added += int(within.sum())
 
 
 def r_gpe(map_: RHMap, points_world: np.ndarray, fcfg: FrontendConfig,
           cubes: ScanCubes | None = None) -> GroundReport:
     """Run ground estimation for a freshly inserted scan.
 
-    Only regions elected this scan and not yet fitted get a plane; fits
-    on already-fitted regions are never repeated, and a failed fit is
+    Regions elected this scan get a plane when they want one: fits on
+    already-fitted regions are never repeated, and a failed fit is
     retried only after the region's cube population changes.  ``cubes``
     is the scan already grouped by cube (see
     :func:`elect_candidate_ground_regions`).
     """
     report = GroundReport()
-    elected = np.asarray(
-        elect_candidate_ground_regions(map_, points_world, fcfg, cubes),
-        dtype=np.int64)
+    elected = elect_candidate_ground_regions(map_, points_world, fcfg, cubes)
     report.regions_elected = len(elected)
-    at, exists = find_sorted(map_._rkeys, elected)
-    elected, at = elected[exists], at[exists]
-    unfitted = ~map_._rfitted[at]
-    retry_pointless = unfitted & (map_._rfail_at[at] == map_._rcount[at])
-    report.planes_failed += int(retry_pointless.sum())
-    pending = elected[unfitted & ~retry_pointless]
-    if len(pending):
-        fit_ground_planes(map_, pending, fcfg, report)
+    fit_ground_planes(map_, elected, fcfg, report)
     return report

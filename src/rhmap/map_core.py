@@ -7,12 +7,14 @@ Every table is a set of flat parallel numpy arrays:
   occupied from the first point that falls in it until removal kills it;
 * the cube index, the rows sorted by region-major key
   (:func:`~rhmap.indexing.region_major`).  It answers batch lookups, and
-  each region's cubes form one contiguous run of it;
-* the region table, sorted by packed region key: z extent, z sum and
-  count of the region's live cubes, plus its fitted ground plane.  A
-  region's column key is ``region_key >> 21``, so the regions of one
-  column are a contiguous run of the table as well, and a column's z band
-  is the min/max of its regions' z extents;
+  each region's cubes form one contiguous run of it, in key order;
+* the region table, sorted by packed region key: the z extent of the
+  region's live cubes, the int64 sum of their z indices and their count,
+  plus the region's fitted ground plane.  Integer sums do not depend on
+  the order cubes arrive in, so neither does anything computed from the
+  table.  A region's column key is ``region_key >> 21``, so the regions
+  of one column are a contiguous run of the table as well, and a
+  column's z band is the min/max of its regions' z extents;
 * ``G``, sorted by global (cube-resolution) column key: a running mean of
   ground heights.
 
@@ -23,7 +25,7 @@ indexes can never alias each other.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,87 +54,15 @@ def _z_of_keys(keys: np.ndarray) -> np.ndarray:
     return v - ((v & _SIGN) << 1)
 
 
-class Region:
-    """Read-only view of one row of a map's region table."""
+class RegionCubes(NamedTuple):
+    """Live cubes of some regions, grouped by region, in key order within one."""
 
-    __slots__ = ("_map", "key")
-
-    def __init__(self, map_: "RHMap", key: int):
-        self._map = map_
-        self.key = int(key)
-
-    def _get(self, name):
-        return getattr(self._map, name)[self._map._region_index(self.key)]
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Rows of the region's live cubes, in insertion order."""
-        rows, _ = self._map._region_rows(np.array([self.key], dtype=np.int64))
-        return rows[self._map._alive[rows]]
-
-    @property
-    def z_min(self) -> float:
-        return float(self._get("_rz_min"))
-
-    @property
-    def z_max(self) -> float:
-        return float(self._get("_rz_max"))
-
-    @property
-    def z_sum(self) -> float:
-        return float(self._get("_rz_sum"))
-
-    @property
-    def occupied_count(self) -> int:
-        return int(self._get("_rcount"))
-
-    @property
-    def z_mean(self) -> float:
-        count = self.occupied_count
-        return self.z_sum / count if count else np.nan
-
-    @property
-    def fitted(self) -> bool:
-        return bool(self._get("_rfitted"))
-
-    @property
-    def plane_n(self) -> np.ndarray | None:
-        return self._get("_rnormal").copy() if self.fitted else None
-
-    @property
-    def plane_d(self) -> float:
-        return float(self._get("_rd"))
-
-    @property
-    def fit_failed_at(self) -> int:
-        """Live-cube count at the last failed plane fit, -1 if none.
-
-        A retry is pointless until the region gains or loses cubes.
-        """
-        return int(self._get("_rfail_at"))
-
-
-class _RegionTable(Mapping):
-    """Mapping view, region key -> :class:`Region`, over the region table."""
-
-    def __init__(self, map_: "RHMap"):
-        self._map = map_
-
-    def __len__(self):
-        return len(self._map._rkeys)
-
-    def __iter__(self):
-        return iter(self._map._rkeys.tolist())
-
-    def __contains__(self, key):
-        _, found = find_sorted(self._map._rkeys,
-                               np.array([key], dtype=np.int64))
-        return bool(found[0])
-
-    def __getitem__(self, key):
-        if key not in self:
-            raise KeyError(key)
-        return Region(self._map, key)
+    rkeys: np.ndarray    # the regions, sorted
+    z_sum: np.ndarray    # int64 sum of each region's live-cube z indices
+    count: np.ndarray    # each region's live-cube count
+    rows: np.ndarray     # each cube's row
+    keys: np.ndarray     # each cube's packed key
+    owner: np.ndarray    # index into rkeys of each cube's region
 
 
 class RHMap:
@@ -146,14 +76,12 @@ class RHMap:
         self._keys = np.zeros(cap, dtype=np.int64)
         self._is_ground = np.zeros(cap, dtype=bool)
         self._alive = np.zeros(cap, dtype=bool)
-        self._stamp = np.zeros(cap, dtype=np.int64)   # insertion order
-        self._clock = 0
         self._skeys = np.empty(0, dtype=np.int64)     # region-major, sorted
         self._srows = np.empty(0, dtype=np.int64)
         self._rkeys = np.empty(0, dtype=np.int64)
         self._rz_min = np.empty(0, dtype=np.float64)
         self._rz_max = np.empty(0, dtype=np.float64)
-        self._rz_sum = np.empty(0, dtype=np.float64)
+        self._rz_sum = np.empty(0, dtype=np.int64)
         self._rcount = np.empty(0, dtype=np.int64)
         self._rnormal = np.empty((0, 3), dtype=np.float64)
         self._rd = np.empty(0, dtype=np.float64)
@@ -166,8 +94,9 @@ class RHMap:
     def _rm(self, keys) -> np.ndarray:
         return region_major(keys, self.config.mask_bits)
 
-    def _zc(self, keys) -> np.ndarray:
-        return (_z_of_keys(keys) + 0.5) * self.config.cube_size
+    def _zc(self, kz) -> np.ndarray:
+        """Cube-centre heights of z indices."""
+        return (kz + 0.5) * self.config.cube_size
 
     # ------------------------------------------------------------------ lookup
 
@@ -231,12 +160,6 @@ class RHMap:
             self._skeys = np.insert(self._skeys, pos[new], rm[new])
             self._srows = np.insert(self._srows, pos[new], new_rows)
 
-        # stamp new cubes, then revived ones: a region's cubes in stamp
-        # order are its cubes in the order they (re)joined it
-        born = rows[np.concatenate([np.flatnonzero(new), np.flatnonzero(revive)])]
-        self._stamp[born] = self._clock + np.arange(len(born))
-        self._clock += len(born)
-
         came_alive = ~live
         self._register_alive(rm[came_alive], uk[came_alive])
         return int(came_alive.sum())
@@ -247,7 +170,7 @@ class RHMap:
             return
         while cap < need:
             cap *= 2
-        for name in ("_keys", "_is_ground", "_alive", "_stamp"):
+        for name in ("_keys", "_is_ground", "_alive"):
             arr = getattr(self, name)
             grown = np.zeros(cap, dtype=arr.dtype)
             grown[: self._n] = arr[: self._n]
@@ -256,10 +179,11 @@ class RHMap:
     def _register_alive(self, rm: np.ndarray, keys: np.ndarray):
         """Fold cubes that came alive (region-major sorted) into the region table."""
         seg = run_starts(rm >> (3 * self.config.mask_bits))
-        zc = self._zc(keys)
+        kz = _z_of_keys(keys)
+        zc = self._zc(kz)
         lo = np.minimum.reduceat(zc, seg)
         hi = np.maximum.reduceat(zc, seg)
-        total = np.add.reduceat(zc, seg)
+        total = np.add.reduceat(kz, seg)
         count = np.diff(np.append(seg, len(rm)))
         rkeys = keys[seg] & self._rmask
         pos, found = find_sorted(self._rkeys, rkeys)
@@ -283,28 +207,20 @@ class RHMap:
 
     # ---------------------------------------------------------------- regions
 
-    def _region_index(self, key: int) -> int:
-        pos, found = find_sorted(self._rkeys, np.array([key], dtype=np.int64))
-        if not found[0]:
-            raise KeyError(key)
-        return int(pos[0])
-
     def _region_rows(self, rkeys: np.ndarray):
         """Rows of every indexed cube (live or not) of the given regions.
 
         Returns ``(rows, owner)``: rows grouped by region in the order of
-        ``rkeys`` and in insertion order within a region; ``owner`` is the
-        index into ``rkeys`` of each row's region.  Insertion order fixes
-        the summation order of the ground-plane fits.
+        ``rkeys`` and in cube-key order within a region, which does not
+        depend on the order the cubes arrived in; ``owner`` is the index
+        into ``rkeys`` of each row's region.
         """
         lo = self._rm(rkeys)
         starts = np.searchsorted(self._skeys, lo)
         # the last key of a span can be the largest int64; span - 1 stays in range
         ends = np.searchsorted(self._skeys, lo + (self._region_span - 1), side="right")
         pos, owner = gather_runs(starts, ends)
-        rows = self._srows[pos]
-        order = np.argsort(owner * (self._clock + 1) + self._stamp[rows])
-        return rows[order], owner[order]
+        return self._srows[pos], owner
 
     def region_bands(self, rkeys: np.ndarray):
         """(z_min, z_max) arrays of existing regions' live cubes."""
@@ -357,9 +273,57 @@ class RHMap:
         return rcols[run_starts(rcols)]
 
     @property
-    def regions(self) -> Mapping:
-        """Region key -> :class:`Region` view of the region table."""
-        return _RegionTable(self)
+    def regions(self) -> np.ndarray:
+        """Sorted keys of the regions holding live cubes (a copy)."""
+        return self._rkeys.copy()
+
+    # ----------------------------------------------------------- ground fits
+
+    def unfitted_region_cubes(self, rkeys) -> tuple[RegionCubes, int]:
+        """Live cubes of the given regions that still want a ground plane.
+
+        A region wants one while it has none, unless its last fit failed
+        at its current live-cube count: a retry is pointless until the
+        region gains or loses cubes.  Absent keys are ignored.  Returns
+        the wanting regions' cubes and the count of regions skipped for a
+        pointless retry.
+        """
+        rkeys = sorted_unique(np.atleast_1d(rkeys))
+        at, found = find_sorted(self._rkeys, rkeys)
+        at = at[found]
+        unfitted = ~self._rfitted[at]
+        stale = unfitted & (self._rfail_at[at] == self._rcount[at])
+        want = unfitted & ~stale
+        at = at[want]
+        rows, owner = self._region_rows(self._rkeys[at])
+        live = self._alive[rows]
+        rows, owner = rows[live], owner[live]
+        cubes = RegionCubes(self._rkeys[at], self._rz_sum[at], self._rcount[at],
+                            rows, self._keys[rows], owner)
+        return cubes, int(stale.sum())
+
+    def record_plane_fits(self, rkeys: np.ndarray, ok: np.ndarray,
+                          normals: np.ndarray, d: np.ndarray):
+        """Store the outcome of ground fits on existing regions.
+
+        A region whose fit passed (``ok``) keeps its plane ``n . i = d``
+        in cube-index units; one whose fit failed records its live-cube
+        count, so that :meth:`unfitted_region_cubes` skips it until the
+        count changes.
+        """
+        at = np.searchsorted(self._rkeys, rkeys)
+        self._rnormal[at[ok]] = normals[ok]
+        self._rd[at[ok]] = d[ok]
+        self._rfitted[at[ok]] = True
+        self._rfail_at[at[~ok]] = self._rcount[at[~ok]]
+
+    def mark_ground(self, rows: np.ndarray):
+        """Mark live cubes (by row) as ground and fold their centre heights
+        into G."""
+        keys = self._keys[rows]
+        self._is_ground[rows] = True
+        # a cube key shifted past its z field is its (x, y) column key
+        self.update_ground_samples(keys >> 21, self._zc(_z_of_keys(keys)))
 
     # ---------------------------------------------------------------- removal
 
@@ -386,11 +350,12 @@ class RHMap:
         survivors = np.bincount(kept_owner, minlength=len(rkeys))
         if len(kept_owner):
             seg = run_starts(kept_owner)
-            zc = self._zc(self._keys[rows[keep]])
+            kz = _z_of_keys(self._keys[rows[keep]])
+            zc = self._zc(kz)
             i = np.searchsorted(self._rkeys, rkeys[kept_owner[seg]])
             self._rz_min[i] = np.minimum.reduceat(zc, seg)
             self._rz_max[i] = np.maximum.reduceat(zc, seg)
-            self._rz_sum[i] = np.add.reduceat(zc, seg)
+            self._rz_sum[i] = np.add.reduceat(kz, seg)
             self._rcount[i] = survivors[kept_owner[seg]]
         emptied = np.searchsorted(self._rkeys, rkeys[hit & (survivors == 0)])
         if len(emptied):

@@ -1,10 +1,12 @@
 """Shared fixtures: benchmark scenes, session-scoped pipeline runs, a
 global guard that counts any ground cube killed by region removal, and
-helpers that insert and read single cubes through the batch map API."""
+helpers that insert and read single cubes and regions through the batch
+map API."""
 
 from __future__ import annotations
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,6 +62,26 @@ def cube_state(map_, idx):
     if not alive[0]:
         return None
     return bool(map_._is_ground[rows[0]])
+
+
+def region(map_, rkey) -> SimpleNamespace:
+    """One row of the map's region table; KeyError when ``rkey`` is absent.
+
+    ``rows`` are the region's live cube rows in key order, ``z_min`` and
+    ``z_max`` the extent of their centre heights, ``z_sum`` the integer sum
+    of their z indices, and ``plane_n`` is None until a fit passes.
+    """
+    i = int(np.searchsorted(map_._rkeys, rkey))
+    if i == len(map_._rkeys) or map_._rkeys[i] != rkey:
+        raise KeyError(rkey)
+    rows, _ = map_._region_rows(np.array([rkey], dtype=np.int64))
+    fitted = bool(map_._rfitted[i])
+    return SimpleNamespace(
+        rows=rows[map_._alive[rows]], z_min=float(map_._rz_min[i]),
+        z_max=float(map_._rz_max[i]), z_sum=int(map_._rz_sum[i]),
+        occupied_count=int(map_._rcount[i]), fitted=fitted,
+        plane_n=map_._rnormal[i].copy() if fitted else None,
+        plane_d=float(map_._rd[i]), fit_failed_at=int(map_._rfail_at[i]))
 
 
 # ---------------------------------------------------------------------------

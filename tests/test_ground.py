@@ -1,15 +1,20 @@
 """Ground region election, plane fitting and ground-cube marking."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhmap.config import FrontendConfig, MapConfig
 from rhmap.ground import (GroundReport, elect_candidate_ground_regions,
                           fit_ground_planes, r_gpe)
 from rhmap.indexing import pack2, pack3, unpack3
+from rhmap.io_formats import write_map_ply
 from rhmap.map_core import RHMap
 
-from conftest import cube_state, hit_cubes
+from conftest import cube_state, hit_cubes, region
 
 
 FCFG = FrontendConfig()
@@ -22,16 +27,16 @@ def make_map(mask_bits=3):
 def fit_all(map_, fcfg=FCFG) -> GroundReport:
     """Run fit_ground_planes over every region of the map."""
     report = GroundReport()
-    fit_ground_planes(map_, np.array(list(map_.regions), dtype=np.int64),
-                      fcfg, report)
+    fit_ground_planes(map_, map_.regions, fcfg, report)
     return report
 
 
 def assert_fit_failed(map_, report):
-    (region,) = map_.regions.values()
-    assert not region.fitted
+    (rkey,) = map_.regions
+    r = region(map_, rkey)
+    assert not r.fitted
     assert report.regions_fitted == 0 and report.planes_failed == 1
-    assert region.fit_failed_at == region.occupied_count
+    assert r.fit_failed_at == r.occupied_count
     assert report.ground_cubes_added == 0
     assert not map_._is_ground[: map_._n].any()
 
@@ -41,21 +46,22 @@ def assert_fit_failed(map_, report):
 def fit_region_plane(map_, region_key, min_normal_z):
     """PCA plane (n, d) of a region's low cubes in index units, or None.
 
-    The low cubes are those whose center lies at or below the region mean
-    height; the normal is the smallest-eigenvalue direction, oriented
-    upward.  Fewer than three low cubes, collinear cubes and normals
-    steeper than ``min_normal_z`` allows give None.
+    The low cubes are those whose z index is at most the mean z index of
+    the region's live cubes; the normal is the smallest-eigenvalue
+    direction, oriented upward.  Fewer than three low cubes, two smallest
+    eigenvalues that tie within 1e-9 of the largest (or of 1; collinear
+    cubes tie at zero), and normals steeper than ``min_normal_z`` allows
+    give None.
     """
-    region = map_.regions[region_key]
-    idx = unpack3(map_._keys[region.rows])
-    zc = (idx[:, 2] + 0.5) * map_.config.cube_size
-    pts = idx[zc <= region.z_mean + 1e-12].astype(np.float64)
+    r = region(map_, region_key)
+    idx = unpack3(map_._keys[r.rows])
+    pts = idx[idx[:, 2] <= idx[:, 2].mean()].astype(np.float64)
     if len(pts) < 3:
         return None
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / len(pts)
     evals, evecs = np.linalg.eigh(cov)
-    if evals[1] <= 1e-9 * max(evals[2], 1.0):
+    if evals[1] - evals[0] <= 1e-9 * max(evals[2], 1.0):
         return None
     n = evecs[:, 0]
     if n[2] < 0 or (n[2] == 0 and (n[0] < 0 or (n[0] == 0 and n[1] < 0))):
@@ -67,7 +73,7 @@ def fit_region_plane(map_, region_key, min_normal_z):
 
 def extract_ground_cubes(map_, region_key, n, d, r_gro):
     """Keys and z-centers of a region's live cubes within r_gro of a plane."""
-    keys = map_._keys[map_.regions[region_key].rows]
+    keys = map_._keys[region(map_, region_key).rows]
     idx = unpack3(keys)
     near = np.abs(idx.astype(np.float64) @ n - d) < r_gro
     return keys[near], (idx[near, 2] + 0.5) * map_.config.cube_size
@@ -82,13 +88,14 @@ def _lattice_map():
 def test_flat_lattice_plane():
     map_ = _lattice_map()
     report = fit_all(map_)
-    (region,) = map_.regions.values()
-    assert region.fitted and report.regions_fitted == 1
-    n, d = region.plane_n, region.plane_d
+    (rkey,) = map_.regions
+    r = region(map_, rkey)
+    assert r.fitted and report.regions_fitted == 1
+    n, d = r.plane_n, r.plane_d
     assert np.allclose(n, [0.0, 0.0, 1.0], atol=1e-9)
     assert abs(d) < 1e-9
     # every member cube satisfies the plane equation
-    idx = unpack3(map_._keys[region.rows])
+    idx = unpack3(map_._keys[r.rows])
     assert np.abs(idx @ n - d).max() <= 1e-6
 
 
@@ -98,11 +105,12 @@ def test_tilted_lattice_plane():
     hit_cubes(map_, [(x, y, x // 5) for x in (0, 5, 10, 15)
                      for y in range(0, 16, 2)])
     fit_all(map_)
-    (region,) = map_.regions.values()
-    assert region.fitted
+    (rkey,) = map_.regions
+    r = region(map_, rkey)
+    assert r.fitted
     expect = np.array([-0.2, 0.0, 1.0])
     expect /= np.linalg.norm(expect)
-    assert np.allclose(region.plane_n, expect, atol=1e-6)
+    assert np.allclose(r.plane_n, expect, atol=1e-6)
 
 
 def test_collinear_cubes_rejected():
@@ -115,6 +123,19 @@ def test_too_few_cubes_rejected():
     map_ = make_map()
     hit_cubes(map_, [(0, 0, 0), (1, 1, 0)])
     assert_fit_failed(map_, fit_all(map_))
+
+
+def test_tied_eigenvalues_rejected_by_oracle_and_batch():
+    # the low cubes form a 4 x 2 x 2 bar with covariance diag(1.25, 0.25,
+    # 0.25): the two smallest eigenvalues tie, so the normal could be any
+    # direction of the y-z plane.  The two cubes at z index 7 lift the mean
+    # z index to 22 / 18 without being low themselves.
+    map_ = make_map()
+    bar = [(x, y, z) for x in range(4) for y in range(2) for z in range(2)]
+    hit_cubes(map_, bar + [(0, 5, 7), (3, 5, 7)])
+    (rkey,) = map_.regions
+    assert fit_region_plane(map_, rkey, 0.0) is None
+    assert_fit_failed(map_, fit_all(map_, FrontendConfig(min_ground_normal_z=0.0)))
 
 
 def test_steep_wall_rejected_by_normal_gate():
@@ -156,12 +177,13 @@ def test_extract_matches_brute_force_filter():
                            rng.uniform(0, 0.25, size=150)])
     map_.integrate_points(pts)
     fit_all(map_, FrontendConfig(r_gro=1.25))
-    (region,) = map_.regions.values()
-    if not region.fitted:
+    (rkey,) = map_.regions
+    r = region(map_, rkey)
+    if not r.fitted:
         pytest.skip("degenerate random draw")
     got = set(map_._keys[: map_._n][map_._is_ground[: map_._n]].tolist())
-    idx = unpack3(map_._keys[region.rows])
-    near = idx[np.abs(idx @ region.plane_n - region.plane_d) < 1.25]
+    idx = unpack3(map_._keys[r.rows])
+    near = idx[np.abs(idx @ r.plane_n - r.plane_d) < 1.25]
     expect = {int(pack3(*i)) for i in near}
     assert got == expect
 
@@ -178,7 +200,7 @@ def test_election_isolated_region_excluded():
     pt = np.array([[5.05, 5.05, 0.05]])
     map_.integrate_points(pt)
     elected = elect_candidate_ground_regions(map_, pt, FCFG)
-    assert elected == []
+    assert elected.dtype == np.int64 and len(elected) == 0
 
 
 def test_election_flat_disc_elects_all_touched_regions():
@@ -188,7 +210,7 @@ def test_election_flat_disc_elects_all_touched_regions():
     pts = np.column_stack([r * np.cos(a), r * np.sin(a), np.zeros_like(r)])
     map_ = make_map()
     map_.integrate_points(pts)
-    elected = set(elect_candidate_ground_regions(map_, pts, FCFG))
+    elected = set(elect_candidate_ground_regions(map_, pts, FCFG).tolist())
     # oracle: every region that received a point and has a live neighbor
     gidx = np.floor(pts / 0.1).astype(np.int64)
     m = map_.config.mask
@@ -214,7 +236,7 @@ def test_election_ignores_points_above_ground_reference():
     high = np.array([[0.45, 0.45, 2.0]])
     map_.integrate_points(high)
     elected = elect_candidate_ground_regions(map_, high, FCFG)
-    assert elected == []
+    assert elected.dtype == np.int64 and len(elected) == 0
 
 
 def test_rgpe_trigger_rule_fits_once():
@@ -235,7 +257,7 @@ def test_batch_fit_matches_per_region_path():
                            rng.uniform(0, 0.3, size=6000)])
     map_ = make_map()
     map_.integrate_points(pts)
-    regions = sorted(map_.regions.keys())
+    regions = map_.regions.tolist()
 
     # oracle first: it only reads the map
     planes, ground_keys, g_keys, g_z = {}, [], [], []
@@ -253,11 +275,11 @@ def test_batch_fit_matches_per_region_path():
     assert report.regions_fitted == sum(p is not None for p in planes.values())
     assert report.planes_failed == len(regions) - report.regions_fitted
     for k in regions:
-        region = map_.regions[k]
-        assert region.fitted == (planes[k] is not None)
-        if region.fitted:
-            assert np.allclose(region.plane_n, planes[k][0], atol=1e-9)
-            assert abs(region.plane_d - planes[k][1]) < 1e-9
+        r = region(map_, k)
+        assert r.fitted == (planes[k] is not None)
+        if r.fitted:
+            assert np.allclose(r.plane_n, planes[k][0], atol=1e-9)
+            assert abs(r.plane_d - planes[k][1]) < 1e-9
     marked = map_._keys[: map_._n][map_._is_ground[: map_._n]]
     expect = np.sort(np.concatenate(ground_keys))
     assert np.array_equal(np.sort(marked), expect)
@@ -281,3 +303,45 @@ def test_sloped_terrain_ground_coverage():
                  map_._is_ground[: map_._n][map_.occupied_mask()].sum())
     total = int(map_.occupied_mask().sum())
     assert marked / total >= 0.95
+
+
+def fit_outcome(map_):
+    """Every fit result of a map, as bytes: each region's plane, fitted flag
+    and failed-fit count, the G table and the exported PLY."""
+    regions = [region(map_, k) for k in map_.regions]
+    planes = [(r.fitted, r.fit_failed_at, np.float64(r.plane_d).tobytes(),
+               None if r.plane_n is None else r.plane_n.tobytes())
+              for r in regions]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.ply"
+        write_map_ply(map_, path)
+        ply = path.read_bytes()
+    g = b"".join(a.tobytes() for a in (map_._g_keys, map_._g_sum, map_._g_cnt))
+    return planes, g, ply
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2, 3), min_size=256, max_size=256),
+       st.lists(st.tuples(st.integers(-8, 7), st.integers(-8, 7),
+                          st.integers(-4, 11)), max_size=60),
+       st.integers(0, 2**32 - 1), st.integers(2, 5))
+def test_fits_do_not_depend_on_insertion_order(heights, clutter, seed, parts):
+    # a bumpy 16 x 16 surface over four region columns plus clutter: the
+    # same cubes, inserted at once, shuffled, or shuffled and split across
+    # several integrations, give bit-identical fits, ground flags (in the
+    # PLY), G table and exported map
+    xy = np.stack(np.meshgrid(np.arange(-8, 8), np.arange(-8, 8)), -1).reshape(-1, 2)
+    idx = np.unique(np.concatenate([np.column_stack([xy, heights]),
+                                    np.array(clutter, dtype=np.int64).reshape(-1, 3)]),
+                    axis=0)
+    shuffled = idx[np.random.default_rng(seed).permutation(len(idx))]
+    fcfg = FrontendConfig(min_ground_normal_z=0.0)
+    outcomes = []
+    for order, n_parts in ((idx, 1), (shuffled, 1), (shuffled, parts)):
+        map_ = make_map()
+        for chunk in np.array_split(order, n_parts):
+            hit_cubes(map_, chunk)
+        fit_all(map_, fcfg)
+        outcomes.append(fit_outcome(map_))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]

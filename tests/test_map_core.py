@@ -6,7 +6,7 @@ from rhmap.config import MapConfig
 from rhmap.indexing import pack2, pack3, region_key_mask, unpack3
 from rhmap.map_core import RHMap
 
-from conftest import cube_state, hit_cubes
+from conftest import cube_state, hit_cubes, region
 
 
 def make_map():
@@ -34,9 +34,11 @@ def test_region_stats_ordering():
     map_ = make_map()
     pts = rng.uniform(0.0, 0.79, size=(200, 3))
     map_.integrate_points(pts)
-    for region in map_.regions.values():
-        assert region.z_min <= region.z_mean <= region.z_max
-        assert region.occupied_count == len(region.rows)
+    for rkey in map_.regions:
+        r = region(map_, rkey)
+        z_mean = (r.z_sum / r.occupied_count + 0.5) * 0.1
+        assert r.z_min <= z_mean <= r.z_max
+        assert r.occupied_count == len(r.rows)
 
 
 def test_column_band_matches_full_rescan_oracle():
@@ -100,7 +102,7 @@ def test_remove_keeps_ground():
     ground = [(x, 0, 0) for x in range(5)]
     nonground = [(x, 1, 3) for x in range(3)]
     _plant_region(map_, ground, nonground)
-    (rkey,) = map_.regions.keys()
+    (rkey,) = map_.regions
     assert remove(map_, rkey) == 3
     assert len(map_) == 5
     for idx in ground:
@@ -112,7 +114,7 @@ def test_remove_keeps_ground():
 def test_remove_all_ground_region_is_noop():
     map_ = make_map()
     _plant_region(map_, [(0, 0, 0), (1, 0, 0), (2, 1, 0)], [])
-    (rkey,) = map_.regions.keys()
+    (rkey,) = map_.regions
     assert remove(map_, rkey) == 0
     assert len(map_) == 3
 
@@ -127,8 +129,8 @@ def test_remove_survivors_match_brute_force():
     map_ = make_map()
     pts = rng.uniform(0.0, 0.79, size=(300, 3))
     map_.integrate_points(pts)
-    (rkey,) = map_.regions.keys()
-    rows = np.array(map_.regions[rkey].rows)
+    (rkey,) = map_.regions
+    rows = region(map_, rkey).rows
     ground_rows = rows[rng.random(len(rows)) < 0.4]
     map_._is_ground[ground_rows] = True
     expected = set(map_._keys[ground_rows].tolist())
@@ -140,7 +142,7 @@ def test_remove_survivors_match_brute_force():
 def test_empty_region_evicted_and_column_updated():
     map_ = make_map()
     hit_cubes(map_, (0, 0, 0))
-    (rkey,) = map_.regions.keys()
+    (rkey,) = map_.regions
     remove(map_, rkey)
     assert rkey not in map_.regions
     col = int(pack2(np.int64(0), np.int64(0)))
@@ -167,7 +169,7 @@ def test_removed_cube_revives_as_fresh():
     map_ = make_map()
     for _ in range(3):
         hit_cubes(map_, (0, 1, 3))
-    (rkey,) = map_.regions.keys()
+    (rkey,) = map_.regions
     remove(map_, rkey)
     assert cube_state(map_, (0, 1, 3)) is None
     assert hit_cubes(map_, (0, 1, 3)) == 1
@@ -251,21 +253,21 @@ def test_batched_removal_matches_brute_force():
     ground = rng.random(len(keys)) < 0.3
     map_._is_ground[: map_._n] = ground
     rmask = region_key_mask(3)
-    flagged = sorted(map_.regions.keys())[::3]
+    flagged = map_.regions.tolist()[::3]
     doomed = np.isin(keys & rmask, flagged) & ~ground
     removed = map_.remove_regions_nonground(np.array(flagged + [123456]))
     assert removed == doomed.sum() > 0
     survivors = keys[~doomed]
     assert np.array_equal(map_.occupied_keys(), np.sort(survivors))
     # region statistics and column bands describe the surviving cubes
-    zc = (unpack3(survivors)[:, 2] + 0.5) * 0.1
+    kz = unpack3(survivors)[:, 2]
+    zc = (kz + 0.5) * 0.1
     rkeys = survivors & rmask
-    assert sorted(map_.regions.keys()) == np.unique(rkeys).tolist()
+    assert np.array_equal(map_.regions, np.unique(rkeys))
     for k in np.unique(rkeys).tolist():
-        z, region = zc[rkeys == k], map_.regions[k]
-        assert (region.z_min, region.z_max, region.occupied_count) == \
-            (z.min(), z.max(), len(z))
-        assert abs(region.z_sum - z.sum()) < 1e-9
+        z, r = zc[rkeys == k], region(map_, k)
+        assert (r.z_min, r.z_max, r.occupied_count, r.z_sum) == \
+            (z.min(), z.max(), len(z), kz[rkeys == k].sum())
     cols = rkeys >> 21
     for c in np.unique(cols).tolist():
         z = zc[cols == c]
@@ -277,10 +279,10 @@ def test_removal_at_top_of_key_space():
     # region-major keys; their spans end at the largest int64
     map_ = make_map()
     hit_cubes(map_, [(-1, -1, -1), (-1, -1, -3)])
-    (rkey,) = map_.regions.keys()
+    (rkey,) = map_.regions
     col = rkey >> 21
     assert column_band(map_, col) == (-0.25, -0.05)
-    assert map_.regions[rkey].occupied_count == 2
+    assert region(map_, rkey).occupied_count == 2
     assert remove(map_, rkey) == 2
     assert column_band(map_, col) is None
     assert len(map_) == 0

@@ -10,7 +10,7 @@ from rhmap.removal import (_flag_columns, _flag_regions,
                            build_scan_context_2d, build_scan_context_3d,
                            select_candidate_regions, s2m_removal)
 
-from conftest import cube_state, hit_cubes
+from conftest import cube_state, hit_cubes, region
 
 CFG = MapConfig(cube_size=0.1, mask_bits=3)
 FCFG = FrontendConfig()
@@ -59,8 +59,8 @@ def compute_ratio2(ctx, map_, region_key, eps_div=1e-6):
     if region_key not in keys:
         return 0.0
     i = keys.index(region_key)
-    region = map_.regions[region_key]
-    denom = region.z_max - region.z_min
+    r = region(map_, region_key)
+    denom = r.z_max - r.z_min
     if denom < eps_div:
         return 1.0
     return (ctx.z_max[i] - ctx.z_min[i]) / denom
