@@ -1,4 +1,9 @@
-"""Keyframe queue and deferred removal passes over historical scans."""
+"""Keyframe queue and deferred removal passes over stored scan contexts.
+
+A keyframe keeps its frame's two scan contexts (see
+:func:`~rhmap.removal.scan_contexts`), not its scan: a replay runs only
+the map half of scan-to-map removal against the map as it is now.
+"""
 
 from __future__ import annotations
 
@@ -8,15 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import BackendConfig, FrontendConfig
-from .geometry import Pose, Scan
+from .geometry import Pose
 from .map_core import RHMap
 from .range_image import RangeImage
-from .removal import RemovalReport, s2m_removal
+from .removal import RemovalReport, ScanContext2D, ScanContext3D, s2m_removal
 
 
 @dataclass
 class Keyframe:
-    scan: Scan
+    contexts: tuple[ScanContext2D, ScanContext3D]
     pose: Pose
     timestamp: float
     info_content: float    # percent, 0..100
@@ -63,14 +68,15 @@ class KeyframeQueue:
 
 def backend_step(map_: RHMap, queue: KeyframeQueue, current_pose: Pose,
                  cfg: BackendConfig, fcfg: FrontendConfig) -> list[RemovalReport]:
-    """Replay distant keyframes through scan-to-map removal and pop them."""
+    """Replay distant keyframes' contexts through scan-to-map removal and
+    pop them."""
     reports = []
     processed = []
     for frame in queue.frames:
         if len(reports) >= cfg.max_per_step:
             break
         if current_pose.distance_to(frame.pose) >= cfg.dist_away:
-            reports.append(s2m_removal(map_, frame.scan, frame.pose, fcfg))
+            reports.append(s2m_removal(map_, frame.contexts, fcfg))
             processed.append(frame)
     for frame in processed:
         queue.frames.remove(frame)

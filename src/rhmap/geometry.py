@@ -43,10 +43,6 @@ class Pose:
         if abs(np.linalg.det(self.rotation) - 1.0) > 1e-6:
             raise ValueError("rotation determinant is not +1")
 
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2:

@@ -31,25 +31,20 @@ class GroundReport:
     ground_cubes_added: int = 0
 
 
-def elect_candidate_ground_regions(map_: RHMap, points_world: np.ndarray,
-                                   fcfg: FrontendConfig,
-                                   cubes: ScanCubes | None = None) -> np.ndarray:
+def elect_candidate_ground_regions(map_: RHMap, cubes: ScanCubes,
+                                   fcfg: FrontendConfig) -> np.ndarray:
     """Sorted int64 region keys worth a ground fit, given the freshly
-    inserted scan.
+    inserted scan's world points grouped by cube.
 
     A cube of the scan votes for its region when its height sits below the
     column's ground reference: the running ground mean G when available,
     otherwise the minimum scan height of the whole region column plus a
     bootstrap margin (the wider footprint keeps isolated flat rooftops
     from looking like fresh ground).  Regions whose eight neighbouring
-    columns are all empty are discarded as isolated noise.  ``cubes`` is
-    the scan already grouped by cube; it is built here when absent.
+    columns are all empty are discarded as isolated noise.
     """
-    if len(points_world) == 0:
-        return np.empty(0, dtype=np.int64)
+    map_.check_grouping(cubes)
     cfg = map_.config
-    if cubes is None:
-        cubes = ScanCubes(points_world, cfg)
     idx = unpack3(cubes.cube_keys)
     okeys = pack2(idx[:, 0], idx[:, 1])
     order, starts, inv = group_sorted(okeys)
@@ -147,18 +142,15 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
     report.ground_cubes_added += int(within.sum())
 
 
-def r_gpe(map_: RHMap, points_world: np.ndarray, fcfg: FrontendConfig,
-          cubes: ScanCubes | None = None) -> GroundReport:
-    """Run ground estimation for a freshly inserted scan.
+def r_gpe(map_: RHMap, cubes: ScanCubes, fcfg: FrontendConfig) -> GroundReport:
+    """Run ground estimation for a freshly inserted scan, grouped by cube.
 
     Regions elected this scan get a plane when they want one: fits on
     already-fitted regions are never repeated, and a failed fit is
-    retried only after the region's cube population changes.  ``cubes``
-    is the scan already grouped by cube (see
-    :func:`elect_candidate_ground_regions`).
+    retried only after the region's cube population changes.
     """
     report = GroundReport()
-    elected = elect_candidate_ground_regions(map_, points_world, fcfg, cubes)
+    elected = elect_candidate_ground_regions(map_, cubes, fcfg)
     report.regions_elected = len(elected)
     fit_ground_planes(map_, elected, fcfg, report)
     return report

@@ -114,17 +114,6 @@ def cube_indices(points, cube_size: float) -> np.ndarray:
     return idx.astype(np.int64)
 
 
-def point_to_indices(points, cfg):
-    """Quantise points (meters) to (global, region, cube-local) indexes.
-
-    ``points`` is a (3,) or (N, 3) float array; the three returned arrays
-    have matching shape.  Non-finite coordinates are rejected.
-    """
-    gidx = cube_indices(points, cfg.cube_size)
-    m = cfg.mask
-    return gidx, gidx & ~m, gidx & m
-
-
 def cube_centers(keys, cube_size: float) -> np.ndarray:
     """World-frame centers of packed cube keys, shape (N, 3)."""
     return (unpack3(keys) + 0.5) * cube_size

@@ -103,10 +103,6 @@ class RHMap:
     def __len__(self):
         return int(self._alive[: self._n].sum())
 
-    def lookup_rows(self, keys: np.ndarray):
-        """Rows for packed cube keys; returns (rows, present, alive)."""
-        return self._lookup_rm(self._rm(keys))[1:]
-
     def _lookup_rm(self, rm: np.ndarray):
         """(index positions, rows, present, alive) of region-major keys."""
         pos, present = find_sorted(self._skeys, rm)
@@ -118,18 +114,20 @@ class RHMap:
 
     # --------------------------------------------------------------- insertion
 
-    def integrate_points(self, points_world: np.ndarray,
-                         cubes: ScanCubes | None = None) -> int:
-        """Occupy the cubes the points fall in; returns the count of cubes
-        that came alive (new or revived).
+    def check_grouping(self, cubes: ScanCubes):
+        """Reject a scan grouped at another cube size or region width:
+        its keys would name other cubes of this map."""
+        got, want = cubes.config, self.config
+        if (got.cube_size, got.mask_bits) != (want.cube_size, want.mask_bits):
+            raise ValueError(
+                f"scan grouped at cube_size {got.cube_size}, mask_bits "
+                f"{got.mask_bits}; the map uses {want.cube_size}, "
+                f"{want.mask_bits}")
 
-        ``cubes`` is the same points already grouped by cube; it is built
-        here when absent.
-        """
-        if len(points_world) == 0:
-            return 0
-        if cubes is None:
-            cubes = ScanCubes(points_world, self.config)
+    def integrate_points(self, cubes: ScanCubes) -> int:
+        """Occupy the cubes a scan's world points (grouped by cube) fall
+        in; returns the count of cubes that came alive (new or revived)."""
+        self.check_grouping(cubes)
         return self._integrate(cubes.cube_rm, cubes.cube_keys)
 
     def _integrate(self, rm: np.ndarray, uk: np.ndarray) -> int:

@@ -16,7 +16,7 @@ from .ground import r_gpe
 from .indexing import ScanCubes
 from .map_core import RHMap
 from .range_image import build_range_image
-from .removal import RemovalReport, s2m_removal
+from .removal import RemovalReport, s2m_removal, scan_contexts
 
 
 @dataclass
@@ -46,13 +46,14 @@ class PipelineResult:
 def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     """Process (Scan, Pose[, dynamic_mask]) frames into a static map.
 
-    Per frame: transform, grouping of the world points by cube (shared by
-    the later stages), occupancy integration, ground estimation,
-    scan-to-map removal, keyframe selection and (when enabled) one
-    back-end step.  When masks are supplied, each point's cube key and
-    label accumulate into a ground-truth cloud for evaluation.  Only the
-    last accepted keyframe and the back-end queue keep scans alive.
-    Timing covers processing only, not data loading.
+    Per frame: transform, grouping of the world points by cube, occupancy
+    integration, ground estimation, the frame's scan contexts (built once
+    from the range image and the grouping), scan-to-map removal, keyframe
+    selection and (when enabled) one back-end step.  Every stage reads the
+    one grouping, and a keyframe keeps the contexts, so no scan outlives
+    its frame.  When masks are supplied, each point's cube key and label
+    accumulate into a ground-truth cloud for evaluation, in two buffers
+    grown in place.  Timing covers processing only, not data loading.
     """
     cfg.validate()
     fcfg, bcfg = cfg.frontend, cfg.backend
@@ -60,23 +61,25 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     queue = KeyframeQueue(bcfg.queue_capacity)
     last_keyframe: Keyframe | None = None
     result = PipelineResult(map=map_)
-    truth_keys, truth_masks = [], []
+    truth_keys = np.empty(0, dtype=np.int64)
+    truth_mask = np.empty(0, dtype=bool)
+    n_truth, labeled = 0, False
 
     for frame in frames:
         scan, pose = frame[0], frame[1]
         mask = frame[2] if len(frame) > 2 else None
 
         t0 = time.perf_counter()
-        pw = transform_scan(scan, pose)
-        cubes = ScanCubes(pw, cfg.map)
-        map_.integrate_points(pw, cubes)
-        ground_report = r_gpe(map_, pw, fcfg, cubes)
+        cubes = ScanCubes(transform_scan(scan, pose), cfg.map)
+        map_.integrate_points(cubes)
+        ground_report = r_gpe(map_, cubes, fcfg)
         image = build_range_image(scan.points, fcfg.image_rows,
                                   fcfg.image_cols, fcfg.fov)
-        report = s2m_removal(map_, scan, pose, fcfg, image=image, cubes=cubes)
+        contexts = scan_contexts(image, cubes, fcfg)
+        report = s2m_removal(map_, contexts, fcfg)
         report.ground_cubes_added = ground_report.ground_cubes_added
 
-        candidate = Keyframe(scan, pose, scan.timestamp,
+        candidate = Keyframe(contexts, pose, scan.timestamp,
                              information_content(image, fcfg.r_max))
         added = keyframe_select(last_keyframe, candidate, bcfg)
         if added:
@@ -90,10 +93,18 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
         result.frames.append(FrameRecord(report, backend_reports, added,
                                          elapsed_ms))
         if mask is not None:
-            truth_keys.append(cubes.cube_keys[cubes.point_cube])
-            truth_masks.append(np.asarray(mask, dtype=bool))
+            end = n_truth + len(scan)
+            if end > len(truth_keys):
+                # resize reallocates in place: no second copy of the cloud
+                cap = max(end, len(truth_keys) * 5 // 4)
+                truth_keys.resize(cap, refcheck=False)
+                truth_mask.resize(cap, refcheck=False)
+            truth_keys[n_truth:end] = cubes.cube_keys[cubes.point_cube]
+            truth_mask[n_truth:end] = np.asarray(mask, dtype=bool).reshape(len(scan))
+            n_truth, labeled = end, True
 
-    if truth_keys:
-        result.truth_points = np.concatenate(truth_keys)
-        result.truth_mask = np.concatenate(truth_masks)
+    if labeled:
+        truth_keys.resize(n_truth, refcheck=False)
+        truth_mask.resize(n_truth, refcheck=False)
+        result.truth_points, result.truth_mask = truth_keys, truth_mask
     return result

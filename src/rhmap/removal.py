@@ -2,26 +2,25 @@
 
 The current scan is summarised per region column (2D context) and per
 region (3D context built from occlusion-bounded points).  Both contexts
-are struct-of-arrays sorted by packed key.  Columns whose scan height
-band shrinks well below the map's recorded band, and regions whose band
-shrinks below their map region's band, are flagged dynamic and stripped
-of their non-ground cubes in one masked pass.
+are struct-of-arrays sorted by packed key, and neither reads the map, so
+a frame's contexts are built once and can be replayed against the map
+later.  Columns whose scan height band shrinks well below the map's
+recorded band, and regions whose band shrinks below their map region's
+band, are flagged dynamic and stripped of their non-ground cubes in one
+masked pass.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import FrontendConfig
-from .geometry import Pose, Scan, transform_scan
 from .indexing import (ScanCubes, cube_indices, find_sorted, pack2,
                        sorted_unique, unpack3)
 from .map_core import RHMap
-from .range_image import (RangeImage, build_range_image, extract_max_ring,
-                          extract_sup_inf)
+from .range_image import RangeImage, extract_max_ring, extract_sup_inf
 
 
 @dataclass
@@ -58,7 +57,6 @@ class RemovalReport:
     regions_flagged: int = 0
     cubes_removed: int = 0
     ground_cubes_added: int = 0
-    elapsed_ms: float = 0.0
 
 
 def build_scan_context_2d(cubes: ScanCubes, max_ring_w: np.ndarray,
@@ -166,37 +164,41 @@ def _flag_regions(ctx: ScanContext3D, map_: RHMap, candidates: np.ndarray,
     return candidates[ratio < fcfg.delta2]
 
 
-def s2m_removal(map_: RHMap, scan: Scan, pose: Pose, fcfg: FrontendConfig,
-                image: RangeImage | None = None,
-                cubes: ScanCubes | None = None) -> RemovalReport:
-    """Full scan-to-map removal pass for one posed scan.
+def scan_contexts(image: RangeImage, cubes: ScanCubes, fcfg: FrontendConfig
+                  ) -> tuple[ScanContext2D, ScanContext3D]:
+    """The map-free half of scan-to-map removal: one frame's two contexts.
 
-    Flags columns by the 2D ratio test and regions by the 3D one, then
-    strips non-ground cubes from every flagged region and from all
-    regions of flagged columns.  Ground cubes are never deleted.
-    ``image`` and ``cubes`` (the scan transformed by ``pose`` and grouped
-    by cube) are built here when the caller has not already built them.
+    ``image`` is the frame's range image and ``cubes`` its world points
+    grouped by cube, in the same point order.  The 2D context summarises
+    the points inside the vertical field of view, with the max-ring
+    flags; the 3D context summarises the sup/inf points with their
+    occlusion bounds.  The contexts share no memory with their inputs.
     """
-    t0 = time.perf_counter()
-    report = RemovalReport()
-    if len(scan) == 0:
-        return report
-
-    if image is None:
-        image = build_range_image(scan.points, fcfg.image_rows,
-                                  fcfg.image_cols, fcfg.fov)
+    pw = cubes.points
     max_ids = extract_max_ring(image)
     sup_ids, sup_bounds, inf_ids, inf_bounds = extract_sup_inf(
         image, fcfg.r1, fcfg.r2, fcfg.max_search)
+    return (build_scan_context_2d(cubes, pw[max_ids], roi=image.in_fov),
+            build_scan_context_3d(cubes, sup_ids, pw[sup_bounds, 2],
+                                  inf_ids, pw[inf_bounds, 2]))
 
-    if cubes is None:
-        cubes = ScanCubes(transform_scan(scan, pose), map_.config)
-    pw = cubes.points
-    ctx2 = build_scan_context_2d(cubes, pw[max_ids], roi=image.in_fov)
+
+def s2m_removal(map_: RHMap, contexts: tuple[ScanContext2D, ScanContext3D],
+                fcfg: FrontendConfig) -> RemovalReport:
+    """The map half of scan-to-map removal: replay a frame's contexts.
+
+    Scan-to-map removal runs in two halves.  :func:`scan_contexts` builds
+    a frame's 2D and 3D contexts from its range image and cube grouping
+    without reading the map; this half compares them with the map as it
+    is now.  It flags columns by the 2D ratio test and regions by the 3D
+    one, then strips non-ground cubes from every flagged region and from
+    all regions of flagged columns.  Ground cubes are never deleted.  The
+    front end replays a frame's contexts at once, the back end replays a
+    keyframe's later.
+    """
+    ctx2, ctx3 = contexts
+    report = RemovalReport()
     flagged_cols = _flag_columns(ctx2, map_, fcfg)
-
-    ctx3 = build_scan_context_3d(cubes, sup_ids, pw[sup_bounds, 2],
-                                 inf_ids, pw[inf_bounds, 2])
     candidates = select_candidate_regions(ctx3, map_)
     flagged_regions = _flag_regions(ctx3, map_, candidates, fcfg)
     report.columns_flagged = len(flagged_cols)
@@ -205,5 +207,4 @@ def s2m_removal(map_: RHMap, scan: Scan, pose: Pose, fcfg: FrontendConfig,
     column_regions, _ = map_.regions_in_columns(flagged_cols)
     report.cubes_removed = map_.remove_regions_nonground(
         np.concatenate([flagged_regions, column_regions]))
-    report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report

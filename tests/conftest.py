@@ -1,7 +1,8 @@
 """Shared fixtures: benchmark scenes, session-scoped pipeline runs, a
 global guard that counts any ground cube killed by region removal, and
-helpers that insert and read single cubes and regions through the batch
-map API."""
+helpers that group points and build scan contexts the way the pipeline
+does, and insert and read single cubes and regions through the batch map
+API."""
 
 from __future__ import annotations
 
@@ -14,8 +15,11 @@ import pytest
 from rhmap import map_core
 from rhmap.config import PipelineConfig
 from rhmap.evaluate import count_dynamic_cubes, evaluate
-from rhmap.indexing import pack3
+from rhmap.geometry import Pose, transform_scan
+from rhmap.indexing import ScanCubes, cube_indices, pack3
 from rhmap.pipeline import run_pipeline
+from rhmap.range_image import build_range_image
+from rhmap.removal import scan_contexts
 from rhmap.synth import MovingBox, SceneSpec, synth_scene
 
 # ---------------------------------------------------------------------------
@@ -44,21 +48,54 @@ map_core.RHMap.remove_regions_nonground = _guarded_remove
 
 
 # ---------------------------------------------------------------------------
+# Scan input as the pipeline builds it.  The map and the ground stage take a
+# frame's world points grouped by cube (ScanCubes); scan-to-map removal takes
+# the frame's scan contexts.
+
+def identity_pose() -> Pose:
+    return Pose(np.eye(3), np.zeros(3))
+
+
+def point_to_indices(points, cfg):
+    """Quantise points (meters) to (global, region, cube-local) indexes."""
+    gidx = cube_indices(points, cfg.cube_size)
+    return gidx, gidx & ~cfg.mask, gidx & cfg.mask
+
+
+def integrate(map_, points_world) -> int:
+    """Integrate world points, grouped at the map's own config."""
+    return map_.integrate_points(ScanCubes(points_world, map_.config))
+
+
+def frame_contexts(scan, pose, fcfg, map_cfg):
+    """A posed scan's two scan contexts, built as run_pipeline builds them."""
+    cubes = ScanCubes(transform_scan(scan, pose), map_cfg)
+    image = build_range_image(scan.points, fcfg.image_rows, fcfg.image_cols,
+                              fcfg.fov)
+    return scan_contexts(image, cubes, fcfg)
+
+
+# ---------------------------------------------------------------------------
 # Single-cube access for unit tests.  The map's API is batched; these insert
 # a hit through a point at each cube's centre and read a cube back through
-# lookup_rows.
+# the map's region-major index.
 
 def hit_cubes(map_, idx) -> int:
     """One hit on each cube index of ``idx`` ((3,) or (N, 3)); returns the
     count of cubes that came alive."""
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, 3)
-    return map_.integrate_points((idx + 0.5) * map_.config.cube_size)
+    return integrate(map_, (idx + 0.5) * map_.config.cube_size)
+
+
+def lookup_rows(map_, keys):
+    """Rows for packed cube keys; returns (rows, present, alive)."""
+    return map_._lookup_rm(map_._rm(keys))[1:]
 
 
 def cube_state(map_, idx):
     """The is_ground flag of the live cube at index ``idx``, or None."""
     x, y, z = idx
-    rows, _, alive = map_.lookup_rows(pack3([x], [y], [z]))
+    rows, _, alive = lookup_rows(map_, pack3([x], [y], [z]))
     if not alive[0]:
         return None
     return bool(map_._is_ground[rows[0]])

@@ -12,10 +12,9 @@ import numpy as np
 
 from rhmap.config import MapConfig
 from rhmap.evaluate import f1_score
-from rhmap.indexing import point_to_indices
 from rhmap.io_formats import write_map_ply
 
-from conftest import GROUND_KILLS, region
+from conftest import GROUND_KILLS, integrate, point_to_indices, region
 
 # Published PR / RR / F1 triples (percent, percent, fraction) the harmonic
 # mean identity must reproduce.
@@ -89,7 +88,7 @@ def test_plane_fit_matches_tls_oracle():
         xy = rng.uniform(0.45, 1.15, size=(400, 2))
         z = 0.8 - (n[0] * (xy[:, 0] - 0.8) + n[1] * (xy[:, 1] - 0.8)) / n[2]
         pts = np.column_stack([xy, z])
-        map_.integrate_points(pts)
+        integrate(map_, pts)
         (rkey,) = map_.regions
         fit_ground_planes(map_, np.array([rkey]), fcfg, GroundReport())
         fit = region(map_, rkey)

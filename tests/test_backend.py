@@ -7,10 +7,14 @@ from rhmap.backend import (Keyframe, KeyframeQueue, backend_step,
                            information_content, keyframe_select)
 from rhmap.config import BackendConfig, FrontendConfig, MapConfig
 from rhmap.geometry import Pose, Scan, transform_scan
+from rhmap.ground import r_gpe
+from rhmap.indexing import ScanCubes, pack3
+from rhmap.io_formats import write_map_ply
 from rhmap.map_core import RHMap
 from rhmap.range_image import RangeImage, build_range_image
+from rhmap.removal import scan_contexts, s2m_removal
 
-from conftest import cube_state, hit_cubes
+from conftest import cube_state, frame_contexts, hit_cubes
 
 BCFG = BackendConfig()
 FOV = (-np.pi / 4, np.pi / 6)
@@ -26,8 +30,10 @@ def _image(ranges):
 
 
 def _frame(x=0.0, t=0.0, info=50.0):
-    return Keyframe(Scan(points=np.zeros((1, 3))),
-                    Pose(np.eye(3), np.array([x, 0.0, 0.0])), t, info)
+    pose = Pose(np.eye(3), np.array([x, 0.0, 0.0]))
+    return Keyframe(frame_contexts(Scan(points=np.zeros((1, 3))), pose,
+                                   FrontendConfig(), MapConfig()),
+                    pose, t, info)
 
 
 def test_information_content_extremes_and_half():
@@ -83,12 +89,16 @@ FCFG = FrontendConfig(image_rows=32, image_cols=180, fov_down_deg=-45.0,
 
 
 def _grounded_map(scan, pose):
-    from rhmap.ground import r_gpe
     map_ = RHMap(MapConfig())
-    pw = transform_scan(scan, pose)
-    map_.integrate_points(pw)
-    r_gpe(map_, pw, FCFG)
+    cubes = ScanCubes(transform_scan(scan, pose), map_.config)
+    map_.integrate_points(cubes)
+    r_gpe(map_, cubes, FCFG)
     return map_
+
+
+def _keyframe(scan, pose, t):
+    return Keyframe(frame_contexts(scan, pose, FCFG, MapConfig()), pose, t,
+                    50.0)
 
 
 def test_backend_step_skips_nearby_keyframes():
@@ -96,7 +106,7 @@ def test_backend_step_skips_nearby_keyframes():
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
     map_ = _grounded_map(scan, pose)
     q = KeyframeQueue(10)
-    q.push(Keyframe(scan, pose, 0.0, 50.0))
+    q.push(_keyframe(scan, pose, 0.0))
     reports = backend_step(map_, q, pose, BCFG, FCFG)
     assert reports == []
     assert len(q) == 1          # nearby frames stay queued
@@ -109,7 +119,7 @@ def test_backend_step_removes_residue_and_pops_frame():
     trail = [(20, 10, z) for z in range(2, 15)]
     hit_cubes(map_, trail)
     q = KeyframeQueue(10)
-    q.push(Keyframe(scan, pose, 0.0, 50.0))
+    q.push(_keyframe(scan, pose, 0.0))
     far_pose = Pose(np.eye(3), np.array([30.0, 0.0, 1.0]))
     reports = backend_step(map_, q, far_pose, BCFG, FCFG)
     assert len(reports) == 1
@@ -126,9 +136,9 @@ def test_backend_step_idempotent_after_cleanup():
     hit_cubes(map_, [(20, 10, z) for z in range(2, 15)])
     far_pose = Pose(np.eye(3), np.array([30.0, 0.0, 1.0]))
     q = KeyframeQueue(10)
-    q.push(Keyframe(scan, pose, 0.0, 50.0))
+    q.push(_keyframe(scan, pose, 0.0))
     backend_step(map_, q, far_pose, BCFG, FCFG)
-    q.push(Keyframe(scan, pose, 1.0, 50.0))
+    q.push(_keyframe(scan, pose, 1.0))
     reports = backend_step(map_, q, far_pose, BCFG, FCFG)
     assert reports[0].cubes_removed == 0
 
@@ -139,7 +149,7 @@ def test_backend_step_honors_max_per_step():
     map_ = _grounded_map(scan, pose)
     q = KeyframeQueue(10)
     for t in range(4):
-        q.push(Keyframe(scan, pose, float(t), 50.0))
+        q.push(_keyframe(scan, pose, float(t)))
     far_pose = Pose(np.eye(3), np.array([30.0, 0.0, 1.0]))
     cfg = BackendConfig(max_per_step=2)
     reports = backend_step(map_, q, far_pose, cfg, FCFG)
@@ -156,7 +166,7 @@ def test_backend_step_never_adds_cubes():
     hit_cubes(map_, [(-15, 25, z) for z in range(2, 10)])
     before = int(map_.occupied_mask().sum())
     q = KeyframeQueue(10)
-    q.push(Keyframe(scan, pose, 0.0, 50.0))
+    q.push(_keyframe(scan, pose, 0.0))
     far_pose = Pose(np.eye(3), np.array([0.0, 40.0, 1.0]))
     backend_step(map_, q, far_pose, BCFG, FCFG)
     assert int(map_.occupied_mask().sum()) <= before
@@ -168,3 +178,46 @@ def test_information_content_of_projected_scan_in_unit_range():
                             FCFG.fov)
     v = information_content(img, FCFG.r_max)
     assert 0.0 < v < 100.0
+
+
+def test_stored_contexts_do_not_alias_the_frame_or_the_map(tmp_path):
+    # A keyframe's contexts outlive its frame: its grouping and range image
+    # may be overwritten, and the map gains and loses cubes before the
+    # replay.  The replay must match one of contexts rebuilt from the scan.
+    scan = _ground_scan(seed=4)
+    pose = Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
+    later = _ground_scan(seed=5)
+    later_pose = Pose(np.eye(3), np.array([-20.0, 0.0, 1.0]))
+    far_pose = Pose(np.eye(3), np.array([30.0, 0.0, 1.0]))
+    outputs = []
+    for stored in (True, False):
+        map_ = RHMap(MapConfig())
+        cubes = ScanCubes(transform_scan(scan, pose), map_.config)
+        map_.integrate_points(cubes)
+        r_gpe(map_, cubes, FCFG)
+        image = build_range_image(scan.points, FCFG.image_rows,
+                                  FCFG.image_cols, FCFG.fov)
+        frame = Keyframe(scan_contexts(image, cubes, FCFG), pose, 0.0,
+                         information_content(image, FCFG.r_max))
+        for arr in list(vars(cubes).values()) + list(vars(image).values()):
+            if isinstance(arr, np.ndarray):
+                arr.fill(0)
+        # later frames integrate and remove cubes
+        trail = [(20, 10, z) for z in range(2, 15)]
+        hit_cubes(map_, trail + [(-15, 25, z) for z in range(2, 10)])
+        assert map_.remove_regions_nonground(
+            pack3(np.int64(-16), np.int64(24), np.int64(0))) > 0
+        map_.integrate_points(ScanCubes(transform_scan(later, later_pose),
+                                        map_.config))
+        s2m_removal(map_, frame_contexts(later, later_pose, FCFG, MapConfig()),
+                    FCFG)
+        if not stored:
+            frame.contexts = frame_contexts(scan, pose, FCFG, MapConfig())
+        q = KeyframeQueue(10)
+        q.push(frame)
+        reports = backend_step(map_, q, far_pose, BCFG, FCFG)
+        path = tmp_path / f"{stored}.ply"
+        write_map_ply(map_, path)
+        outputs.append((reports, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][0].cubes_removed >= len(trail)

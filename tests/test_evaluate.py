@@ -10,6 +10,8 @@ from rhmap.evaluate import (count_dynamic_cubes, cube_keys, evaluate,
                             f1_score, timing_report)
 from rhmap.map_core import RHMap
 
+from conftest import integrate
+
 
 def test_f1_reference_row_and_extremes():
     assert abs(f1_score(0.946446, 0.98005) - 0.962955) < 5e-4
@@ -20,7 +22,7 @@ def test_f1_reference_row_and_extremes():
 
 def _populated_map(pts):
     map_ = RHMap(MapConfig())
-    map_.integrate_points(pts)
+    integrate(map_, pts)
     return map_
 
 

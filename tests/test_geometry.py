@@ -5,6 +5,8 @@ import pytest
 
 from rhmap.geometry import Pose, Scan, transform_scan
 
+from conftest import identity_pose
+
 
 def rotz(a):
     c, s = np.cos(a), np.sin(a)
@@ -13,7 +15,7 @@ def rotz(a):
 
 def test_identity_pose_is_noop():
     scan = Scan(points=np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
-    out = transform_scan(scan, Pose.identity())
+    out = transform_scan(scan, identity_pose())
     assert np.array_equal(out, scan.points)
 
 

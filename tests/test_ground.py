@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 from rhmap.config import FrontendConfig, MapConfig
 from rhmap.ground import (GroundReport, elect_candidate_ground_regions,
                           fit_ground_planes, r_gpe)
-from rhmap.indexing import pack2, pack3, unpack3
+from rhmap.indexing import ScanCubes, pack2, pack3, unpack3
 from rhmap.io_formats import write_map_ply
 from rhmap.map_core import RHMap
 
-from conftest import cube_state, hit_cubes, region
+from conftest import cube_state, hit_cubes, integrate, region
 
 
 FCFG = FrontendConfig()
@@ -175,7 +175,7 @@ def test_extract_matches_brute_force_filter():
     map_ = make_map()
     pts = np.column_stack([rng.uniform(0, 0.8, size=(150, 2)),
                            rng.uniform(0, 0.25, size=150)])
-    map_.integrate_points(pts)
+    integrate(map_, pts)
     fit_all(map_, FrontendConfig(r_gro=1.25))
     (rkey,) = map_.regions
     r = region(map_, rkey)
@@ -198,9 +198,24 @@ def test_extract_without_plane_is_empty():
 def test_election_isolated_region_excluded():
     map_ = make_map()
     pt = np.array([[5.05, 5.05, 0.05]])
-    map_.integrate_points(pt)
-    elected = elect_candidate_ground_regions(map_, pt, FCFG)
+    cubes = ScanCubes(pt, map_.config)
+    map_.integrate_points(cubes)
+    elected = elect_candidate_ground_regions(map_, cubes, FCFG)
     assert elected.dtype == np.int64 and len(elected) == 0
+
+
+def test_election_rejects_a_grouping_of_another_shape():
+    map_ = make_map()
+    pts = np.column_stack([np.tile(np.arange(16) * 0.1, 16),
+                           np.repeat(np.arange(16) * 0.1, 16),
+                           np.zeros(256)])
+    map_.integrate_points(ScanCubes(pts, map_.config))
+    for cfg in (MapConfig(cube_size=0.2), MapConfig(mask_bits=2)):
+        with pytest.raises(ValueError):
+            elect_candidate_ground_regions(map_, ScanCubes(pts, cfg), FCFG)
+        with pytest.raises(ValueError):
+            r_gpe(map_, ScanCubes(pts, cfg), FCFG)
+    assert len(map_._g_keys) == 0
 
 
 def test_election_flat_disc_elects_all_touched_regions():
@@ -209,8 +224,9 @@ def test_election_flat_disc_elects_all_touched_regions():
     a = rng.uniform(0, 2 * np.pi, size=4000)
     pts = np.column_stack([r * np.cos(a), r * np.sin(a), np.zeros_like(r)])
     map_ = make_map()
-    map_.integrate_points(pts)
-    elected = set(elect_candidate_ground_regions(map_, pts, FCFG).tolist())
+    cubes = ScanCubes(pts, map_.config)
+    map_.integrate_points(cubes)
+    elected = set(elect_candidate_ground_regions(map_, cubes, FCFG).tolist())
     # oracle: every region that received a point and has a live neighbor
     gidx = np.floor(pts / 0.1).astype(np.int64)
     m = map_.config.mask
@@ -231,9 +247,10 @@ def test_election_ignores_points_above_ground_reference():
     ground = np.column_stack([np.tile(np.arange(16) * 0.1, 16),
                               np.repeat(np.arange(16) * 0.1, 16),
                               np.zeros(256)])
+    ground = ScanCubes(ground, map_.config)
     map_.integrate_points(ground)
     r_gpe(map_, ground, FCFG)  # establishes G near z = 0.05
-    high = np.array([[0.45, 0.45, 2.0]])
+    high = ScanCubes(np.array([[0.45, 0.45, 2.0]]), map_.config)
     map_.integrate_points(high)
     elected = elect_candidate_ground_regions(map_, high, FCFG)
     assert elected.dtype == np.int64 and len(elected) == 0
@@ -244,10 +261,11 @@ def test_rgpe_trigger_rule_fits_once():
     pts = np.column_stack([np.tile(np.arange(16) * 0.1, 16),
                            np.repeat(np.arange(16) * 0.1, 16),
                            np.zeros(256)])
-    map_.integrate_points(pts)
-    first = r_gpe(map_, pts, FCFG)
+    cubes = ScanCubes(pts, map_.config)
+    map_.integrate_points(cubes)
+    first = r_gpe(map_, cubes, FCFG)
     assert first.regions_fitted > 0
-    again = r_gpe(map_, pts, FCFG)
+    again = r_gpe(map_, cubes, FCFG)
     assert again.regions_fitted == 0
 
 
@@ -256,7 +274,7 @@ def test_batch_fit_matches_per_region_path():
     pts = np.column_stack([rng.uniform(0, 4.0, size=(6000, 2)),
                            rng.uniform(0, 0.3, size=6000)])
     map_ = make_map()
-    map_.integrate_points(pts)
+    integrate(map_, pts)
     regions = map_.regions.tolist()
 
     # oracle first: it only reads the map
@@ -297,8 +315,9 @@ def test_sloped_terrain_ground_coverage():
                               np.arange(0, 8, 0.05)), axis=-1).reshape(-1, 2)
     pts = np.column_stack([xy, slope * xy[:, 0]])
     map_ = make_map()
-    map_.integrate_points(pts)
-    r_gpe(map_, pts, FCFG)
+    cubes = ScanCubes(pts, map_.config)
+    map_.integrate_points(cubes)
+    r_gpe(map_, cubes, FCFG)
     marked = int(map_.occupied_mask().sum() and
                  map_._is_ground[: map_._n][map_.occupied_mask()].sum())
     total = int(map_.occupied_mask().sum())

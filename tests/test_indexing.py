@@ -5,8 +5,9 @@ import pytest
 
 from rhmap.config import MapConfig
 from rhmap.indexing import (cube_centers, cube_indices, cube_local_key_mask,
-                            pack2, pack3, point_to_indices, region_key_mask,
-                            unpack3)
+                            pack2, pack3, region_key_mask, unpack3)
+
+from conftest import point_to_indices
 
 
 CFG = MapConfig(cube_size=0.1, mask_bits=3)

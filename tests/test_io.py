@@ -10,7 +10,7 @@ from rhmap.io_formats import (FormatError, read_kitti_scan, read_labels,
                               write_labels, write_map_ply, write_poses)
 from rhmap.map_core import RHMap
 
-from conftest import hit_cubes
+from conftest import hit_cubes, integrate
 
 
 def test_scan_empty_file(tmp_path):
@@ -146,7 +146,7 @@ def test_ply_single_cube_center(tmp_path):
 def test_ply_round_trip_with_ground_flags(tmp_path):
     rng = np.random.default_rng(3)
     map_ = RHMap(MapConfig())
-    map_.integrate_points(rng.uniform(-2, 2, size=(800, 3)))
+    integrate(map_, rng.uniform(-2, 2, size=(800, 3)))
     rows = np.flatnonzero(map_.occupied_mask())
     map_._is_ground[rows[: len(rows) // 2]] = True
     p = tmp_path / "map.ply"
@@ -187,8 +187,8 @@ def test_ply_write_matches_row_writer_bit_for_bit(tmp_path):
     rng = np.random.default_rng(6)
     map_ = RHMap(MapConfig())
     # negative, positive and far-out centers, some with long mantissas
-    map_.integrate_points(rng.uniform(-3000, 3000, size=(3000, 3)))
-    map_.integrate_points(rng.uniform(-1, 1, size=(500, 3)))
+    integrate(map_, rng.uniform(-3000, 3000, size=(3000, 3)))
+    integrate(map_, rng.uniform(-1, 1, size=(500, 3)))
     rows = np.flatnonzero(map_.occupied_mask())
     map_._is_ground[rows[::4]] = True
     p = tmp_path / "map.ply"
@@ -211,7 +211,7 @@ def _read_ply_vertices_by_line(path):
 def test_ply_read_matches_line_parser_bit_for_bit(tmp_path):
     rng = np.random.default_rng(5)
     map_ = RHMap(MapConfig())
-    map_.integrate_points(rng.uniform(-40, 40, size=(3000, 3)))
+    integrate(map_, rng.uniform(-40, 40, size=(3000, 3)))
     rows = np.flatnonzero(map_.occupied_mask())
     map_._is_ground[rows[::3]] = True
     p = tmp_path / "map.ply"

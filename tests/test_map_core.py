@@ -1,12 +1,13 @@
 """Occupancy integration, region statistics, column tables, removal."""
 
 import numpy as np
+import pytest
 
 from rhmap.config import MapConfig
-from rhmap.indexing import pack2, pack3, region_key_mask, unpack3
+from rhmap.indexing import ScanCubes, pack2, pack3, region_key_mask, unpack3
 from rhmap.map_core import RHMap
 
-from conftest import cube_state, hit_cubes, region
+from conftest import cube_state, hit_cubes, integrate, lookup_rows, region
 
 
 def make_map():
@@ -29,11 +30,23 @@ def test_two_hits_additive():
     assert len(map_) == 1
 
 
+def test_integrate_rejects_a_grouping_of_another_shape():
+    # a 0.2 m grouping's keys would name other cubes of a 0.1 m map
+    map_ = make_map()
+    pts = np.random.default_rng(11).uniform(-2, 2, size=(500, 3))
+    with pytest.raises(ValueError, match="cube_size 0.2"):
+        map_.integrate_points(ScanCubes(pts, MapConfig(cube_size=0.2)))
+    with pytest.raises(ValueError, match="mask_bits 4"):
+        map_.integrate_points(ScanCubes(pts, MapConfig(mask_bits=4)))
+    assert len(map_) == 0 and len(map_.regions) == 0
+    assert map_.integrate_points(ScanCubes(pts, MapConfig())) == len(map_) > 0
+
+
 def test_region_stats_ordering():
     rng = np.random.default_rng(3)
     map_ = make_map()
     pts = rng.uniform(0.0, 0.79, size=(200, 3))
-    map_.integrate_points(pts)
+    integrate(map_, pts)
     for rkey in map_.regions:
         r = region(map_, rkey)
         z_mean = (r.z_sum / r.occupied_count + 0.5) * 0.1
@@ -50,12 +63,12 @@ def test_column_band_matches_full_rescan_oracle():
     live, ground, seen_cols = set(), set(), set()
     for _ in range(6):
         pts = rng.uniform(-2.0, 2.0, size=(800, 3))
-        map_.integrate_points(pts)
+        integrate(map_, pts)
         gidx = np.floor(pts / 0.1).astype(np.int64)
         live |= set(pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2]).tolist())
         keys = np.array(sorted(live))
         marked = keys[rng.random(len(keys)) < 0.1]
-        map_._is_ground[map_.lookup_rows(marked)[0]] = True
+        map_._is_ground[lookup_rows(map_, marked)[0]] = True
         ground |= set(marked.tolist())
         rkeys = np.unique(keys & rmask)
         flagged = set(rkeys[rng.random(len(rkeys)) < 0.3].tolist())
@@ -93,7 +106,7 @@ def remove(map_, rkey) -> int:
 def _plant_region(map_, ground_cubes, nonground_cubes):
     hit_cubes(map_, ground_cubes + nonground_cubes)
     keys = pack3(*np.array(ground_cubes).T)
-    rows, _, _ = map_.lookup_rows(keys)
+    rows, _, _ = lookup_rows(map_, keys)
     map_._is_ground[rows] = True
 
 
@@ -128,7 +141,7 @@ def test_remove_survivors_match_brute_force():
     rng = np.random.default_rng(5)
     map_ = make_map()
     pts = rng.uniform(0.0, 0.79, size=(300, 3))
-    map_.integrate_points(pts)
+    integrate(map_, pts)
     (rkey,) = map_.regions
     rows = region(map_, rkey).rows
     ground_rows = rows[rng.random(len(rows)) < 0.4]
@@ -156,7 +169,7 @@ def test_lazy_column_rescan_after_removal():
     hit_cubes(map_, (0, 0, 1))       # z-center 0.15, ground
     hit_cubes(map_, (0, 0, 20))      # z-center 2.05, region (0,0,16)
     keys = pack3(np.array([0]), np.array([0]), np.array([1]))
-    rows, _, _ = map_.lookup_rows(keys)
+    rows, _, _ = lookup_rows(map_, keys)
     map_._is_ground[rows] = True
     col = int(pack2(np.int64(0), np.int64(0)))
     assert np.allclose(column_band(map_, col), (0.15, 2.05))
@@ -205,7 +218,7 @@ def test_export_empty_map():
 
 def test_export_single_cube_center():
     map_ = make_map()
-    map_.integrate_points(np.array([[0.05, 0.05, 0.05]]))
+    integrate(map_, np.array([[0.05, 0.05, 0.05]]))
     pts, ground = map_.export_occupied_points()
     assert np.allclose(pts, [[0.05, 0.05, 0.05]])
     assert ground.tolist() == [False]
@@ -215,7 +228,7 @@ def test_export_count_matches_independent_tally():
     rng = np.random.default_rng(7)
     map_ = make_map()
     pts = rng.uniform(-3, 3, size=(5000, 3))
-    map_.integrate_points(pts)
+    integrate(map_, pts)
     expected = len(np.unique(np.floor(pts / 0.1).astype(np.int64), axis=0))
     out, _ = map_.export_occupied_points()
     assert len(out) == expected
@@ -226,9 +239,9 @@ def test_export_order_deterministic():
     rng = np.random.default_rng(8)
     pts = rng.uniform(-1, 1, size=(500, 3))
     a = make_map()
-    a.integrate_points(pts)
+    integrate(a, pts)
     b = make_map()
-    b.integrate_points(pts[::-1])
+    integrate(b, pts[::-1])
     pa, _ = a.export_occupied_points()
     pb, _ = b.export_occupied_points()
     assert np.array_equal(pa, pb)
@@ -240,7 +253,7 @@ def test_bulk_lookup_after_many_inserts():
     idx = np.unique(rng.integers(-40, 40, size=(20_000, 3)), axis=0)
     keys = pack3(idx[:, 0], idx[:, 1], idx[:, 2])
     assert hit_cubes(map_, idx) == len(idx)
-    rows, present, alive = map_.lookup_rows(keys)
+    rows, present, alive = lookup_rows(map_, keys)
     assert present.all() and alive.all()
     assert (map_._keys[rows] == keys).all()
 
@@ -248,7 +261,7 @@ def test_bulk_lookup_after_many_inserts():
 def test_batched_removal_matches_brute_force():
     rng = np.random.default_rng(10)
     map_ = make_map()
-    map_.integrate_points(rng.uniform(-1.6, 1.6, size=(4000, 3)))
+    integrate(map_, rng.uniform(-1.6, 1.6, size=(4000, 3)))
     keys = map_._keys[: map_._n].copy()
     ground = rng.random(len(keys)) < 0.3
     map_._is_ground[: map_._n] = ground

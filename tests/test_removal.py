@@ -4,13 +4,15 @@ import numpy as np
 
 from rhmap.config import FrontendConfig, MapConfig
 from rhmap.geometry import Pose, Scan, transform_scan
+from rhmap.ground import r_gpe
 from rhmap.indexing import ScanCubes, pack2, pack3
 from rhmap.map_core import RHMap
 from rhmap.removal import (_flag_columns, _flag_regions,
                            build_scan_context_2d, build_scan_context_3d,
                            select_candidate_regions, s2m_removal)
 
-from conftest import cube_state, hit_cubes, region
+from conftest import (cube_state, frame_contexts, hit_cubes, identity_pose,
+                      integrate, region)
 
 CFG = MapConfig(cube_size=0.1, mask_bits=3)
 FCFG = FrontendConfig()
@@ -140,7 +142,7 @@ def test_ratio1_missing_column_and_degenerate_band():
 def test_flag_columns_matches_per_column_reference():
     rng = np.random.default_rng(1)
     map_ = RHMap(CFG)
-    map_.integrate_points(rng.uniform(-2, 2, size=(3000, 3)))
+    integrate(map_, rng.uniform(-2, 2, size=(3000, 3)))
     pts = rng.uniform(-2, 2, size=(2000, 3))
     ctx = ctx_2d(pts, pts[:50])
     got = _flag_columns(ctx, map_, FCFG)
@@ -210,7 +212,7 @@ def test_select_candidates_simple_and_stacked():
 def test_select_candidates_matches_brute_force():
     rng = np.random.default_rng(3)
     map_ = RHMap(CFG)
-    map_.integrate_points(rng.uniform(-2, 2, size=(4000, 3)))
+    integrate(map_, rng.uniform(-2, 2, size=(4000, 3)))
     sup_w = rng.uniform(-2, 2, size=(300, 3))
     ctx = ctx_3d(sup_w, rng.uniform(0, 3, size=300),
                  sup_w[:100], rng.uniform(-3, 0, size=100))
@@ -261,12 +263,11 @@ def test_s2m_static_scene_steady_state():
     map_ = RHMap(CFG)
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
     scan = Scan(points=_flat_ground_scan())
-    from rhmap.ground import r_gpe
-    pw = transform_scan(scan, pose)
+    cubes = ScanCubes(transform_scan(scan, pose), CFG)
     for _ in range(3):
-        map_.integrate_points(pw)
-        r_gpe(map_, pw, fcfg)
-        report = s2m_removal(map_, scan, pose, fcfg)
+        map_.integrate_points(cubes)
+        r_gpe(map_, cubes, fcfg)
+        report = s2m_removal(map_, frame_contexts(scan, pose, fcfg, CFG), fcfg)
     assert report.cubes_removed == 0
 
 
@@ -276,17 +277,17 @@ def test_s2m_removes_planted_trail_but_keeps_ground():
     map_ = RHMap(CFG)
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
     scan = Scan(points=_flat_ground_scan())
-    from rhmap.ground import r_gpe
-    pw = transform_scan(scan, pose)
-    map_.integrate_points(pw)
-    r_gpe(map_, pw, fcfg)
+    cubes = ScanCubes(transform_scan(scan, pose), CFG)
+    map_.integrate_points(cubes)
+    r_gpe(map_, cubes, fcfg)
     # plant a ghost trail: a 1.5 m tall stack of non-ground cubes
     trail = [(20, 10, z) for z in range(2, 15)]
     hit_cubes(map_, trail)
     ground_before = int(map_._is_ground[: map_._n][map_._alive[: map_._n]].sum())
     removed_total = 0
+    contexts = frame_contexts(scan, pose, fcfg, CFG)
     for _ in range(3):
-        report = s2m_removal(map_, scan, pose, fcfg)
+        report = s2m_removal(map_, contexts, fcfg)
         removed_total += report.cubes_removed
     for idx in trail:
         assert cube_state(map_, idx) is None
@@ -299,8 +300,12 @@ def test_s2m_removes_planted_trail_but_keeps_ground():
 
 def test_s2m_empty_scan_noop():
     map_ = RHMap(CFG)
-    report = s2m_removal(map_, Scan(points=np.zeros((0, 3))),
-                         Pose.identity(), FCFG)
+    hit_cubes(map_, [(0, 0, z) for z in range(12)])
+    ctx2, ctx3 = frame_contexts(Scan(points=np.zeros((0, 3))),
+                                identity_pose(), FCFG, CFG)
+    assert len(ctx2) == len(ctx3) == 0
+    report = s2m_removal(map_, (ctx2, ctx3), FCFG)
+    assert len(map_) == 12
     assert report.cubes_removed == 0
     assert report.columns_flagged == 0
 
@@ -313,12 +318,11 @@ def test_s2m_deterministic_report_and_map():
     outputs = []
     for _ in range(2):
         map_ = RHMap(CFG)
-        pw = transform_scan(scan, pose)
-        map_.integrate_points(pw)
-        from rhmap.ground import r_gpe
-        r_gpe(map_, pw, fcfg)
+        cubes = ScanCubes(transform_scan(scan, pose), CFG)
+        map_.integrate_points(cubes)
+        r_gpe(map_, cubes, fcfg)
         hit_cubes(map_, [(12, -6, z) for z in range(2, 12)])
-        report = s2m_removal(map_, scan, pose, fcfg)
+        report = s2m_removal(map_, frame_contexts(scan, pose, fcfg, CFG), fcfg)
         pts, ground = map_.export_occupied_points()
         outputs.append((report.columns_flagged, report.regions_flagged,
                         report.cubes_removed, pts.tobytes(),
@@ -332,12 +336,11 @@ def test_s2m_flags_only_observed_columns():
     map_ = RHMap(CFG)
     pose = Pose(np.eye(3), np.array([0.0, 0.0, 1.0]))
     scan = Scan(points=_flat_ground_scan())
-    pw = transform_scan(scan, pose)
-    map_.integrate_points(pw)
+    integrate(map_, transform_scan(scan, pose))
     # a trail far outside the scan's reach must be untouched
     far = [(400, 400, z) for z in range(2, 15)]
     hit_cubes(map_, far)
-    s2m_removal(map_, scan, pose, fcfg)
+    s2m_removal(map_, frame_contexts(scan, pose, fcfg, CFG), fcfg)
     for idx in far:
         assert cube_state(map_, idx) is False
 
@@ -345,8 +348,8 @@ def test_s2m_flags_only_observed_columns():
 def test_flag_regions_matches_per_region_reference():
     rng = np.random.default_rng(12)
     map_ = RHMap(CFG)
-    map_.integrate_points(rng.uniform(-2, 2, size=(4000, 3)))
-    map_.integrate_points(np.array([[0.05, 0.05, 3.05]]))   # one-cube region
+    integrate(map_, rng.uniform(-2, 2, size=(4000, 3)))
+    integrate(map_, np.array([[0.05, 0.05, 3.05]]))   # one-cube region
     sup_w = rng.uniform(-2, 2, size=(300, 3))
     ctx = ctx_3d(sup_w, rng.uniform(0, 3, size=300),
                  sup_w[:100], rng.uniform(-3, 0, size=100))
