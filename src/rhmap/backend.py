@@ -19,7 +19,9 @@ from .range_image import RangeImage
 from .removal import RemovalReport, ScanContext2D, ScanContext3D, s2m_removal
 
 
-@dataclass
+# compared by identity: the back end pops the replayed keyframes themselves,
+# and a field-wise compare would compare numpy arrays
+@dataclass(eq=False)
 class Keyframe:
     contexts: tuple[ScanContext2D, ScanContext3D]
     pose: Pose

@@ -111,7 +111,7 @@ def cmd_run(args) -> int:
     cfg = _build_config(args)
     if args.synthetic:
         scene = load_scene(args.synthetic)
-        frames = synth_scene(scene, cfg.seed)
+        frames = synth_scene(scene)
     else:
         scans = args.scans or cfg.scans_dir
         poses = args.poses or cfg.poses_file
@@ -153,9 +153,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = _build_config(args)
     scene = load_scene(args.spec)
-    frames = synth_scene(scene, cfg.seed)
+    frames = synth_scene(scene)
     scans_dir = os.path.join(args.out, "velodyne")
     labels_dir = os.path.join(args.out, "labels")
     os.makedirs(scans_dir, exist_ok=True)
@@ -198,7 +197,7 @@ def cmd_bench(args) -> int:
     fe.fov_down_deg, fe.fov_up_deg = scene.fov_down_deg, scene.fov_up_deg
     fe.r_max = scene.r_max
     cfg = _build_config(args, base)
-    frames = synth_scene(scene, cfg.seed)
+    frames = synth_scene(scene)
     result = run_pipeline(cfg, frames)
     body = timing_report(result.frame_times_ms)
     body["points_per_frame"] = float(np.mean([len(s) for s, _, _ in frames]))
@@ -230,7 +229,6 @@ def build_parser() -> _Parser:
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--spec", required=True)
     p_synth.add_argument("--out", required=True)
-    _add_config_flags(p_synth)
     p_synth.set_defaults(func=cmd_synth)
 
     p_bench = sub.add_parser("bench", help="measure pipeline throughput")

@@ -87,7 +87,6 @@ class PipelineConfig:
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     backend: BackendConfig = field(default_factory=BackendConfig)
     backend_enabled: bool = True
-    seed: int = 0
     scans_dir: str = ""
     poses_file: str = ""
     labels_dir: str = ""

@@ -18,14 +18,11 @@ class EvalResult:
     n_dyn: int
     n_tn: int
     n_tp: int
-    mean_ms: float = 0.0
-    hz: float = 0.0
 
     def to_dict(self) -> dict:
         return {"PR": self.pr, "RR": self.rr, "F1": self.f1,
                 "N_sta": self.n_sta, "N_dyn": self.n_dyn,
-                "N_TN": self.n_tn, "N_TP": self.n_tp,
-                "mean_ms": self.mean_ms, "hz": self.hz}
+                "N_TN": self.n_tn, "N_TP": self.n_tp}
 
 
 def f1_score(pr: float, rr: float) -> float:

@@ -77,12 +77,12 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
     Only regions that want a plane are fitted (see
     :meth:`RHMap.unfitted_region_cubes`): absent and already fitted
     regions are skipped, and so is a region whose last fit failed at its
-    current live-cube count, which counts as a failed plane.
+    current cube count, which counts as a failed plane.
 
     A region's plane is the PCA fit, in cube-index units, of its low
-    cubes.  A live cube is low when its z index ``k`` is at most the
+    cubes.  A cube is low when its z index ``k`` is at most the
     region's mean, tested exactly in integers as ``n * k <= sum_k`` over
-    the region's ``n`` live cubes.  The covariance of the ``m`` low cubes
+    the region's ``n`` cubes.  The covariance of the ``m`` low cubes
     comes from raw moments of their integer index offsets from the region
     origin, ``(m S2 - S1 S1^T) / m^2``: every sum is an integer, so it is
     exact and does not depend on the order of the cubes.  The normal is
@@ -94,7 +94,7 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
     normal steeper than ``fcfg.min_ground_normal_z`` allows (walls are
     not ground).
 
-    Every live cube of a fitted region within ``fcfg.r_gro`` of the plane
+    Every cube of a fitted region within ``fcfg.r_gro`` of the plane
     is marked as ground, so staircase levels above the mean on sloped
     terrain count too, and its z-center is folded into the ground height
     table G.  All regions' fits, checks and markings run as single array
@@ -108,7 +108,7 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
     idx = unpack3(cubes.keys)
     low = cubes.count[owner] * idx[:, 2] <= cubes.z_sum[owner]
 
-    # a region's lowest live cube is always low, so every region owns one
+    # a region's lowest cube is always low, so every region owns one
     # run of the low cubes
     off = idx[low] & map_.config.mask     # offsets from the region origin
     seg = run_starts(owner[low])
@@ -133,12 +133,12 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
     report.regions_fitted += int(ok.sum())
     report.planes_failed += int((~ok).sum())
 
-    # margin extraction runs over every live cube of the fitted regions
+    # margin extraction runs over every cube of the fitted regions
     good = ok[owner]
-    owner, rows, pts = owner[good], cubes.rows[good], idx[good].astype(np.float64)
+    owner, pos, pts = owner[good], cubes.pos[good], idx[good].astype(np.float64)
     dist = np.abs(np.einsum("ij,ij->i", pts, normals[owner]) - d[owner])
     within = dist < fcfg.r_gro
-    map_.mark_ground(rows[within])
+    map_.mark_ground(pos[within])
     report.ground_cubes_added += int(within.sum())
 
 

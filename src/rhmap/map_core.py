@@ -3,13 +3,14 @@
 The map stores occupancy at cube resolution inside fixed-extent regions.
 Every table is a set of flat parallel numpy arrays:
 
-* cube state (packed key, ground flag, alive flag) by row; a cube is
-  occupied from the first point that falls in it until removal kills it;
-* the cube index, the rows sorted by region-major key
-  (:func:`~rhmap.indexing.region_major`).  It answers batch lookups, and
-  each region's cubes form one contiguous run of it, in key order;
+* the cube table: the sorted region-major keys
+  (:func:`~rhmap.indexing.region_major`) of the occupied cubes and their
+  ground flags.  A cube enters it with the first point that falls in it
+  and leaves it when removal deletes it; one seen again later is a new
+  cube.  The table answers batch lookups, and each region's cubes form
+  one contiguous run of it, in key order;
 * the region table, sorted by packed region key: the z extent of the
-  region's live cubes, the int64 sum of their z indices and their count,
+  region's cubes, the int64 sum of their z indices and their count,
   plus the region's fitted ground plane.  Integer sums do not depend on
   the order cubes arrive in, so neither does anything computed from the
   table.  A region's column key is ``region_key >> 21``, so the regions
@@ -35,6 +36,7 @@ from .indexing import (
     ScanCubes,
     cube_centers,
     find_sorted,
+    from_region_major,
     gather_runs,
     region_key_mask,
     region_major,
@@ -55,12 +57,15 @@ def _z_of_keys(keys: np.ndarray) -> np.ndarray:
 
 
 class RegionCubes(NamedTuple):
-    """Live cubes of some regions, grouped by region, in key order within one."""
+    """Cubes of some regions, grouped by region, in key order within one.
+
+    ``pos`` stays valid until the cube table next changes.
+    """
 
     rkeys: np.ndarray    # the regions, sorted
-    z_sum: np.ndarray    # int64 sum of each region's live-cube z indices
-    count: np.ndarray    # each region's live-cube count
-    rows: np.ndarray     # each cube's row
+    z_sum: np.ndarray    # int64 sum of each region's cube z indices
+    count: np.ndarray    # each region's cube count
+    pos: np.ndarray      # each cube's position in the cube table
     keys: np.ndarray     # each cube's packed key
     owner: np.ndarray    # index into rkeys of each cube's region
 
@@ -71,13 +76,8 @@ class RHMap:
         bits = self.config.mask_bits
         self._rmask = region_key_mask(bits)
         self._region_span = 1 << (3 * bits)            # region-major width
-        self._n = 0
-        cap = 1024
-        self._keys = np.zeros(cap, dtype=np.int64)
-        self._is_ground = np.zeros(cap, dtype=bool)
-        self._alive = np.zeros(cap, dtype=bool)
         self._skeys = np.empty(0, dtype=np.int64)     # region-major, sorted
-        self._srows = np.empty(0, dtype=np.int64)
+        self._is_ground = np.empty(0, dtype=bool)
         self._rkeys = np.empty(0, dtype=np.int64)
         self._rz_min = np.empty(0, dtype=np.float64)
         self._rz_max = np.empty(0, dtype=np.float64)
@@ -94,6 +94,10 @@ class RHMap:
     def _rm(self, keys) -> np.ndarray:
         return region_major(keys, self.config.mask_bits)
 
+    def _keys_at(self, pos) -> np.ndarray:
+        """Packed keys of cube-table positions."""
+        return from_region_major(self._skeys[pos], self.config.mask_bits)
+
     def _zc(self, kz) -> np.ndarray:
         """Cube-centre heights of z indices."""
         return (kz + 0.5) * self.config.cube_size
@@ -101,16 +105,7 @@ class RHMap:
     # ------------------------------------------------------------------ lookup
 
     def __len__(self):
-        return int(self._alive[: self._n].sum())
-
-    def _lookup_rm(self, rm: np.ndarray):
-        """(index positions, rows, present, alive) of region-major keys."""
-        pos, present = find_sorted(self._skeys, rm)
-        rows = np.full(rm.shape, -1, dtype=np.int64)
-        rows[present] = self._srows[pos[present]]
-        alive = np.zeros(rm.shape, dtype=bool)
-        alive[present] = self._alive[rows[present]]
-        return pos, rows, present, alive
+        return len(self._skeys)
 
     # --------------------------------------------------------------- insertion
 
@@ -126,56 +121,26 @@ class RHMap:
 
     def integrate_points(self, cubes: ScanCubes) -> int:
         """Occupy the cubes a scan's world points (grouped by cube) fall
-        in; returns the count of cubes that came alive (new or revived)."""
+        in; returns the count of new cubes."""
         self.check_grouping(cubes)
         return self._integrate(cubes.cube_rm, cubes.cube_keys)
 
     def _integrate(self, rm: np.ndarray, uk: np.ndarray) -> int:
         """Occupy distinct cubes given in region-major order.
 
-        Returns the count of cubes that came alive (new or revived); those
-        join their region's statistics.
+        Cubes not in the table enter it as non-ground cubes and join their
+        region's statistics; returns their count.
         """
-        pos, rows, present, live = self._lookup_rm(rm)
-
-        # cubes removed earlier come back as fresh, non-ground cubes
-        revive = present & ~live
-        if revive.any():
-            r = rows[revive]
-            self._is_ground[r] = False
-            self._alive[r] = True
-
+        pos, present = find_sorted(self._skeys, rm)
         new = ~present
-        n_new = int(new.sum())
-        if n_new:
-            self._ensure_capacity(self._n + n_new)
-            new_rows = np.arange(self._n, self._n + n_new, dtype=np.int64)
-            rows[new] = new_rows
-            self._n += n_new
-            self._keys[new_rows] = uk[new]
-            self._is_ground[new_rows] = False
-            self._alive[new_rows] = True
+        if new.any():
             self._skeys = np.insert(self._skeys, pos[new], rm[new])
-            self._srows = np.insert(self._srows, pos[new], new_rows)
+            self._is_ground = np.insert(self._is_ground, pos[new], False)
+            self._register_new(rm[new], uk[new])
+        return int(new.sum())
 
-        came_alive = ~live
-        self._register_alive(rm[came_alive], uk[came_alive])
-        return int(came_alive.sum())
-
-    def _ensure_capacity(self, need: int):
-        cap = len(self._keys)
-        if need <= cap:
-            return
-        while cap < need:
-            cap *= 2
-        for name in ("_keys", "_is_ground", "_alive"):
-            arr = getattr(self, name)
-            grown = np.zeros(cap, dtype=arr.dtype)
-            grown[: self._n] = arr[: self._n]
-            setattr(self, name, grown)
-
-    def _register_alive(self, rm: np.ndarray, keys: np.ndarray):
-        """Fold cubes that came alive (region-major sorted) into the region table."""
+    def _register_new(self, rm: np.ndarray, keys: np.ndarray):
+        """Fold new cubes (region-major sorted) into the region table."""
         seg = run_starts(rm >> (3 * self.config.mask_bits))
         kz = _z_of_keys(keys)
         zc = self._zc(kz)
@@ -205,23 +170,22 @@ class RHMap:
 
     # ---------------------------------------------------------------- regions
 
-    def _region_rows(self, rkeys: np.ndarray):
-        """Rows of every indexed cube (live or not) of the given regions.
+    def _region_pos(self, rkeys: np.ndarray):
+        """Cube-table positions of every cube of the given regions.
 
-        Returns ``(rows, owner)``: rows grouped by region in the order of
-        ``rkeys`` and in cube-key order within a region, which does not
+        Returns ``(pos, owner)``: positions grouped by region in the order
+        of ``rkeys`` and in cube-key order within a region, which does not
         depend on the order the cubes arrived in; ``owner`` is the index
-        into ``rkeys`` of each row's region.
+        into ``rkeys`` of each position's region.
         """
         lo = self._rm(rkeys)
         starts = np.searchsorted(self._skeys, lo)
         # the last key of a span can be the largest int64; span - 1 stays in range
         ends = np.searchsorted(self._skeys, lo + (self._region_span - 1), side="right")
-        pos, owner = gather_runs(starts, ends)
-        return self._srows[pos], owner
+        return gather_runs(starts, ends)
 
     def region_bands(self, rkeys: np.ndarray):
-        """(z_min, z_max) arrays of existing regions' live cubes."""
+        """(z_min, z_max) arrays of existing regions' cubes."""
         pos = np.searchsorted(self._rkeys, rkeys)
         return self._rz_min[pos], self._rz_max[pos]
 
@@ -247,10 +211,10 @@ class RHMap:
         return self._rkeys[pos], owner
 
     def column_bands(self, cols: np.ndarray):
-        """Live-cube z bands of region columns, from their regions' extents.
+        """Cube z bands of region columns, from their regions' extents.
 
-        Returns ``(lo, hi, known)``; columns without live cubes are not
-        known and read NaN.
+        Returns ``(lo, hi, known)``; columns without cubes are not known
+        and read NaN.
         """
         cols = np.asarray(cols, dtype=np.int64)
         pos, owner = self._column_regions(cols)
@@ -272,16 +236,16 @@ class RHMap:
 
     @property
     def regions(self) -> np.ndarray:
-        """Sorted keys of the regions holding live cubes (a copy)."""
+        """Sorted keys of the regions holding cubes (a copy)."""
         return self._rkeys.copy()
 
     # ----------------------------------------------------------- ground fits
 
     def unfitted_region_cubes(self, rkeys) -> tuple[RegionCubes, int]:
-        """Live cubes of the given regions that still want a ground plane.
+        """Cubes of the given regions that still want a ground plane.
 
         A region wants one while it has none, unless its last fit failed
-        at its current live-cube count: a retry is pointless until the
+        at its current cube count: a retry is pointless until the
         region gains or loses cubes.  Absent keys are ignored.  Returns
         the wanting regions' cubes and the count of regions skipped for a
         pointless retry.
@@ -293,11 +257,9 @@ class RHMap:
         stale = unfitted & (self._rfail_at[at] == self._rcount[at])
         want = unfitted & ~stale
         at = at[want]
-        rows, owner = self._region_rows(self._rkeys[at])
-        live = self._alive[rows]
-        rows, owner = rows[live], owner[live]
+        pos, owner = self._region_pos(self._rkeys[at])
         cubes = RegionCubes(self._rkeys[at], self._rz_sum[at], self._rcount[at],
-                            rows, self._keys[rows], owner)
+                            pos, self._keys_at(pos), owner)
         return cubes, int(stale.sum())
 
     def record_plane_fits(self, rkeys: np.ndarray, ok: np.ndarray,
@@ -305,7 +267,7 @@ class RHMap:
         """Store the outcome of ground fits on existing regions.
 
         A region whose fit passed (``ok``) keeps its plane ``n . i = d``
-        in cube-index units; one whose fit failed records its live-cube
+        in cube-index units; one whose fit failed records its cube
         count, so that :meth:`unfitted_region_cubes` skips it until the
         count changes.
         """
@@ -315,11 +277,11 @@ class RHMap:
         self._rfitted[at[ok]] = True
         self._rfail_at[at[~ok]] = self._rcount[at[~ok]]
 
-    def mark_ground(self, rows: np.ndarray):
-        """Mark live cubes (by row) as ground and fold their centre heights
-        into G."""
-        keys = self._keys[rows]
-        self._is_ground[rows] = True
+    def mark_ground(self, pos: np.ndarray):
+        """Mark cubes (by cube-table position) as ground and fold their
+        centre heights into G."""
+        keys = self._keys_at(pos)
+        self._is_ground[pos] = True
         # a cube key shifted past its z field is its (x, y) column key
         self.update_ground_samples(keys >> 21, self._zc(_z_of_keys(keys)))
 
@@ -334,21 +296,19 @@ class RHMap:
         """
         rkeys = sorted_unique(np.atleast_1d(region_keys))
         rkeys = rkeys[find_sorted(self._rkeys, rkeys)[1]]
-        rows, owner = self._region_rows(rkeys)
-        alive = self._alive[rows]
-        doomed = alive & ~self._is_ground[rows]
+        pos, owner = self._region_pos(rkeys)
+        doomed = ~self._is_ground[pos]
         if not doomed.any():
             return 0
-        self._alive[rows[doomed]] = False
 
         hit = np.zeros(len(rkeys), dtype=bool)
         hit[owner[doomed]] = True
-        keep = alive & ~doomed & hit[owner]
+        keep = ~doomed & hit[owner]
         kept_owner = owner[keep]
         survivors = np.bincount(kept_owner, minlength=len(rkeys))
         if len(kept_owner):
             seg = run_starts(kept_owner)
-            kz = _z_of_keys(self._keys[rows[keep]])
+            kz = _z_of_keys(self._keys_at(pos[keep]))
             zc = self._zc(kz)
             i = np.searchsorted(self._rkeys, rkeys[kept_owner[seg]])
             self._rz_min[i] = np.minimum.reduceat(zc, seg)
@@ -359,7 +319,10 @@ class RHMap:
         if len(emptied):
             for name in _REGION_ARRAYS:
                 setattr(self, name, np.delete(getattr(self, name), emptied, axis=0))
-        return int(doomed.sum())
+        gone = pos[doomed]
+        self._skeys = np.delete(self._skeys, gone)
+        self._is_ground = np.delete(self._is_ground, gone)
+        return len(gone)
 
     # ------------------------------------------------------------ ground table
 
@@ -389,19 +352,14 @@ class RHMap:
 
     # ------------------------------------------------------------------ export
 
-    def occupied_mask(self) -> np.ndarray:
-        """Occupied flag by row: a cube is occupied while it is alive."""
-        return self._alive[: self._n].copy()
-
     def occupied_keys(self) -> np.ndarray:
         """Sorted packed keys of occupied cubes."""
-        return np.sort(self._keys[: self._n][self.occupied_mask()])
+        return np.sort(self._keys_at(slice(None)))
 
     def export_occupied_points(self):
         """Occupied cube centers sorted by region then cube key.
 
         Returns (points (N, 3), is_ground (N,)).
         """
-        rows = self._srows[self.occupied_mask()[self._srows]]
-        return cube_centers(self._keys[rows], self.config.cube_size), \
-            self._is_ground[rows]
+        return (cube_centers(self._keys_at(slice(None)), self.config.cube_size),
+                self._is_ground.copy())

@@ -16,7 +16,7 @@ from rhmap import map_core
 from rhmap.config import PipelineConfig
 from rhmap.evaluate import count_dynamic_cubes, evaluate
 from rhmap.geometry import Pose, transform_scan
-from rhmap.indexing import ScanCubes, cube_indices, pack3
+from rhmap.indexing import ScanCubes, cube_indices, find_sorted, pack3
 from rhmap.pipeline import run_pipeline
 from rhmap.range_image import build_range_image
 from rhmap.removal import scan_contexts
@@ -26,9 +26,9 @@ from rhmap.synth import MovingBox, SceneSpec, synth_scene
 # Ground-preservation guard.  Every call to remove_regions_nonground, the
 # one removal entry point of the map, which scan-to-map removal and the
 # back end both go through, is checked anywhere in the test session: a cube
-# that was alive and marked is_ground anywhere in the map before the call
-# must still be alive afterwards.  Violations accumulate in GROUND_KILLS for
-# an exact-count assertion.
+# marked is_ground anywhere in the map before the call must still be in the
+# map afterwards.  Violations accumulate in GROUND_KILLS for an exact-count
+# assertion.
 
 GROUND_KILLS = {"count": 0, "calls": 0}
 
@@ -36,11 +36,10 @@ _orig_remove = map_core.RHMap.remove_regions_nonground
 
 
 def _guarded_remove(self, region_keys):
-    n = self._n
-    ground_rows = np.flatnonzero(self._alive[:n] & self._is_ground[:n])
+    ground = self._skeys[self._is_ground]
     removed = _orig_remove(self, region_keys)
     GROUND_KILLS["calls"] += 1
-    GROUND_KILLS["count"] += int((~self._alive[ground_rows]).sum())
+    GROUND_KILLS["count"] += int((~find_sorted(self._skeys, ground)[1]).sum())
     return removed
 
 
@@ -77,44 +76,64 @@ def frame_contexts(scan, pose, fcfg, map_cfg):
 
 # ---------------------------------------------------------------------------
 # Single-cube access for unit tests.  The map's API is batched; these insert
-# a hit through a point at each cube's centre and read a cube back through
-# the map's region-major index.
+# a hit through a point at each cube's centre, and read and mark cubes
+# through the map's cube table (sorted region-major keys and ground flags).
+# Tests reach that table only through these helpers.
 
 def hit_cubes(map_, idx) -> int:
     """One hit on each cube index of ``idx`` ((3,) or (N, 3)); returns the
-    count of cubes that came alive."""
+    count of new cubes."""
     idx = np.asarray(idx, dtype=np.int64).reshape(-1, 3)
     return integrate(map_, (idx + 0.5) * map_.config.cube_size)
 
 
-def lookup_rows(map_, keys):
-    """Rows for packed cube keys; returns (rows, present, alive)."""
-    return map_._lookup_rm(map_._rm(keys))[1:]
+def lookup_pos(map_, keys):
+    """Cube-table positions of packed cube keys; returns (pos, present)."""
+    return find_sorted(map_._skeys, map_._rm(keys))
+
+
+def table_keys(map_):
+    """Packed keys of the map's cubes, in cube-table (region-major) order."""
+    return map_._keys_at(slice(None))
+
+
+def ground_keys(map_):
+    """Sorted packed keys of the map's ground cubes."""
+    return np.sort(table_keys(map_)[map_._is_ground])
+
+
+def mark_ground_keys(map_, keys):
+    """Set the ground flag of cubes in the map, by packed key."""
+    pos, present = lookup_pos(map_, np.asarray(keys, dtype=np.int64))
+    assert present.all()
+    map_._is_ground[pos] = True
 
 
 def cube_state(map_, idx):
-    """The is_ground flag of the live cube at index ``idx``, or None."""
+    """The is_ground flag of the cube at index ``idx``, or None when the
+    cube is not in the map."""
     x, y, z = idx
-    rows, _, alive = lookup_rows(map_, pack3([x], [y], [z]))
-    if not alive[0]:
+    pos, present = lookup_pos(map_, pack3([x], [y], [z]))
+    if not present[0]:
         return None
-    return bool(map_._is_ground[rows[0]])
+    return bool(map_._is_ground[pos[0]])
 
 
 def region(map_, rkey) -> SimpleNamespace:
     """One row of the map's region table; KeyError when ``rkey`` is absent.
 
-    ``rows`` are the region's live cube rows in key order, ``z_min`` and
-    ``z_max`` the extent of their centre heights, ``z_sum`` the integer sum
-    of their z indices, and ``plane_n`` is None until a fit passes.
+    ``keys`` are the packed keys of the region's cubes in key order,
+    ``z_min`` and ``z_max`` the extent of their centre heights, ``z_sum``
+    the integer sum of their z indices, and ``plane_n`` is None until a fit
+    passes.
     """
     i = int(np.searchsorted(map_._rkeys, rkey))
     if i == len(map_._rkeys) or map_._rkeys[i] != rkey:
         raise KeyError(rkey)
-    rows, _ = map_._region_rows(np.array([rkey], dtype=np.int64))
+    pos, _ = map_._region_pos(np.array([rkey], dtype=np.int64))
     fitted = bool(map_._rfitted[i])
     return SimpleNamespace(
-        rows=rows[map_._alive[rows]], z_min=float(map_._rz_min[i]),
+        keys=map_._keys_at(pos), z_min=float(map_._rz_min[i]),
         z_max=float(map_._rz_max[i]), z_sum=int(map_._rz_sum[i]),
         occupied_count=int(map_._rcount[i]), fitted=fitted,
         plane_n=map_._rnormal[i].copy() if fitted else None,

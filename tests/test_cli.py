@@ -62,6 +62,7 @@ def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys,
     assert body["timing"]["mean_ms"] > 0
     assert 0.0 <= body["eval"]["PR"] <= 1.0
     printed = json.loads(capsys.readouterr().out)
+    assert set(printed) == {"PR", "RR", "F1", "N_sta", "N_dyn", "N_TN", "N_TP"}
     assert printed["PR"] == body["eval"]["PR"]
     pts, ground = read_map_ply(out_map)
     assert len(pts) > 0
@@ -133,6 +134,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["run", "--synthetic", "x.json", "--table_size", "5"]) == 1
     assert main(["run", "--synthetic", "x.json",
                  "--signed_jump", "true"]) == 1
+    # so is the seed, which the analytic scene generator never read
+    assert main(["run", "--synthetic", "x.json", "--seed", "1"]) == 1
     cfg = tmp_path / "run.cfg"
     cfg.write_text("hash_prime_x = 3\n")
     assert main(["run", "--synthetic", "x.json", "--config", str(cfg)]) == 1

@@ -14,7 +14,7 @@ from rhmap.indexing import ScanCubes, pack2, pack3, unpack3
 from rhmap.io_formats import write_map_ply
 from rhmap.map_core import RHMap
 
-from conftest import cube_state, hit_cubes, integrate, region
+from conftest import cube_state, ground_keys, hit_cubes, integrate, region
 
 
 FCFG = FrontendConfig()
@@ -38,7 +38,7 @@ def assert_fit_failed(map_, report):
     assert report.regions_fitted == 0 and report.planes_failed == 1
     assert r.fit_failed_at == r.occupied_count
     assert report.ground_cubes_added == 0
-    assert not map_._is_ground[: map_._n].any()
+    assert len(ground_keys(map_)) == 0
 
 
 # Scalar oracle of fit_ground_planes, one region at a time.
@@ -54,7 +54,7 @@ def fit_region_plane(map_, region_key, min_normal_z):
     give None.
     """
     r = region(map_, region_key)
-    idx = unpack3(map_._keys[r.rows])
+    idx = unpack3(r.keys)
     pts = idx[idx[:, 2] <= idx[:, 2].mean()].astype(np.float64)
     if len(pts) < 3:
         return None
@@ -73,7 +73,7 @@ def fit_region_plane(map_, region_key, min_normal_z):
 
 def extract_ground_cubes(map_, region_key, n, d, r_gro):
     """Keys and z-centers of a region's live cubes within r_gro of a plane."""
-    keys = map_._keys[region(map_, region_key).rows]
+    keys = region(map_, region_key).keys
     idx = unpack3(keys)
     near = np.abs(idx.astype(np.float64) @ n - d) < r_gro
     return keys[near], (idx[near, 2] + 0.5) * map_.config.cube_size
@@ -95,7 +95,7 @@ def test_flat_lattice_plane():
     assert np.allclose(n, [0.0, 0.0, 1.0], atol=1e-9)
     assert abs(d) < 1e-9
     # every member cube satisfies the plane equation
-    idx = unpack3(map_._keys[r.rows])
+    idx = unpack3(r.keys)
     assert np.abs(idx @ n - d).max() <= 1e-6
 
 
@@ -150,7 +150,7 @@ def test_extract_flat_region_marks_all_low_cubes():
     hit_cubes(map_, (0, 0, 5))  # above the mean; not in the low set
     report = fit_all(map_)
     assert report.ground_cubes_added == 64
-    got = set(map_._keys[: map_._n][map_._is_ground[: map_._n]].tolist())
+    got = set(ground_keys(map_).tolist())
     expect = {int(pack3(np.int64(x), np.int64(y), np.int64(0)))
               for x in range(8) for y in range(8)}
     assert got == expect
@@ -165,7 +165,7 @@ def test_extract_excludes_displaced_cube():
     map_ = _lattice_map()
     hit_cubes(map_, (0, 0, 3))  # 3 cube units off the plane
     fit_all(map_, FrontendConfig(r_gro=1.25))
-    got = set(map_._keys[: map_._n][map_._is_ground[: map_._n]].tolist())
+    got = set(ground_keys(map_).tolist())
     assert int(pack3(np.int64(0), np.int64(0), np.int64(3))) not in got
     assert len(got) == 64
 
@@ -181,8 +181,8 @@ def test_extract_matches_brute_force_filter():
     r = region(map_, rkey)
     if not r.fitted:
         pytest.skip("degenerate random draw")
-    got = set(map_._keys[: map_._n][map_._is_ground[: map_._n]].tolist())
-    idx = unpack3(map_._keys[r.rows])
+    got = set(ground_keys(map_).tolist())
+    idx = unpack3(r.keys)
     near = idx[np.abs(idx @ r.plane_n - r.plane_d) < 1.25]
     expect = {int(pack3(*i)) for i in near}
     assert got == expect
@@ -278,13 +278,13 @@ def test_batch_fit_matches_per_region_path():
     regions = map_.regions.tolist()
 
     # oracle first: it only reads the map
-    planes, ground_keys, g_keys, g_z = {}, [], [], []
+    planes, oracle_keys, g_keys, g_z = {}, [], [], []
     for k in regions:
         planes[k] = fit_region_plane(map_, k, FCFG.min_ground_normal_z)
         if planes[k] is not None:
             keys, zc = extract_ground_cubes(map_, k, *planes[k], FCFG.r_gro)
             idx = unpack3(keys)
-            ground_keys.append(keys)
+            oracle_keys.append(keys)
             g_keys.append(pack2(idx[:, 0], idx[:, 1]))
             g_z.append(zc)
     report = GroundReport()
@@ -298,9 +298,9 @@ def test_batch_fit_matches_per_region_path():
         if r.fitted:
             assert np.allclose(r.plane_n, planes[k][0], atol=1e-9)
             assert abs(r.plane_d - planes[k][1]) < 1e-9
-    marked = map_._keys[: map_._n][map_._is_ground[: map_._n]]
-    expect = np.sort(np.concatenate(ground_keys))
-    assert np.array_equal(np.sort(marked), expect)
+    marked = ground_keys(map_)
+    expect = np.sort(np.concatenate(oracle_keys))
+    assert np.array_equal(marked, expect)
     g_keys, g_z = np.concatenate(g_keys), np.concatenate(g_z)
     uk, inv = np.unique(g_keys, return_inverse=True)
     assert np.array_equal(map_._g_keys, uk)
@@ -318,9 +318,8 @@ def test_sloped_terrain_ground_coverage():
     cubes = ScanCubes(pts, map_.config)
     map_.integrate_points(cubes)
     r_gpe(map_, cubes, FCFG)
-    marked = int(map_.occupied_mask().sum() and
-                 map_._is_ground[: map_._n][map_.occupied_mask()].sum())
-    total = int(map_.occupied_mask().sum())
+    marked = len(ground_keys(map_))
+    total = len(map_)
     assert marked / total >= 0.95
 
 

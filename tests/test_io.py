@@ -10,7 +10,7 @@ from rhmap.io_formats import (FormatError, read_kitti_scan, read_labels,
                               write_labels, write_map_ply, write_poses)
 from rhmap.map_core import RHMap
 
-from conftest import hit_cubes, integrate
+from conftest import hit_cubes, integrate, mark_ground_keys, table_keys
 
 
 def test_scan_empty_file(tmp_path):
@@ -147,8 +147,8 @@ def test_ply_round_trip_with_ground_flags(tmp_path):
     rng = np.random.default_rng(3)
     map_ = RHMap(MapConfig())
     integrate(map_, rng.uniform(-2, 2, size=(800, 3)))
-    rows = np.flatnonzero(map_.occupied_mask())
-    map_._is_ground[rows[: len(rows) // 2]] = True
+    keys = table_keys(map_)
+    mark_ground_keys(map_, keys[: len(keys) // 2])
     p = tmp_path / "map.ply"
     write_map_ply(map_, p)
     pts, ground = read_map_ply(p)
@@ -189,8 +189,7 @@ def test_ply_write_matches_row_writer_bit_for_bit(tmp_path):
     # negative, positive and far-out centers, some with long mantissas
     integrate(map_, rng.uniform(-3000, 3000, size=(3000, 3)))
     integrate(map_, rng.uniform(-1, 1, size=(500, 3)))
-    rows = np.flatnonzero(map_.occupied_mask())
-    map_._is_ground[rows[::4]] = True
+    mark_ground_keys(map_, table_keys(map_)[::4])
     p = tmp_path / "map.ply"
     write_map_ply(map_, p)
     header, _, body = p.read_bytes().partition(b"end_header\n")
@@ -212,8 +211,7 @@ def test_ply_read_matches_line_parser_bit_for_bit(tmp_path):
     rng = np.random.default_rng(5)
     map_ = RHMap(MapConfig())
     integrate(map_, rng.uniform(-40, 40, size=(3000, 3)))
-    rows = np.flatnonzero(map_.occupied_mask())
-    map_._is_ground[rows[::3]] = True
+    mark_ground_keys(map_, table_keys(map_)[::3])
     p = tmp_path / "map.ply"
     write_map_ply(map_, p)
     pts, ground = read_map_ply(p)

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from rhmap.config import MapConfig
+from rhmap.evaluate import cube_keys
 from rhmap.indexing import ScanCubes, pack2, pack3, region_key_mask, unpack3
 from rhmap.map_core import RHMap
 
-from conftest import cube_state, hit_cubes, integrate, lookup_rows, region
+from conftest import (cube_state, hit_cubes, integrate, lookup_pos,
+                      mark_ground_keys, region, table_keys)
 
 
 def make_map():
@@ -51,34 +53,54 @@ def test_region_stats_ordering():
         r = region(map_, rkey)
         z_mean = (r.z_sum / r.occupied_count + 0.5) * 0.1
         assert r.z_min <= z_mean <= r.z_max
-        assert r.occupied_count == len(r.rows)
+        assert r.occupied_count == len(r.keys)
 
 
 def test_column_band_matches_full_rescan_oracle():
-    # integration interleaved with removal: after every step each column's
-    # band is the z extent of its live cubes, tallied by brute force
+    # integration interleaved with removal against a set model: after every
+    # step the cube table, the exported cubes, each region's statistics and
+    # each column's band describe the model's cubes, tallied by brute force.
+    # Every step after the first re-hits cubes the step before removed; they
+    # come back as new, non-ground cubes.
     rng = np.random.default_rng(4)
     map_ = make_map()
     rmask = region_key_mask(3)
-    live, ground, seen_cols = set(), set(), set()
-    for _ in range(6):
+    live, ground, seen_cols, removed = set(), set(), set(), []
+    for step in range(6):
         pts = rng.uniform(-2.0, 2.0, size=(800, 3))
-        integrate(map_, pts)
-        gidx = np.floor(pts / 0.1).astype(np.int64)
-        live |= set(pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2]).tolist())
+        if step:
+            assert len(removed) > 0
+            again = rng.choice(removed, size=min(50, len(removed)), replace=False)
+            pts = np.concatenate([pts, (unpack3(again) + 0.5) * 0.1])
+        hit = set(cube_keys(pts, 0.1).tolist())
+        assert integrate(map_, pts) == len(hit - live)
+        live |= hit
         keys = np.array(sorted(live))
         marked = keys[rng.random(len(keys)) < 0.1]
-        map_._is_ground[lookup_rows(map_, marked)[0]] = True
+        mark_ground_keys(map_, marked)
         ground |= set(marked.tolist())
         rkeys = np.unique(keys & rmask)
         flagged = set(rkeys[rng.random(len(rkeys)) < 0.3].tolist())
         map_.remove_regions_nonground(np.array(sorted(flagged)))
-        live = {k for k in live if k in ground or k & rmask not in flagged}
+        kept = {k for k in live if k in ground or k & rmask not in flagged}
+        removed = sorted(live - kept)
+        live = kept
         seen_cols |= set(((keys & rmask) >> 21).tolist())
 
+        assert len(map_) == len(live)
         keys = np.array(sorted(live))
+        pts, flags = map_.export_occupied_points()
+        assert dict(zip(cube_keys(pts, 0.1).tolist(), flags.tolist())) == \
+            {k: k in ground for k in live}
+        kz = unpack3(keys)[:, 2]
+        zc = (kz + 0.5) * 0.1
+        rkeys = keys & rmask
+        assert np.array_equal(map_.regions, np.unique(rkeys))
+        for k in np.unique(rkeys).tolist():
+            z, r = zc[rkeys == k], region(map_, k)
+            assert (r.occupied_count, r.z_sum, r.z_min, r.z_max) == \
+                (len(z), kz[rkeys == k].sum(), z.min(), z.max())
         cols = (keys & rmask) >> 21
-        zc = (unpack3(keys)[:, 2] + 0.5) * 0.1
         # every column ever seen, twice, in two orders
         query = np.array(sorted(seen_cols))
         query = np.concatenate([query, query[::-1]])
@@ -105,9 +127,7 @@ def remove(map_, rkey) -> int:
 
 def _plant_region(map_, ground_cubes, nonground_cubes):
     hit_cubes(map_, ground_cubes + nonground_cubes)
-    keys = pack3(*np.array(ground_cubes).T)
-    rows, _, _ = lookup_rows(map_, keys)
-    map_._is_ground[rows] = True
+    mark_ground_keys(map_, pack3(*np.array(ground_cubes).T))
 
 
 def test_remove_keeps_ground():
@@ -143,10 +163,10 @@ def test_remove_survivors_match_brute_force():
     pts = rng.uniform(0.0, 0.79, size=(300, 3))
     integrate(map_, pts)
     (rkey,) = map_.regions
-    rows = region(map_, rkey).rows
-    ground_rows = rows[rng.random(len(rows)) < 0.4]
-    map_._is_ground[ground_rows] = True
-    expected = set(map_._keys[ground_rows].tolist())
+    keys = region(map_, rkey).keys
+    marked = keys[rng.random(len(keys)) < 0.4]
+    mark_ground_keys(map_, marked)
+    expected = set(marked.tolist())
     remove(map_, rkey)
     survivors = set(map_.occupied_keys().tolist())
     assert survivors == expected
@@ -168,9 +188,7 @@ def test_lazy_column_rescan_after_removal():
     map_ = make_map()
     hit_cubes(map_, (0, 0, 1))       # z-center 0.15, ground
     hit_cubes(map_, (0, 0, 20))      # z-center 2.05, region (0,0,16)
-    keys = pack3(np.array([0]), np.array([0]), np.array([1]))
-    rows, _, _ = lookup_rows(map_, keys)
-    map_._is_ground[rows] = True
+    mark_ground_keys(map_, pack3(np.array([0]), np.array([0]), np.array([1])))
     col = int(pack2(np.int64(0), np.int64(0)))
     assert np.allclose(column_band(map_, col), (0.15, 2.05))
     upper_rkey = int(pack3(np.int64(0), np.int64(0), np.int64(16)))
@@ -253,18 +271,18 @@ def test_bulk_lookup_after_many_inserts():
     idx = np.unique(rng.integers(-40, 40, size=(20_000, 3)), axis=0)
     keys = pack3(idx[:, 0], idx[:, 1], idx[:, 2])
     assert hit_cubes(map_, idx) == len(idx)
-    rows, present, alive = lookup_rows(map_, keys)
-    assert present.all() and alive.all()
-    assert (map_._keys[rows] == keys).all()
+    pos, present = lookup_pos(map_, keys)
+    assert present.all()
+    assert (table_keys(map_)[pos] == keys).all()
 
 
 def test_batched_removal_matches_brute_force():
     rng = np.random.default_rng(10)
     map_ = make_map()
     integrate(map_, rng.uniform(-1.6, 1.6, size=(4000, 3)))
-    keys = map_._keys[: map_._n].copy()
+    keys = table_keys(map_)
     ground = rng.random(len(keys)) < 0.3
-    map_._is_ground[: map_._n] = ground
+    mark_ground_keys(map_, keys[ground])
     rmask = region_key_mask(3)
     flagged = map_.regions.tolist()[::3]
     doomed = np.isin(keys & rmask, flagged) & ~ground

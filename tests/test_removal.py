@@ -11,8 +11,9 @@ from rhmap.removal import (_flag_columns, _flag_regions,
                            build_scan_context_2d, build_scan_context_3d,
                            select_candidate_regions, s2m_removal)
 
-from conftest import (cube_state, frame_contexts, hit_cubes, identity_pose,
-                      integrate, region)
+from conftest import (cube_state, frame_contexts, ground_keys, hit_cubes,
+                      identity_pose, integrate, region)
+
 
 CFG = MapConfig(cube_size=0.1, mask_bits=3)
 FCFG = FrontendConfig()
@@ -283,7 +284,7 @@ def test_s2m_removes_planted_trail_but_keeps_ground():
     # plant a ghost trail: a 1.5 m tall stack of non-ground cubes
     trail = [(20, 10, z) for z in range(2, 15)]
     hit_cubes(map_, trail)
-    ground_before = int(map_._is_ground[: map_._n][map_._alive[: map_._n]].sum())
+    ground_before = len(ground_keys(map_))
     removed_total = 0
     contexts = frame_contexts(scan, pose, fcfg, CFG)
     for _ in range(3):
@@ -293,7 +294,7 @@ def test_s2m_removes_planted_trail_but_keeps_ground():
         assert cube_state(map_, idx) is None
     assert removed_total >= len(trail)
     # every marked ground cube survived the removal passes
-    ground_after = int(map_._is_ground[: map_._n][map_._alive[: map_._n]].sum())
+    ground_after = len(ground_keys(map_))
     assert ground_before > 0
     assert ground_after == ground_before
 
