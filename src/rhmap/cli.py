@@ -13,12 +13,12 @@ import numpy as np
 
 from .config import (BackendConfig, ConfigError, FrontendConfig, MapConfig,
                      PipelineConfig, load_config, set_config_key)
-from .evaluate import cube_keys, evaluate, timing_report
+from .evaluate import cube_keys, evaluate
 from .indexing import sorted_unique
 from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply,
                          read_poses, read_times, write_kitti_scan, write_labels,
                          write_map_ply, write_poses)
-from .pipeline import run_pipeline
+from .pipeline import run_pipeline, timing_report
 from .synth import SceneSpec, load_scene, synth_scene
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
@@ -97,14 +97,20 @@ def _write_report(result, ev, path):
                 "regions_flagged": f.report.regions_flagged,
                 "cubes_removed": f.report.cubes_removed,
                 "ground_cubes_added": f.report.ground_cubes_added,
-                "elapsed_ms": f.elapsed_ms} for f in result.frames]
+                "elapsed_ms": f.elapsed_ms,
+                "stages_ms": f.stages_ms} for f in result.frames]
     body = {"frames": reports}
     if result.frames:
-        body["timing"] = timing_report(result.frame_times_ms)
+        body["timing"] = _timing(result)
     if ev is not None:
         body["eval"] = ev.to_dict()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(body, fh, indent=2)
+
+
+def _timing(result) -> dict:
+    return timing_report(result.frame_times_ms,
+                         [f.stages_ms for f in result.frames])
 
 
 def cmd_run(args) -> int:
@@ -199,7 +205,7 @@ def cmd_bench(args) -> int:
     cfg = _build_config(args, base)
     frames = synth_scene(scene)
     result = run_pipeline(cfg, frames)
-    body = timing_report(result.frame_times_ms)
+    body = _timing(result)
     body["points_per_frame"] = float(np.mean([len(s) for s, _, _ in frames]))
     print(json.dumps(body))
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Map quality metrics (preservation/rejection rates) and timing summaries."""
+"""Map quality metrics: preservation and rejection rates per cube."""
 
 from __future__ import annotations
 
@@ -82,11 +82,3 @@ def count_dynamic_cubes(map_, truth_keys: np.ndarray,
     _, hit = find_sorted(map_.occupied_keys(), dyn_cubes)
     return int(hit.sum())
 
-
-def timing_report(frame_times_ms) -> dict:
-    """Mean frame wall time and implied frequency over pipeline phases."""
-    times = np.asarray(list(frame_times_ms), dtype=np.float64)
-    if len(times) == 0:
-        raise ValueError("timing report needs at least one frame")
-    mean_ms = float(times.mean())
-    return {"mean_ms": mean_ms, "hz": 1000.0 / mean_ms if mean_ms > 0 else float("inf")}

@@ -46,36 +46,63 @@ def build_range_image(points: np.ndarray, rows: int, cols: int,
         return RangeImage(rng, height, pid, fov, 0, np.zeros(0, dtype=bool))
 
     # the arithmetic of np.linalg.norm(points, axis=1), whose three-term
-    # reduction adds left to right, without its per-row reduction overhead
+    # reduction adds left to right, without its per-row reduction overhead;
+    # in place, so a frame holds few (N,) temporaries at once
     x, y, z = points[:, 0], points[:, 1], points[:, 2]
-    depth = np.sqrt((x * x + y * y) + z * z)
+    depth = x * x
+    tmp = y * y
+    depth += tmp
+    np.multiply(z, z, out=tmp)
+    depth += tmp
+    np.sqrt(depth, out=depth)
     valid = depth > 0
-    sin_elev = np.divide(z, depth, out=np.zeros(len(points)), where=valid)
-    elev = np.arcsin(np.clip(sin_elev, -1.0, 1.0))
+    tmp.fill(0.0)
+    np.divide(z, depth, out=tmp, where=valid)
+    np.clip(tmp, -1.0, 1.0, out=tmp)
+    elev = np.arcsin(tmp, out=tmp)
     lo, hi = fov
-    valid &= (elev >= lo) & (elev <= hi)
-    dropped = int(len(points) - valid.sum())
-
+    valid &= elev >= lo
+    valid &= elev <= hi
     ids = np.flatnonzero(valid)
-    row = np.minimum((rows * (elev - lo) / (hi - lo)).astype(np.int64),
-                     rows - 1)
-    azim = np.arctan2(y, x)
-    azim[azim < 0] += 2.0 * np.pi
-    col = np.minimum((cols * azim / (2.0 * np.pi)).astype(np.int64), cols - 1)
+    dropped = len(points) - len(ids)
 
-    # the nearest point of a cell wins; ties go to the highest point id
-    cell = (row * cols + col)[ids]
+    # row, column and cell of the in-FOV points only
+    elev = elev[ids]
+    del tmp
+    elev -= lo
+    elev *= rows
+    elev /= hi - lo
+    cell = elev.astype(np.int64)
+    del elev
+    np.minimum(cell, rows - 1, out=cell)
+    azim = np.arctan2(y[ids], x[ids])
+    azim[azim < 0] += 2.0 * np.pi
+    azim *= cols
+    azim /= 2.0 * np.pi
+    col = azim.astype(np.int64)
+    del azim
+    np.minimum(col, cols - 1, out=col)
+    cell *= cols
+    cell += col
+    del col
+
+    # the nearest point of a cell wins; ties go to the highest point id,
+    # which is the highest position in ids
     d = depth[ids]
+    del depth
     nearest = np.full(rows * cols, np.inf)
     np.minimum.at(nearest, cell, d)
-    win = d == nearest[cell]
+    win = np.flatnonzero(d == nearest[cell])
+    del nearest
     winner = np.full(rows * cols, -1, dtype=np.int64)
-    np.maximum.at(winner, cell[win], ids[win])
-    pid = winner.astype(np.int32).reshape(rows, cols)
+    np.maximum.at(winner, cell[win], win)
+    del cell, win
     hit = np.flatnonzero(winner >= 0)
     winner = winner[hit]
-    rng.reshape(-1)[hit] = depth[winner]
-    height.reshape(-1)[hit] = points[winner, 2]
+    rng.reshape(-1)[hit] = d[winner]
+    winner = ids[winner]
+    pid.reshape(-1)[hit] = winner
+    height.reshape(-1)[hit] = z[winner]
     return RangeImage(rng, height, pid, fov, dropped, valid)
 
 

@@ -52,6 +52,18 @@ class ScanContext3D:
 
 
 @dataclass
+class SensorBounds:
+    """What a frame's contexts take from its range image: point ids only."""
+
+    in_fov: np.ndarray     # (N,) bool, the point is inside the vertical FOV
+    max_ring: np.ndarray   # ids of the per-column farthest returns
+    sup: np.ndarray        # ids of points bounded from above ...
+    sup_bound: np.ndarray  # ... by the height of these points
+    inf: np.ndarray        # ids of points bounded from below ...
+    inf_bound: np.ndarray  # ... by the height of these points
+
+
+@dataclass
 class RemovalReport:
     columns_flagged: int = 0
     regions_flagged: int = 0
@@ -164,23 +176,33 @@ def _flag_regions(ctx: ScanContext3D, map_: RHMap, candidates: np.ndarray,
     return candidates[ratio < fcfg.delta2]
 
 
-def scan_contexts(image: RangeImage, cubes: ScanCubes, fcfg: FrontendConfig
+def sensor_bounds(image: RangeImage, fcfg: FrontendConfig) -> SensorBounds:
+    """The range-image part of a frame's contexts: max ring and sup/inf.
+
+    It reads only the range image of the sensor-frame scan, never the map
+    or the world points, so it can run while the map is being updated.
+    """
+    return SensorBounds(image.in_fov, extract_max_ring(image),
+                        *extract_sup_inf(image, fcfg.r1, fcfg.r2,
+                                         fcfg.max_search))
+
+
+def scan_contexts(bounds: SensorBounds, cubes: ScanCubes
                   ) -> tuple[ScanContext2D, ScanContext3D]:
     """The map-free half of scan-to-map removal: one frame's two contexts.
 
-    ``image`` is the frame's range image and ``cubes`` its world points
-    grouped by cube, in the same point order.  The 2D context summarises
-    the points inside the vertical field of view, with the max-ring
-    flags; the 3D context summarises the sup/inf points with their
-    occlusion bounds.  The contexts share no memory with their inputs.
+    ``bounds`` come from the frame's range image (:func:`sensor_bounds`)
+    and ``cubes`` are its world points grouped by cube, in the same point
+    order.  The 2D context summarises the points inside the vertical
+    field of view, with the max-ring flags; the 3D context summarises the
+    sup/inf points with their occlusion bounds.  The contexts share no
+    memory with their inputs.
     """
     pw = cubes.points
-    max_ids = extract_max_ring(image)
-    sup_ids, sup_bounds, inf_ids, inf_bounds = extract_sup_inf(
-        image, fcfg.r1, fcfg.r2, fcfg.max_search)
-    return (build_scan_context_2d(cubes, pw[max_ids], roi=image.in_fov),
-            build_scan_context_3d(cubes, sup_ids, pw[sup_bounds, 2],
-                                  inf_ids, pw[inf_bounds, 2]))
+    return (build_scan_context_2d(cubes, pw[bounds.max_ring],
+                                  roi=bounds.in_fov),
+            build_scan_context_3d(cubes, bounds.sup, pw[bounds.sup_bound, 2],
+                                  bounds.inf, pw[bounds.inf_bound, 2]))
 
 
 def s2m_removal(map_: RHMap, contexts: tuple[ScanContext2D, ScanContext3D],
@@ -188,13 +210,13 @@ def s2m_removal(map_: RHMap, contexts: tuple[ScanContext2D, ScanContext3D],
     """The map half of scan-to-map removal: replay a frame's contexts.
 
     Scan-to-map removal runs in two halves.  :func:`scan_contexts` builds
-    a frame's 2D and 3D contexts from its range image and cube grouping
-    without reading the map; this half compares them with the map as it
-    is now.  It flags columns by the 2D ratio test and regions by the 3D
-    one, then strips non-ground cubes from every flagged region and from
-    all regions of flagged columns.  Ground cubes are never deleted.  The
-    front end replays a frame's contexts at once, the back end replays a
-    keyframe's later.
+    a frame's 2D and 3D contexts from its range-image bounds and cube
+    grouping without reading the map; this half compares them with the
+    map as it is now.  It flags columns by the 2D ratio test and regions
+    by the 3D one, then strips non-ground cubes from every flagged region
+    and from all regions of flagged columns.  Ground cubes are never
+    deleted.  The front end replays a frame's contexts at once, the back
+    end replays a keyframe's later.
     """
     ctx2, ctx3 = contexts
     report = RemovalReport()

@@ -1,25 +1,26 @@
 """Shared fixtures: benchmark scenes, session-scoped pipeline runs, a
 global guard that counts any ground cube killed by region removal, and
 helpers that group points and build scan contexts the way the pipeline
-does, and insert and read single cubes and regions through the batch map
-API."""
+does, force the pipeline's sensor side onto its worker thread or inline,
+and insert and read single cubes and regions through the batch map API."""
 
 from __future__ import annotations
 
+import sys
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rhmap import map_core
+from rhmap import map_core, pipeline
 from rhmap.config import PipelineConfig
 from rhmap.evaluate import count_dynamic_cubes, evaluate
 from rhmap.geometry import Pose, transform_scan
 from rhmap.indexing import ScanCubes, cube_indices, find_sorted, pack3
 from rhmap.pipeline import run_pipeline
 from rhmap.range_image import build_range_image
-from rhmap.removal import scan_contexts
+from rhmap.removal import scan_contexts, sensor_bounds
 from rhmap.synth import MovingBox, SceneSpec, synth_scene
 
 # ---------------------------------------------------------------------------
@@ -66,12 +67,20 @@ def integrate(map_, points_world) -> int:
     return map_.integrate_points(ScanCubes(points_world, map_.config))
 
 
+def force_overlap(monkeypatch, overlap: bool):
+    """Make run_pipeline build every frame's sensor side on its worker
+    thread (True) or inline (False), whatever the scan size and CPU count."""
+    monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS",
+                        0 if overlap else sys.maxsize)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+
+
 def frame_contexts(scan, pose, fcfg, map_cfg):
     """A posed scan's two scan contexts, built as run_pipeline builds them."""
     cubes = ScanCubes(transform_scan(scan, pose), map_cfg)
     image = build_range_image(scan.points, fcfg.image_rows, fcfg.image_cols,
                               fcfg.fov)
-    return scan_contexts(image, cubes, fcfg)
+    return scan_contexts(sensor_bounds(image, fcfg), cubes)
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +273,14 @@ def residue_runs():
     return counts[False], counts[True], wall, maps
 
 
-@pytest.fixture(scope="session")
-def bench_run():
-    """Throughput run on ~100k-point 64-beam scans at 0.1 m cubes."""
-    scene = SceneSpec(
+def bench_scene(frames: int = 30) -> SceneSpec:
+    """The throughput scene: ~91k-point 64-beam scans out to 60 m."""
+    return SceneSpec(
         ground_z=0.0,
         static_boxes=[([8, -12, 0], [12, -8, 3]), ([-14, 6, 0], [-8, 10, 4])],
         sensor_start=(0.0, 0.0, 1.5),
         sensor_velocity=(1.0, 0.0, 0.0),
-        frames=30,
+        frames=frames,
         dt=0.1,
         beam_rows=64,
         beam_cols=1600,
@@ -280,13 +288,22 @@ def bench_run():
         fov_up_deg=2.0,
         r_max=60.0,
     )
-    frames = synth_scene(scene, seed=0)
+
+
+def bench_config() -> PipelineConfig:
     cfg = PipelineConfig()
     cfg.frontend.image_rows = 64
     cfg.frontend.image_cols = 1600
     cfg.frontend.r_max = 60.0
+    return cfg
+
+
+@pytest.fixture(scope="session")
+def bench_run():
+    """Throughput run on ~100k-point 64-beam scans at 0.1 m cubes."""
+    frames = synth_scene(bench_scene(), seed=0)
     t0 = time.perf_counter()
-    result = run_pipeline(cfg, frames)
+    result = run_pipeline(bench_config(), frames)
     wall = time.perf_counter() - t0
     points_per_frame = float(np.mean([len(s) for s, _, _ in frames]))
     return result, points_per_frame, wall

@@ -12,7 +12,7 @@ from rhmap.indexing import ScanCubes, pack3
 from rhmap.io_formats import write_map_ply
 from rhmap.map_core import RHMap
 from rhmap.range_image import RangeImage, build_range_image
-from rhmap.removal import scan_contexts, s2m_removal
+from rhmap.removal import scan_contexts, sensor_bounds, s2m_removal
 
 from conftest import cube_state, frame_contexts, hit_cubes
 
@@ -213,9 +213,11 @@ def test_stored_contexts_do_not_alias_the_frame_or_the_map(tmp_path):
         r_gpe(map_, cubes, FCFG)
         image = build_range_image(scan.points, FCFG.image_rows,
                                   FCFG.image_cols, FCFG.fov)
-        frame = Keyframe(scan_contexts(image, cubes, FCFG), pose, 0.0,
+        bounds = sensor_bounds(image, FCFG)
+        frame = Keyframe(scan_contexts(bounds, cubes), pose, 0.0,
                          information_content(image, FCFG.r_max))
-        for arr in list(vars(cubes).values()) + list(vars(image).values()):
+        for arr in [*vars(cubes).values(), *vars(image).values(),
+                    *vars(bounds).values()]:
             if isinstance(arr, np.ndarray):
                 arr.fill(0)
         # later frames integrate and remove cubes

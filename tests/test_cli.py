@@ -9,6 +9,7 @@ from rhmap.cli import main
 from rhmap.geometry import Pose
 from rhmap.io_formats import (read_map_ply, write_kitti_scan, write_labels,
                                write_poses)
+from rhmap.pipeline import STAGES
 
 SCENE = {
     "ground_z": 0.0,
@@ -60,6 +61,10 @@ def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys,
     body = json.loads((tmp_path / "report.json").read_text())
     assert len(body["frames"]) == SCENE["frames"]
     assert body["timing"]["mean_ms"] > 0
+    assert all(list(f["stages_ms"]) == list(STAGES) for f in body["frames"])
+    timing = body["timing"]
+    assert list(timing["stages_ms"]) == list(STAGES)
+    assert 0 < timing["p50_ms"] <= timing["p95_ms"]
     assert 0.0 <= body["eval"]["PR"] <= 1.0
     printed = json.loads(capsys.readouterr().out)
     assert set(printed) == {"PR", "RR", "F1", "N_sta", "N_dyn", "N_TN", "N_TP"}
@@ -175,6 +180,8 @@ def test_bench_reports_throughput(capsys):
     assert rc == 0
     body = json.loads(capsys.readouterr().out)
     assert body["hz"] > 0
+    assert 0 < body["p50_ms"] <= body["p95_ms"]
+    assert list(body["stages_ms"]) == list(STAGES)
     assert body["points_per_frame"] > 50000
 
 

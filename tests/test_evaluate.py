@@ -1,4 +1,4 @@
-"""Preservation/rejection metrics, dynamic-cube counting and timing."""
+"""Preservation/rejection metrics and dynamic-cube counting."""
 
 from types import SimpleNamespace
 
@@ -7,7 +7,7 @@ import pytest
 
 from rhmap.config import MapConfig
 from rhmap.evaluate import (count_dynamic_cubes, cube_keys, evaluate,
-                            f1_score, timing_report)
+                            f1_score)
 from rhmap.map_core import RHMap
 
 from conftest import integrate
@@ -73,14 +73,6 @@ def test_count_dynamic_cubes():
     assert count_dynamic_cubes(map_, truth, ~dyn) == 0
     assert count_dynamic_cubes(map_, np.zeros(0, dtype=np.int64),
                                np.zeros(0, dtype=bool)) == 0
-
-
-def test_timing_report():
-    assert timing_report([50.0]) == {"mean_ms": 50.0, "hz": 20.0}
-    rep = timing_report([10.0, 30.0])
-    assert rep["mean_ms"] == 20.0 and rep["hz"] == 50.0
-    with pytest.raises(ValueError):
-        timing_report([])
 
 
 def test_eval_result_to_dict_round_trips_fields():

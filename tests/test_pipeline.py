@@ -1,15 +1,20 @@
 """End-to-end pipeline orchestration over synthetic frame sequences."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
+import pytest
 
+from rhmap import pipeline
 from rhmap.config import PipelineConfig
 from rhmap.evaluate import count_dynamic_cubes, cube_keys, evaluate
 from rhmap.geometry import Scan
-from rhmap.pipeline import run_pipeline
+from rhmap.pipeline import STAGES, run_pipeline, timing_report
 from rhmap.synth import MovingBox, SceneSpec, synth_scene
+
+from conftest import bench_config, bench_scene, dor_config, force_overlap
 
 
 def _small_scene(frames=60):
@@ -74,27 +79,30 @@ def test_frames_without_masks_skip_truth():
     assert len(result.frames) == 5
 
 
-def test_only_the_last_keyframe_and_the_queue_keep_scans():
+def test_only_the_last_keyframe_and_the_queue_keep_scans(monkeypatch):
     cfg = _cfg()
     cfg.backend.queue_capacity = 2
     cfg.backend.dist_keyframe = 0.05     # the sensor moves 0.1 m per frame
-    refs, alive_at_end = [], []
+    for overlap in (False, True):
+        refs, alive_at_end = [], []
 
-    def stream():
-        for scan, pose, mask in synth_scene(_small_scene(frames=12)):
-            fresh = Scan(scan.points.copy(), scan.timestamp)
-            refs.append(weakref.ref(fresh))
-            yield fresh, pose, mask
-        # every frame is processed, and the pipeline still holds its state
-        gc.collect()
-        alive_at_end.append(sum(r() is not None for r in refs))
+        def stream():
+            for scan, pose, mask in synth_scene(_small_scene(frames=12)):
+                fresh = Scan(scan.points.copy(), scan.timestamp)
+                refs.append(weakref.ref(fresh))
+                yield fresh, pose, mask
+            # every frame is processed, and the pipeline still holds its state
+            gc.collect()
+            alive_at_end.append(sum(r() is not None for r in refs))
 
-    result = run_pipeline(cfg, stream())
-    assert all(f.keyframe_added for f in result.frames)
-    assert len(refs) == 12
-    # keyframes keep scan contexts: no scan outlives its frame, and only
-    # the frame in hand is alive
-    assert alive_at_end[0] <= 1
+        with monkeypatch.context() as m:
+            force_overlap(m, overlap)
+            result = run_pipeline(cfg, stream())
+        assert all(f.keyframe_added for f in result.frames)
+        assert len(refs) == 12
+        # keyframes keep scan contexts: no scan outlives its frame, and only
+        # the frame in hand is alive, with or without the worker thread
+        assert alive_at_end[0] <= 1
 
 
 def test_pipeline_removes_most_dynamic_cubes():
@@ -131,3 +139,114 @@ def test_frame_records_carry_timing():
     result = run_pipeline(_cfg(), frames)
     assert all(f.elapsed_ms > 0 for f in result.frames)
     assert len(result.frame_times_ms) == 5
+
+
+def test_frame_records_carry_stage_timers():
+    frames = synth_scene(_small_scene(frames=5))
+    result = run_pipeline(_cfg(), frames)
+    assert STAGES == ("transform_group", "integrate", "ground", "sensor",
+                      "join_wait", "contexts", "s2m", "backend")
+    for f in result.frames:
+        assert list(f.stages_ms) == list(STAGES)
+        assert all(v >= 0 for v in f.stages_ms.values())
+        # these scans are below the overlap cutoff: the sensor side ran
+        # inline, so the main thread never waited for the worker
+        assert f.stages_ms["join_wait"] == 0.0
+        assert sum(f.stages_ms.values()) <= f.elapsed_ms
+
+
+def test_timing_report():
+    rep = timing_report([50.0])
+    assert rep["mean_ms"] == 50.0 and rep["hz"] == 20.0
+    assert rep["p50_ms"] == 50.0 and rep["p95_ms"] == 50.0
+    rep = timing_report([10.0, 30.0])
+    assert rep["mean_ms"] == 20.0 and rep["hz"] == 50.0
+    rep = timing_report(float(i) for i in range(1, 101))
+    assert rep["p50_ms"] == pytest.approx(50.5)
+    assert rep["p95_ms"] == pytest.approx(95.05)
+    assert "stages_ms" not in rep
+    rep = timing_report([1.0, 3.0], [{"s2m": 2.0, "ground": 0.0},
+                                     {"s2m": 4.0, "ground": 1.0}])
+    assert rep["stages_ms"] == {"s2m": 3.0, "ground": 0.5}
+    with pytest.raises(ValueError):
+        timing_report([])
+
+
+def _run_both_ways(monkeypatch, cfg, frames):
+    """Runs with the sensor side forced inline, then onto the worker thread;
+    each with the names of the threads that built its range images."""
+    runs = []
+    real = pipeline.build_range_image
+    for overlap in (False, True):
+        threads = set()
+
+        def spy(*args, **kwargs):
+            threads.add(threading.current_thread().name)
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            force_overlap(m, overlap)
+            m.setattr(pipeline, "build_range_image", spy)
+            runs.append((run_pipeline(cfg, frames), threads))
+    (inline, inline_threads), (overlapped, worker_threads) = runs
+    assert inline_threads == {threading.current_thread().name}
+    assert len(worker_threads) == 1
+    assert worker_threads.pop().startswith("rhmap-sensor")
+    return inline, overlapped
+
+
+def _assert_same_run(a, b):
+    keys_a, keys_b = a.map.occupied_keys(), b.map.occupied_keys()
+    assert keys_a.tobytes() == keys_b.tobytes()
+    assert (a.map.export_occupied_points()[1].tobytes()
+            == b.map.export_occupied_points()[1].tobytes())
+    assert len(a.frames) == len(b.frames)
+    for fa, fb in zip(a.frames, b.frames):
+        assert fa.report == fb.report
+        assert fa.backend_reports == fb.backend_reports
+        assert fa.keyframe_added == fb.keyframe_added
+    assert a.truth_points.tobytes() == b.truth_points.tobytes()
+    assert a.truth_mask.tobytes() == b.truth_mask.tobytes()
+
+
+def test_overlapped_and_inline_runs_match_on_the_dor_scene(monkeypatch,
+                                                           dor_frames):
+    inline, overlapped = _run_both_ways(monkeypatch, dor_config(3),
+                                        dor_frames)
+    _assert_same_run(inline, overlapped)
+    assert sum(f.report.cubes_removed for f in inline.frames) > 0
+    assert all(f.stages_ms["join_wait"] == 0.0 for f in inline.frames)
+
+
+def test_overlapped_and_inline_runs_match_on_the_bench_scene(monkeypatch):
+    frames = synth_scene(bench_scene(frames=10), seed=0)
+    inline, overlapped = _run_both_ways(monkeypatch, bench_config(), frames)
+    _assert_same_run(inline, overlapped)
+
+
+class _SideError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("side", ["build_range_image", "r_gpe"])
+def test_an_error_on_either_side_keeps_its_type_and_stops_the_worker(
+        monkeypatch, side):
+    frames = synth_scene(_small_scene(frames=3))
+    baseline = threading.active_count()
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 2:
+            raise _SideError(side)
+        return real(*args, **kwargs)
+
+    real = getattr(pipeline, side)
+    force_overlap(monkeypatch, True)
+    monkeypatch.setattr(pipeline, side, failing)
+    with pytest.raises(_SideError, match=side):
+        run_pipeline(_cfg(), frames)
+    assert len(calls) == 2
+    worker_side = side == "build_range_image"
+    assert calls[1].startswith("rhmap-sensor") == worker_side
+    assert threading.active_count() == baseline
