@@ -6,7 +6,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,7 +19,7 @@ from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply
                          read_poses, read_times, write_kitti_scan, write_labels,
                          write_map_ply, write_poses)
 from .pipeline import run_pipeline, timing_report
-from .synth import SceneSpec, load_scene, synth_scene
+from .synth import SceneSpec, load_scene, synth_frames, synth_scene
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
@@ -93,11 +93,9 @@ def _dataset_frames(scans_dir, poses_file, labels_dir):
 
 
 def _write_report(result, ev, path):
-    reports = [{"columns_flagged": f.report.columns_flagged,
-                "regions_flagged": f.report.regions_flagged,
-                "cubes_removed": f.report.cubes_removed,
-                "ground_cubes_added": f.report.ground_cubes_added,
-                "elapsed_ms": f.elapsed_ms,
+    reports = [{**asdict(f.report), **asdict(f.ground),
+                "map_cubes": f.map_cubes, "map_regions": f.map_regions,
+                "evicted": f.evicted, "elapsed_ms": f.elapsed_ms,
                 "stages_ms": f.stages_ms} for f in result.frames]
     body = {"frames": reports}
     if result.frames:
@@ -116,8 +114,7 @@ def _timing(result) -> dict:
 def cmd_run(args) -> int:
     cfg = _build_config(args)
     if args.synthetic:
-        scene = load_scene(args.synthetic)
-        frames = synth_scene(scene)
+        frames = synth_frames(load_scene(args.synthetic))
     else:
         scans = args.scans or cfg.scans_dir
         poses = args.poses or cfg.poses_file

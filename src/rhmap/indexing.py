@@ -191,6 +191,9 @@ class ScanCubes:
     column is a contiguous run.  Each level is numbered densely in key
     order, so per-group reductions are plain ``reduceat`` or ``ufunc.at``
     calls and the distinct keys of each level come out sorted.
+
+    Every array of a grouping is read-only: the pipeline's two threads
+    read one at once, so a write on either side raises instead of racing.
     """
 
     def __init__(self, points_world: np.ndarray, cfg):
@@ -223,3 +226,6 @@ class ScanCubes:
         self.column_keys = (self.cube_keys[cstarts] & rmask) >> 21
         self.cube_column = _dense_ids(cstarts, n_cubes)
         self.column_start = starts[cstarts]
+        for arr in vars(self).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False

@@ -46,9 +46,12 @@ from .indexing import (
 
 _SIGN = 1 << 20
 
-# region table columns, in the order of RHMap._insert_regions' arguments
+# the parallel arrays of each table; region columns in the order of
+# RHMap._insert_regions' arguments
+_CUBE_ARRAYS = ("_skeys", "_is_ground")
 _REGION_ARRAYS = ("_rkeys", "_rz_min", "_rz_max", "_rz_sum", "_rcount",
                   "_rnormal", "_rd", "_rfitted", "_rfail_at")
+_G_ARRAYS = ("_g_keys", "_g_sum", "_g_cnt")
 
 
 def _z_of_keys(keys: np.ndarray) -> np.ndarray:
@@ -102,6 +105,29 @@ class RHMap:
         """Cube-centre heights of z indices."""
         return (kz + 0.5) * self.config.cube_size
 
+    def _insert_rows(self, names, pos, values):
+        """Insert ``values[i]`` into the table array named ``names[i]``
+        before the sorted positions ``pos``, as ``np.insert`` would; the
+        destination rows are worked out once for the whole table."""
+        n, k = len(getattr(self, names[0])), len(pos)
+        dest = pos + np.arange(k)
+        old = np.ones(n + k, dtype=bool)
+        old[dest] = False
+        for name, vals in zip(names, values):
+            arr = getattr(self, name)
+            grown = np.empty((n + k,) + arr.shape[1:], dtype=arr.dtype)
+            grown[dest] = vals
+            grown[old] = arr
+            setattr(self, name, grown)
+
+    def _delete_rows(self, names, gone):
+        """Delete rows ``gone`` from every named array of one table, as
+        ``np.delete`` would, with one keep mask for the whole table."""
+        keep = np.ones(len(getattr(self, names[0])), dtype=bool)
+        keep[gone] = False
+        for name in names:
+            setattr(self, name, getattr(self, name)[keep])
+
     # ------------------------------------------------------------------ lookup
 
     def __len__(self):
@@ -134,8 +160,7 @@ class RHMap:
         pos, present = find_sorted(self._skeys, rm)
         new = ~present
         if new.any():
-            self._skeys = np.insert(self._skeys, pos[new], rm[new])
-            self._is_ground = np.insert(self._is_ground, pos[new], False)
+            self._insert_rows(_CUBE_ARRAYS, pos[new], (rm[new], False))
             self._register_new(rm[new], uk[new])
         return int(new.sum())
 
@@ -165,8 +190,7 @@ class RHMap:
         values = (rkeys, z_min, z_max, z_sum, count, np.zeros((n, 3)),
                   np.zeros(n), np.zeros(n, dtype=bool),
                   np.full(n, -1, dtype=np.int64))
-        for name, vals in zip(_REGION_ARRAYS, values):
-            setattr(self, name, np.insert(getattr(self, name), pos, vals, axis=0))
+        self._insert_rows(_REGION_ARRAYS, pos, values)
 
     # ---------------------------------------------------------------- regions
 
@@ -233,6 +257,11 @@ class RHMap:
         """Sorted keys of the region columns holding at least one region."""
         rcols = self._rkeys >> 21
         return rcols[run_starts(rcols)]
+
+    @property
+    def region_count(self) -> int:
+        """Count of the regions holding cubes."""
+        return len(self._rkeys)
 
     @property
     def regions(self) -> np.ndarray:
@@ -317,11 +346,9 @@ class RHMap:
             self._rcount[i] = survivors[kept_owner[seg]]
         emptied = np.searchsorted(self._rkeys, rkeys[hit & (survivors == 0)])
         if len(emptied):
-            for name in _REGION_ARRAYS:
-                setattr(self, name, np.delete(getattr(self, name), emptied, axis=0))
+            self._delete_rows(_REGION_ARRAYS, emptied)
         gone = pos[doomed]
-        self._skeys = np.delete(self._skeys, gone)
-        self._is_ground = np.delete(self._is_ground, gone)
+        self._delete_rows(_CUBE_ARRAYS, gone)
         return len(gone)
 
     # ------------------------------------------------------------ ground table
@@ -336,11 +363,10 @@ class RHMap:
         pos, present = find_sorted(self._g_keys, uk)
         self._g_sum[pos[present]] += sums[present]
         self._g_cnt[pos[present]] += cnts[present]
-        if (~present).any():
-            ins = pos[~present]
-            self._g_keys = np.insert(self._g_keys, ins, uk[~present])
-            self._g_sum = np.insert(self._g_sum, ins, sums[~present])
-            self._g_cnt = np.insert(self._g_cnt, ins, cnts[~present])
+        new = ~present
+        if new.any():
+            self._insert_rows(_G_ARRAYS, pos[new],
+                              (uk[new], sums[new], cnts[new]))
 
     def ground_mean(self, okeys: np.ndarray):
         """Per-key running ground mean; returns (mean, found) arrays."""

@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -13,13 +14,13 @@ from .backend import (Keyframe, KeyframeQueue, backend_step,
                       information_content, keyframe_select)
 from .config import FrontendConfig, PipelineConfig
 from .geometry import Pose, Scan, transform_scan
-from .ground import r_gpe
+from .ground import GroundReport, r_gpe
 from .indexing import ScanCubes
 from .map_core import RHMap
 from .range_image import build_range_image
 from .removal import RemovalReport, s2m_removal, scan_contexts, sensor_bounds
 
-#: A scan of at least this many points has its sensor side built on a
+#: A scan of at least this many points has its map-free work done on a
 #: worker thread while the main thread updates the map, when the process
 #: may run on two CPUs or more.  Smaller scans run it inline: on a 2-vCPU
 #: host the overlap saved 3-9% of a 9k-14k-point frame with a free second
@@ -34,14 +35,21 @@ STAGES = ("transform_group", "integrate", "ground", "sensor", "join_wait",
 @dataclass
 class FrameRecord:
     report: RemovalReport
+    ground: GroundReport
     backend_reports: list[RemovalReport]
     keyframe_added: bool
+    #: Cubes and regions in the map after the frame.
+    map_cubes: int
+    map_regions: int
+    #: Keyframes the back-end queue has dropped at capacity so far.
+    evicted: int
     elapsed_ms: float
-    #: Milliseconds of each stage in ``STAGES``.  ``sensor`` is the busy
-    #: time of the sensor side on whichever thread ran it; ``join_wait`` is
-    #: how long the main thread then waited for the worker, 0 when it ran
-    #: the sensor side itself.  The stages the main thread ran add up to
-    #: about ``elapsed_ms``.
+    #: Milliseconds of each stage in ``STAGES``.  ``sensor`` (range image,
+    #: bounds, information content) and ``contexts`` (scan contexts and,
+    #: with a mask, the truth keys) are busy time on whichever thread ran
+    #: them; ``join_wait`` is how long the main thread then waited for the
+    #: worker's last job of the frame, 0 when it ran both itself.  The
+    #: stages the main thread ran add up to about ``elapsed_ms``.
     stages_ms: dict[str, float]
 
 
@@ -92,6 +100,44 @@ def _sensor_side(points: np.ndarray, fcfg: FrontendConfig):
     return bounds, info, time.perf_counter() - t0
 
 
+class _Truth:
+    """The ground-truth cloud of a run: each labeled point's cube key and
+    dynamic label, in frame and scan order, in two buffers grown in place
+    (``ndarray.resize`` reallocates without a second copy of the cloud)."""
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.int64)
+        self.mask = np.empty(0, dtype=bool)
+        self.n = 0
+        self.labeled = False
+
+    def append(self, cubes: ScanCubes, mask):
+        end = self.n + len(cubes.point_cube)
+        if end > len(self.keys):
+            cap = max(end, len(self.keys) * 5 // 4)
+            self.keys.resize(cap, refcheck=False)
+            self.mask.resize(cap, refcheck=False)
+        self.keys[self.n:end] = cubes.cube_keys[cubes.point_cube]
+        self.mask[self.n:end] = np.asarray(
+            mask, dtype=bool).reshape(end - self.n)
+        self.n, self.labeled = end, True
+
+
+def _map_free_side(sensor, cubes: ScanCubes, mask, truth: _Truth):
+    """A frame's work that reads no map: ``sensor()`` returns its sensor
+    side (:func:`_sensor_side`), then its scan contexts are built and, with
+    a mask, its truth keys and labels appended.  Returns the contexts, the
+    information content and the busy seconds of the sensor side and of
+    the rest.  The grouping is read-only, so the main thread may read it
+    meanwhile; only this function touches ``truth`` during the run."""
+    bounds, info, sensor_s = sensor()
+    t0 = time.perf_counter()
+    contexts = scan_contexts(bounds, cubes)
+    if mask is not None:
+        truth.append(cubes, mask)
+    return contexts, info, sensor_s, time.perf_counter() - t0
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -101,21 +147,22 @@ def _usable_cpus() -> int:
 def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     """Process (Scan, Pose[, dynamic_mask]) frames into a static map.
 
-    Per frame, two sides.  The sensor side builds the range image of the
+    Per frame, two sides.  The map-free side builds the range image of the
     sensor-frame scan, its max-ring and sup/inf bounds and its information
-    content; it reads neither the map nor the world points.  The map side
+    content, then the scan contexts from the bounds and the frame's cube
+    grouping, and, when masks are supplied, appends each point's cube key
+    and label to a ground-truth cloud for evaluation.  The map side
     transforms the scan, groups the world points by cube, integrates them
     and estimates ground.  On a scan of at least ``OVERLAP_MIN_POINTS``
-    points, when two CPUs are usable, the sensor side runs on one worker
-    thread while the main thread runs the map side; otherwise it runs
-    inline.  Both give the same map.  After the join the frame's scan
-    contexts are built from the grouping and the bounds, then scan-to-map
-    removal, keyframe selection and (when enabled) one back-end step run.
-    A keyframe keeps the contexts, so no scan outlives its frame.  When
-    masks are supplied, each point's cube key and label accumulate into a
-    ground-truth cloud for evaluation, in two buffers grown in place.
-    Timing covers processing only, not data loading.  An error on either
-    side is raised with its own type, after the worker has stopped.
+    points, when two CPUs are usable, the map-free side runs as two jobs on
+    one worker thread (the second submitted once the grouping exists)
+    while the main thread runs the map side; otherwise it runs inline.
+    Both give the same map and truth.  After the join, scan-to-map removal,
+    keyframe selection and (when enabled) one back-end step run.  Both jobs
+    end within their frame, and a keyframe keeps the contexts, so no scan
+    outlives its frame.  Timing covers processing only, not data loading.
+    An error on either side is raised with its own type, after the worker
+    has stopped.
     """
     cfg.validate()
     fcfg, bcfg = cfg.frontend, cfg.backend
@@ -123,9 +170,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     queue = KeyframeQueue(bcfg.queue_capacity)
     last_keyframe: Keyframe | None = None
     result = PipelineResult(map=map_)
-    truth_keys = np.empty(0, dtype=np.int64)
-    truth_mask = np.empty(0, dtype=bool)
-    n_truth, labeled = 0, False
+    truth = _Truth()
     can_overlap = _usable_cpus() >= 2
 
     # the worker starts at the first scan large enough to overlap; it is
@@ -137,7 +182,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             mask = frame[2] if len(frame) > 2 else None
 
             t0 = time.perf_counter()
-            sensor = None
+            sensor = side = None
             if can_overlap and len(scan) >= OVERLAP_MIN_POINTS:
                 if worker is None:
                     # imported here, so runs that never overlap skip its cost
@@ -146,25 +191,29 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
                         1, thread_name_prefix="rhmap-sensor")
                 sensor = worker.submit(_sensor_side, scan.points, fcfg)
             cubes = ScanCubes(transform_scan(scan, pose), cfg.map)
+            if sensor is not None:
+                # one thread runs jobs in order: the sensor job ends first
+                side = worker.submit(_map_free_side, sensor.result, cubes,
+                                     mask, truth)
             t1 = time.perf_counter()
             map_.integrate_points(cubes)
             t2 = time.perf_counter()
             ground_report = r_gpe(map_, cubes, fcfg)
             t3 = time.perf_counter()
-            if sensor is None:
-                bounds, info, sensor_s = _sensor_side(scan.points, fcfg)
+            if side is None:
+                contexts, info, sensor_s, contexts_s = _map_free_side(
+                    partial(_sensor_side, scan.points, fcfg), cubes, mask,
+                    truth)
             else:
-                bounds, info, sensor_s = sensor.result()
+                contexts, info, sensor_s, contexts_s = side.result()
             t4 = time.perf_counter()
-            join_wait = 0.0 if sensor is None else t4 - t3
-            contexts = scan_contexts(bounds, cubes)
-            # the worker allocated the bounds, and its malloc heap shrinks
-            # only once they are freed: free them before its next frame
-            bounds = sensor = None
-            t5 = time.perf_counter()
+            join_wait = 0.0 if side is None else t4 - t3
+            # the sensor future holds the bounds, which the worker allocated;
+            # its malloc heap shrinks only once they are freed: free them
+            # before its next frame
+            sensor = side = None
             report = s2m_removal(map_, contexts, fcfg)
-            report.ground_cubes_added = ground_report.ground_cubes_added
-            t6 = time.perf_counter()
+            t5 = time.perf_counter()
 
             candidate = Keyframe(contexts, pose, scan.timestamp, info)
             added = keyframe_select(last_keyframe, candidate, bcfg)
@@ -174,30 +223,22 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             backend_reports = []
             if cfg.backend_enabled:
                 backend_reports = backend_step(map_, queue, pose, bcfg, fcfg)
-            t7 = time.perf_counter()
+            t6 = time.perf_counter()
 
             stages = (t1 - t0, t2 - t1, t3 - t2, sensor_s, join_wait,
-                      t5 - t4, t6 - t5, t7 - t6)
+                      contexts_s, t5 - t4, t6 - t5)
             result.frames.append(FrameRecord(
-                report, backend_reports, added, (t7 - t0) * 1e3,
-                {k: v * 1e3 for k, v in zip(STAGES, stages)}))
-            if mask is not None:
-                end = n_truth + len(scan)
-                if end > len(truth_keys):
-                    # resize reallocates in place: no second copy of the cloud
-                    cap = max(end, len(truth_keys) * 5 // 4)
-                    truth_keys.resize(cap, refcheck=False)
-                    truth_mask.resize(cap, refcheck=False)
-                truth_keys[n_truth:end] = cubes.cube_keys[cubes.point_cube]
-                truth_mask[n_truth:end] = np.asarray(
-                    mask, dtype=bool).reshape(len(scan))
-                n_truth, labeled = end, True
+                report=report, ground=ground_report,
+                backend_reports=backend_reports, keyframe_added=added,
+                map_cubes=len(map_), map_regions=map_.region_count,
+                evicted=queue.evicted, elapsed_ms=(t6 - t0) * 1e3,
+                stages_ms={k: v * 1e3 for k, v in zip(STAGES, stages)}))
     finally:
         if worker is not None:
             worker.shutdown()
 
-    if labeled:
-        truth_keys.resize(n_truth, refcheck=False)
-        truth_mask.resize(n_truth, refcheck=False)
-        result.truth_points, result.truth_mask = truth_keys, truth_mask
+    if truth.labeled:
+        truth.keys.resize(truth.n, refcheck=False)
+        truth.mask.resize(truth.n, refcheck=False)
+        result.truth_points, result.truth_mask = truth.keys, truth.mask
     return result

@@ -68,7 +68,6 @@ class RemovalReport:
     columns_flagged: int = 0
     regions_flagged: int = 0
     cubes_removed: int = 0
-    ground_cubes_added: int = 0
 
 
 def build_scan_context_2d(cubes: ScanCubes, max_ring_w: np.ndarray,

@@ -99,16 +99,14 @@ def _ray_box(origin, dirs, lo, hi):
     return t
 
 
-def synth_scene(spec: SceneSpec, seed: int = 0):
-    """Generate the frame sequence; returns [(Scan, Pose, dynamic_mask)].
+def synth_frames(spec: SceneSpec):
+    """Generate the frame sequence one frame at a time; yields
+    (Scan, Pose, dynamic_mask).
 
-    Ray casting is fully analytic (ray-plane, ray-box nearest hit) so the
-    output is deterministic; the seed is retained for forward-compatible
-    noise models.
+    Ray casting is fully analytic (ray-plane, ray-box nearest hit), so the
+    output is deterministic, and only the frame in hand is held.
     """
-    del seed  # output is analytic; no stochastic component yet
     dirs = beam_directions(spec)
-    frames = []
     for f in range(spec.frames):
         t = f * spec.dt
         origin = (np.asarray(spec.sensor_start, dtype=np.float64)
@@ -135,5 +133,12 @@ def synth_scene(spec: SceneSpec, seed: int = 0):
         points = dirs[hit] * best_t[hit, None]
         scan = Scan(points=points, timestamp=t)
         pose = Pose(np.eye(3), origin)
-        frames.append((scan, pose, best_dyn[hit]))
-    return frames
+        yield scan, pose, best_dyn[hit]
+
+
+def synth_scene(spec: SceneSpec, seed: int = 0):
+    """The whole frame sequence of :func:`synth_frames` as a list of
+    (Scan, Pose, dynamic_mask).  The output is analytic; the seed is
+    accepted and ignored."""
+    del seed  # output is analytic; no stochastic component yet
+    return list(synth_frames(spec))

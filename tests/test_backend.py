@@ -219,6 +219,9 @@ def test_stored_contexts_do_not_alias_the_frame_or_the_map(tmp_path):
         for arr in [*vars(cubes).values(), *vars(image).values(),
                     *vars(bounds).values()]:
             if isinstance(arr, np.ndarray):
+                # a grouping is read-only; its arrays own their memory, or
+                # view a fresh transform, so they may be made writeable
+                arr.flags.writeable = True
                 arr.fill(0)
         # later frames integrate and remove cubes
         trail = [(20, 10, z) for z in range(2, 15)]

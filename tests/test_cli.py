@@ -8,8 +8,9 @@ import pytest
 from rhmap.cli import main
 from rhmap.geometry import Pose
 from rhmap.io_formats import (read_map_ply, write_kitti_scan, write_labels,
-                               write_poses)
+                               write_map_ply, write_poses)
 from rhmap.pipeline import STAGES
+from rhmap.synth import scene_from_dict, synth_scene
 
 SCENE = {
     "ground_z": 0.0,
@@ -27,6 +28,12 @@ SCENE = {
     "fov_up_deg": 5.0,
     "r_max": 25.0,
 }
+
+# the keys of each frame of `rhmap run --report`, in order
+FRAME_KEYS = ["columns_flagged", "regions_flagged", "cubes_removed",
+              "regions_elected", "regions_fitted", "planes_failed",
+              "ground_cubes_added", "map_cubes", "map_regions", "evicted",
+              "elapsed_ms", "stages_ms"]
 
 CFG_FLAGS = ["--image_rows", "32", "--image_cols", "360",
              "--fov_down_deg", "-30", "--fov_up_deg", "5",
@@ -60,6 +67,7 @@ def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys,
     assert len(calls) == 1          # the report and stdout share one score
     body = json.loads((tmp_path / "report.json").read_text())
     assert len(body["frames"]) == SCENE["frames"]
+    assert all(list(f) == FRAME_KEYS for f in body["frames"])
     assert body["timing"]["mean_ms"] > 0
     assert all(list(f["stages_ms"]) == list(STAGES) for f in body["frames"])
     timing = body["timing"]
@@ -72,6 +80,34 @@ def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys,
     pts, ground = read_map_ply(out_map)
     assert len(pts) > 0
     assert ground.any()
+    last = body["frames"][-1]
+    assert last["map_cubes"] == len(pts)
+    assert 0 < last["map_regions"] <= last["map_cubes"]
+    assert sum(f["ground_cubes_added"] for f in body["frames"]) >= ground.sum()
+
+
+def test_run_synthetic_streams_the_scene_into_the_same_map(tmp_path,
+                                                           scene_file, capsys,
+                                                           monkeypatch):
+    import rhmap.cli as cli
+
+    seen = []
+    real = cli.run_pipeline
+
+    def spy(cfg, frames):
+        seen.append((cfg, frames))
+        return real(cfg, frames)
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    out_map = tmp_path / "map.ply"
+    assert main(["run", "--synthetic", scene_file, "--out", str(out_map)]
+                + CFG_FLAGS) == 0
+    capsys.readouterr()
+    (cfg, frames), = seen
+    assert iter(frames) is frames          # frames are made as they are read
+    listed = tmp_path / "listed.ply"
+    write_map_ply(real(cfg, synth_scene(scene_from_dict(SCENE))).map, listed)
+    assert out_map.read_bytes() == listed.read_bytes()
 
 
 def test_synth_then_run_then_eval_round_trip(tmp_path, scene_file, capsys):

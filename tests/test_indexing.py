@@ -164,3 +164,14 @@ def test_scan_cubes_groups_match_brute_force():
     starts = np.append(cubes.column_start, len(pts))
     for c, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
         assert (col_of_sorted[a:b] == cubes.column_keys[c]).all()
+
+
+def test_a_grouping_is_read_only():
+    # the pipeline's two threads read one grouping at once
+    cubes = ScanCubes(np.random.default_rng(3).uniform(-2, 2, (500, 3)), CFG)
+    with pytest.raises(ValueError, match="read-only"):
+        cubes.points[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        cubes.cube_keys += 1
+    assert not any(arr.flags.writeable for arr in vars(cubes).values()
+                   if isinstance(arr, np.ndarray))

@@ -317,3 +317,25 @@ def test_removal_at_top_of_key_space():
     assert remove(map_, rkey) == 2
     assert column_band(map_, col) is None
     assert len(map_) == 0
+
+
+def test_table_row_inserts_and_deletes_match_numpy():
+    # one destination index or keep mask serves every array of a table
+    rng = np.random.default_rng(5)
+    map_ = make_map()
+    for n, k in [(0, 3), (50, 1), (50, 20), (1000, 37)]:
+        keys = np.sort(rng.integers(0, 10**6, n))
+        normals = rng.normal(size=(n, 3))
+        map_._rkeys, map_._rnormal = keys, normals
+        pos = np.sort(rng.integers(0, n + 1, k))
+        vals = (rng.integers(0, 10**6, k), rng.normal(size=(k, 3)))
+        map_._insert_rows(("_rkeys", "_rnormal"), pos, vals)
+        assert np.array_equal(map_._rkeys, np.insert(keys, pos, vals[0]))
+        assert np.array_equal(map_._rnormal,
+                              np.insert(normals, pos, vals[1], axis=0))
+        gone = rng.choice(n + k, k, replace=False)
+        before = map_._rkeys, map_._rnormal
+        map_._delete_rows(("_rkeys", "_rnormal"), gone)
+        assert np.array_equal(map_._rkeys, np.delete(before[0], gone))
+        assert np.array_equal(map_._rnormal,
+                              np.delete(before[1], gone, axis=0))

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rhmap import pipeline
+from rhmap import pipeline, removal
 from rhmap.config import PipelineConfig
 from rhmap.evaluate import count_dynamic_cubes, cube_keys, evaluate
 from rhmap.geometry import Scan
@@ -173,38 +173,51 @@ def test_timing_report():
 
 
 def _run_both_ways(monkeypatch, cfg, frames):
-    """Runs with the sensor side forced inline, then onto the worker thread;
-    each with the names of the threads that built its range images."""
+    """Runs with the map-free side forced inline, then onto the worker
+    thread; each checked for the threads that built its range images and
+    its scan contexts."""
     runs = []
-    real = pipeline.build_range_image
+    spied = [(pipeline, "build_range_image"),
+             (removal, "build_scan_context_2d"),
+             (removal, "build_scan_context_3d")]
     for overlap in (False, True):
-        threads = set()
-
-        def spy(*args, **kwargs):
-            threads.add(threading.current_thread().name)
-            return real(*args, **kwargs)
-
+        threads = {name: set() for _, name in spied}
         with monkeypatch.context() as m:
             force_overlap(m, overlap)
-            m.setattr(pipeline, "build_range_image", spy)
-            runs.append((run_pipeline(cfg, frames), threads))
-    (inline, inline_threads), (overlapped, worker_threads) = runs
-    assert inline_threads == {threading.current_thread().name}
-    assert len(worker_threads) == 1
-    assert worker_threads.pop().startswith("rhmap-sensor")
-    return inline, overlapped
+            for module, name in spied:
+                m.setattr(module, name,
+                          _thread_spy(getattr(module, name), threads[name]))
+            runs.append(run_pipeline(cfg, frames))
+        for seen in threads.values():
+            (name,) = seen
+            if overlap:
+                assert name.startswith("rhmap-sensor")
+            else:
+                assert name == threading.current_thread().name
+    return runs
+
+
+def _thread_spy(real, threads):
+    def spy(*args, **kwargs):
+        threads.add(threading.current_thread().name)
+        return real(*args, **kwargs)
+    return spy
 
 
 def _assert_same_run(a, b):
     keys_a, keys_b = a.map.occupied_keys(), b.map.occupied_keys()
     assert keys_a.tobytes() == keys_b.tobytes()
-    assert (a.map.export_occupied_points()[1].tobytes()
-            == b.map.export_occupied_points()[1].tobytes())
+    for xa, xb in zip(a.map.export_occupied_points(),
+                      b.map.export_occupied_points()):
+        assert xa.tobytes() == xb.tobytes()
     assert len(a.frames) == len(b.frames)
     for fa, fb in zip(a.frames, b.frames):
         assert fa.report == fb.report
+        assert fa.ground == fb.ground
         assert fa.backend_reports == fb.backend_reports
         assert fa.keyframe_added == fb.keyframe_added
+        assert ((fa.map_cubes, fa.map_regions, fa.evicted)
+                == (fb.map_cubes, fb.map_regions, fb.evicted))
     assert a.truth_points.tobytes() == b.truth_points.tobytes()
     assert a.truth_mask.tobytes() == b.truth_mask.tobytes()
 
@@ -228,9 +241,12 @@ class _SideError(Exception):
     pass
 
 
-@pytest.mark.parametrize("side", ["build_range_image", "r_gpe"])
+@pytest.mark.parametrize("module, side", [
+    pytest.param(module, side, id=side) for module, side in
+    [(pipeline, "build_range_image"), (removal, "build_scan_context_3d"),
+     (pipeline, "r_gpe")]])
 def test_an_error_on_either_side_keeps_its_type_and_stops_the_worker(
-        monkeypatch, side):
+        monkeypatch, module, side):
     frames = synth_scene(_small_scene(frames=3))
     baseline = threading.active_count()
     calls = []
@@ -241,12 +257,39 @@ def test_an_error_on_either_side_keeps_its_type_and_stops_the_worker(
             raise _SideError(side)
         return real(*args, **kwargs)
 
-    real = getattr(pipeline, side)
+    real = getattr(module, side)
     force_overlap(monkeypatch, True)
-    monkeypatch.setattr(pipeline, side, failing)
+    monkeypatch.setattr(module, side, failing)
     with pytest.raises(_SideError, match=side):
         run_pipeline(_cfg(), frames)
     assert len(calls) == 2
-    worker_side = side == "build_range_image"
+    worker_side = side != "r_gpe"
     assert calls[1].startswith("rhmap-sensor") == worker_side
     assert threading.active_count() == baseline
+
+
+def test_a_run_switching_between_inline_and_overlapped_frames_matches(
+        monkeypatch):
+    # thinned scans fall below the cutoff and run inline; the others run on
+    # the worker.  Truth rows stay in frame order, and the map is the same.
+    frames = []
+    for i, (scan, pose, mask) in enumerate(synth_scene(_small_scene(20))):
+        keep = slice(None) if i % 3 else slice(None, None, 2)
+        frames.append((Scan(scan.points[keep], scan.timestamp), pose,
+                       mask[keep]))
+    sizes = sorted({len(scan) for scan, _, _ in frames})
+    cutoff = sizes[len(sizes) // 2]
+    threads = set()
+    with monkeypatch.context() as m:
+        force_overlap(m, False)
+        inline = run_pipeline(_cfg(), frames)
+        m.setattr(pipeline, "OVERLAP_MIN_POINTS", cutoff)
+        m.setattr(removal, "build_scan_context_2d",
+                  _thread_spy(removal.build_scan_context_2d, threads))
+        mixed = run_pipeline(_cfg(), frames)
+    assert threading.current_thread().name in threads
+    assert any(name.startswith("rhmap-sensor") for name in threads)
+    _assert_same_run(inline, mixed)
+    assert np.array_equal(mixed.truth_points, np.concatenate(
+        [cube_keys(pose.apply(scan.points), mixed.map.config.cube_size)
+         for scan, pose, _ in frames]))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rhmap.synth import (MovingBox, SceneError, SceneSpec, beam_directions,
-                         load_scene, scene_from_dict, synth_scene)
+                         load_scene, scene_from_dict, synth_frames,
+                         synth_scene)
 
 
 def test_upward_fov_sees_nothing():
@@ -96,11 +97,17 @@ def test_generation_is_deterministic():
                      static_boxes=[((4.0, 2.0, 0.0), (5.0, 3.0, 1.0))],
                      frames=5)
     a = synth_scene(spec)
-    b = synth_scene(spec)
+    # the streamed frames are the listed ones, bit for bit
+    b = synth_frames(spec)
+    assert iter(b) is b
+    b = list(b)
+    assert len(a) == len(b) == 5
     for (sa, pa, ma), (sb, pb, mb) in zip(a, b):
         assert sa.points.tobytes() == sb.points.tobytes()
-        assert np.array_equal(pa.translation, pb.translation)
-        assert np.array_equal(ma, mb)
+        assert sa.timestamp == sb.timestamp
+        assert pa.rotation.tobytes() == pb.rotation.tobytes()
+        assert pa.translation.tobytes() == pb.translation.tobytes()
+        assert ma.tobytes() == mb.tobytes()
 
 
 def test_scene_from_dict_and_load(tmp_path):
