@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rhmap import pipeline
 from rhmap.config import FrontendConfig, MapConfig
 from rhmap.ground import (GroundReport, elect_candidate_ground_regions,
                           fit_ground_planes, r_gpe)
 from rhmap.indexing import ScanCubes, pack2, pack3, unpack3
 from rhmap.io_formats import write_map_ply
 from rhmap.map_core import RHMap
+from rhmap.pipeline import run_pipeline
+from rhmap.synth import synth_frames
 
-from conftest import cube_state, ground_keys, hit_cubes, integrate, region
+from conftest import (cube_state, dor_config, ground_keys, hit_cubes,
+                      integrate, region, residue_config, residue_scene)
 
 
 FCFG = FrontendConfig()
@@ -363,3 +367,61 @@ def test_fits_do_not_depend_on_insertion_order(heights, clutter, seed, parts):
         outcomes.append(fit_outcome(map_))
     assert outcomes[1] == outcomes[0]
     assert outcomes[2] == outcomes[0]
+
+
+# The ground reference against the map's ground cubes, after every frame of
+# two full runs: the DOR scene at 0.4 m regions, and the residue scene with
+# the back end replaying keyframes.
+
+def ground_by_column(map_):
+    """Brute force: the distinct (x, y) cube columns of the map's ground
+    cubes, each column's int64 sum of z indices and its cube count."""
+    keys = ground_keys(map_)
+    cols, inv = np.unique(keys >> 21, return_inverse=True)
+    z_sum = np.zeros(len(cols), dtype=np.int64)
+    np.add.at(z_sum, inv, unpack3(keys)[:, 2])
+    return cols, z_sum, np.bincount(inv, minlength=len(cols))
+
+
+def assert_ground_reference_matches(map_):
+    cols, z_sum, count = ground_by_column(map_)
+    assert np.array_equal(map_._g_keys, cols)
+    assert np.array_equal(map_._g_cnt, count)
+    mean = (z_sum / count + 0.5) * map_.config.cube_size
+    assert np.allclose(map_._g_sum / map_._g_cnt, mean, rtol=0, atol=1e-12)
+
+
+def run_checked(monkeypatch, cfg, frames, check):
+    """Run the pipeline, calling ``check(map)`` after every frame."""
+    maps = []
+
+    class SpiedMap(RHMap):
+        def __init__(self, config=None):
+            super().__init__(config)
+            maps.append(self)
+
+    def checked_frames():
+        # the pipeline asks for a frame only once the last one is done
+        for frame in frames:
+            if maps:
+                check(maps[0])
+            yield frame
+
+    monkeypatch.setattr(pipeline, "RHMap", SpiedMap)
+    result = run_pipeline(cfg, checked_frames())
+    assert result.map is maps[0]
+    check(result.map)
+    return result
+
+
+@pytest.mark.parametrize("scene", ["dor_0.4m", "residue_backend_on"])
+def test_ground_reference_is_the_ground_cubes_after_every_frame(
+        monkeypatch, dor_frames, scene):
+    if scene == "dor_0.4m":
+        cfg, frames = dor_config(2), dor_frames
+    else:
+        cfg, frames = residue_config(True), synth_frames(residue_scene())
+    result = run_checked(monkeypatch, cfg, frames,
+                         assert_ground_reference_matches)
+    assert len(result.frames) >= 200
+    assert len(ground_by_column(result.map)[0]) > 1000
