@@ -19,7 +19,7 @@ from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply
                          read_poses, read_times, write_kitti_scan, write_labels,
                          write_map_ply, write_poses)
 from .pipeline import run_pipeline, timing_report
-from .synth import SceneSpec, load_scene, synth_frames, synth_scene
+from .synth import bench_scene, load_scene, synth_frames, synth_scene
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
@@ -175,24 +175,8 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _bench_scene(frames: int) -> SceneSpec:
-    """The built-in throughput scene: ~91k-point 64x1600 scans out to 60 m."""
-    return SceneSpec(
-        ground_z=0.0,
-        static_boxes=[([8, -12, 0], [12, -8, 3]), ([-14, 6, 0], [-8, 10, 4])],
-        sensor_start=(0.0, 0.0, 1.5),
-        sensor_velocity=(1.0, 0.0, 0.0),
-        frames=frames,
-        beam_rows=64,
-        beam_cols=1600,
-        fov_down_deg=-24.8,
-        fov_up_deg=2.0,
-        r_max=60.0,
-    )
-
-
 def cmd_bench(args) -> int:
-    scene = _bench_scene(args.frames)
+    scene = bench_scene(args.frames)
     # the front end sees the scene's beam pattern unless told otherwise
     base = PipelineConfig()
     fe = base.frontend

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import FrontendConfig
 from .indexing import (ScanCubes, find_sorted, group_sorted, pack2, run_starts,
-                       unpack3)
+                       unpack3, z_of_keys)
 from .map_core import RHMap
 
 # Two covariance eigenvalues closer than this, relative to the largest (or
@@ -36,24 +36,27 @@ def elect_candidate_ground_regions(map_: RHMap, cubes: ScanCubes,
     """Sorted int64 region keys worth a ground fit, given the freshly
     inserted scan's world points grouped by cube.
 
-    A cube of the scan votes for its region when its height sits below the
-    column's ground reference: the running ground mean G when available,
-    otherwise the minimum scan height of the whole region column plus a
-    bootstrap margin (the wider footprint keeps isolated flat rooftops
-    from looking like fresh ground).  Regions whose eight neighbouring
-    columns are all empty are discarded as isolated noise.
+    A cube of the scan at z index ``k`` votes for its region when it sits
+    below the ground reference of its (x, y) cube column: the mean centre
+    height of the map's ``n`` ground cubes there, tested exactly as
+    ``2 n k < 2 sum_k + n``, or in a column without any, the minimum scan
+    height of the whole region column plus a bootstrap margin (the wider
+    footprint keeps isolated flat rooftops from looking like fresh
+    ground).  Regions whose eight neighbouring columns are all empty are
+    discarded as isolated noise.
     """
     map_.check_grouping(cubes)
     cfg = map_.config
-    idx = unpack3(cubes.cube_keys)
-    okeys = pack2(idx[:, 0], idx[:, 1])
-    order, starts, inv = group_sorted(okeys)
-    gmean, found = map_.ground_mean(okeys[order[starts]])
+    kz = z_of_keys(cubes.cube_keys)
+    cols = cubes.cube_keys >> 21      # each cube's (x, y) cube column
+    order, starts, inv = group_sorted(cols)
+    z_sum, n = map_.ground_columns(cols[order[starts]])
+    z_sum, n = z_sum[inv], n[inv]
     cminz = np.minimum.reduceat(cubes.points[cubes.order, 2], cubes.column_start)
 
-    ref = np.where(found[inv], gmean[inv],
-                   cminz[cubes.cube_column] + fcfg.bootstrap_margin)
-    below = idx[:, 2] * cfg.cube_size < ref
+    below = np.where(
+        n > 0, 2 * n * kz < 2 * z_sum + n,
+        kz * cfg.cube_size < cminz[cubes.cube_column] + fcfg.bootstrap_margin)
     voted = np.zeros(len(cubes.region_keys), dtype=bool)
     voted[cubes.cube_region[below]] = True
     rkeys = cubes.region_keys[voted]
@@ -96,9 +99,9 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
 
     Every cube of a fitted region within ``fcfg.r_gro`` of the plane
     is marked as ground, so staircase levels above the mean on sloped
-    terrain count too, and its z-center is folded into the ground height
-    table G.  All regions' fits, checks and markings run as single array
-    operations over one stacked eigendecomposition.
+    terrain count too, and joins the map's ground keys, the ground
+    reference of later elections.  All regions' fits, checks and markings
+    run as single array operations over one stacked eigendecomposition.
     """
     cubes, skipped = map_.unfitted_region_cubes(rkeys)
     report.planes_failed += skipped

@@ -47,6 +47,12 @@ def unpack3(key) -> np.ndarray:
     return out
 
 
+def z_of_keys(key) -> np.ndarray:
+    """The z indexes of packed keys; the last column of :func:`unpack3`."""
+    v = np.asarray(key, dtype=np.int64) & AXIS_MASK
+    return v - ((v & _SIGN) << 1)
+
+
 def pack2(ix, iy) -> np.ndarray:
     """Pack a 2D (x, y) index into an int64 key."""
     ix = np.asarray(ix, dtype=np.int64)

@@ -16,8 +16,10 @@ Every table is a set of flat parallel numpy arrays:
   table.  A region's column key is ``region_key >> 21``, so the regions
   of one column are a contiguous run of the table as well, and a
   column's z band is the min/max of its regions' z extents;
-* ``G``, sorted by global (cube-resolution) column key: a running mean of
-  ground heights.
+* the ground keys: the sorted packed keys of the ground cubes.  Ground
+  cubes never leave the map, and in packed key order the ground cubes of
+  one (x, y) cube column are one run, so a column's ground height comes
+  from exact integer sums over that run.
 
 The paper's hash lookup is realised as ``searchsorted`` on these sorted
 keys.  Region and cube keys are exact packed indexes, so two distinct
@@ -32,7 +34,6 @@ import numpy as np
 
 from .config import MapConfig
 from .indexing import (
-    AXIS_MASK,
     ScanCubes,
     cube_centers,
     find_sorted,
@@ -42,21 +43,14 @@ from .indexing import (
     region_major,
     run_starts,
     sorted_unique,
+    z_of_keys,
 )
-
-_SIGN = 1 << 20
 
 # the parallel arrays of each table; region columns in the order of
 # RHMap._insert_regions' arguments
 _CUBE_ARRAYS = ("_skeys", "_is_ground")
 _REGION_ARRAYS = ("_rkeys", "_rz_min", "_rz_max", "_rz_sum", "_rcount",
                   "_rnormal", "_rd", "_rfitted", "_rfail_at")
-_G_ARRAYS = ("_g_keys", "_g_sum", "_g_cnt")
-
-
-def _z_of_keys(keys: np.ndarray) -> np.ndarray:
-    v = np.asarray(keys, dtype=np.int64) & AXIS_MASK
-    return v - ((v & _SIGN) << 1)
 
 
 class RegionCubes(NamedTuple):
@@ -90,9 +84,7 @@ class RHMap:
         self._rd = np.empty(0, dtype=np.float64)
         self._rfitted = np.empty(0, dtype=bool)
         self._rfail_at = np.empty(0, dtype=np.int64)
-        self._g_keys = np.empty(0, dtype=np.int64)
-        self._g_sum = np.empty(0, dtype=np.float64)
-        self._g_cnt = np.empty(0, dtype=np.int64)
+        self._gkeys = np.empty(0, dtype=np.int64)      # ground cubes, sorted
 
     def _rm(self, keys) -> np.ndarray:
         return region_major(keys, self.config.mask_bits)
@@ -167,7 +159,7 @@ class RHMap:
     def _register_new(self, rm: np.ndarray, keys: np.ndarray):
         """Fold new cubes (region-major sorted) into the region table."""
         seg = run_starts(rm >> (3 * self.config.mask_bits))
-        kz = _z_of_keys(keys)
+        kz = z_of_keys(keys)
         zc = self._zc(kz)
         lo = np.minimum.reduceat(zc, seg)
         hi = np.maximum.reduceat(zc, seg)
@@ -307,12 +299,34 @@ class RHMap:
         self._rfail_at[at[~ok]] = self._rcount[at[~ok]]
 
     def mark_ground(self, pos: np.ndarray):
-        """Mark cubes (by cube-table position) as ground and fold their
-        centre heights into G."""
-        keys = self._keys_at(pos)
+        """Mark cubes (by distinct cube-table positions) as ground, and add
+        the keys of those not ground yet to the sorted ground keys."""
+        pos = pos[~self._is_ground[pos]]
         self._is_ground[pos] = True
-        # a cube key shifted past its z field is its (x, y) column key
-        self.update_ground_samples(keys >> 21, self._zc(_z_of_keys(keys)))
+        keys = np.sort(self._keys_at(pos))
+        self._insert_rows(("_gkeys",), np.searchsorted(self._gkeys, keys),
+                          (keys,))
+
+    def ground_columns(self, cols: np.ndarray):
+        """Each given (x, y) cube column's int64 sum of its ground cubes'
+        z indices, and their count; ``cols`` are sorted, distinct column
+        keys (a cube key shifted past its z field)."""
+        g = self._gkeys
+        cols = np.asarray(cols, dtype=np.int64)
+        z_sum = np.zeros(len(cols), dtype=np.int64)
+        count = np.zeros(len(cols), dtype=np.int64)
+        # in key order a column's ground cubes are one run from its first
+        # key on; most runs are one cube long, so each pass extends only
+        # the runs whose next key is still in their column
+        i, at = np.arange(len(cols)), np.searchsorted(g, cols << 21)
+        while len(i):
+            ok = at < len(g)
+            ok[ok] = (g[at[ok]] >> 21) == cols[i[ok]]
+            i, at = i[ok], at[ok]
+            z_sum[i] += z_of_keys(g[at])
+            count[i] += 1
+            at += 1
+        return z_sum, count
 
     # ---------------------------------------------------------------- removal
 
@@ -337,7 +351,7 @@ class RHMap:
         survivors = np.bincount(kept_owner, minlength=len(rkeys))
         if len(kept_owner):
             seg = run_starts(kept_owner)
-            kz = _z_of_keys(self._keys_at(pos[keep]))
+            kz = z_of_keys(self._keys_at(pos[keep]))
             zc = self._zc(kz)
             i = np.searchsorted(self._rkeys, rkeys[kept_owner[seg]])
             self._rz_min[i] = np.minimum.reduceat(zc, seg)
@@ -350,31 +364,6 @@ class RHMap:
         gone = pos[doomed]
         self._delete_rows(_CUBE_ARRAYS, gone)
         return len(gone)
-
-    # ------------------------------------------------------------ ground table
-
-    def update_ground_samples(self, okeys: np.ndarray, zs: np.ndarray):
-        if len(okeys) == 0:
-            return
-        uk, inv = np.unique(np.asarray(okeys, dtype=np.int64), return_inverse=True)
-        sums = np.zeros(len(uk))
-        np.add.at(sums, inv, np.asarray(zs, dtype=np.float64))
-        cnts = np.bincount(inv, minlength=len(uk)).astype(np.int64)
-        pos, present = find_sorted(self._g_keys, uk)
-        self._g_sum[pos[present]] += sums[present]
-        self._g_cnt[pos[present]] += cnts[present]
-        new = ~present
-        if new.any():
-            self._insert_rows(_G_ARRAYS, pos[new],
-                              (uk[new], sums[new], cnts[new]))
-
-    def ground_mean(self, okeys: np.ndarray):
-        """Per-key running ground mean; returns (mean, found) arrays."""
-        okeys = np.asarray(okeys, dtype=np.int64)
-        pos, found = find_sorted(self._g_keys, okeys)
-        mean = np.full(okeys.shape, np.nan)
-        mean[found] = self._g_sum[pos[found]] / self._g_cnt[pos[found]]
-        return mean, found
 
     # ------------------------------------------------------------------ export
 

@@ -21,7 +21,7 @@ from rhmap.indexing import ScanCubes, cube_indices, find_sorted, pack3
 from rhmap.pipeline import run_pipeline
 from rhmap.range_image import build_range_image
 from rhmap.removal import scan_contexts, sensor_bounds
-from rhmap.synth import MovingBox, SceneSpec, synth_scene
+from rhmap.synth import MovingBox, SceneSpec, bench_scene, synth_scene
 
 # ---------------------------------------------------------------------------
 # Ground-preservation guard.  Every call to remove_regions_nonground, the
@@ -112,10 +112,11 @@ def ground_keys(map_):
 
 
 def mark_ground_keys(map_, keys):
-    """Set the ground flag of cubes in the map, by packed key."""
+    """Mark cubes of the map as ground, by distinct packed key, through
+    ``RHMap.mark_ground``, which keeps the ground keys in step."""
     pos, present = lookup_pos(map_, np.asarray(keys, dtype=np.int64))
     assert present.all()
-    map_._is_ground[pos] = True
+    map_.mark_ground(pos)
 
 
 def cube_state(map_, idx):
@@ -273,23 +274,6 @@ def residue_runs():
     return counts[False], counts[True], wall, maps
 
 
-def bench_scene(frames: int = 30) -> SceneSpec:
-    """The throughput scene: ~91k-point 64-beam scans out to 60 m."""
-    return SceneSpec(
-        ground_z=0.0,
-        static_boxes=[([8, -12, 0], [12, -8, 3]), ([-14, 6, 0], [-8, 10, 4])],
-        sensor_start=(0.0, 0.0, 1.5),
-        sensor_velocity=(1.0, 0.0, 0.0),
-        frames=frames,
-        dt=0.1,
-        beam_rows=64,
-        beam_cols=1600,
-        fov_down_deg=-24.8,
-        fov_up_deg=2.0,
-        r_max=60.0,
-    )
-
-
 def bench_config() -> PipelineConfig:
     cfg = PipelineConfig()
     cfg.frontend.image_rows = 64
@@ -301,7 +285,7 @@ def bench_config() -> PipelineConfig:
 @pytest.fixture(scope="session")
 def bench_run():
     """Throughput run on ~100k-point 64-beam scans at 0.1 m cubes."""
-    frames = synth_scene(bench_scene(), seed=0)
+    frames = synth_scene(bench_scene(30), seed=0)
     t0 = time.perf_counter()
     result = run_pipeline(bench_config(), frames)
     wall = time.perf_counter() - t0

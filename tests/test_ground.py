@@ -18,7 +18,8 @@ from rhmap.pipeline import run_pipeline
 from rhmap.synth import synth_frames
 
 from conftest import (cube_state, dor_config, ground_keys, hit_cubes,
-                      integrate, region, residue_config, residue_scene)
+                      integrate, mark_ground_keys, region, residue_config,
+                      residue_scene)
 
 
 FCFG = FrontendConfig()
@@ -76,11 +77,10 @@ def fit_region_plane(map_, region_key, min_normal_z):
 
 
 def extract_ground_cubes(map_, region_key, n, d, r_gro):
-    """Keys and z-centers of a region's live cubes within r_gro of a plane."""
+    """Keys of a region's live cubes within r_gro of a plane."""
     keys = region(map_, region_key).keys
-    idx = unpack3(keys)
-    near = np.abs(idx.astype(np.float64) @ n - d) < r_gro
-    return keys[near], (idx[near, 2] + 0.5) * map_.config.cube_size
+    near = np.abs(unpack3(keys).astype(np.float64) @ n - d) < r_gro
+    return keys[near]
 
 
 def _lattice_map():
@@ -160,9 +160,9 @@ def test_extract_flat_region_marks_all_low_cubes():
     assert got == expect
     assert cube_state(map_, (0, 0, 5)) is False
     assert cube_state(map_, (3, 3, 0)) is True
-    # every marked ground height entered G
-    mean, found = map_.ground_mean(pack2([3], [3]))
-    assert found[0] and abs(mean[0] - 0.05) < 1e-12
+    # every marked ground cube entered the ground keys
+    z_sum, count = map_.ground_columns(pack2([3], [3]))
+    assert z_sum.tolist() == [0] and count.tolist() == [1]
 
 
 def test_extract_excludes_displaced_cube():
@@ -196,7 +196,7 @@ def test_extract_without_plane_is_empty():
     map_ = make_map()
     hit_cubes(map_, (0, 0, 0))
     assert_fit_failed(map_, fit_all(map_))
-    assert len(map_._g_keys) == 0
+    assert len(map_._gkeys) == 0
 
 
 def test_election_isolated_region_excluded():
@@ -219,7 +219,7 @@ def test_election_rejects_a_grouping_of_another_shape():
             elect_candidate_ground_regions(map_, ScanCubes(pts, cfg), FCFG)
         with pytest.raises(ValueError):
             r_gpe(map_, ScanCubes(pts, cfg), FCFG)
-    assert len(map_._g_keys) == 0
+    assert len(map_._gkeys) == 0
 
 
 def test_election_flat_disc_elects_all_touched_regions():
@@ -253,11 +253,26 @@ def test_election_ignores_points_above_ground_reference():
                               np.zeros(256)])
     ground = ScanCubes(ground, map_.config)
     map_.integrate_points(ground)
-    r_gpe(map_, ground, FCFG)  # establishes G near z = 0.05
+    r_gpe(map_, ground, FCFG)  # ground cubes at z index 0, centres 0.05 m
     high = ScanCubes(np.array([[0.45, 0.45, 2.0]]), map_.config)
     map_.integrate_points(high)
     elected = elect_candidate_ground_regions(map_, high, FCFG)
     assert elected.dtype == np.int64 and len(elected) == 0
+
+
+def test_election_tie_with_the_ground_mean_does_not_vote():
+    # ground cubes at z indexes 8 and 9 put the column's mean ground height
+    # at exactly (8.5 + 0.5) * 0.1 = 0.9 m, the height of cube 9: not below
+    # it.  A float mean of the centres 0.85 and 0.95 rounds above 0.9.
+    map_ = make_map()
+    # cube (8, 0, 0) fills a neighbouring region column: the region of the
+    # scan cube is not isolated
+    hit_cubes(map_, [(0, 0, 8), (0, 0, 9), (8, 0, 0)])
+    mark_ground_keys(map_, pack3([0, 0], [0, 0], [8, 9]))
+    for z, votes in ((9, False), (8, True)):
+        cubes = ScanCubes(np.array([[0.05, 0.05, (z + 0.5) * 0.1]]), map_.config)
+        elected = elect_candidate_ground_regions(map_, cubes, FCFG)
+        assert elected.tolist() == ([int(pack3(0, 0, 8))] if votes else [])
 
 
 def test_rgpe_trigger_rule_fits_once():
@@ -282,15 +297,12 @@ def test_batch_fit_matches_per_region_path():
     regions = map_.regions.tolist()
 
     # oracle first: it only reads the map
-    planes, oracle_keys, g_keys, g_z = {}, [], [], []
+    planes, oracle_keys = {}, []
     for k in regions:
         planes[k] = fit_region_plane(map_, k, FCFG.min_ground_normal_z)
         if planes[k] is not None:
-            keys, zc = extract_ground_cubes(map_, k, *planes[k], FCFG.r_gro)
-            idx = unpack3(keys)
-            oracle_keys.append(keys)
-            g_keys.append(pack2(idx[:, 0], idx[:, 1]))
-            g_z.append(zc)
+            oracle_keys.append(
+                extract_ground_cubes(map_, k, *planes[k], FCFG.r_gro))
     report = GroundReport()
     fit_ground_planes(map_, np.array(regions), FCFG, report)
 
@@ -305,11 +317,7 @@ def test_batch_fit_matches_per_region_path():
     marked = ground_keys(map_)
     expect = np.sort(np.concatenate(oracle_keys))
     assert np.array_equal(marked, expect)
-    g_keys, g_z = np.concatenate(g_keys), np.concatenate(g_z)
-    uk, inv = np.unique(g_keys, return_inverse=True)
-    assert np.array_equal(map_._g_keys, uk)
-    assert np.allclose(map_._g_sum, np.bincount(inv, weights=g_z))
-    assert np.array_equal(map_._g_cnt, np.bincount(inv))
+    assert np.array_equal(map_._gkeys, expect)
 
 
 def test_sloped_terrain_ground_coverage():
@@ -329,7 +337,7 @@ def test_sloped_terrain_ground_coverage():
 
 def fit_outcome(map_):
     """Every fit result of a map, as bytes: each region's plane, fitted flag
-    and failed-fit count, the G table and the exported PLY."""
+    and failed-fit count, the ground keys and the exported PLY."""
     regions = [region(map_, k) for k in map_.regions]
     planes = [(r.fitted, r.fit_failed_at, np.float64(r.plane_d).tobytes(),
                None if r.plane_n is None else r.plane_n.tobytes())
@@ -338,8 +346,7 @@ def fit_outcome(map_):
         path = Path(tmp) / "map.ply"
         write_map_ply(map_, path)
         ply = path.read_bytes()
-    g = b"".join(a.tobytes() for a in (map_._g_keys, map_._g_sum, map_._g_cnt))
-    return planes, g, ply
+    return planes, map_._gkeys.tobytes(), ply
 
 
 @settings(max_examples=60, deadline=None)
@@ -351,7 +358,7 @@ def test_fits_do_not_depend_on_insertion_order(heights, clutter, seed, parts):
     # a bumpy 16 x 16 surface over four region columns plus clutter: the
     # same cubes, inserted at once, shuffled, or shuffled and split across
     # several integrations, give bit-identical fits, ground flags (in the
-    # PLY), G table and exported map
+    # PLY), ground keys and exported map
     xy = np.stack(np.meshgrid(np.arange(-8, 8), np.arange(-8, 8)), -1).reshape(-1, 2)
     idx = np.unique(np.concatenate([np.column_stack([xy, heights]),
                                     np.array(clutter, dtype=np.int64).reshape(-1, 3)]),
@@ -384,11 +391,11 @@ def ground_by_column(map_):
 
 
 def assert_ground_reference_matches(map_):
+    assert np.array_equal(map_._gkeys, ground_keys(map_))
     cols, z_sum, count = ground_by_column(map_)
-    assert np.array_equal(map_._g_keys, cols)
-    assert np.array_equal(map_._g_cnt, count)
-    mean = (z_sum / count + 0.5) * map_.config.cube_size
-    assert np.allclose(map_._g_sum / map_._g_cnt, mean, rtol=0, atol=1e-12)
+    got_sum, got_count = map_.ground_columns(cols)
+    assert np.array_equal(got_sum, z_sum)
+    assert np.array_equal(got_count, count)
 
 
 def run_checked(monkeypatch, cfg, frames, check):

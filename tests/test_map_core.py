@@ -58,8 +58,9 @@ def test_region_stats_ordering():
 
 def test_column_band_matches_full_rescan_oracle():
     # integration interleaved with removal against a set model: after every
-    # step the cube table, the exported cubes, each region's statistics and
-    # each column's band describe the model's cubes, tallied by brute force.
+    # step the cube table, the exported cubes, the ground keys, each
+    # region's statistics and each column's band describe the model's cubes,
+    # tallied by brute force.
     # Every step after the first re-hits cubes the step before removed; they
     # come back as new, non-ground cubes.
     rng = np.random.default_rng(4)
@@ -92,6 +93,8 @@ def test_column_band_matches_full_rescan_oracle():
         pts, flags = map_.export_occupied_points()
         assert dict(zip(cube_keys(pts, 0.1).tolist(), flags.tolist())) == \
             {k: k in ground for k in live}
+        # cubes marked again in a later step enter the ground keys once
+        assert map_._gkeys.tolist() == sorted(ground)
         kz = unpack3(keys)[:, 2]
         zc = (kz + 0.5) * 0.1
         rkeys = keys & rmask
@@ -208,25 +211,42 @@ def test_removed_cube_revives_as_fresh():
     assert len(map_) == 1
 
 
-def test_ground_mean_examples():
+def test_ground_columns_match_a_brute_force_oracle():
+    # column (-1, -1) has the largest column key, 2**42 - 1, so the first
+    # key of the column after it, (col + 1) << 21, would overflow int64;
+    # (2, 3) and (2, 4) are adjacent in key order, with runs of several
+    # cubes each; every ground column also holds a non-ground cube
+    ground = [(-1, -1, z) for z in (-3, -1, 0, 2)]
+    ground += [(2, 3, z) for z in (-2, 0, 1, 5)] + [(2, 4, z) for z in (7, 9)]
+    ground += [(-5, -3, 4), (0, 0, 0), (-1, 0, -6), (6, -2, 1), (6, -2, 3)]
+    rng = np.random.default_rng(8)
+    ground += [tuple(c) for c in rng.integers(-20, 20, size=(300, 3))]
+    ground = sorted(set(ground))
+    others = [(x, y, z + 11) for x, y, z in ground]
     map_ = make_map()
-    at = pack2([0, 5], [0, 5])
-    map_.update_ground_samples(at[:1], np.array([1.0]))
-    assert map_.ground_mean(at[:1])[0].tolist() == [1.0]
-    map_.update_ground_samples(at[:1], np.array([2.0]))
-    mean, found = map_.ground_mean(at)
-    assert mean[0] == 1.5
-    assert found.tolist() == [True, False] and np.isnan(mean[1])
+    hit_cubes(map_, ground + others)
+    mark_ground_keys(map_, pack3(*np.array(ground).T))
 
+    oracle = {}
+    for x, y, z in ground:
+        z_sum, n = oracle.get((x, y), (0, 0))
+        oracle[(x, y)] = (z_sum + z, n + 1)
+    xy = np.array(list(oracle))
+    near = np.concatenate([xy + d for d in ((0, 0), (0, 1), (1, 0), (-1, -1))])
+    cols = np.unique(pack2(near[:, 0], near[:, 1]))
+    assert cols[-1] == 2**42 - 1
+    z_sum, count = map_.ground_columns(cols)
+    xy = unpack3(cols << 21)[:, :2]
+    expect = [oracle.get((int(x), int(y)), (0, 0)) for x, y in xy]
+    assert z_sum.dtype == count.dtype == np.int64
+    assert list(zip(z_sum.tolist(), count.tolist())) == expect
+    assert count.sum() == len(ground) and (count == 0).any()
 
-def test_ground_mean_matches_batch_average():
-    rng = np.random.default_rng(6)
-    map_ = make_map()
-    samples = rng.normal(size=1000)
-    key = pack2([2], [3])
-    for z in samples:
-        map_.update_ground_samples(key, np.array([z]))
-    assert abs(map_.ground_mean(key)[0][0] - samples.mean()) < 1e-9
+    # an empty table, and no columns asked
+    z_sum, count = make_map().ground_columns(cols)
+    assert not z_sum.any() and not count.any() and len(count) == len(cols)
+    z_sum, count = map_.ground_columns(np.empty(0, dtype=np.int64))
+    assert len(z_sum) == len(count) == 0
 
 
 def test_export_empty_map():

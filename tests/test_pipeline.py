@@ -12,9 +12,9 @@ from rhmap.config import PipelineConfig
 from rhmap.evaluate import count_dynamic_cubes, cube_keys, evaluate
 from rhmap.geometry import Scan
 from rhmap.pipeline import STAGES, run_pipeline, timing_report
-from rhmap.synth import MovingBox, SceneSpec, synth_scene
+from rhmap.synth import MovingBox, SceneSpec, bench_scene, synth_scene
 
-from conftest import bench_config, bench_scene, dor_config, force_overlap
+from conftest import bench_config, dor_config, force_overlap
 
 
 def _small_scene(frames=60):
