@@ -211,6 +211,33 @@ def test_removed_cube_revives_as_fresh():
     assert len(map_) == 1
 
 
+def test_ground_mean_examples():
+    # a column's ground mean is its z sum over its count, in cube indices
+    map_ = make_map()
+    hit_cubes(map_, [(0, 0, 1), (0, 0, 2), (5, 5, 0)])
+    at = pack2([0, 5], [0, 5])
+    mark_ground_keys(map_, pack3([0], [0], [1]))
+    z_sum, count = map_.ground_columns(at[:1])
+    assert (z_sum.tolist(), count.tolist()) == ([1], [1])
+    mark_ground_keys(map_, pack3([0], [0], [2]))
+    z_sum, count = map_.ground_columns(at)
+    assert z_sum[0] / count[0] == 1.5
+    # a column without ground cubes is not found
+    assert count.tolist() == [2, 0] and z_sum[1] == 0
+
+
+def test_ground_mean_matches_batch_average():
+    # cubes marked one at a time give the batch mean of their z, exactly
+    rng = np.random.default_rng(6)
+    zs = rng.choice(np.arange(-500, 500), size=300, replace=False)
+    map_ = make_map()
+    hit_cubes(map_, [(2, 3, z) for z in zs])
+    for z in zs:
+        mark_ground_keys(map_, pack3([2], [3], [z]))
+    z_sum, count = map_.ground_columns(pack2([2], [3]))
+    assert (z_sum[0], count[0]) == (zs.sum(), len(zs))
+
+
 def test_ground_columns_match_a_brute_force_oracle():
     # column (-1, -1) has the largest column key, 2**42 - 1, so the first
     # key of the column after it, (col + 1) << 21, would overflow int64;
