@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import BackendConfig, FrontendConfig
 from .geometry import Pose
 from .map_core import RHMap
@@ -33,8 +31,8 @@ def information_content(image: RangeImage, r_max: float) -> float:
     """Percent of the maximum per-column range coverage held by a frame."""
     if r_max <= 0:
         raise ValueError("r_max must be positive")
-    rng = np.where(image.filled(), image.rng, 0.0)
-    return float(rng.max(axis=0).sum() / (r_max * image.cols) * 100.0)
+    # empty cells read range 0
+    return float(image.rng.max(axis=0).sum() / (r_max * image.cols) * 100.0)
 
 
 def keyframe_select(last: Keyframe | None, candidate: Keyframe,

@@ -19,7 +19,7 @@ from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply
                          read_poses, read_times, write_kitti_scan, write_labels,
                          write_map_ply, write_poses)
 from .pipeline import run_pipeline, timing_report
-from .synth import bench_scene, load_scene, synth_frames, synth_scene
+from .synth import bench_scene, load_scene, synth_frames
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
@@ -157,22 +157,30 @@ def cmd_eval(args) -> int:
 
 def cmd_synth(args) -> int:
     scene = load_scene(args.spec)
-    frames = synth_scene(scene)
     scans_dir = os.path.join(args.out, "velodyne")
     labels_dir = os.path.join(args.out, "labels")
     os.makedirs(scans_dir, exist_ok=True)
     os.makedirs(labels_dir, exist_ok=True)
-    poses = []
-    for i, (scan, pose, mask) in enumerate(frames):
+    poses, points = [], 0
+    # each frame is written as it is made, so only one is held at a time
+    for i, (scan, pose, mask) in enumerate(synth_frames(scene)):
         write_kitti_scan(os.path.join(scans_dir, f"{i:06d}.bin"), scan.points)
         # moving-class id 252 marks dynamic returns, 0 static
         write_labels(os.path.join(labels_dir, f"{i:06d}.label"),
                      np.where(mask, 252, 0).astype(np.uint32))
         poses.append(pose)
+        points += len(scan)
     write_poses(os.path.join(args.out, "poses.txt"), poses)
-    print(json.dumps({"frames": len(frames),
-                      "points": int(sum(len(s) for s, _, _ in frames))}))
+    print(json.dumps({"frames": len(poses), "points": points}))
     return EXIT_OK
+
+
+def _counted(frames, points: list):
+    """Yield ``frames`` as they come, appending each scan's point count
+    to ``points``."""
+    for frame in frames:
+        points.append(len(frame[0]))
+        yield frame
 
 
 def cmd_bench(args) -> int:
@@ -184,10 +192,10 @@ def cmd_bench(args) -> int:
     fe.fov_down_deg, fe.fov_up_deg = scene.fov_down_deg, scene.fov_up_deg
     fe.r_max = scene.r_max
     cfg = _build_config(args, base)
-    frames = synth_scene(scene)
-    result = run_pipeline(cfg, frames)
+    points = []
+    result = run_pipeline(cfg, _counted(synth_frames(scene), points))
     body = _timing(result)
-    body["points_per_frame"] = float(np.mean([len(s) for s, _, _ in frames]))
+    body["points_per_frame"] = float(np.mean(points))
     print(json.dumps(body))
     return EXIT_OK
 

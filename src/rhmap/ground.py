@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FrontendConfig
-from .indexing import (ScanCubes, find_sorted, group_sorted, pack2, run_starts,
-                       unpack3, z_of_keys)
+from .indexing import (ScanCubes, find_sorted, pack2, run_starts, unpack3,
+                       z_of_keys)
 from .map_core import RHMap
 
 # Two covariance eigenvalues closer than this, relative to the largest (or
@@ -48,10 +48,8 @@ def elect_candidate_ground_regions(map_: RHMap, cubes: ScanCubes,
     map_.check_grouping(cubes)
     cfg = map_.config
     kz = z_of_keys(cubes.cube_keys)
-    cols = cubes.cube_keys >> 21      # each cube's (x, y) cube column
-    order, starts, inv = group_sorted(cols)
-    z_sum, n = map_.ground_columns(cols[order[starts]])
-    z_sum, n = z_sum[inv], n[inv]
+    # each cube's (x, y) cube column's ground sum and count
+    z_sum, n = map_.ground_columns(cubes.cube_keys >> 21)
     cminz = np.minimum.reduceat(cubes.points[cubes.order, 2], cubes.column_start)
 
     below = np.where(
@@ -102,11 +100,15 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
     terrain count too, and joins the map's ground keys, the ground
     reference of later elections.  All regions' fits, checks and markings
     run as single array operations over one stacked eigendecomposition.
+
+    Returns ``(rkeys, ok, normals, d)``: the regions fitted now, whether
+    each fit passed, and each plane ``n . i = d`` in cube-index units.
+    The map keeps only the outcome, not the plane.
     """
     cubes, skipped = map_.unfitted_region_cubes(rkeys)
     report.planes_failed += skipped
     if len(cubes.rkeys) == 0:
-        return
+        return cubes.rkeys, np.zeros(0, dtype=bool), np.zeros((0, 3)), np.zeros(0)
     owner = cubes.owner
     idx = unpack3(cubes.keys)
     low = cubes.count[owner] * idx[:, 2] <= cubes.z_sum[owner]
@@ -132,7 +134,7 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
           & (evals[:, 1] - evals[:, 0] > _TIE_TOL * np.maximum(evals[:, 2], 1.0))
           & (normals[:, 2] >= fcfg.min_ground_normal_z))
     d = np.einsum("ij,ij->i", normals, means)
-    map_.record_plane_fits(cubes.rkeys, ok, normals, d)
+    map_.record_plane_fits(cubes.rkeys, ok)
     report.regions_fitted += int(ok.sum())
     report.planes_failed += int((~ok).sum())
 
@@ -143,6 +145,7 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
     within = dist < fcfg.r_gro
     map_.mark_ground(pos[within])
     report.ground_cubes_added += int(within.sum())
+    return cubes.rkeys, ok, normals, d
 
 
 def r_gpe(map_: RHMap, cubes: ScanCubes, fcfg: FrontendConfig) -> GroundReport:

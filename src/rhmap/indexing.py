@@ -155,20 +155,6 @@ def _dense_ids(starts: np.ndarray, n: int) -> np.ndarray:
     return np.cumsum(head) - 1
 
 
-def group_sorted(keys: np.ndarray):
-    """Group keys by value through one argsort.
-
-    Returns ``(order, starts, inverse)``: ``keys[order]`` is sorted, the
-    groups start at ``starts`` in that order, and ``inverse`` maps each
-    input element to its group.
-    """
-    order = np.argsort(keys)
-    starts = run_starts(keys[order])
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = _dense_ids(starts, len(keys))
-    return order, starts, inverse
-
-
 def find_sorted(sorted_keys: np.ndarray, queries: np.ndarray):
     """Positions of queries in a sorted key array and whether they occur."""
     pos = np.searchsorted(sorted_keys, queries)

@@ -11,11 +11,13 @@ Every table is a set of flat parallel numpy arrays:
   one contiguous run of it, in key order;
 * the region table, sorted by packed region key: the z extent of the
   region's cubes, the int64 sum of their z indices and their count,
-  plus the region's fitted ground plane.  Integer sums do not depend on
-  the order cubes arrive in, so neither does anything computed from the
-  table.  A region's column key is ``region_key >> 21``, so the regions
-  of one column are a contiguous run of the table as well, and a
-  column's z band is the min/max of its regions' z extents;
+  plus the outcome of its ground fit: fitted, or the cube count its last
+  fit failed at.  The fitted plane itself is not kept.  Integer sums do
+  not depend on the order cubes arrive in, so neither does anything
+  computed from the table.  A region's column key is
+  ``region_key >> 21``, so the regions of one column are a contiguous
+  run of the table as well, and a column's z band is the min/max of its
+  regions' z extents;
 * the ground keys: the sorted packed keys of the ground cubes.  Ground
   cubes never leave the map, and in packed key order the ground cubes of
   one (x, y) cube column are one run, so a column's ground height comes
@@ -50,7 +52,7 @@ from .indexing import (
 # RHMap._insert_regions' arguments
 _CUBE_ARRAYS = ("_skeys", "_is_ground")
 _REGION_ARRAYS = ("_rkeys", "_rz_min", "_rz_max", "_rz_sum", "_rcount",
-                  "_rnormal", "_rd", "_rfitted", "_rfail_at")
+                  "_rfitted", "_rfail_at")
 
 
 class RegionCubes(NamedTuple):
@@ -80,8 +82,6 @@ class RHMap:
         self._rz_max = np.empty(0, dtype=np.float64)
         self._rz_sum = np.empty(0, dtype=np.int64)
         self._rcount = np.empty(0, dtype=np.int64)
-        self._rnormal = np.empty((0, 3), dtype=np.float64)
-        self._rd = np.empty(0, dtype=np.float64)
         self._rfitted = np.empty(0, dtype=bool)
         self._rfail_at = np.empty(0, dtype=np.int64)
         self._gkeys = np.empty(0, dtype=np.int64)      # ground cubes, sorted
@@ -139,21 +139,18 @@ class RHMap:
 
     def integrate_points(self, cubes: ScanCubes) -> int:
         """Occupy the cubes a scan's world points (grouped by cube) fall
-        in; returns the count of new cubes."""
-        self.check_grouping(cubes)
-        return self._integrate(cubes.cube_rm, cubes.cube_keys)
-
-    def _integrate(self, rm: np.ndarray, uk: np.ndarray) -> int:
-        """Occupy distinct cubes given in region-major order.
+        in.
 
         Cubes not in the table enter it as non-ground cubes and join their
         region's statistics; returns their count.
         """
+        self.check_grouping(cubes)
+        rm, keys = cubes.cube_rm, cubes.cube_keys
         pos, present = find_sorted(self._skeys, rm)
         new = ~present
         if new.any():
             self._insert_rows(_CUBE_ARRAYS, pos[new], (rm[new], False))
-            self._register_new(rm[new], uk[new])
+            self._register_new(rm[new], keys[new])
         return int(new.sum())
 
     def _register_new(self, rm: np.ndarray, keys: np.ndarray):
@@ -179,8 +176,7 @@ class RHMap:
 
     def _insert_regions(self, pos, rkeys, z_min, z_max, z_sum, count):
         n = len(rkeys)
-        values = (rkeys, z_min, z_max, z_sum, count, np.zeros((n, 3)),
-                  np.zeros(n), np.zeros(n, dtype=bool),
+        values = (rkeys, z_min, z_max, z_sum, count, np.zeros(n, dtype=bool),
                   np.full(n, -1, dtype=np.int64))
         self._insert_rows(_REGION_ARRAYS, pos, values)
 
@@ -283,18 +279,14 @@ class RHMap:
                             pos, self._keys_at(pos), owner)
         return cubes, int(stale.sum())
 
-    def record_plane_fits(self, rkeys: np.ndarray, ok: np.ndarray,
-                          normals: np.ndarray, d: np.ndarray):
+    def record_plane_fits(self, rkeys: np.ndarray, ok: np.ndarray):
         """Store the outcome of ground fits on existing regions.
 
-        A region whose fit passed (``ok``) keeps its plane ``n . i = d``
-        in cube-index units; one whose fit failed records its cube
-        count, so that :meth:`unfitted_region_cubes` skips it until the
-        count changes.
+        A region whose fit passed (``ok``) is fitted for good; one whose
+        fit failed records its cube count, so that
+        :meth:`unfitted_region_cubes` skips it until the count changes.
         """
         at = np.searchsorted(self._rkeys, rkeys)
-        self._rnormal[at[ok]] = normals[ok]
-        self._rd[at[ok]] = d[ok]
         self._rfitted[at[ok]] = True
         self._rfail_at[at[~ok]] = self._rcount[at[~ok]]
 
@@ -309,8 +301,12 @@ class RHMap:
 
     def ground_columns(self, cols: np.ndarray):
         """Each given (x, y) cube column's int64 sum of its ground cubes'
-        z indices, and their count; ``cols`` are sorted, distinct column
-        keys (a cube key shifted past its z field)."""
+        z indices, and their count.
+
+        ``cols`` are column keys (a cube key shifted past its z field) in
+        any order, repeats included; each query is answered on its own,
+        and a column without ground cubes reads (0, 0).
+        """
         g = self._gkeys
         cols = np.asarray(cols, dtype=np.int64)
         z_sum = np.zeros(len(cols), dtype=np.int64)

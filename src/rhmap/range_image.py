@@ -9,10 +9,15 @@ import numpy as np
 
 @dataclass
 class RangeImage:
+    """A scan's cells: each holds its nearest point's range and id.
+
+    ``rng`` is exactly 0 in empty cells and positive in filled ones, so it
+    reads as a filled mask and as per-cell ranges at once.  Anything else
+    about a cell's point, its height say, is read from the scan by ``pid``.
+    """
+
     rng: np.ndarray        # (rows, cols) meters, 0 = empty
-    height: np.ndarray     # (rows, cols) sensor-frame z of the cell's point
     pid: np.ndarray        # (rows, cols) int32 source point id, -1 = empty
-    fov: tuple[float, float]
     dropped: int           # points outside the vertical FOV
     in_fov: np.ndarray     # (N,) per input point, False for dropped points
 
@@ -40,10 +45,9 @@ def build_range_image(points: np.ndarray, rows: int, cols: int,
         raise ValueError("range image needs at least one row and column")
     points = np.asarray(points, dtype=np.float64)
     rng = np.zeros((rows, cols))
-    height = np.zeros((rows, cols))
     pid = np.full((rows, cols), -1, dtype=np.int32)
     if len(points) == 0:
-        return RangeImage(rng, height, pid, fov, 0, np.zeros(0, dtype=bool))
+        return RangeImage(rng, pid, 0, np.zeros(0, dtype=bool))
 
     # the arithmetic of np.linalg.norm(points, axis=1), whose three-term
     # reduction adds left to right, without its per-row reduction overhead;
@@ -100,20 +104,19 @@ def build_range_image(points: np.ndarray, rows: int, cols: int,
     hit = np.flatnonzero(winner >= 0)
     winner = winner[hit]
     rng.reshape(-1)[hit] = d[winner]
-    winner = ids[winner]
-    pid.reshape(-1)[hit] = winner
-    height.reshape(-1)[hit] = z[winner]
-    return RangeImage(rng, height, pid, fov, dropped, valid)
+    pid.reshape(-1)[hit] = ids[winner]
+    return RangeImage(rng, pid, dropped, valid)
 
 
 def extract_max_ring(image: RangeImage) -> np.ndarray:
-    """Point ids of the per-column farthest return (the sensor's max ring)."""
-    filled = image.filled()
-    rng = np.where(filled, image.rng, -np.inf)
-    best = np.argmax(rng, axis=0)
-    cols = np.arange(image.cols)
-    has = filled[best, cols]
-    return image.pid[best[has], cols[has]].astype(np.int64)
+    """Point ids of the per-column farthest return (the sensor's max ring).
+
+    Empty cells read range 0, below any return, so a column's maximum is
+    a filled cell unless the whole column is empty.
+    """
+    best = np.argmax(image.rng, axis=0)
+    ids = image.pid[best, np.arange(image.cols)]
+    return ids[ids >= 0].astype(np.int64)
 
 
 def extract_sup_inf(image: RangeImage, r1: float, r2: float,

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FrontendConfig
-from .indexing import (ScanCubes, cube_indices, find_sorted, pack2,
-                       sorted_unique, unpack3)
+from .indexing import ScanCubes, find_sorted, sorted_unique, z_of_keys
 from .map_core import RHMap
 from .range_image import RangeImage, extract_max_ring, extract_sup_inf
 
@@ -70,15 +69,15 @@ class RemovalReport:
     cubes_removed: int = 0
 
 
-def build_scan_context_2d(cubes: ScanCubes, max_ring_w: np.ndarray,
+def build_scan_context_2d(cubes: ScanCubes, max_ring: np.ndarray,
                           roi: np.ndarray | None = None) -> ScanContext2D:
     """Per region-column height extrema of the scan, with max-ring flags.
 
     ``roi`` masks the points to summarise (all by default); columns without
-    a point in it are left out.  A column is flagged max-ring when one of
-    the ``max_ring_w`` points falls into it.
+    a point in it are left out.  ``max_ring`` are point ids of ``cubes``,
+    as in :func:`build_scan_context_3d`: a column is flagged max-ring when
+    one of those points falls into it, which the grouping already knows.
     """
-    cfg = cubes.config
     z = cubes.points[cubes.order, 2]
     starts = cubes.column_start
     if roi is None:
@@ -90,13 +89,9 @@ def build_scan_context_2d(cubes: ScanCubes, max_ring_w: np.ndarray,
     keys = cubes.column_keys[seen]
     z_max = np.maximum.reduceat(np.where(in_roi, z, -np.inf), starts)[seen]
     z_min = np.minimum.reduceat(np.where(in_roi, z, np.inf), starts)[seen]
-    max_ring = np.zeros(len(keys), dtype=bool)
-    if len(max_ring_w):
-        m = cfg.mask
-        midx = cube_indices(max_ring_w, cfg.cube_size)
-        ring_cols = sorted_unique(pack2(midx[:, 0] & ~m, midx[:, 1] & ~m))
-        _, max_ring = find_sorted(ring_cols, keys)
-    return ScanContext2D(keys, z_max, z_min, count[seen], max_ring)
+    ring = np.zeros(len(starts), dtype=bool)
+    ring[cubes.cube_column[cubes.point_cube[max_ring]]] = True
+    return ScanContext2D(keys, z_max, z_min, count[seen], ring[seen])
 
 
 def _flag_columns(ctx: ScanContext2D, map_: RHMap,
@@ -152,7 +147,7 @@ def select_candidate_regions(ctx: ScanContext3D, map_: RHMap) -> np.ndarray:
     region column.
     """
     rkeys, owner = map_.regions_in_columns(ctx.keys >> 21)
-    lo = unpack3(rkeys)[:, 2] * map_.config.cube_size
+    lo = z_of_keys(rkeys) * map_.config.cube_size
     hi = lo + map_.config.region_size
     keep = (lo <= ctx.sup[owner]) & (hi >= ctx.inf[owner])
     return sorted_unique(rkeys[keep])
@@ -198,8 +193,7 @@ def scan_contexts(bounds: SensorBounds, cubes: ScanCubes
     memory with their inputs.
     """
     pw = cubes.points
-    return (build_scan_context_2d(cubes, pw[bounds.max_ring],
-                                  roi=bounds.in_fov),
+    return (build_scan_context_2d(cubes, bounds.max_ring, roi=bounds.in_fov),
             build_scan_context_3d(cubes, bounds.sup, pw[bounds.sup_bound, 2],
                                   bounds.inf, pw[bounds.inf_bound, 2]))
 

@@ -134,20 +134,20 @@ def region(map_, rkey) -> SimpleNamespace:
 
     ``keys`` are the packed keys of the region's cubes in key order,
     ``z_min`` and ``z_max`` the extent of their centre heights, ``z_sum``
-    the integer sum of their z indices, and ``plane_n`` is None until a fit
-    passes.
+    the integer sum of their z indices, ``fitted`` whether a ground fit
+    passed and ``fit_failed_at`` the cube count the last failed fit saw
+    (-1 for none).  The map keeps no plane: ``fit_ground_planes`` returns
+    the planes it fits.
     """
     i = int(np.searchsorted(map_._rkeys, rkey))
     if i == len(map_._rkeys) or map_._rkeys[i] != rkey:
         raise KeyError(rkey)
     pos, _ = map_._region_pos(np.array([rkey], dtype=np.int64))
-    fitted = bool(map_._rfitted[i])
     return SimpleNamespace(
         keys=map_._keys_at(pos), z_min=float(map_._rz_min[i]),
         z_max=float(map_._rz_max[i]), z_sum=int(map_._rz_sum[i]),
-        occupied_count=int(map_._rcount[i]), fitted=fitted,
-        plane_n=map_._rnormal[i].copy() if fitted else None,
-        plane_d=float(map_._rd[i]), fit_failed_at=int(map_._rfail_at[i]))
+        occupied_count=int(map_._rcount[i]), fitted=bool(map_._rfitted[i]),
+        fit_failed_at=int(map_._rfail_at[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -90,12 +90,12 @@ def test_plane_fit_matches_tls_oracle():
         pts = np.column_stack([xy, z])
         integrate(map_, pts)
         (rkey,) = map_.regions
-        fit_ground_planes(map_, np.array([rkey]), fcfg, GroundReport())
-        fit = region(map_, rkey)
-        if not fit.fitted:
+        _, ok, normals, _ = fit_ground_planes(map_, np.array([rkey]), fcfg,
+                                              GroundReport())
+        if not region(map_, rkey).fitted:
             continue
         fitted += 1
-        fitted_n = fit.plane_n
+        (fitted_n,) = normals[ok]
 
         # independent total-least-squares oracle on the same low-cube subset
         gidx = np.unique(np.floor(pts / 0.1).astype(np.int64), axis=0)

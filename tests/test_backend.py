@@ -17,7 +17,6 @@ from rhmap.removal import scan_contexts, sensor_bounds, s2m_removal
 from conftest import cube_state, frame_contexts, hit_cubes
 
 BCFG = BackendConfig()
-FOV = (-np.pi / 4, np.pi / 6)
 
 
 def _image(ranges):
@@ -25,8 +24,7 @@ def _image(ranges):
     filled = ranges > 0
     pid = np.where(filled, np.arange(ranges.size).reshape(ranges.shape),
                    -1).astype(np.int32)
-    return RangeImage(ranges, np.zeros_like(ranges), pid, FOV, 0,
-                      filled.ravel())
+    return RangeImage(ranges, pid, 0, filled.ravel())
 
 
 def _frame(x=0.0, t=0.0, info=50.0):

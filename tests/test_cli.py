@@ -135,6 +135,41 @@ def test_synth_then_run_then_eval_round_trip(tmp_path, scene_file, capsys):
     assert scored["PR"] == pytest.approx(run_eval["PR"], abs=1e-12)
 
 
+def test_synth_streams_the_scene_into_the_same_files(tmp_path, scene_file,
+                                                     capsys, monkeypatch):
+    import rhmap.cli as cli
+
+    made = []
+    real = cli.synth_frames
+
+    def spy(spec):
+        frames = real(spec)
+        made.append(frames)
+        return frames
+
+    monkeypatch.setattr(cli, "synth_frames", spy)
+    out = tmp_path / "data"
+    assert main(["synth", "--spec", scene_file, "--out", str(out)]) == 0
+    (frames,) = made
+    assert iter(frames) is frames          # frames are made as they are written
+    listed = synth_scene(scene_from_dict(SCENE))
+    assert json.loads(capsys.readouterr().out) == {
+        "frames": len(listed), "points": sum(len(s) for s, _, _ in listed)}
+    expect = tmp_path / "expect"
+    (expect / "velodyne").mkdir(parents=True)
+    (expect / "labels").mkdir()
+    for i, (scan, _, mask) in enumerate(listed):
+        write_kitti_scan(expect / "velodyne" / f"{i:06d}.bin", scan.points)
+        write_labels(expect / "labels" / f"{i:06d}.label",
+                     np.where(mask, 252, 0).astype(np.uint32))
+    write_poses(expect / "poses.txt", [pose for _, pose, _ in listed])
+    names = sorted(p.relative_to(expect) for p in expect.rglob("*") if p.is_file())
+    assert names == sorted(p.relative_to(out) for p in out.rglob("*")
+                           if p.is_file())
+    assert all((out / n).read_bytes() == (expect / n).read_bytes()
+               for n in names)
+
+
 def test_config_override_flags_change_behavior(tmp_path, scene_file, capsys):
     maps = {}
     for bits in ("2", "3"):
@@ -219,6 +254,27 @@ def test_bench_reports_throughput(capsys):
     assert 0 < body["p50_ms"] <= body["p95_ms"]
     assert list(body["stages_ms"]) == list(STAGES)
     assert body["points_per_frame"] > 50000
+
+
+def test_bench_streams_the_scene(monkeypatch, capsys):
+    import rhmap.cli as cli
+    from rhmap.synth import bench_scene
+
+    seen = []
+    real = cli.run_pipeline
+
+    def spy(cfg, frames):
+        seen.append(frames)
+        return real(cfg, frames)
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    assert main(["bench", "--frames", "2"]) == 0
+    (frames,) = seen
+    assert iter(frames) is frames          # frames are made as they are read
+    body = json.loads(capsys.readouterr().out)
+    listed = synth_scene(bench_scene(2))
+    assert body["points_per_frame"] == float(
+        np.mean([len(s) for s, _, _ in listed]))
 
 
 def test_bench_front_end_follows_scene_unless_overridden(monkeypatch, capsys,

@@ -31,9 +31,20 @@ def make_map(mask_bits=3):
 
 def fit_all(map_, fcfg=FCFG) -> GroundReport:
     """Run fit_ground_planes over every region of the map."""
+    return fit_all_planes(map_, fcfg)[0]
+
+
+def fit_all_planes(map_, fcfg=FCFG):
+    """Run fit_ground_planes over every region of the map; returns the
+    report and the plane ``(n, d)`` of each passed fit by region key."""
     report = GroundReport()
-    fit_ground_planes(map_, map_.regions, fcfg, report)
-    return report
+    rkeys, ok, normals, d = fit_ground_planes(map_, map_.regions, fcfg, report)
+    return report, planes_by_region(rkeys, ok, normals, d)
+
+
+def planes_by_region(rkeys, ok, normals, d):
+    """The passed fits of a ``fit_ground_planes`` return, by region key."""
+    return {int(k): (n, dk) for k, n, dk in zip(rkeys[ok], normals[ok], d[ok])}
 
 
 def assert_fit_failed(map_, report):
@@ -91,11 +102,11 @@ def _lattice_map():
 
 def test_flat_lattice_plane():
     map_ = _lattice_map()
-    report = fit_all(map_)
+    report, planes = fit_all_planes(map_)
     (rkey,) = map_.regions
     r = region(map_, rkey)
     assert r.fitted and report.regions_fitted == 1
-    n, d = r.plane_n, r.plane_d
+    n, d = planes[rkey]
     assert np.allclose(n, [0.0, 0.0, 1.0], atol=1e-9)
     assert abs(d) < 1e-9
     # every member cube satisfies the plane equation
@@ -108,13 +119,13 @@ def test_tilted_lattice_plane():
     map_ = make_map(mask_bits=4)
     hit_cubes(map_, [(x, y, x // 5) for x in (0, 5, 10, 15)
                      for y in range(0, 16, 2)])
-    fit_all(map_)
+    _, planes = fit_all_planes(map_)
     (rkey,) = map_.regions
     r = region(map_, rkey)
     assert r.fitted
     expect = np.array([-0.2, 0.0, 1.0])
     expect /= np.linalg.norm(expect)
-    assert np.allclose(r.plane_n, expect, atol=1e-6)
+    assert np.allclose(planes[rkey][0], expect, atol=1e-6)
 
 
 def test_collinear_cubes_rejected():
@@ -180,14 +191,15 @@ def test_extract_matches_brute_force_filter():
     pts = np.column_stack([rng.uniform(0, 0.8, size=(150, 2)),
                            rng.uniform(0, 0.25, size=150)])
     integrate(map_, pts)
-    fit_all(map_, FrontendConfig(r_gro=1.25))
+    _, planes = fit_all_planes(map_, FrontendConfig(r_gro=1.25))
     (rkey,) = map_.regions
     r = region(map_, rkey)
     if not r.fitted:
         pytest.skip("degenerate random draw")
     got = set(ground_keys(map_).tolist())
     idx = unpack3(r.keys)
-    near = idx[np.abs(idx @ r.plane_n - r.plane_d) < 1.25]
+    n, d = planes[rkey]
+    near = idx[np.abs(idx @ n - d) < 1.25]
     expect = {int(pack3(*i)) for i in near}
     assert got == expect
 
@@ -304,16 +316,17 @@ def test_batch_fit_matches_per_region_path():
             oracle_keys.append(
                 extract_ground_cubes(map_, k, *planes[k], FCFG.r_gro))
     report = GroundReport()
-    fit_ground_planes(map_, np.array(regions), FCFG, report)
+    fits = planes_by_region(
+        *fit_ground_planes(map_, np.array(regions), FCFG, report))
 
     assert report.regions_fitted == sum(p is not None for p in planes.values())
     assert report.planes_failed == len(regions) - report.regions_fitted
     for k in regions:
         r = region(map_, k)
-        assert r.fitted == (planes[k] is not None)
+        assert r.fitted == (planes[k] is not None) == (k in fits)
         if r.fitted:
-            assert np.allclose(r.plane_n, planes[k][0], atol=1e-9)
-            assert abs(r.plane_d - planes[k][1]) < 1e-9
+            assert np.allclose(fits[k][0], planes[k][0], atol=1e-9)
+            assert abs(fits[k][1] - planes[k][1]) < 1e-9
     marked = ground_keys(map_)
     expect = np.sort(np.concatenate(oracle_keys))
     assert np.array_equal(marked, expect)
@@ -335,18 +348,19 @@ def test_sloped_terrain_ground_coverage():
     assert marked / total >= 0.95
 
 
-def fit_outcome(map_):
-    """Every fit result of a map, as bytes: each region's plane, fitted flag
-    and failed-fit count, the ground keys and the exported PLY."""
+def fit_outcome(map_, fits):
+    """Every fit result of a map, as bytes: each region's fitted flag and
+    failed-fit count, the planes of ``fits`` (a region key -> (n, d) dict)
+    in key order, the ground keys and the exported PLY."""
     regions = [region(map_, k) for k in map_.regions]
-    planes = [(r.fitted, r.fit_failed_at, np.float64(r.plane_d).tobytes(),
-               None if r.plane_n is None else r.plane_n.tobytes())
-              for r in regions]
+    state = [(r.fitted, r.fit_failed_at) for r in regions]
+    planes = [(k, fits[k][0].tobytes(), np.float64(fits[k][1]).tobytes())
+              for k in sorted(fits)]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "map.ply"
         write_map_ply(map_, path)
         ply = path.read_bytes()
-    return planes, map_._gkeys.tobytes(), ply
+    return state, planes, map_._gkeys.tobytes(), ply
 
 
 @settings(max_examples=60, deadline=None)
@@ -370,8 +384,8 @@ def test_fits_do_not_depend_on_insertion_order(heights, clutter, seed, parts):
         map_ = make_map()
         for chunk in np.array_split(order, n_parts):
             hit_cubes(map_, chunk)
-        fit_all(map_, fcfg)
-        outcomes.append(fit_outcome(map_))
+        _, fits = fit_all_planes(map_, fcfg)
+        outcomes.append(fit_outcome(map_, fits))
     assert outcomes[1] == outcomes[0]
     assert outcomes[2] == outcomes[0]
 

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhmap.config import MapConfig
 from rhmap.evaluate import cube_keys
-from rhmap.indexing import ScanCubes, pack2, pack3, region_key_mask, unpack3
+from rhmap.indexing import (ScanCubes, pack2, pack3, region_key_mask,
+                            run_starts, unpack3)
 from rhmap.map_core import RHMap
 
 from conftest import (cube_state, hit_cubes, integrate, lookup_pos,
@@ -276,6 +278,45 @@ def test_ground_columns_match_a_brute_force_oracle():
     assert len(z_sum) == len(count) == 0
 
 
+def group_sorted(keys):
+    """Group keys by value through one argsort: ``(order, starts,
+    inverse)``, with ``keys[order]`` sorted, the groups starting at
+    ``starts`` in that order and ``inverse`` each key's group.  The
+    ground election grouped its scan cubes' columns this way before it
+    queried ``ground_columns`` with every cube's column as it comes."""
+    order = np.argsort(keys)
+    starts = run_starts(keys[order])
+    head = np.zeros(len(keys), dtype=np.int64)
+    head[starts] = 1
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(head) - 1
+    return order, starts, inverse
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 5), st.integers(-6, 5),
+                          st.integers(-4, 4)), max_size=80, unique=True),
+       st.lists(st.booleans(), min_size=80, max_size=80),
+       st.lists(st.tuples(st.integers(-7, 6), st.integers(-7, 6)),
+                max_size=120))
+def test_ground_columns_of_unsorted_repeated_columns(cubes, is_ground, asked):
+    # columns asked in any order and any number of times, negative ones
+    # included, read what the sorted distinct columns read
+    map_ = make_map()
+    if cubes:
+        hit_cubes(map_, cubes)
+        ground = [c for c, g in zip(cubes, is_ground) if g]
+        if ground:
+            mark_ground_keys(map_, pack3(*np.array(ground).T))
+    xy = np.array(asked, dtype=np.int64).reshape(-1, 2)
+    cols = pack2(xy[:, 0], xy[:, 1])
+    order, starts, inv = group_sorted(cols)
+    z_sum, count = map_.ground_columns(cols[order[starts]])
+    got_sum, got_count = map_.ground_columns(cols)
+    assert np.array_equal(got_sum, z_sum[inv])
+    assert np.array_equal(got_count, count[inv])
+
+
 def test_export_empty_map():
     pts, ground = make_map().export_occupied_points()
     assert len(pts) == 0 and len(ground) == 0
@@ -367,22 +408,24 @@ def test_removal_at_top_of_key_space():
 
 
 def test_table_row_inserts_and_deletes_match_numpy():
-    # one destination index or keep mask serves every array of a table
+    # one destination index or keep mask serves every array of a table;
+    # ``_rows3``, an array of (n, 3) rows set on the map for this test
+    # only, checks that rows of any shape move together
     rng = np.random.default_rng(5)
     map_ = make_map()
     for n, k in [(0, 3), (50, 1), (50, 20), (1000, 37)]:
         keys = np.sort(rng.integers(0, 10**6, n))
-        normals = rng.normal(size=(n, 3))
-        map_._rkeys, map_._rnormal = keys, normals
+        rows3 = rng.normal(size=(n, 3))
+        map_._rkeys, map_._rows3 = keys, rows3
         pos = np.sort(rng.integers(0, n + 1, k))
         vals = (rng.integers(0, 10**6, k), rng.normal(size=(k, 3)))
-        map_._insert_rows(("_rkeys", "_rnormal"), pos, vals)
+        map_._insert_rows(("_rkeys", "_rows3"), pos, vals)
         assert np.array_equal(map_._rkeys, np.insert(keys, pos, vals[0]))
-        assert np.array_equal(map_._rnormal,
-                              np.insert(normals, pos, vals[1], axis=0))
+        assert np.array_equal(map_._rows3,
+                              np.insert(rows3, pos, vals[1], axis=0))
         gone = rng.choice(n + k, k, replace=False)
-        before = map_._rkeys, map_._rnormal
-        map_._delete_rows(("_rkeys", "_rnormal"), gone)
+        before = map_._rkeys, map_._rows3
+        map_._delete_rows(("_rkeys", "_rows3"), gone)
         assert np.array_equal(map_._rkeys, np.delete(before[0], gone))
-        assert np.array_equal(map_._rnormal,
+        assert np.array_equal(map_._rows3,
                               np.delete(before[1], gone, axis=0))

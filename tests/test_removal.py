@@ -1,11 +1,13 @@
 """Scan contexts, ratio tests and the scan-to-map removal pass."""
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
 from rhmap.config import FrontendConfig, MapConfig
 from rhmap.geometry import Pose, Scan, transform_scan
 from rhmap.ground import r_gpe
-from rhmap.indexing import ScanCubes, pack2, pack3
+from rhmap.indexing import (ScanCubes, cube_indices, find_sorted, pack2, pack3,
+                            sorted_unique)
 from rhmap.map_core import RHMap
 from rhmap.removal import (_flag_columns, _flag_regions,
                            build_scan_context_2d, build_scan_context_3d,
@@ -23,9 +25,13 @@ def col_key(x, y):
     return int(pack2(np.int64(x), np.int64(y)))
 
 
-def ctx_2d(points_roi_w, max_ring_w):
-    """2D context of a point set, every point inside the region of interest."""
-    return build_scan_context_2d(ScanCubes(points_roi_w, CFG), max_ring_w)
+NO_RING = np.empty(0, dtype=np.int64)
+
+
+def ctx_2d(points_roi_w, max_ring):
+    """2D context of a point set, every point inside the region of interest;
+    ``max_ring`` are ids of the points on the max ring."""
+    return build_scan_context_2d(ScanCubes(points_roi_w, CFG), max_ring)
 
 
 def ctx_3d(sup_w, sup_heights, inf_w, inf_heights):
@@ -70,7 +76,7 @@ def compute_ratio2(ctx, map_, region_key, eps_div=1e-6):
 
 
 def test_ctx2d_single_point():
-    ctx = ctx_2d(np.array([[0.1, 0.1, 0.7]]), np.empty((0, 3)))
+    ctx = ctx_2d(np.array([[0.1, 0.1, 0.7]]), NO_RING)
     assert len(ctx) == 1
     assert ctx.z_max[0] == ctx.z_min[0] == 0.7
     assert not ctx.max_ring[0]
@@ -79,7 +85,7 @@ def test_ctx2d_single_point():
 
 def test_ctx2d_band_and_max_ring():
     pts = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 1.9]])
-    ctx = ctx_2d(pts, pts[:1])
+    ctx = ctx_2d(pts, np.arange(1))
     (i,) = np.flatnonzero(ctx.keys == col_key(0, 0))
     assert (ctx.z_max[i], ctx.z_min[i]) == (1.9, 0.1)
     assert ctx.max_ring[i]
@@ -89,7 +95,7 @@ def test_ctx2d_band_and_max_ring():
 def test_ctx2d_matches_brute_force():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-3, 3, size=(4000, 3))
-    ctx = ctx_2d(pts, np.empty((0, 3)))
+    ctx = ctx_2d(pts, NO_RING)
     gidx = np.floor(pts / 0.1).astype(np.int64)
     m = CFG.mask
     groups = {}
@@ -102,6 +108,35 @@ def test_ctx2d_matches_brute_force():
         assert ctx.count[i] == len(zs)
 
 
+def max_ring_flags_by_requantising(cubes, ctx, max_ring):
+    """The 2D context's max-ring flags found from the max-ring points'
+    coordinates: quantise them again, pack their region columns and look
+    the context's columns up among them."""
+    cfg = cubes.config
+    if len(max_ring) == 0:
+        return np.zeros(len(ctx), dtype=bool)
+    midx = cube_indices(cubes.points[max_ring], cfg.cube_size)
+    m = cfg.mask
+    ring_cols = sorted_unique(pack2(midx[:, 0] & ~m, midx[:, 1] & ~m))
+    return find_sorted(ring_cols, ctx.keys)[1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(0.2, 6.0),
+       st.lists(st.integers(0, 299), max_size=40))
+def test_ctx2d_max_ring_flags_match_requantised_points(n, seed, spread, ring):
+    # scans around the origin, so columns of negative indexes occur; some
+    # max-ring points may lie outside the region of interest
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-spread, spread, size=(n, 3))
+    roi = rng.random(n) < 0.8
+    max_ring = np.array([i for i in ring if i < n], dtype=np.int64)
+    cubes = ScanCubes(pts, CFG)
+    ctx = build_scan_context_2d(cubes, max_ring, roi=roi)
+    assert np.array_equal(ctx.max_ring,
+                          max_ring_flags_by_requantising(cubes, ctx, max_ring))
+
+
 def _map_with_column_band(lo_idx, hi_idx):
     map_ = RHMap(CFG)
     hit_cubes(map_, [(0, 0, lo_idx), (0, 0, hi_idx)])
@@ -110,15 +145,13 @@ def _map_with_column_band(lo_idx, hi_idx):
 
 def test_ratio1_perfect_match_is_one():
     map_ = _map_with_column_band(0, 19)
-    ctx = ctx_2d(np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 1.95]]),
-                 np.empty((0, 3)))
+    ctx = ctx_2d(np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 1.95]]), NO_RING)
     assert abs(compute_ratio1(ctx, map_, col_key(0, 0)) - 1.0) < 1e-12
 
 
 def test_ratio1_thin_scan_band():
     map_ = _map_with_column_band(0, 19)   # map band 0.05 .. 1.95
-    ctx = ctx_2d(np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.25]]),
-                 np.empty((0, 3)))
+    ctx = ctx_2d(np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.25]]), NO_RING)
     ratio = compute_ratio1(ctx, map_, col_key(0, 0))
     assert abs(ratio - 0.2 / 1.9) < 1e-12
 
@@ -126,7 +159,7 @@ def test_ratio1_thin_scan_band():
 def test_ratio1_max_ring_uses_scan_top():
     map_ = _map_with_column_band(0, 39)   # map top beyond the sensor reach
     pts = np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 1.05]])
-    ctx = ctx_2d(pts, pts[1:])
+    ctx = ctx_2d(pts, np.array([1]))
     ratio = compute_ratio1(ctx, map_, col_key(0, 0))
     assert abs(ratio - 1.0) < 1e-12     # denominator is scan top - map min
 
@@ -134,7 +167,7 @@ def test_ratio1_max_ring_uses_scan_top():
 def test_ratio1_missing_column_and_degenerate_band():
     map_ = RHMap(CFG)
     pts = np.array([[0.0, 0.0, 0.5]])
-    ctx = ctx_2d(pts, np.empty((0, 3)))
+    ctx = ctx_2d(pts, NO_RING)
     assert compute_ratio1(ctx, map_, col_key(0, 0)) == 1.0
     hit_cubes(map_, (0, 0, 5))          # single cube, zero-height band
     assert compute_ratio1(ctx, map_, col_key(0, 0)) == 1.0
@@ -145,7 +178,7 @@ def test_flag_columns_matches_per_column_reference():
     map_ = RHMap(CFG)
     integrate(map_, rng.uniform(-2, 2, size=(3000, 3)))
     pts = rng.uniform(-2, 2, size=(2000, 3))
-    ctx = ctx_2d(pts, pts[:50])
+    ctx = ctx_2d(pts, np.arange(50))
     got = _flag_columns(ctx, map_, FCFG)
     counts = dict(zip(ctx.keys.tolist(), ctx.count.tolist()))
     expect = [k for k in sorted(counts)
