@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 from dataclasses import asdict, fields
 from types import SimpleNamespace
@@ -13,7 +14,8 @@ import numpy as np
 
 from .config import (BackendConfig, ConfigError, FrontendConfig, MapConfig,
                      PipelineConfig, load_config, set_config_key)
-from .evaluate import cube_keys, evaluate
+from .evaluate import (TruthHistogram, cube_keys, evaluate,
+                       truth_histogram)
 from .indexing import sorted_unique
 from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply,
                          read_poses, read_times, write_kitti_scan, write_labels,
@@ -145,12 +147,12 @@ def cmd_eval(args) -> int:
     scans_dir = os.path.join(truth, "velodyne")
     labels_dir = os.path.join(truth, "labels")
     poses_file = os.path.join(truth, "poses.txt")
-    keys, masks = [], []
+    truth = TruthHistogram()
     for scan, pose, mask in _dataset_frames(scans_dir, poses_file, labels_dir):
-        keys.append(cube_keys(pose.apply(scan.points), cube))
-        masks.append(mask)
+        truth.add(*truth_histogram(cube_keys(pose.apply(scan.points), cube),
+                                   mask))
     res = evaluate(SimpleNamespace(occupied_keys=lambda: map_keys),
-                   np.concatenate(keys), np.concatenate(masks))
+                   *truth.finish())
     print(json.dumps(res.to_dict()))
     return EXIT_OK
 
@@ -196,6 +198,8 @@ def cmd_bench(args) -> int:
     result = run_pipeline(cfg, _counted(synth_frames(scene), points))
     body = _timing(result)
     body["points_per_frame"] = float(np.mean(points))
+    body["peak_rss_mb"] = (
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     print(json.dumps(body))
     return EXIT_OK
 

@@ -1,4 +1,6 @@
-"""Map quality metrics: preservation and rejection rates per cube."""
+"""Map quality metrics: preservation and rejection rates per cube, scored
+from a histogram of the labeled truth (its static and dynamic points per
+cube) rather than from the points themselves."""
 
 from __future__ import annotations
 
@@ -6,7 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import cube_indices, find_sorted, pack3, sorted_unique
+from .indexing import cube_indices, find_sorted, pack3, run_starts
+
+#: Keys converted at a time by :meth:`TruthHistogram.finish`, so the
+#: conversion's temporaries stay small beside the table.
+_CONVERT_CHUNK = 1 << 16
 
 
 @dataclass
@@ -38,35 +44,149 @@ def cube_keys(points: np.ndarray, cube_size: float) -> np.ndarray:
     return pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2])
 
 
-def _truth(truth_keys, dynamic_mask):
-    """Validated (keys, mask) pair of a ground-truth cloud."""
-    keys = np.asarray(truth_keys)
+def _keys(keys) -> np.ndarray:
+    """Validated int64 cube keys of a truth cloud or histogram."""
+    keys = np.asarray(keys)
     if keys.ndim != 1 or keys.dtype.kind not in "iu":
         raise ValueError("truth must be a 1-D integer array of packed cube "
                          f"keys, got {keys.dtype} of shape {keys.shape}; "
                          "quantise points with cube_keys()")
+    return keys.astype(np.int64, copy=False)
+
+
+def _histogram(keys, counts):
+    """Validated (keys, counts) pair of a truth histogram."""
+    keys, counts = _keys(keys), np.asarray(counts)
+    if counts.shape != (len(keys), 2) or counts.dtype.kind not in "iu":
+        raise ValueError(f"{len(keys)} truth keys need ({len(keys)}, 2) "
+                         f"integer counts, got {counts.dtype} of shape "
+                         f"{counts.shape}")
+    if counts.size and counts.min() < 0:
+        raise ValueError("truth counts must not be negative")
+    return keys, counts
+
+
+def truth_histogram(keys, dynamic_mask):
+    """The truth histogram of a labeled cloud given as the packed cube key
+    of each point (:func:`cube_keys`), in any order: its sorted distinct
+    keys and an (n, 2) int64 array of the static and dynamic points under
+    each key."""
+    keys = _keys(keys)
     mask = np.asarray(dynamic_mask, dtype=bool)
     if mask.shape != keys.shape:
         raise ValueError(f"{len(keys)} truth keys but {mask.size} labels")
-    return keys.astype(np.int64, copy=False), mask
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = run_starts(keys)
+    counts = np.empty((2, len(starts)), dtype=np.int64)
+    counts[0] = np.diff(starts, append=len(keys))
+    counts[1] = np.add.reduceat(mask[order], starts, dtype=np.int64)
+    counts[0] -= counts[1]
+    return keys[starts], counts.T
 
 
-def evaluate(map_, truth_keys: np.ndarray,
-             dynamic_mask: np.ndarray) -> EvalResult:
+class TruthHistogram:
+    """Static and dynamic point counts per cube of a labeled cloud, added
+    a part at a time: all that cube-level scoring reads of the cloud.
+
+    A part is a sorted array of distinct int64 keys and an (n, 2) array of
+    their static and dynamic counts.  Every part uses the same key order:
+    packed keys, or the pipeline's region-major keys.  The table is kept
+    sorted, with one count array per label.  A part's rows whose keys the
+    table holds are added in place.  The others wait in a pending list,
+    folded in (one sort, one reduce, one sorted insert) once they are as
+    many as the table's rows.  So table plus pending rows stay below twice
+    the distinct keys added, and each fold is paid for by at least as many
+    rows added since the last one.
+    """
+
+    def __init__(self):
+        self._reset()
+
+    def _reset(self):
+        self._keys = np.empty(0, dtype=np.int64)
+        #: (2, n): static and dynamic counts of each table row
+        self._counts = np.empty((2, 0), dtype=np.int64)
+        #: (keys, static, dynamic) of the rows waiting to be folded in
+        self._pending = []
+        self._n_pending = 0
+
+    @property
+    def rows(self) -> int:
+        """Table rows plus pending rows."""
+        return len(self._keys) + self._n_pending
+
+    def add(self, keys: np.ndarray, counts: np.ndarray):
+        """Add a part: sorted distinct ``keys`` and their (n, 2) counts."""
+        counts = counts.T
+        pos, found = find_sorted(self._keys, keys)
+        at = pos[found]
+        for row, part in zip(self._counts, counts):
+            row[at] += part[found]
+        if found.all():
+            return
+        new = ~found
+        self._pending.append((keys[new], *(part[new] for part in counts)))
+        self._n_pending += len(self._pending[-1][0])
+        if self._n_pending >= len(self._keys):
+            self._fold()
+
+    def _fold(self):
+        """Insert the pending rows into the table.  No pending key is in
+        the table, but a key may be pending more than once.  Rows move by
+        integer scatters: a boolean-mask assignment is several times
+        slower at this size."""
+        keys, *counts = (np.concatenate(col) for col in zip(*self._pending))
+        self._pending, self._n_pending = [], 0
+        order = np.argsort(keys)
+        keys = keys[order]
+        starts = run_starts(keys)
+        keys = keys[starts]
+        n, k = len(self._keys), len(keys)
+        new = np.searchsorted(self._keys, keys) + np.arange(k)
+        is_old = np.ones(n + k, dtype=bool)
+        is_old[new] = False
+        old = np.flatnonzero(is_old)
+        grown = np.empty(n + k, dtype=np.int64)
+        grown[new], grown[old] = keys, self._keys
+        self._keys = grown
+        grown = np.empty((2, n + k), dtype=np.int64)
+        for row, part, table in zip(grown, counts, self._counts):
+            row[new] = np.add.reduceat(part[order], starts)
+            row[old] = table
+        self._counts = grown
+
+    def finish(self, convert=None):
+        """The histogram as (keys, (n, 2) counts), each key once, and the
+        accumulator emptied.  ``convert`` maps the keys to packed keys in
+        place, a chunk at a time; the keys then stay in the table's order,
+        which need not be packed order."""
+        if self._pending:
+            self._fold()
+        keys, counts = self._keys, self._counts
+        self._reset()
+        if convert is not None:
+            for lo in range(0, len(keys), _CONVERT_CHUNK):
+                chunk = keys[lo:lo + _CONVERT_CHUNK]
+                chunk[:] = convert(chunk)
+        return keys, counts.T
+
+
+def evaluate(map_, truth_keys: np.ndarray, counts: np.ndarray) -> EvalResult:
     """Score a final map against a labeled ground-truth cloud.
 
-    The cloud is given as the packed cube key of each point
-    (:func:`cube_keys` at the map's cube size); only
-    ``map_.occupied_keys()`` is read from the map.  A ground-truth point
-    counts as preserved when the cube containing it is occupied in the
-    final map.  Metrics with an empty denominator are reported as None.
+    The cloud is given as its truth histogram: distinct packed cube keys
+    (at the map's cube size) and an (n, 2) integer array of the static and
+    dynamic points in each (:func:`truth_histogram`,
+    :class:`TruthHistogram`).  Only ``map_.occupied_keys()`` is read from
+    the map.  A ground-truth point counts as preserved when the cube
+    containing it is occupied in the final map.  Metrics with an empty
+    denominator are reported as None.
     """
-    keys, dynamic_mask = _truth(truth_keys, dynamic_mask)
+    keys, counts = _histogram(truth_keys, counts)
     _, hit = find_sorted(map_.occupied_keys(), keys)
-    n_sta = int((~dynamic_mask).sum())
-    n_dyn = int(dynamic_mask.sum())
-    n_tn = int(hit[~dynamic_mask].sum())
-    n_tp = int(hit[dynamic_mask].sum())
+    n_sta, n_dyn = (int(c.sum()) for c in counts.T)
+    n_tn, n_tp = (int(c[hit].sum()) for c in counts.T)
     pr = n_tn / n_sta if n_sta else None
     rr = 1.0 - n_tp / n_dyn if n_dyn else None
     f1 = f1_score(pr, rr) if pr is not None and rr is not None else None
@@ -74,11 +194,9 @@ def evaluate(map_, truth_keys: np.ndarray,
 
 
 def count_dynamic_cubes(map_, truth_keys: np.ndarray,
-                        dynamic_mask: np.ndarray) -> int:
+                        counts: np.ndarray) -> int:
     """Occupied cubes of the final map that contain a dynamic-labeled point
-    (truth given as packed cube keys, as for :func:`evaluate`)."""
-    keys, dynamic_mask = _truth(truth_keys, dynamic_mask)
-    dyn_cubes = sorted_unique(keys[dynamic_mask])
-    _, hit = find_sorted(map_.occupied_keys(), dyn_cubes)
+    (truth given as a histogram, as for :func:`evaluate`)."""
+    keys, counts = _histogram(truth_keys, counts)
+    _, hit = find_sorted(map_.occupied_keys(), keys[counts[:, 1] > 0])
     return int(hit.sum())
-

@@ -13,9 +13,10 @@ import numpy as np
 from .backend import (Keyframe, KeyframeQueue, backend_step,
                       information_content, keyframe_select)
 from .config import FrontendConfig, PipelineConfig
-from .geometry import Pose, Scan, transform_scan
+from .evaluate import TruthHistogram
+from .geometry import transform_scan
 from .ground import GroundReport, r_gpe
-from .indexing import ScanCubes
+from .indexing import ScanCubes, from_region_major
 from .map_core import RHMap
 from .range_image import build_range_image
 from .removal import RemovalReport, s2m_removal, scan_contexts, sensor_bounds
@@ -29,7 +30,7 @@ OVERLAP_MIN_POINTS = 16384
 
 #: The keys of ``FrameRecord.stages_ms``, in the order a frame runs them.
 STAGES = ("transform_group", "integrate", "ground", "sensor", "join_wait",
-          "contexts", "s2m", "backend")
+          "contexts", "truth", "s2m", "backend")
 
 
 @dataclass
@@ -45,9 +46,10 @@ class FrameRecord:
     evicted: int
     elapsed_ms: float
     #: Milliseconds of each stage in ``STAGES``.  ``sensor`` (range image,
-    #: bounds, information content) and ``contexts`` (scan contexts and,
-    #: with a mask, the truth keys) are busy time on whichever thread ran
-    #: them; ``join_wait`` is how long the main thread then waited for the
+    #: bounds, information content), ``contexts`` (scan contexts) and
+    #: ``truth`` (adding the frame's labeled points to the truth histogram,
+    #: 0 without a mask) are busy time on whichever thread ran them;
+    #: ``join_wait`` is how long the main thread then waited for the
     #: worker's last job of the frame, 0 when it ran both itself.  The
     #: stages the main thread ran add up to about ``elapsed_ms``.
     stages_ms: dict[str, float]
@@ -57,11 +59,13 @@ class FrameRecord:
 class PipelineResult:
     map: RHMap
     frames: list[FrameRecord] = field(default_factory=list)
-    #: Ground-truth cloud as the packed int64 cube key (at the map's cube
-    #: size) of every labeled point, in frame and scan order; the name is
-    #: kept for the benchmark harness, which reads it.  None without masks.
+    #: Ground-truth cloud as a histogram (see ``evaluate.TruthHistogram``):
+    #: the distinct packed int64 cube keys (at the map's cube size) that
+    #: hold a labeled point, in no particular order.  None without masks.
+    #: The name is kept for the benchmark harness, which reads it.
     truth_points: np.ndarray | None = None
-    #: Dynamic label of each truth key.
+    #: (n, 2) int64 static and dynamic point counts of each truth key; the
+    #: name is kept for the benchmark harness too.
     truth_mask: np.ndarray | None = None
 
     @property
@@ -100,42 +104,35 @@ def _sensor_side(points: np.ndarray, fcfg: FrontendConfig):
     return bounds, info, time.perf_counter() - t0
 
 
-class _Truth:
-    """The ground-truth cloud of a run: each labeled point's cube key and
-    dynamic label, in frame and scan order, in two buffers grown in place
-    (``ndarray.resize`` reallocates without a second copy of the cloud)."""
-
-    def __init__(self):
-        self.keys = np.empty(0, dtype=np.int64)
-        self.mask = np.empty(0, dtype=bool)
-        self.n = 0
-        self.labeled = False
-
-    def append(self, cubes: ScanCubes, mask):
-        end = self.n + len(cubes.point_cube)
-        if end > len(self.keys):
-            cap = max(end, len(self.keys) * 5 // 4)
-            self.keys.resize(cap, refcheck=False)
-            self.mask.resize(cap, refcheck=False)
-        self.keys[self.n:end] = cubes.cube_keys[cubes.point_cube]
-        self.mask[self.n:end] = np.asarray(
-            mask, dtype=bool).reshape(end - self.n)
-        self.n, self.labeled = end, True
+def _truth_part(cubes: ScanCubes, mask) -> np.ndarray:
+    """A frame's part of the truth histogram, keyed by the grouping's
+    sorted region-major cube keys: each cube's static and dynamic point
+    counts as an (n, 2) view of a (2, n) array."""
+    n = len(cubes.cube_rm)
+    mask = np.asarray(mask, dtype=bool).reshape(len(cubes.point_cube))
+    counts = np.empty((2, n), dtype=np.int64)
+    counts[0] = np.bincount(cubes.point_cube, minlength=n)
+    counts[1] = np.bincount(cubes.point_cube[mask], minlength=n)
+    counts[0] -= counts[1]
+    return counts.T
 
 
-def _map_free_side(sensor, cubes: ScanCubes, mask, truth: _Truth):
+def _map_free_side(sensor, cubes: ScanCubes, mask, truth: TruthHistogram):
     """A frame's work that reads no map: ``sensor()`` returns its sensor
     side (:func:`_sensor_side`), then its scan contexts are built and, with
-    a mask, its truth keys and labels appended.  Returns the contexts, the
-    information content and the busy seconds of the sensor side and of
-    the rest.  The grouping is read-only, so the main thread may read it
-    meanwhile; only this function touches ``truth`` during the run."""
+    a mask, its labeled points added to the truth histogram.  Returns the
+    contexts, the information content and the busy seconds of the sensor
+    side, the contexts and the truth step.  The grouping is read-only, so
+    the main thread may read it meanwhile; only this function touches
+    ``truth`` during the run."""
     bounds, info, sensor_s = sensor()
     t0 = time.perf_counter()
     contexts = scan_contexts(bounds, cubes)
+    t1 = time.perf_counter()
     if mask is not None:
-        truth.append(cubes, mask)
-    return contexts, info, sensor_s, time.perf_counter() - t0
+        truth.add(cubes.cube_rm, _truth_part(cubes, mask))
+    return (contexts, info, sensor_s, t1 - t0,
+            time.perf_counter() - t1)
 
 
 def _usable_cpus() -> int:
@@ -150,13 +147,14 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     Per frame, two sides.  The map-free side builds the range image of the
     sensor-frame scan, its max-ring and sup/inf bounds and its information
     content, then the scan contexts from the bounds and the frame's cube
-    grouping, and, when masks are supplied, appends each point's cube key
-    and label to a ground-truth cloud for evaluation.  The map side
-    transforms the scan, groups the world points by cube, integrates them
-    and estimates ground.  On a scan of at least ``OVERLAP_MIN_POINTS``
-    points, when two CPUs are usable, the map-free side runs as two jobs on
-    one worker thread (the second submitted once the grouping exists)
-    while the main thread runs the map side; otherwise it runs inline.
+    grouping, and, when masks are supplied, adds the frame's static and
+    dynamic point counts per cube to a truth histogram for evaluation.
+    The map side transforms the scan, groups the world points by cube,
+    integrates them and estimates ground.  On a scan of at least
+    ``OVERLAP_MIN_POINTS`` points, when two CPUs are usable, the map-free
+    side runs as two jobs on one worker thread (the second submitted once
+    the grouping exists) while the main thread runs the map side;
+    otherwise it runs inline.
     Both give the same map and truth.  After the join, scan-to-map removal,
     keyframe selection and (when enabled) one back-end step run.  Both jobs
     end within their frame, and a keyframe keeps the contexts, so no scan
@@ -170,7 +168,8 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     queue = KeyframeQueue(bcfg.queue_capacity)
     last_keyframe: Keyframe | None = None
     result = PipelineResult(map=map_)
-    truth = _Truth()
+    truth = TruthHistogram()
+    labeled = False
     can_overlap = _usable_cpus() >= 2
 
     # the worker starts at the first scan large enough to overlap; it is
@@ -180,6 +179,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
         for frame in frames:
             scan, pose = frame[0], frame[1]
             mask = frame[2] if len(frame) > 2 else None
+            labeled = labeled or mask is not None
 
             t0 = time.perf_counter()
             sensor = side = None
@@ -201,11 +201,11 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             ground_report = r_gpe(map_, cubes, fcfg)
             t3 = time.perf_counter()
             if side is None:
-                contexts, info, sensor_s, contexts_s = _map_free_side(
-                    partial(_sensor_side, scan.points, fcfg), cubes, mask,
-                    truth)
+                contexts, info, sensor_s, contexts_s, truth_s = \
+                    _map_free_side(partial(_sensor_side, scan.points, fcfg),
+                                   cubes, mask, truth)
             else:
-                contexts, info, sensor_s, contexts_s = side.result()
+                contexts, info, sensor_s, contexts_s, truth_s = side.result()
             t4 = time.perf_counter()
             join_wait = 0.0 if side is None else t4 - t3
             # the sensor future holds the bounds, which the worker allocated;
@@ -226,7 +226,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             t6 = time.perf_counter()
 
             stages = (t1 - t0, t2 - t1, t3 - t2, sensor_s, join_wait,
-                      contexts_s, t5 - t4, t6 - t5)
+                      contexts_s, truth_s, t5 - t4, t6 - t5)
             result.frames.append(FrameRecord(
                 report=report, ground=ground_report,
                 backend_reports=backend_reports, keyframe_added=added,
@@ -237,8 +237,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
         if worker is not None:
             worker.shutdown()
 
-    if truth.labeled:
-        truth.keys.resize(truth.n, refcheck=False)
-        truth.mask.resize(truth.n, refcheck=False)
-        result.truth_points, result.truth_mask = truth.keys, truth.mask
+    if labeled:
+        result.truth_points, result.truth_mask = truth.finish(
+            partial(from_region_major, mask_bits=cfg.map.mask_bits))
     return result

@@ -2,7 +2,8 @@
 global guard that counts any ground cube killed by region removal, and
 helpers that group points and build scan contexts the way the pipeline
 does, force the pipeline's sensor side onto its worker thread or inline,
-and insert and read single cubes and regions through the batch map API."""
+keep and score the truth point by point as the histogram's oracle, and
+insert and read single cubes and regions through the batch map API."""
 
 from __future__ import annotations
 
@@ -15,9 +16,11 @@ import pytest
 
 from rhmap import map_core, pipeline
 from rhmap.config import PipelineConfig
-from rhmap.evaluate import count_dynamic_cubes, evaluate
+from rhmap.evaluate import (EvalResult, count_dynamic_cubes, evaluate,
+                            f1_score)
 from rhmap.geometry import Pose, transform_scan
-from rhmap.indexing import ScanCubes, cube_indices, find_sorted, pack3
+from rhmap.indexing import (ScanCubes, cube_indices, find_sorted, pack3,
+                            sorted_unique)
 from rhmap.pipeline import run_pipeline
 from rhmap.range_image import build_range_image
 from rhmap.removal import scan_contexts, sensor_bounds
@@ -81,6 +84,66 @@ def frame_contexts(scan, pose, fcfg, map_cfg):
     image = build_range_image(scan.points, fcfg.image_rows, fcfg.image_cols,
                               fcfg.fov)
     return scan_contexts(sensor_bounds(image, fcfg), cubes)
+
+
+# ---------------------------------------------------------------------------
+# Point-by-point truth, the oracle of the truth histogram: the cloud as
+# run_pipeline kept it before the histogram (each labeled point's cube key
+# and label, in frame and scan order), and the scoring that read it.
+
+class PointTruth:
+    """Each labeled point's packed cube key and dynamic label, in frame and
+    scan order, in two buffers grown in place."""
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.int64)
+        self.mask = np.empty(0, dtype=bool)
+        self.n = 0
+
+    def append(self, cubes: ScanCubes, mask):
+        end = self.n + len(cubes.point_cube)
+        if end > len(self.keys):
+            cap = max(end, len(self.keys) * 5 // 4)
+            self.keys.resize(cap, refcheck=False)
+            self.mask.resize(cap, refcheck=False)
+        self.keys[self.n:end] = cubes.cube_keys[cubes.point_cube]
+        self.mask[self.n:end] = np.asarray(
+            mask, dtype=bool).reshape(end - self.n)
+        self.n = end
+
+    def cloud(self):
+        """(keys, mask) of the points appended so far."""
+        return self.keys[:self.n], self.mask[:self.n]
+
+
+def point_truth(frames, map_cfg) -> PointTruth:
+    """The point-by-point truth of (scan, pose, mask) frames, grouped at
+    ``map_cfg`` as run_pipeline groups them."""
+    truth = PointTruth()
+    for scan, pose, mask in frames:
+        truth.append(ScanCubes(transform_scan(scan, pose), map_cfg), mask)
+    return truth
+
+
+def evaluate_points(map_, keys, dynamic_mask) -> EvalResult:
+    """Point-by-point scoring of a truth cloud given as each point's packed
+    cube key and dynamic label."""
+    _, hit = find_sorted(map_.occupied_keys(), keys)
+    n_sta = int((~dynamic_mask).sum())
+    n_dyn = int(dynamic_mask.sum())
+    n_tn = int(hit[~dynamic_mask].sum())
+    n_tp = int(hit[dynamic_mask].sum())
+    pr = n_tn / n_sta if n_sta else None
+    rr = 1.0 - n_tp / n_dyn if n_dyn else None
+    f1 = f1_score(pr, rr) if pr is not None and rr is not None else None
+    return EvalResult(pr, rr, f1, n_sta, n_dyn, n_tn, n_tp)
+
+
+def count_dynamic_cubes_points(map_, keys, dynamic_mask) -> int:
+    """Occupied cubes holding a dynamic point, from a point-by-point cloud."""
+    _, hit = find_sorted(map_.occupied_keys(),
+                         sorted_unique(keys[dynamic_mask]))
+    return int(hit.sum())
 
 
 # ---------------------------------------------------------------------------

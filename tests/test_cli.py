@@ -254,6 +254,9 @@ def test_bench_reports_throughput(capsys):
     assert 0 < body["p50_ms"] <= body["p95_ms"]
     assert list(body["stages_ms"]) == list(STAGES)
     assert body["points_per_frame"] > 50000
+    # the process's peak resident memory, in MB: more than the ~2 MB of one
+    # 91k-point float64 scan, less than the whole 8 GB of a small host
+    assert 2 < body["peak_rss_mb"] < 8192
 
 
 def test_bench_streams_the_scene(monkeypatch, capsys):

@@ -1,16 +1,19 @@
-"""Preservation/rejection metrics and dynamic-cube counting."""
+"""Preservation/rejection metrics, dynamic-cube counting and the truth
+histogram they read."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhmap.config import MapConfig
-from rhmap.evaluate import (count_dynamic_cubes, cube_keys, evaluate,
-                            f1_score)
+from rhmap.evaluate import (TruthHistogram, count_dynamic_cubes, cube_keys,
+                            evaluate, f1_score, truth_histogram)
 from rhmap.map_core import RHMap
 
-from conftest import integrate
+from conftest import count_dynamic_cubes_points, evaluate_points, integrate
 
 
 def test_f1_reference_row_and_extremes():
@@ -32,7 +35,7 @@ def test_evaluate_matches_brute_force_tally():
     map_ = _populated_map(map_pts)
     truth = rng.uniform(-4, 4, size=(3000, 3))
     dyn = rng.random(3000) < 0.3
-    res = evaluate(map_, cube_keys(truth, 0.1), dyn)
+    res = evaluate(map_, *truth_histogram(cube_keys(truth, 0.1), dyn))
 
     occupied = set(map(tuple, np.floor(map_pts / 0.1).astype(np.int64)))
     hit = np.array([tuple(i) in occupied
@@ -49,13 +52,15 @@ def test_evaluate_matches_brute_force_tally():
 def test_evaluate_perfect_map():
     pts = np.array([[0.05, 0.05, 0.05], [1.05, 0.05, 0.05]])
     map_ = _populated_map(pts)
-    res = evaluate(map_, cube_keys(pts, 0.1), np.array([False, False]))
+    res = evaluate(map_, *truth_histogram(cube_keys(pts, 0.1),
+                                          np.array([False, False])))
     assert res.pr == 1.0 and res.rr is None and res.f1 is None
 
 
 def test_evaluate_empty_denominators_give_none():
     map_ = _populated_map(np.zeros((1, 3)))
-    res = evaluate(map_, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+    res = evaluate(map_, *truth_histogram(np.zeros(0, dtype=np.int64),
+                                          np.zeros(0, dtype=bool)))
     assert res.pr is None and res.rr is None and res.f1 is None
     assert res.n_sta == 0 and res.n_dyn == 0
 
@@ -69,16 +74,16 @@ def test_count_dynamic_cubes():
                        [1.01, 0.09, 0.02],
                        [9.0, 9.0, 9.0]], 0.1)  # dynamic but not in the map
     dyn = np.array([True, True, True, True])
-    assert count_dynamic_cubes(map_, truth, dyn) == 2
-    assert count_dynamic_cubes(map_, truth, ~dyn) == 0
-    assert count_dynamic_cubes(map_, np.zeros(0, dtype=np.int64),
-                               np.zeros(0, dtype=bool)) == 0
+    assert count_dynamic_cubes(map_, *truth_histogram(truth, dyn)) == 2
+    assert count_dynamic_cubes(map_, *truth_histogram(truth, ~dyn)) == 0
+    assert count_dynamic_cubes(map_, *truth_histogram(
+        np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))) == 0
 
 
 def test_eval_result_to_dict_round_trips_fields():
     map_ = _populated_map(np.array([[0.05, 0.05, 0.05]]))
-    res = evaluate(map_, cube_keys(np.array([[0.05, 0.05, 0.05]]), 0.1),
-                   np.array([False]))
+    res = evaluate(map_, *truth_histogram(
+        cube_keys(np.array([[0.05, 0.05, 0.05]]), 0.1), np.array([False])))
     d = res.to_dict()
     assert d["PR"] == 1.0 and d["N_sta"] == 1 and d["N_TP"] == 0
 
@@ -87,21 +92,112 @@ def test_scoring_rejects_anything_but_1d_integer_keys():
     pts = np.array([[0.05, 0.05, 0.05], [1.05, 0.05, 0.05]])
     map_ = _populated_map(pts)
     mask = np.array([False, True])
+    counts = np.array([[1, 0], [0, 1]])
     for bad in (pts, cube_keys(pts, 0.1).astype(np.float64),
                 cube_keys(pts, 0.1).reshape(2, 1)):
         with pytest.raises(ValueError, match="1-D integer"):
-            evaluate(map_, bad, mask)
+            truth_histogram(bad, mask)
         with pytest.raises(ValueError, match="1-D integer"):
-            count_dynamic_cubes(map_, bad, mask)
+            evaluate(map_, bad, counts)
+        with pytest.raises(ValueError, match="1-D integer"):
+            count_dynamic_cubes(map_, bad, counts)
     with pytest.raises(ValueError, match="labels"):
-        evaluate(map_, cube_keys(pts, 0.1), mask[:1])
+        truth_histogram(cube_keys(pts, 0.1), mask[:1])
+    keys = cube_keys(pts, 0.1)
+    for bad in (counts[:1], counts.T[:, :1], counts.ravel(), mask,
+                counts.astype(np.float64)):
+        with pytest.raises(ValueError, match=r"\(2, 2\) integer counts"):
+            evaluate(map_, keys, bad)
+        with pytest.raises(ValueError, match=r"\(2, 2\) integer counts"):
+            count_dynamic_cubes(map_, keys, bad)
+    for fn in (evaluate, count_dynamic_cubes):
+        with pytest.raises(ValueError, match="negative"):
+            fn(map_, keys, np.array([[1, 0], [2, -1]]))
 
 
 def test_scoring_reads_only_occupied_keys():
     pts = np.array([[0.05, 0.05, 0.05], [1.05, 0.05, 0.05]])
     keys = cube_keys(pts, 0.1)
     view = SimpleNamespace(occupied_keys=lambda: np.sort(keys[:1]))
-    res = evaluate(view, keys, np.array([False, True]))
+    res = evaluate(view, *truth_histogram(keys, np.array([False, True])))
     assert (res.n_tn, res.n_tp) == (1, 0)
-    assert count_dynamic_cubes(view, keys, np.array([True, True])) == 1
+    assert count_dynamic_cubes(
+        view, *truth_histogram(keys, np.array([True, True]))) == 1
 
+
+
+def _cloud(rng, n):
+    """Random points around the origin, negative coordinates included, with
+    repeated cubes, and random dynamic labels."""
+    pts = rng.uniform(-2.0, 2.0, size=(n, 3))
+    pts[: n // 2] = pts[rng.integers(0, max(n // 2, 1), n // 2)]
+    return pts, rng.random(n) < 0.3
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3000),
+       st.integers(0, 3000))
+@settings(max_examples=40, deadline=None)
+def test_histogram_scores_equal_the_point_by_point_oracle(seed, n_map, n):
+    rng = np.random.default_rng(seed)
+    map_ = _populated_map(rng.uniform(-2.0, 2.0, size=(n_map, 3)))
+    pts, dyn = _cloud(rng, n)
+    keys = cube_keys(pts, 0.1)
+    hkeys, counts = truth_histogram(keys, dyn)
+    assert np.all(np.diff(hkeys) > 0)
+    assert counts.dtype == np.int64 and counts.shape == (len(hkeys), 2)
+    assert evaluate(map_, hkeys, counts) == evaluate_points(map_, keys, dyn)
+    assert (count_dynamic_cubes(map_, hkeys, counts)
+            == count_dynamic_cubes_points(map_, keys, dyn))
+
+
+def _fold_oracle(parts):
+    """(key, static, dynamic) rows of the parts summed per key with
+    ``np.unique``."""
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty((0, 2), dtype=np.int64)
+    keys = np.concatenate([k for k, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    uniq, inv = np.unique(keys, return_inverse=True)
+    summed = np.zeros((len(uniq), 2), dtype=np.int64)
+    np.add.at(summed, inv, counts)
+    return uniq, summed
+
+
+_EDGE_KEYS = st.one_of(st.integers(0, 40), st.integers(2**62 - 40, 2**62),
+                       st.integers(0, 2**62))
+
+
+@given(st.lists(st.lists(st.tuples(_EDGE_KEYS, st.integers(0, 5),
+                                   st.integers(0, 5)), max_size=30),
+                max_size=25),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_folded_parts_equal_a_unique_oracle(raw_parts, seed):
+    rng = np.random.default_rng(seed)
+    parts, seen = [], set()
+    for rows in raw_parts:
+        # each part holds distinct keys; a frame often repeats keys of
+        # earlier frames, so some parts reuse earlier keys wholesale
+        if seen and rng.random() < 0.5:
+            pool = np.array(sorted(seen), dtype=np.int64)
+            rows = rows + [(int(k), 1, 0) for k in
+                           rng.choice(pool, min(len(pool), 20), replace=False)]
+        by_key = {k: (s, d) for k, s, d in rows}
+        keys = np.array(sorted(by_key), dtype=np.int64)
+        counts = np.array([by_key[k] for k in keys.tolist()],
+                          dtype=np.int64).reshape(-1, 2)
+        parts.append((keys, counts))
+        seen.update(by_key)
+    truth, added = TruthHistogram(), set()
+    for keys, counts in parts:
+        truth.add(keys, counts)
+        added.update(keys.tolist())
+        assert truth.rows <= 2 * len(added)
+    keys, counts = truth.finish()
+    want_keys, want_counts = _fold_oracle(parts)
+    assert keys.dtype == np.int64 and counts.dtype == np.int64
+    assert np.array_equal(keys, want_keys)
+    assert np.array_equal(counts, want_counts)
+    # finishing hands the table over and empties the accumulator
+    assert truth.rows == 0
+    assert len(truth.finish()[0]) == 0

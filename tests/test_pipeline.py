@@ -9,12 +9,17 @@ import pytest
 
 from rhmap import pipeline, removal
 from rhmap.config import PipelineConfig
-from rhmap.evaluate import count_dynamic_cubes, cube_keys, evaluate
-from rhmap.geometry import Scan
+from rhmap.evaluate import (TruthHistogram, count_dynamic_cubes, cube_keys,
+                            evaluate, truth_histogram)
+from rhmap.geometry import Scan, transform_scan
+from rhmap.indexing import ScanCubes, find_sorted
 from rhmap.pipeline import STAGES, run_pipeline, timing_report
-from rhmap.synth import MovingBox, SceneSpec, bench_scene, synth_scene
+from rhmap.synth import (MovingBox, SceneSpec, bench_scene, synth_frames,
+                         synth_scene)
 
-from conftest import bench_config, dor_config, force_overlap
+from conftest import (PointTruth, bench_config, count_dynamic_cubes_points,
+                      dor_config, evaluate_points, force_overlap, point_truth,
+                      residue_config, residue_scene)
 
 
 def _small_scene(frames=60):
@@ -53,20 +58,34 @@ def test_zero_frames_yields_empty_result():
     assert len(result.map.occupied_keys()) == 0
 
 
+def _assert_histogram_of(result, oracle: PointTruth):
+    """The run's truth is the histogram of the point-by-point cloud: each
+    key once, with its static and dynamic point counts."""
+    assert result.truth_points.ndim == 1
+    assert result.truth_points.dtype == np.int64
+    assert result.truth_mask.dtype == np.int64
+    assert result.truth_mask.shape == (len(result.truth_points), 2)
+    order = np.argsort(result.truth_points)
+    keys, counts = result.truth_points[order], result.truth_mask[order]
+    want_keys, want_counts = truth_histogram(*oracle.cloud())
+    assert np.array_equal(keys, want_keys)
+    assert np.array_equal(counts, want_counts)
+
+
 def test_truth_cloud_accumulates_all_frames():
     frames = synth_scene(_small_scene(frames=10))
     result = run_pipeline(_cfg(), frames)
     total = sum(len(scan) for scan, _, _ in frames)
-    assert len(result.truth_mask) == total
-    # the truth cloud is each point's cube key, in frame and scan order
+    assert int(result.truth_mask.sum()) == total
+    # the oracle's cloud is each point's cube key, in frame and scan order
+    oracle = point_truth(frames, result.map.config)
+    keys, mask = oracle.cloud()
     cube = result.map.config.cube_size
     expected = np.concatenate([cube_keys(pose.apply(scan.points), cube)
                                for scan, pose, _ in frames])
-    assert result.truth_points.ndim == 1
-    assert result.truth_points.dtype == np.int64
-    assert np.array_equal(result.truth_points, expected)
-    assert np.array_equal(result.truth_mask,
-                          np.concatenate([m for _, _, m in frames]))
+    assert np.array_equal(keys, expected)
+    assert np.array_equal(mask, np.concatenate([m for _, _, m in frames]))
+    _assert_histogram_of(result, oracle)
     assert len(result.frames) == 10
     assert result.frames[0].keyframe_added is True
 
@@ -145,7 +164,7 @@ def test_frame_records_carry_stage_timers():
     frames = synth_scene(_small_scene(frames=5))
     result = run_pipeline(_cfg(), frames)
     assert STAGES == ("transform_group", "integrate", "ground", "sensor",
-                      "join_wait", "contexts", "s2m", "backend")
+                      "join_wait", "contexts", "truth", "s2m", "backend")
     for f in result.frames:
         assert list(f.stages_ms) == list(STAGES)
         assert all(v >= 0 for v in f.stages_ms.values())
@@ -271,7 +290,7 @@ def test_an_error_on_either_side_keeps_its_type_and_stops_the_worker(
 def test_a_run_switching_between_inline_and_overlapped_frames_matches(
         monkeypatch):
     # thinned scans fall below the cutoff and run inline; the others run on
-    # the worker.  Truth rows stay in frame order, and the map is the same.
+    # the worker.  The truth and the map are the same.
     frames = []
     for i, (scan, pose, mask) in enumerate(synth_scene(_small_scene(20))):
         keep = slice(None) if i % 3 else slice(None, None, 2)
@@ -290,6 +309,60 @@ def test_a_run_switching_between_inline_and_overlapped_frames_matches(
     assert threading.current_thread().name in threads
     assert any(name.startswith("rhmap-sensor") for name in threads)
     _assert_same_run(inline, mixed)
-    assert np.array_equal(mixed.truth_points, np.concatenate(
-        [cube_keys(pose.apply(scan.points), mixed.map.config.cube_size)
-         for scan, pose, _ in frames]))
+    _assert_histogram_of(mixed, point_truth(frames, mixed.map.config))
+
+
+def test_truth_rows_stay_within_twice_the_distinct_cubes(monkeypatch):
+    # the residue scene's 600-frame drive meets ~321k distinct truth cubes;
+    # after every frame the table plus the pending rows stay within twice
+    # the distinct cubes added so far, and the run scores as the
+    # point-by-point oracle does
+    after_frame = []
+
+    class Recording(TruthHistogram):
+        def __init__(self):
+            super().__init__()
+            self.added = np.empty(0, dtype=np.int64)
+
+        def add(self, keys, counts):
+            super().add(keys, counts)
+            pos, found = find_sorted(self.added, keys)
+            self.added = np.insert(self.added, pos[~found], keys[~found])
+            after_frame.append((self.rows, len(self.added)))
+
+    cfg = residue_config(True)
+    oracle = PointTruth()
+
+    def frames():
+        for scan, pose, mask in synth_frames(residue_scene()):
+            oracle.append(ScanCubes(transform_scan(scan, pose), cfg.map),
+                          mask)
+            yield scan, pose, mask
+
+    monkeypatch.setattr(pipeline, "TruthHistogram", Recording)
+    result = run_pipeline(cfg, frames())
+    assert len(after_frame) == residue_scene().frames
+    assert after_frame[-1][1] > 300_000
+    assert all(rows <= 2 * distinct for rows, distinct in after_frame)
+    keys, mask = oracle.cloud()
+    assert (evaluate(result.map, result.truth_points, result.truth_mask)
+            == evaluate_points(result.map, keys, mask))
+    assert (count_dynamic_cubes(result.map, result.truth_points,
+                                result.truth_mask)
+            == count_dynamic_cubes_points(result.map, keys, mask))
+
+
+def test_reference_runs_score_as_the_point_by_point_oracle(dor_runs,
+                                                           dor_frames,
+                                                           bench_run):
+    keys, mask = point_truth(dor_frames, dor_config().map).cloud()
+    for result, ev, _ in dor_runs.values():
+        assert ev == evaluate_points(result.map, keys, mask)
+        assert (count_dynamic_cubes(result.map, result.truth_points,
+                                    result.truth_mask)
+                == count_dynamic_cubes_points(result.map, keys, mask))
+    result = bench_run[0]
+    keys, mask = point_truth(synth_frames(bench_scene(30)),
+                             result.map.config).cloud()
+    assert (evaluate(result.map, result.truth_points, result.truth_mask)
+            == evaluate_points(result.map, keys, mask))
