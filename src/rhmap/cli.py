@@ -98,7 +98,9 @@ def _write_report(result, ev, path):
     reports = [{**asdict(f.report), **asdict(f.ground),
                 "map_cubes": f.map_cubes, "map_regions": f.map_regions,
                 "evicted": f.evicted, "elapsed_ms": f.elapsed_ms,
-                "stages_ms": f.stages_ms} for f in result.frames]
+                "cpu_ms": f.cpu_ms, "stages_ms": f.stages_ms,
+                "backend_reports": [asdict(r) for r in f.backend_reports]}
+               for f in result.frames]
     body = {"frames": reports}
     if result.frames:
         body["timing"] = _timing(result)
@@ -197,6 +199,9 @@ def cmd_bench(args) -> int:
     points = []
     result = run_pipeline(cfg, _counted(synth_frames(scene), points))
     body = _timing(result)
+    cpu_ms = [f.cpu_ms for f in result.frames]
+    body["cpu_mean_ms"] = float(np.mean(cpu_ms))
+    body["cpu_p50_ms"] = float(np.median(cpu_ms))
     body["points_per_frame"] = float(np.mean(points))
     body["peak_rss_mb"] = (
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)

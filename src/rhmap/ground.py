@@ -1,10 +1,10 @@
 """Region-wise ground plane estimation and ground-cube marking.
 
-Ground handling works in cube-index space: candidate regions are elected
-from scan points lying below the column ground reference, each elected
-region gets a PCA plane fitted to its low cubes, and cubes within a
-distance margin of the plane are marked as ground.  Marked ground cubes
-survive all later dynamic-region removal.
+Ground handling works in cube-index space: candidate regions without a
+plane are elected from scan points lying below the column ground
+reference, each elected region gets a PCA plane fitted to its low cubes,
+and cubes within a distance margin of the plane are marked as ground.
+Marked ground cubes survive all later dynamic-region removal.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FrontendConfig
-from .indexing import (ScanCubes, find_sorted, pack2, run_starts, unpack3,
-                       z_of_keys)
+from .indexing import (ScanCubes, find_sorted, gather_runs, pack2, run_starts,
+                       unpack3, z_of_keys)
 from .map_core import RHMap
 
 # Two covariance eigenvalues closer than this, relative to the largest (or
@@ -25,10 +25,29 @@ _TIE_TOL = 1e-9
 
 @dataclass
 class GroundReport:
+    """One scan's ground estimation counts.
+
+    ``regions_elected`` counts the elected regions, which all lack a
+    plane: regions with a plane are never elected.  ``planes_failed``
+    counts the fits that failed now and the elected regions whose last fit
+    failed at their current cube count, which are not fitted again.
+    """
+
     regions_elected: int = 0
     regions_fitted: int = 0
     planes_failed: int = 0
     ground_cubes_added: int = 0
+
+
+def _column_min_z(cubes: ScanCubes, cols: np.ndarray) -> np.ndarray:
+    """The lowest scan point height of each given region column, by the
+    dense column ids of ``cubes`` (sorted, repeats included)."""
+    ucols = cols[run_starts(cols)]
+    ends = np.append(cubes.column_start[1:], len(cubes.order))
+    pos, owner = gather_runs(cubes.column_start[ucols], ends[ucols])
+    zmin = np.minimum.reduceat(cubes.points[cubes.order[pos], 2],
+                               run_starts(owner))
+    return zmin[np.searchsorted(ucols, cols)]
 
 
 def elect_candidate_ground_regions(map_: RHMap, cubes: ScanCubes,
@@ -36,9 +55,13 @@ def elect_candidate_ground_regions(map_: RHMap, cubes: ScanCubes,
     """Sorted int64 region keys worth a ground fit, given the freshly
     inserted scan's world points grouped by cube.
 
-    A cube of the scan at z index ``k`` votes for its region when it sits
-    below the ground reference of its (x, y) cube column: the mean centre
-    height of the map's ``n`` ground cubes there, tested exactly as
+    Only regions without a plane (:meth:`RHMap.planeless`) are elected: a
+    fitted plane is kept for good, so a vote for its region would be
+    thrown away.  A region whose last fit failed stays in the vote.
+
+    A cube of such a region at z index ``k`` votes for its region when it
+    sits below the ground reference of its (x, y) cube column: the mean
+    centre height of the map's ``n`` ground cubes there, tested exactly as
     ``2 n k < 2 sum_k + n``, or in a column without any, the minimum scan
     height of the whole region column plus a bootstrap margin (the wider
     footprint keeps isolated flat rooftops from looking like fresh
@@ -47,16 +70,18 @@ def elect_candidate_ground_regions(map_: RHMap, cubes: ScanCubes,
     """
     map_.check_grouping(cubes)
     cfg = map_.config
-    kz = z_of_keys(cubes.cube_keys)
+    sel = np.flatnonzero(map_.planeless(cubes.region_keys)[cubes.cube_region])
+    keys = cubes.cube_keys[sel]
+    kz = z_of_keys(keys)
     # each cube's (x, y) cube column's ground sum and count
-    z_sum, n = map_.ground_columns(cubes.cube_keys >> 21)
-    cminz = np.minimum.reduceat(cubes.points[cubes.order, 2], cubes.column_start)
-
-    below = np.where(
-        n > 0, 2 * n * kz < 2 * z_sum + n,
-        kz * cfg.cube_size < cminz[cubes.cube_column] + fcfg.bootstrap_margin)
+    z_sum, n = map_.ground_columns(keys >> 21)
+    below = 2 * n * kz < 2 * z_sum + n
+    boot = np.flatnonzero(n == 0)
+    if len(boot):
+        cminz = _column_min_z(cubes, cubes.cube_column[sel[boot]])
+        below[boot] = kz[boot] * cfg.cube_size < cminz + fcfg.bootstrap_margin
     voted = np.zeros(len(cubes.region_keys), dtype=bool)
-    voted[cubes.cube_region[below]] = True
+    voted[cubes.cube_region[sel[below]]] = True
     rkeys = cubes.region_keys[voted]
 
     if len(rkeys) == 0:

@@ -109,6 +109,8 @@ class RHMap:
             arr = getattr(self, name)
             grown = np.empty((n + k,) + arr.shape[1:], dtype=arr.dtype)
             grown[dest] = vals
+            # for a frame's few new rows (k << n) a mask assignment moves the
+            # old rows several times faster than a scatter through flatnonzero
             grown[old] = arr
             setattr(self, name, grown)
 
@@ -257,6 +259,14 @@ class RHMap:
         return self._rkeys.copy()
 
     # ----------------------------------------------------------- ground fits
+
+    def planeless(self, rkeys: np.ndarray) -> np.ndarray:
+        """Whether each given region has no ground plane: an absent
+        region, or one whose fits all failed, has none."""
+        pos, found = find_sorted(self._rkeys, rkeys)
+        out = np.ones(len(rkeys), dtype=bool)
+        out[found] = ~self._rfitted[pos[found]]
+        return out
 
     def unfitted_region_cubes(self, rkeys) -> tuple[RegionCubes, int]:
         """Cubes of the given regions that still want a ground plane.

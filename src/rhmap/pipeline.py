@@ -45,6 +45,9 @@ class FrameRecord:
     #: Keyframes the back-end queue has dropped at capacity so far.
     evicted: int
     elapsed_ms: float
+    #: Process CPU milliseconds of the frame (``time.process_time``), both
+    #: threads together.
+    cpu_ms: float
     #: Milliseconds of each stage in ``STAGES``.  ``sensor`` (range image,
     #: bounds, information content), ``contexts`` (scan contexts) and
     #: ``truth`` (adding the frame's labeled points to the truth histogram,
@@ -181,7 +184,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             mask = frame[2] if len(frame) > 2 else None
             labeled = labeled or mask is not None
 
-            t0 = time.perf_counter()
+            c0, t0 = time.process_time(), time.perf_counter()
             sensor = side = None
             if can_overlap and len(scan) >= OVERLAP_MIN_POINTS:
                 if worker is None:
@@ -223,7 +226,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             backend_reports = []
             if cfg.backend_enabled:
                 backend_reports = backend_step(map_, queue, pose, bcfg, fcfg)
-            t6 = time.perf_counter()
+            c6, t6 = time.process_time(), time.perf_counter()
 
             stages = (t1 - t0, t2 - t1, t3 - t2, sensor_s, join_wait,
                       contexts_s, truth_s, t5 - t4, t6 - t5)
@@ -232,6 +235,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
                 backend_reports=backend_reports, keyframe_added=added,
                 map_cubes=len(map_), map_regions=map_.region_count,
                 evicted=queue.evicted, elapsed_ms=(t6 - t0) * 1e3,
+                cpu_ms=(c6 - c0) * 1e3,
                 stages_ms={k: v * 1e3 for k, v in zip(STAGES, stages)}))
     finally:
         if worker is not None:

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes and file round trips."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ SCENE = {
 FRAME_KEYS = ["columns_flagged", "regions_flagged", "cubes_removed",
               "regions_elected", "regions_fitted", "planes_failed",
               "ground_cubes_added", "map_cubes", "map_regions", "evicted",
-              "elapsed_ms", "stages_ms"]
+              "elapsed_ms", "cpu_ms", "stages_ms", "backend_reports"]
 
 CFG_FLAGS = ["--image_rows", "32", "--image_cols", "360",
              "--fov_down_deg", "-30", "--fov_up_deg", "5",
@@ -51,23 +52,40 @@ def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys,
                                            monkeypatch):
     import rhmap.cli as cli
 
-    calls = []
-    real = cli.evaluate
+    calls, runs = [], []
+    real, real_run = cli.evaluate, cli.run_pipeline
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
+    def run_spy(cfg, frames):
+        runs.append(real_run(cfg, frames))
+        return runs[-1]
+
     monkeypatch.setattr(cli, "evaluate", counting)
+    monkeypatch.setattr(cli, "run_pipeline", run_spy)
     out_map = str(tmp_path / "map.ply")
     report = str(tmp_path / "report.json")
+    # keyframes 1 m apart, replayed 2 m away: the 4 m drive replays twice
     rc = main(["run", "--synthetic", scene_file, "--out", out_map,
-               "--report", report] + CFG_FLAGS)
+               "--report", report, "--dist_keyframe", "1",
+               "--dist_away", "2"] + CFG_FLAGS)
     assert rc == 0
     assert len(calls) == 1          # the report and stdout share one score
     body = json.loads((tmp_path / "report.json").read_text())
     assert len(body["frames"]) == SCENE["frames"]
     assert all(list(f) == FRAME_KEYS for f in body["frames"])
+    (result,) = runs
+    assert [f["cpu_ms"] for f in body["frames"]] == [
+        f.cpu_ms for f in result.frames]
+    assert all(f["cpu_ms"] >= 0 for f in body["frames"])
+    assert sum(f["cpu_ms"] for f in body["frames"]) > 0
+    replays = [f["backend_reports"] for f in body["frames"]]
+    assert replays == [[asdict(r) for r in f.backend_reports]
+                       for f in result.frames]
+    assert sum(map(len, replays)) == 2
+    assert all(r["cubes_removed"] > 0 for rs in replays for r in rs)
     assert body["timing"]["mean_ms"] > 0
     assert all(list(f["stages_ms"]) == list(STAGES) for f in body["frames"])
     timing = body["timing"]
@@ -253,6 +271,7 @@ def test_bench_reports_throughput(capsys):
     assert body["hz"] > 0
     assert 0 < body["p50_ms"] <= body["p95_ms"]
     assert list(body["stages_ms"]) == list(STAGES)
+    assert 0 < body["cpu_p50_ms"] and 0 < body["cpu_mean_ms"]
     assert body["points_per_frame"] > 50000
     # the process's peak resident memory, in MB: more than the ~2 MB of one
     # 91k-point float64 scan, less than the whole 8 GB of a small host

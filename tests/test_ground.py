@@ -1,5 +1,6 @@
 """Ground region election, plane fitting and ground-cube marking."""
 
+import copy
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from rhmap import pipeline
 from rhmap.config import FrontendConfig, MapConfig
 from rhmap.ground import (GroundReport, elect_candidate_ground_regions,
                           fit_ground_planes, r_gpe)
-from rhmap.indexing import ScanCubes, pack2, pack3, unpack3
+from rhmap.indexing import (ScanCubes, find_sorted, pack2, pack3, unpack3,
+                            z_of_keys)
 from rhmap.io_formats import write_map_ply
 from rhmap.map_core import RHMap
 from rhmap.pipeline import run_pipeline
@@ -92,6 +94,40 @@ def extract_ground_cubes(map_, region_key, n, d, r_gro):
     keys = region(map_, region_key).keys
     near = np.abs(unpack3(keys).astype(np.float64) @ n - d) < r_gro
     return keys[near]
+
+
+# Oracle of elect_candidate_ground_regions: the election over every cube of
+# the scan, regions with a plane included, and r_gpe on top of it.
+
+def elect_every_region(map_, cubes, fcfg):
+    """Sorted keys of the regions that a cube of the scan votes for,
+    whether or not the region has a plane, minus isolated regions."""
+    cfg = map_.config
+    kz = z_of_keys(cubes.cube_keys)
+    z_sum, n = map_.ground_columns(cubes.cube_keys >> 21)
+    cminz = np.minimum.reduceat(cubes.points[cubes.order, 2], cubes.column_start)
+    below = np.where(
+        n > 0, 2 * n * kz < 2 * z_sum + n,
+        kz * cfg.cube_size < cminz[cubes.cube_column] + fcfg.bootstrap_margin)
+    voted = np.zeros(len(cubes.region_keys), dtype=bool)
+    voted[cubes.cube_region[below]] = True
+    rkeys = cubes.region_keys[voted]
+    if len(rkeys) == 0:
+        return rkeys
+    step = cfg.mask + 1
+    rxy = unpack3(rkeys)
+    offs = np.array([(dx, dy) for dx in (-step, 0, step)
+                     for dy in (-step, 0, step) if dx or dy], dtype=np.int64)
+    nkeys = pack2(rxy[:, None, 0] + offs[:, 0], rxy[:, None, 1] + offs[:, 1])
+    _, hit = find_sorted(map_.occupied_columns(), nkeys)
+    return rkeys[hit.any(axis=1)]
+
+
+def r_gpe_every_region(map_, cubes, fcfg) -> GroundReport:
+    """r_gpe's fit counts over the oracle election."""
+    report = GroundReport()
+    fit_ground_planes(map_, elect_every_region(map_, cubes, fcfg), fcfg, report)
+    return report
 
 
 def _lattice_map():
@@ -300,6 +336,111 @@ def test_rgpe_trigger_rule_fits_once():
     assert again.regions_fitted == 0
 
 
+def test_planeless_regions():
+    map_ = make_map()
+    hit_cubes(map_, [(x, 0, 0) for x in range(0, 32, 8)])
+    fitted, stale, fresh, never = map_.regions
+    map_.record_plane_fits(np.array([fitted, stale, fresh]),
+                           np.array([True, False, False]))
+    hit_cubes(map_, [(17, 1, 0)])             # fresh gains a cube
+    absent = int(pack3(0, 0, 8))
+    keys = np.array([never, absent, fresh, stale, fitted])
+    assert map_.planeless(keys).tolist() == [True, True, True, True, False]
+
+
+def test_election_queries_no_cube_of_a_region_with_a_plane(monkeypatch):
+    # a fitted 16 x 16 floor over four region columns; the next scan sees
+    # the floor again and a fresh patch in a fifth column beside it
+    map_ = make_map()
+    floor = np.column_stack([np.tile(np.arange(16) * 0.1 + 0.05, 16),
+                             np.repeat(np.arange(16) * 0.1 + 0.05, 16),
+                             np.full(256, 0.05)])
+    cubes = ScanCubes(floor, map_.config)
+    map_.integrate_points(cubes)
+    assert r_gpe(map_, cubes, FCFG).regions_fitted == 4
+    patch = np.column_stack([np.tile(np.arange(8) * 0.1 + 1.65, 8),
+                             np.repeat(np.arange(8) * 0.1 + 0.05, 8),
+                             np.full(64, 0.05)])
+    scan = ScanCubes(np.concatenate([floor, patch]), map_.config)
+    map_.integrate_points(scan)
+
+    asked = []
+    real = map_.ground_columns
+
+    def spy(cols):
+        asked.append(len(cols))
+        return real(cols)
+
+    monkeypatch.setattr(map_, "ground_columns", spy)
+    elected = elect_candidate_ground_regions(map_, scan, FCFG)
+    assert asked == [64]                      # the patch's cubes alone
+    assert elected.tolist() == [int(pack3(16, 0, 0))]
+    assert elect_every_region(map_, scan, FCFG).tolist() == sorted(
+        map_.regions.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-3, 12), min_size=576, max_size=576),
+       st.lists(st.tuples(st.integers(-8, 15), st.integers(-8, 15),
+                          st.integers(-4, 19)), max_size=80),
+       st.integers(0, 2**32 - 1), st.integers(1, 3),
+       st.floats(0.0, 0.99))
+def test_election_equals_the_oracle_over_planeless_regions(
+        heights, clutter, seed, history, min_normal_z):
+    # a bumpy 24 x 24 surface over nine region columns plus clutter, fed in
+    # over several integrations.  After each, ground is estimated and a
+    # random share of the regions is then forced fitted or failed, so the
+    # last scan meets fitted regions, failed ones at their current count
+    # (stale) or since grown (fresh), and never fitted ones.  Its points
+    # lie anywhere in their cubes, so the bootstrap reference varies.
+    xy = np.stack(np.meshgrid(np.arange(-8, 16), np.arange(-8, 16)),
+                  -1).reshape(-1, 2)
+    idx = np.unique(np.concatenate([
+        np.column_stack([xy, heights]),
+        np.array(clutter, dtype=np.int64).reshape(-1, 3)]), axis=0)
+    rng = np.random.default_rng(seed)
+    idx = idx[rng.permutation(len(idx))]
+    fcfg = FrontendConfig(min_ground_normal_z=min_normal_z)
+    map_ = make_map()
+
+    def scan_of(cube_idx):
+        jitter = rng.uniform(0.1, 0.9, size=cube_idx.shape)
+        return ScanCubes((cube_idx + jitter) * 0.1, map_.config)
+
+    *past, last = np.array_split(idx, history + 1)
+    for chunk in past:
+        cubes = scan_of(chunk)
+        map_.integrate_points(cubes)
+        r_gpe(map_, cubes, fcfg)
+        regions = map_.regions
+        pick = rng.integers(0, 3, size=len(regions))   # keep, fit, fail
+        map_.record_plane_fits(regions[pick > 0], pick[pick > 0] == 1)
+    # new cubes in a random half of the region columns only, so failed
+    # regions elsewhere stay stale
+    grows = rng.random((3, 3)) < 0.5
+    last = last[grows[(last[:, 0] >> 3) + 1, (last[:, 1] >> 3) + 1]]
+    seen = np.concatenate(past)
+    again = seen[rng.random(len(seen)) < 0.3]
+    scan = scan_of(np.concatenate([last, again]))
+    map_.integrate_points(scan)
+
+    every = elect_every_region(map_, scan, fcfg)
+    planeless = np.array([not region(map_, k).fitted for k in every.tolist()],
+                         dtype=bool)
+    elected = elect_candidate_ground_regions(map_, scan, fcfg)
+    assert elected.tolist() == every[planeless].tolist()
+
+    oracle_map = copy.deepcopy(map_)
+    got = r_gpe(map_, scan, fcfg)
+    want = r_gpe_every_region(oracle_map, scan, fcfg)
+    assert got.regions_elected == len(elected)
+    assert (got.regions_fitted, got.planes_failed, got.ground_cubes_added) == (
+        want.regions_fitted, want.planes_failed, want.ground_cubes_added)
+    assert fit_states(map_) == fit_states(oracle_map)
+    assert np.array_equal(ground_keys(map_), ground_keys(oracle_map))
+    assert np.array_equal(map_._gkeys, oracle_map._gkeys)
+
+
 def test_batch_fit_matches_per_region_path():
     rng = np.random.default_rng(4)
     pts = np.column_stack([rng.uniform(0, 4.0, size=(6000, 2)),
@@ -348,12 +489,17 @@ def test_sloped_terrain_ground_coverage():
     assert marked / total >= 0.95
 
 
+def fit_states(map_):
+    """Each region's fitted flag and failed-fit count, in key order."""
+    return [(r.fitted, r.fit_failed_at)
+            for r in (region(map_, k) for k in map_.regions)]
+
+
 def fit_outcome(map_, fits):
     """Every fit result of a map, as bytes: each region's fitted flag and
     failed-fit count, the planes of ``fits`` (a region key -> (n, d) dict)
     in key order, the ground keys and the exported PLY."""
-    regions = [region(map_, k) for k in map_.regions]
-    state = [(r.fitted, r.fit_failed_at) for r in regions]
+    state = fit_states(map_)
     planes = [(k, fits[k][0].tobytes(), np.float64(fits[k][1]).tobytes())
               for k in sorted(fits)]
     with tempfile.TemporaryDirectory() as tmp:

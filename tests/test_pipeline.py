@@ -156,7 +156,8 @@ def test_pipeline_is_deterministic():
 def test_frame_records_carry_timing():
     frames = synth_scene(_small_scene(frames=5))
     result = run_pipeline(_cfg(), frames)
-    assert all(f.elapsed_ms > 0 for f in result.frames)
+    assert all(f.elapsed_ms > 0 and f.cpu_ms >= 0 for f in result.frames)
+    assert sum(f.cpu_ms for f in result.frames) > 0
     assert len(result.frame_times_ms) == 5
 
 
