@@ -46,7 +46,6 @@ class FrontendConfig:
     fov_up_deg: float = 2.0
     r_max: float = 80.0
     bootstrap_margin: float = 0.3  # provisional ground reference above column min z
-    eps_div: float = 1e-6
     min_ground_normal_z: float = 0.8  # reject ground fits steeper than ~37 degrees
     min_flag_points: int = 6       # scan points a column needs before it can flag
 

@@ -37,6 +37,10 @@ class Pose:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
+        # a NaN compares False below, so it would pass both checks
+        if not (np.isfinite(self.rotation).all()
+                and np.isfinite(self.translation).all()):
+            raise ValueError("pose contains non-finite values")
         err = np.abs(self.rotation @ self.rotation.T - np.eye(3)).max()
         if err > 1e-6:
             raise ValueError(f"rotation is not orthonormal (max error {err:.2e})")

@@ -121,8 +121,9 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
     not ground).
 
     Every cube of a fitted region within ``fcfg.r_gro`` of the plane
-    is marked as ground, so staircase levels above the mean on sloped
-    terrain count too, and joins the map's ground keys, the ground
+    is marked as ground, by its packed key, so staircase levels above the
+    mean on sloped terrain count too: it joins the map's ground keys,
+    which keep it through every later removal and are the ground
     reference of later elections.  All regions' fits, checks and markings
     run as single array operations over one stacked eigendecomposition.
 
@@ -165,10 +166,10 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
 
     # margin extraction runs over every cube of the fitted regions
     good = ok[owner]
-    owner, pos, pts = owner[good], cubes.pos[good], idx[good].astype(np.float64)
+    owner, pts = owner[good], idx[good].astype(np.float64)
     dist = np.abs(np.einsum("ij,ij->i", pts, normals[owner]) - d[owner])
     within = dist < fcfg.r_gro
-    map_.mark_ground(pos[within])
+    map_.mark_ground(cubes.keys[good][within])
     report.ground_cubes_added += int(within.sum())
     return cubes.rkeys, ok, normals, d
 

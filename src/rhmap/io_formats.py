@@ -39,7 +39,8 @@ def read_poses(path) -> list[Pose]:
     """Read one row-major 3x4 pose per line; drifted rotations get fixed.
 
     A rotation block whose orthonormality error exceeds 1e-6 is projected
-    back to SO(3) via SVD before the Pose is built.
+    back to SO(3) via SVD before the Pose is built.  A line with a
+    non-finite value is rejected.
     """
     poses = []
     with open(path, encoding="utf-8") as fh:
@@ -54,6 +55,8 @@ def read_poses(path) -> list[Pose]:
                 vals = np.array([float(v) for v in parts]).reshape(3, 4)
             except ValueError as e:
                 raise FormatError(f"{path}:{lineno}: {e}") from e
+            if not np.isfinite(vals).all():
+                raise FormatError(f"{path}:{lineno}: non-finite pose value")
             rot, t = vals[:, :3], vals[:, 3]
             if np.abs(rot @ rot.T - np.eye(3)).max() > 1e-6:
                 u, _, vt = np.linalg.svd(rot)

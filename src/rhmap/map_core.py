@@ -1,14 +1,15 @@
 """Two-layer region-wise hash map with occupancy and ground bookkeeping.
 
 The map stores occupancy at cube resolution inside fixed-extent regions.
-Every table is a set of flat parallel numpy arrays:
+Every table is a sorted int64 key array, with flat numpy arrays in
+parallel where a row holds more than its key:
 
 * the cube table: the sorted region-major keys
-  (:func:`~rhmap.indexing.region_major`) of the occupied cubes and their
-  ground flags.  A cube enters it with the first point that falls in it
-  and leaves it when removal deletes it; one seen again later is a new
-  cube.  The table answers batch lookups, and each region's cubes form
-  one contiguous run of it, in key order;
+  (:func:`~rhmap.indexing.region_major`) of the occupied cubes, 8 B a
+  cube and nothing else.  A cube enters it with the first point that
+  falls in it and leaves it when removal deletes it; one seen again later
+  is a new cube.  The table answers batch lookups, and each region's
+  cubes form one contiguous run of it, in key order;
 * the region table, sorted by packed region key: the z extent of the
   region's cubes, the int64 sum of their z indices and their count,
   plus the outcome of its ground fit: fitted, or the cube count its last
@@ -18,10 +19,16 @@ Every table is a set of flat parallel numpy arrays:
   ``region_key >> 21``, so the regions of one column are a contiguous
   run of the table as well, and a column's z band is the min/max of its
   regions' z extents;
-* the ground keys: the sorted packed keys of the ground cubes.  Ground
-  cubes never leave the map, and in packed key order the ground cubes of
-  one (x, y) cube column are one run, so a column's ground height comes
-  from exact integer sums over that run.
+* the ground keys: the sorted packed keys of the ground cubes, the
+  map's one record of which cubes are ground.  Every ground key is a cube
+  of the cube table: ground cubes never leave the map, so removal, which
+  looks its cubes up here, keeps them, and the exported ground flags are
+  the same lookup.  In packed key order the ground cubes of one (x, y)
+  cube column are one run, so a column's ground height comes from exact
+  integer sums over that run.
+
+Cube-table positions never leave :class:`RHMap`: its methods take and
+return packed keys.
 
 The paper's hash lookup is realised as ``searchsorted`` on these sorted
 keys.  Region and cube keys are exact packed indexes, so two distinct
@@ -48,23 +55,18 @@ from .indexing import (
     z_of_keys,
 )
 
-# the parallel arrays of each table; region columns in the order of
+# the parallel arrays of the region table, in the order of
 # RHMap._insert_regions' arguments
-_CUBE_ARRAYS = ("_skeys", "_is_ground")
 _REGION_ARRAYS = ("_rkeys", "_rz_min", "_rz_max", "_rz_sum", "_rcount",
                   "_rfitted", "_rfail_at")
 
 
 class RegionCubes(NamedTuple):
-    """Cubes of some regions, grouped by region, in key order within one.
-
-    ``pos`` stays valid until the cube table next changes.
-    """
+    """Cubes of some regions, grouped by region, in key order within one."""
 
     rkeys: np.ndarray    # the regions, sorted
     z_sum: np.ndarray    # int64 sum of each region's cube z indices
     count: np.ndarray    # each region's cube count
-    pos: np.ndarray      # each cube's position in the cube table
     keys: np.ndarray     # each cube's packed key
     owner: np.ndarray    # index into rkeys of each cube's region
 
@@ -76,7 +78,6 @@ class RHMap:
         self._rmask = region_key_mask(bits)
         self._region_span = 1 << (3 * bits)            # region-major width
         self._skeys = np.empty(0, dtype=np.int64)     # region-major, sorted
-        self._is_ground = np.empty(0, dtype=bool)
         self._rkeys = np.empty(0, dtype=np.int64)
         self._rz_min = np.empty(0, dtype=np.float64)
         self._rz_max = np.empty(0, dtype=np.float64)
@@ -143,15 +144,16 @@ class RHMap:
         """Occupy the cubes a scan's world points (grouped by cube) fall
         in.
 
-        Cubes not in the table enter it as non-ground cubes and join their
-        region's statistics; returns their count.
+        Cubes not in the table enter it as non-ground cubes (every ground
+        key is a cube of the table) and join their region's statistics;
+        returns their count.
         """
         self.check_grouping(cubes)
         rm, keys = cubes.cube_rm, cubes.cube_keys
         pos, present = find_sorted(self._skeys, rm)
         new = ~present
         if new.any():
-            self._insert_rows(_CUBE_ARRAYS, pos[new], (rm[new], False))
+            self._insert_rows(("_skeys",), pos[new], (rm[new],))
             self._register_new(rm[new], keys[new])
         return int(new.sum())
 
@@ -286,7 +288,7 @@ class RHMap:
         at = at[want]
         pos, owner = self._region_pos(self._rkeys[at])
         cubes = RegionCubes(self._rkeys[at], self._rz_sum[at], self._rcount[at],
-                            pos, self._keys_at(pos), owner)
+                            self._keys_at(pos), owner)
         return cubes, int(stale.sum())
 
     def record_plane_fits(self, rkeys: np.ndarray, ok: np.ndarray):
@@ -300,14 +302,12 @@ class RHMap:
         self._rfitted[at[ok]] = True
         self._rfail_at[at[~ok]] = self._rcount[at[~ok]]
 
-    def mark_ground(self, pos: np.ndarray):
-        """Mark cubes (by distinct cube-table positions) as ground, and add
-        the keys of those not ground yet to the sorted ground keys."""
-        pos = pos[~self._is_ground[pos]]
-        self._is_ground[pos] = True
-        keys = np.sort(self._keys_at(pos))
-        self._insert_rows(("_gkeys",), np.searchsorted(self._gkeys, keys),
-                          (keys,))
+    def mark_ground(self, keys: np.ndarray):
+        """Mark cubes of the table, by packed key, as ground: the keys not
+        ground yet join the sorted ground keys once each."""
+        keys = sorted_unique(keys)
+        pos, ground = find_sorted(self._gkeys, keys)
+        self._insert_rows(("_gkeys",), pos[~ground], (keys[~ground],))
 
     def ground_columns(self, cols: np.ndarray):
         """Each given (x, y) cube column's int64 sum of its ground cubes'
@@ -339,14 +339,16 @@ class RHMap:
     def remove_regions_nonground(self, region_keys) -> int:
         """Delete every non-ground cube of the given regions in one masked pass.
 
-        Absent keys are ignored.  Regions that lose cubes get their
+        A cube is ground when its key is one of the ground keys.  Absent
+        region keys are ignored.  Regions that lose cubes get their
         statistics recomputed over their surviving (ground) cubes, or
         leave the table when none survive.  Returns the removed cube count.
         """
         rkeys = sorted_unique(np.atleast_1d(region_keys))
         rkeys = rkeys[find_sorted(self._rkeys, rkeys)[1]]
         pos, owner = self._region_pos(rkeys)
-        doomed = ~self._is_ground[pos]
+        keys = self._keys_at(pos)
+        doomed = ~find_sorted(self._gkeys, keys)[1]
         if not doomed.any():
             return 0
 
@@ -357,7 +359,7 @@ class RHMap:
         survivors = np.bincount(kept_owner, minlength=len(rkeys))
         if len(kept_owner):
             seg = run_starts(kept_owner)
-            kz = z_of_keys(self._keys_at(pos[keep]))
+            kz = z_of_keys(keys[keep])
             zc = self._zc(kz)
             i = np.searchsorted(self._rkeys, rkeys[kept_owner[seg]])
             self._rz_min[i] = np.minimum.reduceat(zc, seg)
@@ -368,7 +370,7 @@ class RHMap:
         if len(emptied):
             self._delete_rows(_REGION_ARRAYS, emptied)
         gone = pos[doomed]
-        self._delete_rows(_CUBE_ARRAYS, gone)
+        self._delete_rows(("_skeys",), gone)
         return len(gone)
 
     # ------------------------------------------------------------------ export
@@ -380,7 +382,9 @@ class RHMap:
     def export_occupied_points(self):
         """Occupied cube centers sorted by region then cube key.
 
-        Returns (points (N, 3), is_ground (N,)).
+        Returns (points (N, 3), is_ground (N,)); a cube is ground when its
+        key is one of the ground keys.
         """
-        return (cube_centers(self._keys_at(slice(None)), self.config.cube_size),
-                self._is_ground.copy())
+        keys = self._keys_at(slice(None))
+        return (cube_centers(keys, self.config.cube_size),
+                find_sorted(self._gkeys, keys)[1])

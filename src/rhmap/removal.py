@@ -101,12 +101,12 @@ def _flag_columns(ctx: ScanContext2D, map_: RHMap,
     ratio1 is the scan band over the map's column band; a max-ring column
     compares against the scan's own top instead of the map's, discounting
     structure beyond the sensor's reach.  Missing map columns and
-    degenerate denominators score 1 (no removal), and a column needs at
+    denominators ``<= 0`` score 1 (no removal), and a column needs at
     least ``min_flag_points`` scan points before it may flag.
     """
     lo, hi, known = map_.column_bands(ctx.keys)
     denom = np.where(ctx.max_ring, ctx.z_max - lo, hi - lo)
-    safe = known & (denom >= fcfg.eps_div)
+    safe = known & (denom > 0)
     ratio = np.ones(len(ctx))
     ratio[safe] = (ctx.z_max - ctx.z_min)[safe] / denom[safe]
     return ctx.keys[(ctx.count >= fcfg.min_flag_points) & (ratio < fcfg.delta1)]
@@ -158,14 +158,14 @@ def _flag_regions(ctx: ScanContext3D, map_: RHMap, candidates: np.ndarray,
     """Candidates failing the 3D ratio test.
 
     ratio2 is the scan band over the map region's band.  A candidate the
-    context never observed scores 0, and a degenerate map band scores 1.
+    context never observed scores 0, and a map band of 0 scores 1.
     """
     pos, seen = find_sorted(ctx.keys, candidates)
     z_min, z_max = map_.region_bands(candidates)
     denom = z_max - z_min
     ratio = np.zeros(len(candidates))
-    ratio[seen & (denom < fcfg.eps_div)] = 1.0
-    ok = seen & (denom >= fcfg.eps_div)
+    ratio[seen & (denom <= 0)] = 1.0
+    ok = seen & (denom > 0)
     ratio[ok] = (ctx.z_max[pos[ok]] - ctx.z_min[pos[ok]]) / denom[ok]
     return candidates[ratio < fcfg.delta2]
 

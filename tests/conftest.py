@@ -29,9 +29,9 @@ from rhmap.synth import MovingBox, SceneSpec, bench_scene, synth_scene
 # ---------------------------------------------------------------------------
 # Ground-preservation guard.  Every call to remove_regions_nonground, the
 # one removal entry point of the map, which scan-to-map removal and the
-# back end both go through, is checked anywhere in the test session: a cube
-# marked is_ground anywhere in the map before the call must still be in the
-# map afterwards.  Violations accumulate in GROUND_KILLS for an exact-count
+# back end both go through, is checked anywhere in the test session: every
+# ground key of the map before the call must still be a cube of the map
+# afterwards.  Violations accumulate in GROUND_KILLS for an exact-count
 # assertion.
 
 GROUND_KILLS = {"count": 0, "calls": 0}
@@ -40,10 +40,10 @@ _orig_remove = map_core.RHMap.remove_regions_nonground
 
 
 def _guarded_remove(self, region_keys):
-    ground = self._skeys[self._is_ground]
+    ground = self._gkeys.copy()
     removed = _orig_remove(self, region_keys)
     GROUND_KILLS["calls"] += 1
-    GROUND_KILLS["count"] += int((~find_sorted(self._skeys, ground)[1]).sum())
+    GROUND_KILLS["count"] += int((~lookup_pos(self, ground)[1]).sum())
     return removed
 
 
@@ -148,9 +148,10 @@ def count_dynamic_cubes_points(map_, keys, dynamic_mask) -> int:
 
 # ---------------------------------------------------------------------------
 # Single-cube access for unit tests.  The map's API is batched; these insert
-# a hit through a point at each cube's centre, and read and mark cubes
-# through the map's cube table (sorted region-major keys and ground flags).
-# Tests reach that table only through these helpers.
+# a hit through a point at each cube's centre, read cubes through the map's
+# cube table (sorted region-major keys) and mark and read ground cubes
+# through its ground keys.  Tests reach the cube table only through these
+# helpers.
 
 def hit_cubes(map_, idx) -> int:
     """One hit on each cube index of ``idx`` ((3,) or (N, 3)); returns the
@@ -170,26 +171,26 @@ def table_keys(map_):
 
 
 def ground_keys(map_):
-    """Sorted packed keys of the map's ground cubes."""
-    return np.sort(table_keys(map_)[map_._is_ground])
+    """Sorted packed keys of the map's ground cubes (a copy)."""
+    return map_._gkeys.copy()
 
 
 def mark_ground_keys(map_, keys):
-    """Mark cubes of the map as ground, by distinct packed key, through
-    ``RHMap.mark_ground``, which keeps the ground keys in step."""
-    pos, present = lookup_pos(map_, np.asarray(keys, dtype=np.int64))
-    assert present.all()
-    map_.mark_ground(pos)
+    """Mark cubes of the map as ground, by packed key, through
+    ``RHMap.mark_ground``; every key must be a cube of the map."""
+    keys = np.asarray(keys, dtype=np.int64)
+    assert lookup_pos(map_, keys)[1].all()
+    map_.mark_ground(keys)
 
 
 def cube_state(map_, idx):
-    """The is_ground flag of the cube at index ``idx``, or None when the
-    cube is not in the map."""
+    """Whether the cube at index ``idx`` is ground, or None when the cube
+    is not in the map."""
     x, y, z = idx
-    pos, present = lookup_pos(map_, pack3([x], [y], [z]))
-    if not present[0]:
+    key = pack3([x], [y], [z])
+    if not lookup_pos(map_, key)[1][0]:
         return None
-    return bool(map_._is_ground[pos[0]])
+    return bool(find_sorted(map_._gkeys, key)[1][0])
 
 
 def region(map_, rkey) -> SimpleNamespace:

@@ -262,6 +262,11 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert main(["eval", "--map", str(far_ply),
                  "--truth", str(tmp_path)]) == 2
     assert "packed key" in capsys.readouterr().err
+    # a pose with a NaN would pass both rotation checks, which compare False
+    (tmp_path / "poses.txt").write_text("1 0 0 nan 0 1 0 0 0 0 1 0\n")
+    assert main(["run", "--scans", str(tmp_path / "velodyne"),
+                 "--poses", str(tmp_path / "poses.txt")]) == 2
+    assert "poses.txt:1: non-finite" in capsys.readouterr().err
 
 
 def test_bench_reports_throughput(capsys):

@@ -51,6 +51,20 @@ def test_bad_rotation_rejected():
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # reflection
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", ["rotation", "translation"])
+def test_non_finite_pose_rejected(part, bad):
+    # NaN compares False, so it slipped past the orthonormality and
+    # determinant checks
+    rot, t = np.eye(3), np.zeros(3)
+    if part == "rotation":
+        rot[1, 2] = bad
+    else:
+        t[0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Pose(rot, t)
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         Scan(points=np.zeros((3, 2)))

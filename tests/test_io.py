@@ -78,6 +78,17 @@ def test_poses_malformed_line_number(tmp_path):
         read_poses(p)
 
 
+@pytest.mark.parametrize("col", [5, 7])     # a rotation entry, a translation
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_poses_non_finite_value_line_number(tmp_path, col, bad):
+    vals = "1 0 0 0 0 1 0 0 0 0 1 0".split()
+    vals[col] = bad
+    p = tmp_path / "poses.txt"
+    p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" + " ".join(vals) + "\n")
+    with pytest.raises(FormatError, match=":2: non-finite"):
+        read_poses(p)
+
+
 def test_poses_drifted_rotation_reorthonormalized(tmp_path):
     rot = np.eye(3) + 1e-2 * np.array([[0.0, -1.0, 0.0],
                                        [1.0, 0.0, 0.0],

@@ -213,6 +213,61 @@ def test_removed_cube_revives_as_fresh():
     assert len(map_) == 1
 
 
+def test_mark_ground_keeps_the_ground_keys_sorted_and_distinct():
+    map_ = make_map()
+    idx = [(x, y, -1) for x in range(-3, 3) for y in (-1, 0)]
+    hit_cubes(map_, idx)
+    keys = table_keys(map_)
+    # repeats within one call, and keys already ground in a later one
+    map_.mark_ground(np.concatenate([keys[:4], keys[2::-1], keys[:1]]))
+    assert map_._gkeys.tolist() == sorted(set(keys[:4].tolist()))
+    map_.mark_ground(keys[::-2].repeat(2))
+    expect = sorted(set(keys[:4].tolist()) | set(keys[::-2].tolist()))
+    assert map_._gkeys.tolist() == expect
+    map_.mark_ground(keys[:0])
+    assert map_._gkeys.tolist() == expect
+
+
+_CUBE = st.tuples(*[st.integers(-6, 5)] * 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4),
+       st.lists(st.tuples(st.sampled_from(["hit", "mark", "remove"]),
+                          st.lists(_CUBE, min_size=1, max_size=40),
+                          st.lists(st.integers(0, 999), max_size=20)),
+                max_size=10))
+def test_ground_flags_follow_a_set_oracle(mask_bits, steps):
+    # random integrate / mark_ground / remove sequences against Python
+    # sets: after every step the exported ground flags are set membership,
+    # and every ground key is a cube of the table.  ``picks`` choose live
+    # cubes to mark, repeats and ground cubes included, or whose regions to
+    # flag beside the (mostly absent) regions of ``idx``.
+    map_ = RHMap(MapConfig(cube_size=0.1, mask_bits=mask_bits))
+    rmask = region_key_mask(mask_bits)
+    live, ground = set(), set()
+    for op, idx, picks in steps:
+        keys = pack3(*np.array(idx, dtype=np.int64).T)
+        order = sorted(live)
+        picked = [order[p % len(order)] for p in picks] if order else []
+        if op == "hit":
+            hit_cubes(map_, idx)
+            live |= set(keys.tolist())
+        elif op == "mark":
+            map_.mark_ground(np.array(picked, dtype=np.int64))
+            ground |= set(picked)
+        else:
+            flagged = {k & rmask for k in keys.tolist() + picked}
+            map_.remove_regions_nonground(np.array(sorted(flagged)))
+            live = {k for k in live if k in ground or k & rmask not in flagged}
+        pts, flags = map_.export_occupied_points()
+        exported = cube_keys(pts, 0.1).tolist()
+        assert sorted(exported) == sorted(live)
+        assert flags.tolist() == [k in ground for k in exported]
+        assert map_._gkeys.tolist() == sorted(ground)
+        assert lookup_pos(map_, map_._gkeys)[1].all()
+
+
 def test_ground_mean_examples():
     # a column's ground mean is its z sum over its count, in cube indices
     map_ = make_map()

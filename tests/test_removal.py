@@ -183,7 +183,7 @@ def test_flag_columns_matches_per_column_reference():
     counts = dict(zip(ctx.keys.tolist(), ctx.count.tolist()))
     expect = [k for k in sorted(counts)
               if counts[k] >= FCFG.min_flag_points
-              and compute_ratio1(ctx, map_, k, FCFG.eps_div) < FCFG.delta1]
+              and compute_ratio1(ctx, map_, k) < FCFG.delta1]
     assert got.tolist() == expect
 
 
@@ -392,6 +392,6 @@ def test_flag_regions_matches_per_region_reference():
                                                  np.int64(24))))
     got = _flag_regions(ctx, map_, candidates, FCFG).tolist()
     expect = [k for k in candidates.tolist()
-              if compute_ratio2(ctx, map_, k, FCFG.eps_div) < FCFG.delta2]
+              if compute_ratio2(ctx, map_, k) < FCFG.delta2]
     assert got == expect
     assert 0 < len(got) < len(candidates)
