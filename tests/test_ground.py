@@ -437,7 +437,6 @@ def test_election_equals_the_oracle_over_planeless_regions(
     assert (got.regions_fitted, got.planes_failed, got.ground_cubes_added) == (
         want.regions_fitted, want.planes_failed, want.ground_cubes_added)
     assert fit_states(map_) == fit_states(oracle_map)
-    assert np.array_equal(ground_keys(map_), ground_keys(oracle_map))
     assert np.array_equal(map_._gkeys, oracle_map._gkeys)
 
 
@@ -468,9 +467,7 @@ def test_batch_fit_matches_per_region_path():
         if r.fitted:
             assert np.allclose(fits[k][0], planes[k][0], atol=1e-9)
             assert abs(fits[k][1] - planes[k][1]) < 1e-9
-    marked = ground_keys(map_)
     expect = np.sort(np.concatenate(oracle_keys))
-    assert np.array_equal(marked, expect)
     assert np.array_equal(map_._gkeys, expect)
 
 

@@ -59,15 +59,20 @@ def test_region_stats_ordering():
 
 
 def test_column_band_matches_full_rescan_oracle():
-    # integration interleaved with removal against a set model: after every
-    # step the cube table, the exported cubes, the ground keys, each
-    # region's statistics and each column's band describe the model's cubes,
-    # tallied by brute force.
+    # integration interleaved with removal against a set model, at every
+    # region size: after every step the cube table, the exported cubes and
+    # their ground flags, the ground keys, each region's statistics and each
+    # column's band describe the model's cubes, tallied by brute force.
     # Every step after the first re-hits cubes the step before removed; they
     # come back as new, non-ground cubes.
+    for mask_bits in range(1, 5):
+        _check_against_set_model(mask_bits)
+
+
+def _check_against_set_model(mask_bits):
     rng = np.random.default_rng(4)
-    map_ = make_map()
-    rmask = region_key_mask(3)
+    map_ = RHMap(MapConfig(cube_size=0.1, mask_bits=mask_bits))
+    rmask = region_key_mask(mask_bits)
     live, ground, seen_cols, removed = set(), set(), set(), []
     for step in range(6):
         pts = rng.uniform(-2.0, 2.0, size=(800, 3))
@@ -226,46 +231,6 @@ def test_mark_ground_keeps_the_ground_keys_sorted_and_distinct():
     assert map_._gkeys.tolist() == expect
     map_.mark_ground(keys[:0])
     assert map_._gkeys.tolist() == expect
-
-
-_CUBE = st.tuples(*[st.integers(-6, 5)] * 3)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 4),
-       st.lists(st.tuples(st.sampled_from(["hit", "mark", "remove"]),
-                          st.lists(_CUBE, min_size=1, max_size=40),
-                          st.lists(st.integers(0, 999), max_size=20)),
-                max_size=10))
-def test_ground_flags_follow_a_set_oracle(mask_bits, steps):
-    # random integrate / mark_ground / remove sequences against Python
-    # sets: after every step the exported ground flags are set membership,
-    # and every ground key is a cube of the table.  ``picks`` choose live
-    # cubes to mark, repeats and ground cubes included, or whose regions to
-    # flag beside the (mostly absent) regions of ``idx``.
-    map_ = RHMap(MapConfig(cube_size=0.1, mask_bits=mask_bits))
-    rmask = region_key_mask(mask_bits)
-    live, ground = set(), set()
-    for op, idx, picks in steps:
-        keys = pack3(*np.array(idx, dtype=np.int64).T)
-        order = sorted(live)
-        picked = [order[p % len(order)] for p in picks] if order else []
-        if op == "hit":
-            hit_cubes(map_, idx)
-            live |= set(keys.tolist())
-        elif op == "mark":
-            map_.mark_ground(np.array(picked, dtype=np.int64))
-            ground |= set(picked)
-        else:
-            flagged = {k & rmask for k in keys.tolist() + picked}
-            map_.remove_regions_nonground(np.array(sorted(flagged)))
-            live = {k for k in live if k in ground or k & rmask not in flagged}
-        pts, flags = map_.export_occupied_points()
-        exported = cube_keys(pts, 0.1).tolist()
-        assert sorted(exported) == sorted(live)
-        assert flags.tolist() == [k in ground for k in exported]
-        assert map_._gkeys.tolist() == sorted(ground)
-        assert lookup_pos(map_, map_._gkeys)[1].all()
 
 
 def test_ground_mean_examples():

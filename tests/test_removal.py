@@ -14,7 +14,7 @@ from rhmap.removal import (_flag_columns, _flag_regions,
                            select_candidate_regions, s2m_removal)
 
 from conftest import (cube_state, frame_contexts, ground_keys, hit_cubes,
-                      identity_pose, integrate, region)
+                      identity_pose, integrate, lookup_pos, region)
 
 
 CFG = MapConfig(cube_size=0.1, mask_bits=3)
@@ -44,10 +44,10 @@ def ctx_3d(sup_w, sup_heights, inf_w, inf_heights):
 
 # Scalar oracles of the two ratio tests, one column / one region at a time.
 
-def compute_ratio1(ctx, map_, col_key, eps_div=1e-6):
+def compute_ratio1(ctx, map_, col_key):
     """Scan-to-map height band ratio of one region column.
 
-    Missing map columns and degenerate denominators yield 1 (no removal);
+    Missing map columns and denominators ``<= 0`` yield 1 (no removal);
     a max-ring column compares against the scan's own top instead of the
     map's.
     """
@@ -57,20 +57,21 @@ def compute_ratio1(ctx, map_, col_key, eps_div=1e-6):
     i = ctx.keys.tolist().index(col_key)
     dh = ctx.z_max[i] - ctx.z_min[i]
     denom = (ctx.z_max[i] - lo[0]) if ctx.max_ring[i] else (hi[0] - lo[0])
-    if denom < eps_div:
+    if denom <= 0:
         return 1.0
     return dh / denom
 
 
-def compute_ratio2(ctx, map_, region_key, eps_div=1e-6):
-    """Scan-to-map band ratio of one candidate region; unobserved -> 0."""
+def compute_ratio2(ctx, map_, region_key):
+    """Scan-to-map band ratio of one candidate region; unobserved -> 0,
+    and a map band ``<= 0`` -> 1."""
     keys = ctx.keys.tolist()
     if region_key not in keys:
         return 0.0
     i = keys.index(region_key)
     r = region(map_, region_key)
     denom = r.z_max - r.z_min
-    if denom < eps_div:
+    if denom <= 0:
         return 1.0
     return (ctx.z_max[i] - ctx.z_min[i]) / denom
 
@@ -317,7 +318,8 @@ def test_s2m_removes_planted_trail_but_keeps_ground():
     # plant a ghost trail: a 1.5 m tall stack of non-ground cubes
     trail = [(20, 10, z) for z in range(2, 15)]
     hit_cubes(map_, trail)
-    ground_before = len(ground_keys(map_))
+    ground = ground_keys(map_)
+    assert len(ground) > 0 and lookup_pos(map_, ground)[1].all()
     removed_total = 0
     contexts = frame_contexts(scan, pose, fcfg, CFG)
     for _ in range(3):
@@ -327,9 +329,7 @@ def test_s2m_removes_planted_trail_but_keeps_ground():
         assert cube_state(map_, idx) is None
     assert removed_total >= len(trail)
     # every marked ground cube survived the removal passes
-    ground_after = len(ground_keys(map_))
-    assert ground_before > 0
-    assert ground_after == ground_before
+    assert lookup_pos(map_, ground)[1].all()
 
 
 def test_s2m_empty_scan_noop():
