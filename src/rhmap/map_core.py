@@ -10,12 +10,13 @@ parallel where a row holds more than its key:
   falls in it and leaves it when removal deletes it; one seen again later
   is a new cube.  The table answers batch lookups, and each region's
   cubes form one contiguous run of it, in key order;
-* the region table, sorted by packed region key: the z extent of the
-  region's cubes, the int64 sum of their z indices and their count,
-  plus the outcome of its ground fit: fitted, or the cube count its last
-  fit failed at.  The fitted plane itself is not kept.  Integer sums do
-  not depend on the order cubes arrive in, so neither does anything
-  computed from the table.  A region's column key is
+* the region table, sorted by packed region key, 32 B a region: the
+  int64 z-index extent of the region's cubes and one ground-fit state:
+  -1 fitted, 0 never fitted, ``n > 0`` when the last fit failed at ``n``
+  cubes.  The fitted plane is not kept, nor a region's cube count or
+  z-index sum: its run of the cube table answers those.  Integer
+  extents do not depend on the order cubes arrive in, so neither does
+  anything computed from the table.  A region's column key is
   ``region_key >> 21``, so the regions of one column are a contiguous
   run of the table as well, and a column's z band is the min/max of its
   regions' z extents;
@@ -55,14 +56,13 @@ from .indexing import (
     z_of_keys,
 )
 
-# the parallel arrays of the region table, in the order of
-# RHMap._insert_regions' arguments
-_REGION_ARRAYS = ("_rkeys", "_rz_min", "_rz_max", "_rz_sum", "_rcount",
-                  "_rfitted", "_rfail_at")
+# the parallel arrays of the region table
+_REGION_ARRAYS = ("_rkeys", "_rz_lo", "_rz_hi", "_rfit")
 
 
 class RegionCubes(NamedTuple):
-    """Cubes of some regions, grouped by region, in key order within one."""
+    """Cubes of some regions, grouped by region, in key order within one,
+    with each region's cube count and z-index sum taken over those cubes."""
 
     rkeys: np.ndarray    # the regions, sorted
     z_sum: np.ndarray    # int64 sum of each region's cube z indices
@@ -79,12 +79,9 @@ class RHMap:
         self._region_span = 1 << (3 * bits)            # region-major width
         self._skeys = np.empty(0, dtype=np.int64)     # region-major, sorted
         self._rkeys = np.empty(0, dtype=np.int64)
-        self._rz_min = np.empty(0, dtype=np.float64)
-        self._rz_max = np.empty(0, dtype=np.float64)
-        self._rz_sum = np.empty(0, dtype=np.int64)
-        self._rcount = np.empty(0, dtype=np.int64)
-        self._rfitted = np.empty(0, dtype=bool)
-        self._rfail_at = np.empty(0, dtype=np.int64)
+        self._rz_lo = np.empty(0, dtype=np.int64)      # z-index extent
+        self._rz_hi = np.empty(0, dtype=np.int64)
+        self._rfit = np.empty(0, dtype=np.int64)       # fit state
         self._gkeys = np.empty(0, dtype=np.int64)      # ground cubes, sorted
 
     def _rm(self, keys) -> np.ndarray:
@@ -145,7 +142,7 @@ class RHMap:
         in.
 
         Cubes not in the table enter it as non-ground cubes (every ground
-        key is a cube of the table) and join their region's statistics;
+        key is a cube of the table) and widen their region's z extent;
         returns their count.
         """
         self.check_grouping(cubes)
@@ -158,33 +155,32 @@ class RHMap:
         return int(new.sum())
 
     def _register_new(self, rm: np.ndarray, keys: np.ndarray):
-        """Fold new cubes (region-major sorted) into the region table."""
+        """Fold new cubes (region-major sorted) into the region table: the
+        z extents of their regions widen, and new regions enter unfitted."""
         seg = run_starts(rm >> (3 * self.config.mask_bits))
         kz = z_of_keys(keys)
-        zc = self._zc(kz)
-        lo = np.minimum.reduceat(zc, seg)
-        hi = np.maximum.reduceat(zc, seg)
-        total = np.add.reduceat(kz, seg)
-        count = np.diff(np.append(seg, len(rm)))
+        lo = np.minimum.reduceat(kz, seg)
+        hi = np.maximum.reduceat(kz, seg)
         rkeys = keys[seg] & self._rmask
         pos, found = find_sorted(self._rkeys, rkeys)
         i = pos[found]
-        self._rz_min[i] = np.minimum(self._rz_min[i], lo[found])
-        self._rz_max[i] = np.maximum(self._rz_max[i], hi[found])
-        self._rz_sum[i] += total[found]
-        self._rcount[i] += count[found]
+        self._rz_lo[i] = np.minimum(self._rz_lo[i], lo[found])
+        self._rz_hi[i] = np.maximum(self._rz_hi[i], hi[found])
         new = ~found
         if new.any():
-            self._insert_regions(pos[new], rkeys[new], lo[new], hi[new],
-                                 total[new], count[new])
-
-    def _insert_regions(self, pos, rkeys, z_min, z_max, z_sum, count):
-        n = len(rkeys)
-        values = (rkeys, z_min, z_max, z_sum, count, np.zeros(n, dtype=bool),
-                  np.full(n, -1, dtype=np.int64))
-        self._insert_rows(_REGION_ARRAYS, pos, values)
+            self._insert_rows(_REGION_ARRAYS, pos[new], (
+                rkeys[new], lo[new], hi[new], np.zeros(new.sum(), dtype=np.int64)))
 
     # ---------------------------------------------------------------- regions
+
+    def _region_runs(self, rkeys: np.ndarray):
+        """``(starts, ends)``: the run of the cube table holding each given
+        region's cubes; ``ends - starts`` is its cube count."""
+        lo = self._rm(rkeys)
+        # the last key of a span can be the largest int64; span - 1 stays in range
+        hi = lo + (self._region_span - 1)
+        return (np.searchsorted(self._skeys, lo),
+                np.searchsorted(self._skeys, hi, side="right"))
 
     def _region_pos(self, rkeys: np.ndarray):
         """Cube-table positions of every cube of the given regions.
@@ -194,16 +190,12 @@ class RHMap:
         depend on the order the cubes arrived in; ``owner`` is the index
         into ``rkeys`` of each position's region.
         """
-        lo = self._rm(rkeys)
-        starts = np.searchsorted(self._skeys, lo)
-        # the last key of a span can be the largest int64; span - 1 stays in range
-        ends = np.searchsorted(self._skeys, lo + (self._region_span - 1), side="right")
-        return gather_runs(starts, ends)
+        return gather_runs(*self._region_runs(rkeys))
 
     def region_bands(self, rkeys: np.ndarray):
-        """(z_min, z_max) arrays of existing regions' cubes."""
+        """(z_min, z_max) cube-centre heights of existing regions' cubes."""
         pos = np.searchsorted(self._rkeys, rkeys)
-        return self._rz_min[pos], self._rz_max[pos]
+        return self._zc(self._rz_lo[pos]), self._zc(self._rz_hi[pos])
 
     def _column_regions(self, cols: np.ndarray):
         """Region-table positions of the given region columns' regions.
@@ -240,8 +232,8 @@ class RHMap:
         if len(pos):
             seg = run_starts(owner)
             i = owner[seg]
-            lo[i] = np.minimum.reduceat(self._rz_min[pos], seg)
-            hi[i] = np.maximum.reduceat(self._rz_max[pos], seg)
+            lo[i] = self._zc(np.minimum.reduceat(self._rz_lo[pos], seg))
+            hi[i] = self._zc(np.maximum.reduceat(self._rz_hi[pos], seg))
             known[i] = True
         return lo, hi, known
 
@@ -267,40 +259,46 @@ class RHMap:
         region, or one whose fits all failed, has none."""
         pos, found = find_sorted(self._rkeys, rkeys)
         out = np.ones(len(rkeys), dtype=bool)
-        out[found] = ~self._rfitted[pos[found]]
+        out[found] = self._rfit[pos[found]] >= 0
         return out
 
     def unfitted_region_cubes(self, rkeys) -> tuple[RegionCubes, int]:
         """Cubes of the given regions that still want a ground plane.
 
         A region wants one while it has none, unless its last fit failed
-        at its current cube count: a retry is pointless until the
-        region gains or loses cubes.  Absent keys are ignored.  Returns
-        the wanting regions' cubes and the count of regions skipped for a
-        pointless retry.
+        at its current cube count, the length of its cube-table run: a
+        retry is pointless until the region gains or loses cubes.  Absent
+        keys are ignored.  Returns the wanting regions' cubes, with each
+        region's count and z-index sum summed over them, and the count of
+        regions skipped for a pointless retry.
         """
         rkeys = sorted_unique(np.atleast_1d(rkeys))
         at, found = find_sorted(self._rkeys, rkeys)
         at = at[found]
-        unfitted = ~self._rfitted[at]
-        stale = unfitted & (self._rfail_at[at] == self._rcount[at])
-        want = unfitted & ~stale
-        at = at[want]
-        pos, owner = self._region_pos(self._rkeys[at])
-        cubes = RegionCubes(self._rkeys[at], self._rz_sum[at], self._rcount[at],
-                            self._keys_at(pos), owner)
-        return cubes, int(stale.sum())
+        at = at[self._rfit[at] >= 0]
+        starts, ends = self._region_runs(self._rkeys[at])
+        count = ends - starts
+        want = self._rfit[at] != count
+        count = count[want]
+        pos, owner = gather_runs(starts[want], ends[want])
+        keys = self._keys_at(pos)
+        # every region holds a cube, so each run starts a reduceat segment
+        z_sum = np.add.reduceat(z_of_keys(keys), np.cumsum(count) - count)
+        cubes = RegionCubes(self._rkeys[at[want]], z_sum, count, keys, owner)
+        return cubes, int((~want).sum())
 
     def record_plane_fits(self, rkeys: np.ndarray, ok: np.ndarray):
         """Store the outcome of ground fits on existing regions.
 
-        A region whose fit passed (``ok``) is fitted for good; one whose
-        fit failed records its cube count, so that
+        A region whose fit passed (``ok``) is fitted (-1) and is never
+        offered a fit again; one whose fit failed records its cube count,
+        the length of its cube-table run, so that
         :meth:`unfitted_region_cubes` skips it until the count changes.
         """
         at = np.searchsorted(self._rkeys, rkeys)
-        self._rfitted[at[ok]] = True
-        self._rfail_at[at[~ok]] = self._rcount[at[~ok]]
+        starts, ends = self._region_runs(rkeys[~ok])
+        self._rfit[at[ok]] = -1
+        self._rfit[at[~ok]] = ends - starts
 
     def mark_ground(self, keys: np.ndarray):
         """Mark cubes of the table, by packed key, as ground: the keys not
@@ -340,9 +338,11 @@ class RHMap:
         """Delete every non-ground cube of the given regions in one masked pass.
 
         A cube is ground when its key is one of the ground keys.  Absent
-        region keys are ignored.  Regions that lose cubes get their
-        statistics recomputed over their surviving (ground) cubes, or
-        leave the table when none survive.  Returns the removed cube count.
+        region keys are ignored.  Regions that lose cubes get their z
+        extents recomputed over their surviving (ground) cubes, or leave
+        the table when none survive; a failed fit's count then no longer
+        matches, so the region wants a fit again.  Returns the removed cube
+        count.
         """
         rkeys = sorted_unique(np.atleast_1d(region_keys))
         rkeys = rkeys[find_sorted(self._rkeys, rkeys)[1]]
@@ -356,17 +356,14 @@ class RHMap:
         hit[owner[doomed]] = True
         keep = ~doomed & hit[owner]
         kept_owner = owner[keep]
-        survivors = np.bincount(kept_owner, minlength=len(rkeys))
         if len(kept_owner):
             seg = run_starts(kept_owner)
             kz = z_of_keys(keys[keep])
-            zc = self._zc(kz)
             i = np.searchsorted(self._rkeys, rkeys[kept_owner[seg]])
-            self._rz_min[i] = np.minimum.reduceat(zc, seg)
-            self._rz_max[i] = np.maximum.reduceat(zc, seg)
-            self._rz_sum[i] = np.add.reduceat(kz, seg)
-            self._rcount[i] = survivors[kept_owner[seg]]
-        emptied = np.searchsorted(self._rkeys, rkeys[hit & (survivors == 0)])
+            self._rz_lo[i] = np.minimum.reduceat(kz, seg)
+            self._rz_hi[i] = np.maximum.reduceat(kz, seg)
+        hit[kept_owner] = False               # the hit regions left empty
+        emptied = np.searchsorted(self._rkeys, rkeys[hit])
         if len(emptied):
             self._delete_rows(_REGION_ARRAYS, emptied)
         gone = pos[doomed]

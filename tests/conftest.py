@@ -196,22 +196,24 @@ def cube_state(map_, idx):
 def region(map_, rkey) -> SimpleNamespace:
     """One row of the map's region table; KeyError when ``rkey`` is absent.
 
-    ``keys`` are the packed keys of the region's cubes in key order,
-    ``z_min`` and ``z_max`` the extent of their centre heights, ``z_sum``
-    the integer sum of their z indices, ``fitted`` whether a ground fit
-    passed and ``fit_failed_at`` the cube count the last failed fit saw
-    (-1 for none).  The map keeps no plane: ``fit_ground_planes`` returns
-    the planes it fits.
+    ``keys`` are the packed keys of the region's cubes in key order and
+    ``occupied_count`` their count (the table keeps no count).
+    ``z_min`` and ``z_max`` are the table's extent of their centre
+    heights, ``fitted`` whether a ground fit passed and ``fit_failed_at``
+    the table's fit state: the cube count the last failed fit saw, 0 for
+    no fit yet and -1 for a fitted region.  The map keeps no plane:
+    ``fit_ground_planes`` returns the planes it fits.
     """
     i = int(np.searchsorted(map_._rkeys, rkey))
     if i == len(map_._rkeys) or map_._rkeys[i] != rkey:
         raise KeyError(rkey)
-    pos, _ = map_._region_pos(np.array([rkey], dtype=np.int64))
+    rkeys = np.array([rkey], dtype=np.int64)
+    keys = map_._keys_at(map_._region_pos(rkeys)[0])
+    (z_min,), (z_max,) = map_.region_bands(rkeys)
+    fit = int(map_._rfit[i])
     return SimpleNamespace(
-        keys=map_._keys_at(pos), z_min=float(map_._rz_min[i]),
-        z_max=float(map_._rz_max[i]), z_sum=int(map_._rz_sum[i]),
-        occupied_count=int(map_._rcount[i]), fitted=bool(map_._rfitted[i]),
-        fit_failed_at=int(map_._rfail_at[i]))
+        keys=keys, z_min=float(z_min), z_max=float(z_max),
+        occupied_count=len(keys), fitted=fit == -1, fit_failed_at=fit)
 
 
 # ---------------------------------------------------------------------------

@@ -46,16 +46,37 @@ def test_integrate_rejects_a_grouping_of_another_shape():
     assert map_.integrate_points(ScanCubes(pts, MapConfig())) == len(map_) > 0
 
 
+def region_stats(map_):
+    """Each region's cube count and z-index sum, as the ground fit reads
+    them (``RHMap.unfitted_region_cubes``), by region key; the map must
+    hold no fit outcome, so that every region wants a fit."""
+    cubes, stale = map_.unfitted_region_cubes(map_.regions)
+    assert stale == 0 and np.array_equal(cubes.rkeys, map_.regions)
+    return dict(zip(cubes.rkeys.tolist(),
+                    zip(cubes.count.tolist(), cubes.z_sum.tolist())))
+
+
+def brute_region_stats(keys, rmask):
+    """Each region's cube count and z-index sum over distinct packed cube
+    keys, tallied one key at a time."""
+    stats = {}
+    for k, z in zip(keys.tolist(), unpack3(keys)[:, 2].tolist()):
+        n, z_sum = stats.get(k & rmask, (0, 0))
+        stats[k & rmask] = (n + 1, z_sum + z)
+    return stats
+
+
 def test_region_stats_ordering():
     rng = np.random.default_rng(3)
     map_ = make_map()
     pts = rng.uniform(0.0, 0.79, size=(200, 3))
     integrate(map_, pts)
-    for rkey in map_.regions:
+    stats = region_stats(map_)
+    assert stats == brute_region_stats(np.unique(cube_keys(pts, 0.1)),
+                                       region_key_mask(3))
+    for rkey, (n, z_sum) in stats.items():
         r = region(map_, rkey)
-        z_mean = (r.z_sum / r.occupied_count + 0.5) * 0.1
-        assert r.z_min <= z_mean <= r.z_max
-        assert r.occupied_count == len(r.keys)
+        assert r.z_min <= (z_sum / n + 0.5) * 0.1 <= r.z_max
 
 
 def test_column_band_matches_full_rescan_oracle():
@@ -106,10 +127,10 @@ def _check_against_set_model(mask_bits):
         zc = (kz + 0.5) * 0.1
         rkeys = keys & rmask
         assert np.array_equal(map_.regions, np.unique(rkeys))
+        assert region_stats(map_) == brute_region_stats(keys, rmask)
         for k in np.unique(rkeys).tolist():
             z, r = zc[rkeys == k], region(map_, k)
-            assert (r.occupied_count, r.z_sum, r.z_min, r.z_max) == \
-                (len(z), kz[rkeys == k].sum(), z.min(), z.max())
+            assert (r.z_min, r.z_max) == (z.min(), z.max())
         cols = (keys & rmask) >> 21
         # every column ever seen, twice, in two orders
         query = np.array(sorted(seen_cols))
@@ -403,10 +424,10 @@ def test_batched_removal_matches_brute_force():
     zc = (kz + 0.5) * 0.1
     rkeys = survivors & rmask
     assert np.array_equal(map_.regions, np.unique(rkeys))
+    assert region_stats(map_) == brute_region_stats(survivors, rmask)
     for k in np.unique(rkeys).tolist():
         z, r = zc[rkeys == k], region(map_, k)
-        assert (r.z_min, r.z_max, r.occupied_count, r.z_sum) == \
-            (z.min(), z.max(), len(z), kz[rkeys == k].sum())
+        assert (r.z_min, r.z_max) == (z.min(), z.max())
     cols = rkeys >> 21
     for c in np.unique(cols).tolist():
         z = zc[cols == c]
@@ -425,6 +446,37 @@ def test_removal_at_top_of_key_space():
     assert remove(map_, rkey) == 2
     assert column_band(map_, col) is None
     assert len(map_) == 0
+
+
+def test_failed_fit_count_follows_the_cube_run_through_removal():
+    # a fit failed at 6 cubes; removal leaves the region 2 ground cubes, so
+    # it wants a fit again at 2; integrated back to exactly 6 cubes, with
+    # no fit in between, it is stale again, and at 7 it wants one
+    map_ = make_map()
+    idx = np.array([(0, 0, z) for z in range(6)] + [(1, 0, 0)])
+    keys = pack3(*idx.T)
+    hit_cubes(map_, idx[:6])
+    (rkey,) = map_.regions
+    map_.record_plane_fits(map_.regions, np.array([False]))
+    assert region(map_, rkey).fit_failed_at == 6
+    cubes, stale = map_.unfitted_region_cubes(rkey)
+    assert len(cubes.rkeys) == 0 and stale == 1
+
+    mark_ground_keys(map_, keys[[0, 3]])
+    assert remove(map_, rkey) == 4
+    cubes, stale = map_.unfitted_region_cubes(rkey)
+    assert stale == 0 and cubes.rkeys.tolist() == [rkey]
+    assert (cubes.count.tolist(), cubes.z_sum.tolist()) == ([2], [0 + 3])
+    assert sorted(cubes.keys.tolist()) == sorted(keys[[0, 3]].tolist())
+    assert region(map_, rkey).fit_failed_at == 6
+
+    assert hit_cubes(map_, idx[[1, 2, 4, 5]]) == 4
+    cubes, stale = map_.unfitted_region_cubes(rkey)
+    assert len(cubes.rkeys) == 0 and stale == 1
+    assert hit_cubes(map_, idx[6]) == 1
+    cubes, stale = map_.unfitted_region_cubes(rkey)
+    assert stale == 0 and cubes.count.tolist() == [7]
+    assert cubes.z_sum.tolist() == [sum(range(6))]
 
 
 def test_table_row_inserts_and_deletes_match_numpy():
