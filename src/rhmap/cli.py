@@ -7,6 +7,7 @@ import json
 import os
 import resource
 import sys
+import time
 from dataclasses import asdict, fields
 from types import SimpleNamespace
 
@@ -160,14 +161,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    scene = load_scene(args.spec)
+    frames = synth_frames(load_scene(args.spec))
     scans_dir = os.path.join(args.out, "velodyne")
     labels_dir = os.path.join(args.out, "labels")
     os.makedirs(scans_dir, exist_ok=True)
     os.makedirs(labels_dir, exist_ok=True)
     poses, points = [], 0
     # each frame is written as it is made, so only one is held at a time
-    for i, (scan, pose, mask) in enumerate(synth_frames(scene)):
+    for i, (scan, pose, mask) in enumerate(frames):
         write_kitti_scan(os.path.join(scans_dir, f"{i:06d}.bin"), scan.points)
         # moving-class id 252 marks dynamic returns, 0 static
         write_labels(os.path.join(labels_dir, f"{i:06d}.label"),
@@ -179,10 +180,17 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _counted(frames, points: list):
+def _counted(frames, points: list, scene_ms: list):
     """Yield ``frames`` as they come, appending each scan's point count
-    to ``points``."""
-    for frame in frames:
+    to ``points`` and the milliseconds ``frames`` took to make it to
+    ``scene_ms``."""
+    frames = iter(frames)
+    while True:
+        t0 = time.perf_counter()
+        frame = next(frames, None)
+        if frame is None:
+            return
+        scene_ms.append((time.perf_counter() - t0) * 1e3)
         points.append(len(frame[0]))
         yield frame
 
@@ -196,13 +204,15 @@ def cmd_bench(args) -> int:
     fe.fov_down_deg, fe.fov_up_deg = scene.fov_down_deg, scene.fov_up_deg
     fe.r_max = scene.r_max
     cfg = _build_config(args, base)
-    points = []
-    result = run_pipeline(cfg, _counted(synth_frames(scene), points))
+    points, scene_ms = [], []
+    result = run_pipeline(cfg, _counted(synth_frames(scene), points,
+                                        scene_ms))
     body = _timing(result)
     cpu_ms = [f.cpu_ms for f in result.frames]
     body["cpu_mean_ms"] = float(np.mean(cpu_ms))
     body["cpu_p50_ms"] = float(np.median(cpu_ms))
     body["points_per_frame"] = float(np.mean(points))
+    body["scene_ms_mean"] = float(np.mean(scene_ms))
     body["peak_rss_mb"] = (
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     print(json.dumps(body))

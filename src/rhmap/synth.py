@@ -4,11 +4,19 @@ A scene is a sloped ground plane, axis-aligned static boxes and moving
 boxes on linear trajectories, observed by a translating sensor shooting
 a fixed elevation/azimuth beam grid.  Every return carries an exact
 dynamic label (True when the hit body is a moving box).
+
+Boxes are cast with the slab method (Kay & Kajiya, SIGGRAPH 1986) in the
+form of Williams et al. (JGT 2005): per axis, the ray's parameters at the
+box's two planes are products of the plane offsets with the reciprocal
+direction, computed on whole (N,) columns of rays at a time.  The NaN of
+0 * inf, where a ray runs inside a box face's plane, is skipped when the
+axes are combined (see :func:`_ray_box`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +25,9 @@ from .geometry import Pose, Scan
 
 
 class SceneError(ValueError):
-    """Raised for degenerate scene specifications."""
+    """Raised for a scene spec that cannot be cast: not a JSON object of
+    known keys, a non-finite or mistyped field, an inverted box, or a
+    sensor inside a box."""
 
 
 @dataclass
@@ -71,11 +81,20 @@ def bench_scene(frames: int) -> SceneSpec:
     )
 
 
-def scene_from_dict(data: dict) -> SceneSpec:
+def scene_from_dict(data) -> SceneSpec:
+    """The scene of a decoded JSON object; raises :class:`SceneError` for
+    anything but an object of known keys whose movers are objects too."""
+    if not isinstance(data, dict):
+        raise SceneError(f"scene spec must be a JSON object, not "
+                         f"{type(data).__name__}")
     data = dict(data)
-    movers = [MovingBox(**m) if isinstance(m, dict) else m
-              for m in data.pop("moving_boxes", [])]
-    spec = SceneSpec(**data)
+    movers = data.pop("moving_boxes", [])
+    try:
+        movers = [MovingBox(**m) if isinstance(m, dict) else m
+                  for m in movers]
+        spec = SceneSpec(**data)
+    except TypeError as e:
+        raise SceneError(f"scene spec: {e}") from None
     spec.moving_boxes = movers
     return spec
 
@@ -83,6 +102,72 @@ def scene_from_dict(data: dict) -> SceneSpec:
 def load_scene(path) -> SceneSpec:
     with open(path, encoding="utf-8") as fh:
         return scene_from_dict(json.load(fh))
+
+
+def _number(value, what: str, allow_inf: bool = False) -> float:
+    """``value`` as a float; raises :class:`SceneError` unless it is a real
+    number, and a finite one unless ``allow_inf`` (NaN never passes)."""
+    if (not isinstance(value, (int, float, np.integer, np.floating))
+            or isinstance(value, bool)):
+        raise SceneError(f"{what}: expected a number, got {value!r}")
+    if math.isnan(value) or not (allow_inf or math.isfinite(value)):
+        raise SceneError(f"{what}: not finite: {value!r}")
+    return float(value)
+
+
+def _vector(value, n: int, what: str) -> np.ndarray:
+    """``value`` as ``n`` finite float64s; raises :class:`SceneError`
+    otherwise."""
+    if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == n):
+        raise SceneError(f"{what}: expected {n} numbers, got {value!r}")
+    return np.array([_number(v, what) for v in value])
+
+
+def _count(value, least: int, what: str) -> None:
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or value < least):
+        raise SceneError(f"{what}: expected an integer >= {least}, "
+                         f"got {value!r}")
+
+
+def _check_scene(spec: SceneSpec) -> None:
+    """Raise :class:`SceneError` unless every coordinate, size, velocity,
+    angle, ``dt`` and ``r_max`` of ``spec`` is a finite number (a mover's
+    ``t_start``/``t_end`` may be infinite, not NaN), every static box has
+    lo <= hi on each axis, every mover size is >= 0, ``beam_rows`` and
+    ``beam_cols`` are >= 1 and ``frames`` is >= 0."""
+    _number(spec.ground_z, "ground_z")
+    _vector(spec.ground_slope, 2, "ground_slope")
+    for name in ("static_boxes", "moving_boxes"):
+        if not isinstance(getattr(spec, name), (list, tuple)):
+            raise SceneError(f"{name}: expected a list, got "
+                             f"{getattr(spec, name)!r}")
+    for i, box in enumerate(spec.static_boxes):
+        if not (isinstance(box, (list, tuple, np.ndarray)) and len(box) == 2):
+            raise SceneError(f"static_boxes[{i}]: expected [min xyz, max "
+                             f"xyz], got {box!r}")
+        lo = _vector(box[0], 3, f"static_boxes[{i}] min corner")
+        hi = _vector(box[1], 3, f"static_boxes[{i}] max corner")
+        if (lo > hi).any():
+            raise SceneError(f"static_boxes[{i}]: min corner {box[0]} "
+                             f"exceeds max corner {box[1]}")
+    for i, box in enumerate(spec.moving_boxes):
+        if not isinstance(box, MovingBox):
+            raise SceneError(f"moving_boxes[{i}]: expected an object, got "
+                             f"{box!r}")
+        if (_vector(box.size, 3, f"moving_boxes[{i}].size") < 0).any():
+            raise SceneError(f"moving_boxes[{i}].size: negative: {box.size}")
+        _vector(box.start, 3, f"moving_boxes[{i}].start")
+        _vector(box.velocity, 3, f"moving_boxes[{i}].velocity")
+        _number(box.t_start, f"moving_boxes[{i}].t_start", allow_inf=True)
+        _number(box.t_end, f"moving_boxes[{i}].t_end", allow_inf=True)
+    _vector(spec.sensor_start, 3, "sensor_start")
+    _vector(spec.sensor_velocity, 3, "sensor_velocity")
+    for name in ("dt", "fov_down_deg", "fov_up_deg", "r_max"):
+        _number(getattr(spec, name), name)
+    _count(spec.frames, 0, "frames")
+    _count(spec.beam_rows, 1, "beam_rows")
+    _count(spec.beam_cols, 1, "beam_cols")
 
 
 def beam_directions(spec: SceneSpec) -> np.ndarray:
@@ -96,56 +181,88 @@ def beam_directions(spec: SceneSpec) -> np.ndarray:
                      np.sin(el)], axis=-1).reshape(-1, 3)
 
 
-def _ray_plane(origin, dirs, z0, slope):
+def _ray_plane(origin, denom, z0, slope):
+    """Distance along each ray to the ground plane, inf where the ray is
+    parallel to it or meets it behind (or within 1e-9 of) the origin.
+    ``denom`` is the per-ray dot of the direction with the plane normal,
+    which depends only on the beam grid."""
     gx, gy = slope
-    denom = dirs[:, 2] - gx * dirs[:, 0] - gy * dirs[:, 1]
     num = z0 + gx * origin[0] + gy * origin[1] - origin[2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = num / denom
     t[~np.isfinite(t) | (t <= 1e-9)] = np.inf
     return t
 
 
-def _ray_box(origin, dirs, lo, hi):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-    t1 = (lo - origin) * inv
-    t2 = (hi - origin) * inv
-    tnear = np.nanmax(np.minimum(t1, t2), axis=1)
-    tfar = np.nanmin(np.maximum(t1, t2), axis=1)
-    t = np.where((tnear <= tfar) & (tfar > 0) & (tnear > 1e-9), tnear, np.inf)
-    return t
+def _ray_box(origin, inv, lo, hi, best_t):
+    """Slab test of every ray against the box ``lo``..``hi``; where it hits
+    nearer than ``best_t``, write the hit distance into ``best_t`` and
+    return those rays as a boolean mask.
+
+    ``inv`` holds the reciprocal direction per axis, one (N,) column each.
+    On each axis the ray's parameters at the two slab planes give an entry
+    (their min) and an exit (their max); the entries are combined in x, y, z
+    order with ``np.fmax`` and the exits with ``np.fmin``.  A ray with a
+    zero component whose origin lies in that axis's slab plane gets
+    0 * inf = NaN there, and ``fmax``/``fmin`` skip a NaN, so such an axis
+    does not bound the ray.  The ray hits when entry <= exit and the entry
+    lies more than 1e-9 ahead of the origin.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        for a in range(3):
+            t1 = (lo[a] - origin[a]) * inv[a]
+            t2 = (hi[a] - origin[a]) * inv[a]
+            near = np.minimum(t1, t2)
+            far = np.maximum(t1, t2, out=t1)
+            if a == 0:
+                tnear, tfar = near, far
+            else:
+                np.fmax(tnear, near, out=tnear)
+                np.fmin(tfar, far, out=tfar)
+    closer = (tnear <= tfar) & (tnear > 1e-9) & (tnear < best_t)
+    np.copyto(best_t, tnear, where=closer)
+    return closer
 
 
 def synth_frames(spec: SceneSpec):
     """Generate the frame sequence one frame at a time; yields
     (Scan, Pose, dynamic_mask).
 
-    Ray casting is fully analytic (ray-plane, ray-box nearest hit), so the
-    output is deterministic, and only the frame in hand is held.
+    ``spec`` is checked first (:func:`_check_scene`).  Ray casting is
+    analytic: each ray's nearest hit among the ground plane and the boxes
+    active at the frame's time (:func:`_ray_plane`, :func:`_ray_box`),
+    kept when within ``r_max``.  A box hit must be strictly nearer than
+    every body tested before it (the ground, the static boxes in order,
+    then the active movers in order).  The reciprocal directions and the
+    ground plane's per-ray denominator are computed once per scene, so the
+    output is deterministic and only the frame in hand is held.
     """
+    _check_scene(spec)
+    return _cast(spec)
+
+
+def _cast(spec: SceneSpec):
     dirs = beam_directions(spec)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = [1.0 / dirs[:, a] for a in range(3)]
+    gx, gy = spec.ground_slope
+    denom = dirs[:, 2] - gx * dirs[:, 0] - gy * dirs[:, 1]
+    statics = [(np.asarray(lo, float), np.asarray(hi, float), False)
+               for lo, hi in spec.static_boxes]
     for f in range(spec.frames):
         t = f * spec.dt
         origin = (np.asarray(spec.sensor_start, dtype=np.float64)
                   + np.asarray(spec.sensor_velocity) * t)
 
-        best_t = _ray_plane(origin, dirs, spec.ground_z, spec.ground_slope)
+        best_t = _ray_plane(origin, denom, spec.ground_z, spec.ground_slope)
         best_dyn = np.zeros(len(dirs), dtype=bool)
 
-        boxes = [(np.asarray(lo, float), np.asarray(hi, float), False)
-                 for lo, hi in spec.static_boxes]
-        for box in spec.moving_boxes:
-            if box.active(t):
-                lo, hi = box.corners(t)
-                boxes.append((lo, hi, True))
+        boxes = statics + [(*box.corners(t), True)
+                           for box in spec.moving_boxes if box.active(t)]
         for lo, hi, dyn in boxes:
             if np.all(origin > lo) and np.all(origin < hi):
                 raise SceneError(f"sensor inside box {lo}..{hi} at frame {f}")
-            tb = _ray_box(origin, dirs, lo, hi)
-            closer = tb < best_t
-            best_t = np.where(closer, tb, best_t)
-            best_dyn = np.where(closer, dyn, best_dyn)
+            best_dyn[_ray_box(origin, inv, lo, hi, best_t)] = dyn
 
         hit = best_t <= spec.r_max
         points = dirs[hit] * best_t[hit, None]

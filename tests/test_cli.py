@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes and file round trips."""
 
 import json
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -269,6 +270,46 @@ def test_data_errors_exit_two(tmp_path, capsys):
     assert "poses.txt:1: non-finite" in capsys.readouterr().err
 
 
+def _mover(**change):
+    return {"size": [1.0, 1.0, 1.5], "start": [8.0, -6.0, 0.0],
+            "velocity": [0.0, 1.5, 0.0], **change}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({**SCENE, "framez": 3}, "framez"),
+    ({**SCENE, "moving_boxes": [{"start": [8.0, -6.0, 0.0],
+                                 "velocity": [0.0, 1.5, 0.0]}]}, "size"),
+    ([SCENE], "JSON object"),
+    ({**SCENE, "sensor_start": [0.0, float("nan"), 1.2]}, "sensor_start"),
+    ({**SCENE, "static_boxes": [[[10.0, 6.0, 0.0],
+                                 [12.0, 8.0, float("inf")]]]},
+     "static_boxes[0] max corner"),
+    ({**SCENE, "moving_boxes": [_mover(size=[1.0, float("nan"), 1.5])]},
+     "moving_boxes[0].size"),
+    ({**SCENE, "moving_boxes": [_mover(velocity=[float("inf"), 0.0, 0.0])]},
+     "moving_boxes[0].velocity"),
+    ({**SCENE, "dt": float("nan")}, "dt"),
+    ({**SCENE, "r_max": float("inf")}, "r_max"),
+    # x corners swapped around the sensor at (0, 0, 1.2): before the check,
+    # it passed the sensor-inside test and cast nothing
+    ({**SCENE, "static_boxes": [[[2.0, -1.0, 0.0], [-2.0, 1.0, 2.0]]]},
+     "exceeds"),
+    ({**SCENE, "moving_boxes": [_mover(size=[1.0, -1.0, 1.5])]}, "negative"),
+    ({**SCENE, "beam_rows": 0}, "beam_rows"),
+    ({**SCENE, "beam_cols": 0}, "beam_cols"),
+])
+def test_bad_scene_specs_exit_two(tmp_path, capsys, spec, message):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "data"
+    for argv in (["synth", "--spec", str(path), "--out", str(out)],
+                 ["run", "--synthetic", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rhmap: data error:") and message in err
+    assert not out.exists()       # nothing is written for a bad spec
+
+
 def test_bench_reports_throughput(capsys):
     rc = main(["bench", "--frames", "2"])
     assert rc == 0
@@ -278,6 +319,7 @@ def test_bench_reports_throughput(capsys):
     assert list(body["stages_ms"]) == list(STAGES)
     assert 0 < body["cpu_p50_ms"] and 0 < body["cpu_mean_ms"]
     assert body["points_per_frame"] > 50000
+    assert body["scene_ms_mean"] > 0
     # the process's peak resident memory, in MB: more than the ~2 MB of one
     # 91k-point float64 scan, less than the whole 8 GB of a small host
     assert 2 < body["peak_rss_mb"] < 8192
@@ -302,6 +344,27 @@ def test_bench_streams_the_scene(monkeypatch, capsys):
     listed = synth_scene(bench_scene(2))
     assert body["points_per_frame"] == float(
         np.mean([len(s) for s, _, _ in listed]))
+
+
+def test_bench_times_the_scene_apart_from_the_frames(monkeypatch, capsys):
+    import rhmap.cli as cli
+
+    real = cli.synth_frames
+
+    def slow(spec):
+        for frame in real(spec):
+            time.sleep(0.25)
+            yield frame
+
+    # a small scene, each frame of which takes at least 250 ms to make
+    small = scene_from_dict({**SCENE, "frames": 3})
+    monkeypatch.setattr(cli, "bench_scene", lambda frames: small)
+    monkeypatch.setattr(cli, "synth_frames", slow)
+    assert main(["bench", "--frames", "3"]) == 0
+    body = json.loads(capsys.readouterr().out)
+    assert body["scene_ms_mean"] >= 250
+    # the frame timings leave the scene's making out
+    assert body["p95_ms"] < 250
 
 
 def test_bench_front_end_follows_scene_unless_overridden(monkeypatch, capsys,

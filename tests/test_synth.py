@@ -1,13 +1,29 @@
 """Synthetic scene generator: ray casting, labels and determinism."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from conftest import residue_scene
 from rhmap.synth import (MovingBox, SceneError, SceneSpec, beam_directions,
-                         load_scene, scene_from_dict, synth_frames,
-                         synth_scene)
+                         bench_scene, load_scene, scene_from_dict,
+                         synth_frames, synth_scene)
+
+# sha256 (first 16 hex chars) of the synthesized frames of the test-suite
+# scenes: each frame's timestamp, point count, points, dynamic mask and
+# pose, as float64/int64/bool bytes (`frames_sha256`).  The exported-map
+# table quantizes to cubes, so only this one sees a change of a point's
+# last bits.  A change to the ray caster must leave every entry as is.
+FRAME_SHA256 = {
+    "30-frame throughput scene": "56d69d8dd657e98e",
+    "DOR scene": "2b7315ac4a79811e",
+    "residue scene": "acb2e86669271f89",
+}
 
 
 def test_upward_fov_sees_nothing():
@@ -132,3 +148,199 @@ def test_beam_directions_are_unit_and_cover_grid():
     dirs = beam_directions(spec)
     assert dirs.shape == (16 * 120, 3)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+
+
+def frames_sha256(frames) -> str:
+    h = hashlib.sha256()
+    for scan, pose, mask in frames:
+        for a in (np.float64(scan.timestamp), np.int64(len(scan)),
+                  scan.points, mask, pose.rotation, pose.translation):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_frames_match_sha_table(dor_frames):
+    got = {"30-frame throughput scene": frames_sha256(
+               synth_frames(bench_scene(30))),
+           "DOR scene": frames_sha256(dor_frames),
+           "residue scene": frames_sha256(synth_frames(residue_scene()))}
+    assert got == FRAME_SHA256
+
+
+def oracle_frames(spec: SceneSpec):
+    """Plain-Python reference of `synth_frames`: per frame, the hit points
+    and dynamic labels of each ray, in ray order, from a per-ray slab test
+    with the same float operations in the same order."""
+    dirs = beam_directions(spec).tolist()
+    gx, gy = spec.ground_slope
+    for f in range(spec.frames):
+        t = f * spec.dt
+        o = [s + v * t for s, v in zip(spec.sensor_start,
+                                       spec.sensor_velocity)]
+        bodies = [(lo, hi, False) for lo, hi in spec.static_boxes]
+        for m in spec.moving_boxes:
+            if m.t_start <= t <= m.t_end:
+                lo = [s + v * t for s, v in zip(m.start, m.velocity)]
+                bodies.append((lo, [a + b for a, b in zip(lo, m.size)], True))
+        num = spec.ground_z + gx * o[0] + gy * o[1] - o[2]
+        points, labels = [], []
+        for d in dirs:
+            den = d[2] - gx * d[0] - gy * d[1]
+            best = num / den if den != 0.0 else math.inf
+            if not math.isfinite(best) or best <= 1e-9:
+                best = math.inf
+            dyn = False
+            for lo, hi, label in bodies:
+                near, far = -math.inf, math.inf
+                for a in range(3):
+                    inv = (1.0 / d[a] if d[a] != 0.0
+                           else math.copysign(math.inf, d[a]))
+                    t1, t2 = (lo[a] - o[a]) * inv, (hi[a] - o[a]) * inv
+                    if math.isnan(t1) or math.isnan(t2):
+                        continue    # the ray runs in this axis's face plane
+                    near, far = max(near, min(t1, t2)), min(far, max(t1, t2))
+                if near <= far and far > 0.0 and near > 1e-9 and near < best:
+                    best, dyn = near, label
+            if best <= spec.r_max:
+                points.append([c * best for c in d])
+                labels.append(dyn)
+        yield np.array(points, dtype=np.float64).reshape(-1, 3), labels
+
+
+def _sensor_inside(spec: SceneSpec) -> bool:
+    for f in range(spec.frames):
+        t = f * spec.dt
+        o = (np.asarray(spec.sensor_start)
+             + np.asarray(spec.sensor_velocity) * t)
+        boxes = [(np.asarray(lo), np.asarray(hi))
+                 for lo, hi in spec.static_boxes]
+        boxes += [m.corners(t) for m in spec.moving_boxes if m.active(t)]
+        if any(np.all(o > lo) and np.all(o < hi) for lo, hi in boxes):
+            return True
+    return False
+
+
+coord = st.floats(-20.0, 20.0)
+extent = st.floats(0.0, 8.0)
+
+
+@st.composite
+def scenes(draw):
+    """Small scenes at negative and positive coordinates.  An odd beam row
+    count with a symmetric field of view has an exactly horizontal row
+    (direction z == 0), and a box may put a face in the sensor's height
+    plane, so those rays meet the 0 * inf slab bound.  Boxes may also sit
+    within 1e-9 m of the sensor or coincide with a mover, so the oracle
+    checks the near cut-off and which body wins a tie."""
+    sensor = [draw(coord) for _ in range(3)]
+    velocity = [draw(st.floats(-3.0, 3.0)) for _ in range(3)]
+    rows = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        half = draw(st.floats(1.0, 40.0))
+        fov = (-half, half)
+    else:
+        fov = (draw(st.floats(-60.0, 0.0)), draw(st.floats(0.0, 30.0)))
+
+    def box():
+        lo = [draw(coord) for _ in range(3)]
+        return lo, [a + draw(extent) for a in lo]
+
+    statics = [box() for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        # a box with a horizontal face in the sensor's starting height plane
+        lo, hi = box()
+        h = hi[2] - lo[2]
+        lo[2], hi[2] = ((sensor[2], sensor[2] + h) if draw(st.booleans())
+                        else (sensor[2] - h, sensor[2]))
+        statics.append((lo, hi))
+    if draw(st.booleans()):
+        # a box in front of the sensor whose -x face lies about 1e-9 m
+        # ahead of it
+        lo = [sensor[0] + draw(st.floats(1e-12, 2e-9))]
+        lo += [c - draw(st.floats(0.1, 4.0)) for c in sensor[1:]]
+        hi = [lo[0] + draw(extent)]
+        hi += [c + draw(st.floats(0.1, 4.0)) for c in sensor[1:]]
+        statics.append((lo, hi))
+    movers = []
+    if draw(st.booleans()):
+        # a resting mover that coincides with a static box: every ray that
+        # meets one meets the other at the same distance, and the static
+        # box, tested first, keeps it
+        lo, hi = box()
+        size = tuple(b - a for a, b in zip(lo, hi))
+        movers.append(MovingBox(size=size, start=tuple(lo),
+                                velocity=(0.0, 0.0, 0.0)))
+        statics.append((lo, [a + b for a, b in zip(lo, size)]))
+    for _ in range(draw(st.integers(0, 2))):
+        lo, hi = box()
+        t0 = draw(st.floats(-1.0, 1.0))
+        movers.append(MovingBox(
+            size=tuple(b - a for a, b in zip(lo, hi)), start=tuple(lo),
+            velocity=tuple(draw(st.floats(-3.0, 3.0)) for _ in range(3)),
+            t_start=t0, t_end=t0 + draw(st.floats(0.0, math.inf))))
+    slope = (draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3)))
+    return SceneSpec(ground_z=draw(coord), ground_slope=slope,
+                     static_boxes=statics, moving_boxes=movers,
+                     sensor_start=tuple(sensor),
+                     sensor_velocity=tuple(velocity),
+                     frames=draw(st.integers(1, 3)),
+                     dt=draw(st.floats(0.05, 1.0)), beam_rows=rows,
+                     beam_cols=draw(st.integers(1, 24)),
+                     fov_down_deg=fov[0], fov_up_deg=fov[1],
+                     r_max=draw(st.floats(1.0, 60.0)))
+
+
+# horizontal rays from (-3, -1, 1) run in the plane of the box's bottom
+# face z = 1, so the box bounds them on x and y alone
+FACE_PLANE = SceneSpec(static_boxes=[((2.0, -4.0, 1.0), (3.0, 2.0, 2.5))],
+                       sensor_start=(-3.0, -1.0, 1.0), beam_rows=3,
+                       beam_cols=24, fov_down_deg=-20.0, fov_up_deg=20.0,
+                       r_max=40.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=scenes())
+@example(spec=FACE_PLANE)
+def test_ray_caster_equals_the_scalar_slab_oracle(spec):
+    assume(not _sensor_inside(spec))
+    frames = list(synth_frames(spec))
+    assert len(frames) == spec.frames
+    for (scan, pose, mask), (points, labels) in zip(frames,
+                                                    oracle_frames(spec)):
+        assert scan.points.tobytes() == points.tobytes()
+        assert mask.tolist() == labels
+
+
+def test_ray_in_a_face_plane_hits_the_box():
+    (scan, _, mask), = synth_scene(FACE_PLANE)
+    # the horizontal row's returns: the 0 * inf bound on z is skipped, so
+    # the rays that cross the box's x/y footprint stop on its x = 2 face
+    flat = scan.points[scan.points[:, 2] == 0.0]
+    assert np.isclose(flat[:, 0], 5.0, rtol=0.0, atol=1e-9).any()
+    (points, labels), = oracle_frames(FACE_PLANE)
+    assert scan.points.tobytes() == points.tobytes()
+
+
+@pytest.mark.parametrize("change", [
+    {"sensor_start": (0.0, float("nan"), 1.0)},
+    {"static_boxes": [((2.0, -1.0, 0.0), (-2.0, 1.0, 2.0))]},
+    {"static_boxes": [((4.0, -1.0, 0.0), (5.0, 1.0, float("inf")))]},
+    {"moving_boxes": [MovingBox((1.0, -1.0, 1.0), (5.0, 0.0, 0.0),
+                                (0.0, 1.0, 0.0))]},
+    {"moving_boxes": [MovingBox((1.0, 1.0, 1.0), (5.0, 0.0, 0.0),
+                                (0.0, float("nan"), 0.0))]},
+    {"moving_boxes": [MovingBox((1.0, 1.0, 1.0), (5.0, 0.0, 0.0),
+                                (0.0, 1.0, 0.0), t_start=float("nan"))]},
+    {"dt": float("inf")}, {"r_max": float("inf")}, {"r_max": "50"},
+    {"beam_rows": 0}, {"beam_cols": 0}, {"frames": 2.0},
+])
+def test_scenes_built_in_code_are_checked(change):
+    with pytest.raises(SceneError):
+        synth_frames(SceneSpec(**change))
+
+
+def test_infinite_mover_window_is_accepted():
+    mover = MovingBox((1.0, 1.0, 1.0), (5.0, 0.0, 0.0), (0.0, 0.0, 0.0),
+                      t_start=-math.inf, t_end=math.inf)
+    (_, _, mask), = synth_scene(SceneSpec(moving_boxes=[mover]))
+    assert mask.any()
