@@ -92,6 +92,26 @@ def from_region_major(rm, mask_bits: int) -> np.ndarray:
     return (x << 42) | (y << 21) | z
 
 
+def _region_major_of_indices(x, y, z, mask_bits: int) -> np.ndarray:
+    """``region_major(pack3(x, y, z), mask_bits)`` of int64 cube indexes in
+    ``[-2**20, 2**20)``, built field by field without the packed key.
+
+    An axis's region bits (``mask_bits`` up to 20) move to its region
+    field and its cube-local bits (below ``mask_bits``) to its local field;
+    two's complement keeps the bits a 21-bit field would hold.
+    """
+    b = mask_bits
+    local = (1 << b) - 1
+    region = AXIS_MASK & ~local
+    rm = (x & region) << 42
+    rm |= (y & region) << (AXIS_BITS + b)
+    rm |= (z & region) << (2 * b)
+    rm |= (x & local) << (2 * b)
+    rm |= (y & local) << b
+    rm |= z & local
+    return rm
+
+
 def cube_local_key_mask(mask_bits: int) -> int:
     m = (1 << mask_bits) - 1
     return (m << 42) | (m << 21) | m
@@ -181,8 +201,8 @@ class ScanCubes:
     One argsort of the points' region-major keys (:func:`region_major`)
     orders the points so that every cube, every region and every region
     column is a contiguous run.  Each level is numbered densely in key
-    order, so per-group reductions are plain ``reduceat`` or ``ufunc.at``
-    calls and the distinct keys of each level come out sorted.
+    order, so per-group reductions are plain ``reduceat`` calls over the
+    sorted points and the distinct keys of each level come out sorted.
 
     Every array of a grouping is read-only: the pipeline's two threads
     read one at once, so a write on either side raises instead of racing.
@@ -192,8 +212,15 @@ class ScanCubes:
         self.config = cfg
         self.points = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
         bits = cfg.mask_bits
-        gidx = cube_indices(self.points, cfg.cube_size)
-        rm = region_major(pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2]), bits)
+        # cube_indices' floor, checked with one min and one max; when the
+        # check fails, cube_indices raises its own message
+        gidx = self.points / cfg.cube_size
+        np.floor(gidx, out=gidx)
+        if gidx.size and not (gidx.min() >= -_SIGN and gidx.max() < _SIGN):
+            gidx = cube_indices(self.points, cfg.cube_size)
+        # one contiguous row per axis
+        rm = _region_major_of_indices(
+            *gidx.T.astype(np.int64, order="C"), bits)
         n = len(rm)
         #: argsort of the points by region-major key
         self.order = np.argsort(rm)
@@ -212,6 +239,8 @@ class ScanCubes:
         #: sorted packed region keys, and the dense region id of each cube
         self.region_keys = self.cube_keys[rstarts] & rmask
         self.cube_region = _dense_ids(rstarts, n_cubes)
+        #: where each region's run of points starts in ``order``
+        self.region_start = starts[rstarts]
         cstarts = run_starts(self.cube_rm >> (AXIS_BITS + 2 * bits))
         #: sorted region-column keys, the dense column id of each cube, and
         #: where each column's run of points starts in ``order``

@@ -46,15 +46,19 @@ class FrameRecord:
     evicted: int
     elapsed_ms: float
     #: Process CPU milliseconds of the frame (``time.process_time``), both
-    #: threads together.
+    #: threads together.  A truth job that outlives its frame may count in
+    #: the next frame's instead.
     cpu_ms: float
     #: Milliseconds of each stage in ``STAGES``.  ``sensor`` (range image,
     #: bounds, information content), ``contexts`` (scan contexts) and
     #: ``truth`` (adding the frame's labeled points to the truth histogram,
-    #: 0 without a mask) are busy time on whichever thread ran them;
-    #: ``join_wait`` is how long the main thread then waited for the
-    #: worker's last job of the frame, 0 when it ran both itself.  The
-    #: stages the main thread ran add up to about ``elapsed_ms``.
+    #: 0 without a mask) are busy time on whichever thread ran them.  On
+    #: the worker, ``truth`` is recorded when its job is joined, at the
+    #: next frame's join or at the end of the run, and it may fall outside
+    #: ``elapsed_ms``.  ``join_wait`` is how long the main thread waited
+    #: for the worker: for the frame's contexts and for the previous
+    #: frame's truth job, 0 when it waited for neither.  The stages the
+    #: main thread ran add up to about ``elapsed_ms``.
     stages_ms: dict[str, float]
 
 
@@ -77,8 +81,9 @@ class PipelineResult:
 
 
 def timing_report(frame_times_ms, stages_ms=()) -> dict:
-    """Frame wall time (mean, implied frequency, p50, p95) of a run, and
-    the mean of each stage over the ``stages_ms`` dicts when given."""
+    """Frame wall time (mean, implied frequency, p50, p95 and the worst
+    frame) of a run, and the mean of each stage over the ``stages_ms``
+    dicts when given."""
     times = np.asarray(list(frame_times_ms), dtype=np.float64)
     if len(times) == 0:
         raise ValueError("timing report needs at least one frame")
@@ -86,7 +91,8 @@ def timing_report(frame_times_ms, stages_ms=()) -> dict:
     p50, p95 = np.percentile(times, [50, 95])
     body = {"mean_ms": mean_ms,
             "hz": 1000.0 / mean_ms if mean_ms > 0 else float("inf"),
-            "p50_ms": float(p50), "p95_ms": float(p95)}
+            "p50_ms": float(p50), "p95_ms": float(p95),
+            "max_ms": float(times.max())}
     stages = list(stages_ms)
     if stages:
         body["stages_ms"] = {k: float(np.mean([s[k] for s in stages]))
@@ -107,35 +113,47 @@ def _sensor_side(points: np.ndarray, fcfg: FrontendConfig):
     return bounds, info, time.perf_counter() - t0
 
 
-def _truth_part(cubes: ScanCubes, mask) -> np.ndarray:
-    """A frame's part of the truth histogram, keyed by the grouping's
-    sorted region-major cube keys: each cube's static and dynamic point
+def _truth_part(point_cube: np.ndarray, n_cubes: int, mask) -> np.ndarray:
+    """A frame's part of the truth histogram, aligned with its grouping's
+    ``n_cubes`` sorted cube keys: each cube's static and dynamic point
     counts as an (n, 2) view of a (2, n) array."""
-    n = len(cubes.cube_rm)
-    mask = np.asarray(mask, dtype=bool).reshape(len(cubes.point_cube))
-    counts = np.empty((2, n), dtype=np.int64)
-    counts[0] = np.bincount(cubes.point_cube, minlength=n)
-    counts[1] = np.bincount(cubes.point_cube[mask], minlength=n)
+    mask = np.asarray(mask, dtype=bool).reshape(len(point_cube))
+    counts = np.empty((2, n_cubes), dtype=np.int64)
+    counts[0] = np.bincount(point_cube, minlength=n_cubes)
+    counts[1] = np.bincount(point_cube[mask], minlength=n_cubes)
     counts[0] -= counts[1]
     return counts.T
 
 
-def _map_free_side(sensor, cubes: ScanCubes, mask, truth: TruthHistogram):
-    """A frame's work that reads no map: ``sensor()`` returns its sensor
-    side (:func:`_sensor_side`), then its scan contexts are built and, with
-    a mask, its labeled points added to the truth histogram.  Returns the
-    contexts, the information content and the busy seconds of the sensor
-    side, the contexts and the truth step.  The grouping is read-only, so
-    the main thread may read it meanwhile; only this function touches
-    ``truth`` during the run."""
+def _truth_step(truth: TruthHistogram, cube_rm: np.ndarray,
+                point_cube: np.ndarray, mask) -> float:
+    """Add a frame's labeled points to the truth histogram, given its
+    grouping's sorted region-major cube keys and each point's cube id;
+    returns the busy seconds.  It holds no scan and no world points."""
+    t0 = time.perf_counter()
+    truth.add(cube_rm, _truth_part(point_cube, len(cube_rm), mask))
+    return time.perf_counter() - t0
+
+
+def _map_free_side(sensor, cubes: ScanCubes):
+    """A frame's scan work that reads no map: ``sensor()`` returns its
+    sensor side (:func:`_sensor_side`), then its scan contexts are built.
+    Returns the contexts, the information content and the busy seconds of
+    the sensor side and of the contexts.  The grouping is read-only, so
+    the main thread may read it meanwhile.  The truth step is a job of its
+    own (:func:`_truth_step`), which may outlive the frame."""
     bounds, info, sensor_s = sensor()
     t0 = time.perf_counter()
     contexts = scan_contexts(bounds, cubes)
-    t1 = time.perf_counter()
-    if mask is not None:
-        truth.add(cubes.cube_rm, _truth_part(cubes, mask))
-    return (contexts, info, sensor_s, t1 - t0,
-            time.perf_counter() - t1)
+    return contexts, info, sensor_s, time.perf_counter() - t0
+
+
+def _join_truth(job, frames: list[FrameRecord]):
+    """Wait for a truth job, re-raising its error, and record its busy time
+    as its own frame's ``truth`` stage.  ``job`` is that frame's index in
+    ``frames`` and the job's future."""
+    index, future = job
+    frames[index].stages_ms["truth"] = future.result() * 1e3
 
 
 def _usable_cpus() -> int:
@@ -155,15 +173,25 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     The map side transforms the scan, groups the world points by cube,
     integrates them and estimates ground.  On a scan of at least
     ``OVERLAP_MIN_POINTS`` points, when two CPUs are usable, the map-free
-    side runs as two jobs on one worker thread (the second submitted once
-    the grouping exists) while the main thread runs the map side;
-    otherwise it runs inline.
-    Both give the same map and truth.  After the join, scan-to-map removal,
-    keyframe selection and (when enabled) one back-end step run.  Both jobs
-    end within their frame, and a keyframe keeps the contexts, so no scan
-    outlives its frame.  Timing covers processing only, not data loading.
-    An error on either side is raised with its own type, after the worker
-    has stopped.
+    side runs as jobs on one worker thread while the main thread runs the
+    map side: the sensor side, then, once the grouping exists, the scan
+    contexts and, with a mask, the truth step.  Otherwise it runs inline.
+    Both give the same map and truth.  After the contexts are joined,
+    scan-to-map removal, keyframe selection and (when enabled) one
+    back-end step run.
+    The truth step is bookkeeping that nothing in the frame reads, so the
+    main thread does not wait for it: on the worker it may outlive its
+    frame, beside the frame's removal and back end and the next frame's
+    transform and grouping.  It holds only the grouping's cube keys, the
+    points' cube ids and the mask, never a scan or world points.  The
+    worker runs jobs in order, so it ends before the next frame's jobs;
+    it is joined at the next frame's join (an inline frame joins it before
+    adding its own part) or, after the last frame, before the histogram
+    is finished, and the parts are added in frame order either way.  A
+    keyframe keeps the contexts, so no scan outlives its frame.  Timing
+    covers processing only, not data loading.  An error on either side,
+    the truth step's included, is raised with its own type, after the
+    worker has stopped.
     """
     cfg.validate()
     fcfg, bcfg = cfg.frontend, cfg.backend
@@ -178,6 +206,8 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     # the worker starts at the first scan large enough to overlap; it is
     # shut down however the loop ends, an error on either side included
     worker = None
+    # (frame index, future) of a truth job not joined yet
+    truth_job = None
     try:
         for frame in frames:
             scan, pose = frame[0], frame[1]
@@ -194,29 +224,43 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
                         1, thread_name_prefix="rhmap-sensor")
                 sensor = worker.submit(_sensor_side, scan.points, fcfg)
             cubes = ScanCubes(transform_scan(scan, pose), cfg.map)
+            new_job = None
             if sensor is not None:
                 # one thread runs jobs in order: the sensor job ends first
-                side = worker.submit(_map_free_side, sensor.result, cubes,
-                                     mask, truth)
+                side = worker.submit(_map_free_side, sensor.result, cubes)
+                if mask is not None:
+                    new_job = (len(result.frames), worker.submit(
+                        _truth_step, truth, cubes.cube_rm, cubes.point_cube,
+                        mask))
             t1 = time.perf_counter()
             map_.integrate_points(cubes)
             t2 = time.perf_counter()
             ground_report = r_gpe(map_, cubes, fcfg)
             t3 = time.perf_counter()
-            if side is None:
-                contexts, info, sensor_s, contexts_s, truth_s = \
-                    _map_free_side(partial(_sensor_side, scan.points, fcfg),
-                                   cubes, mask, truth)
-            else:
-                contexts, info, sensor_s, contexts_s, truth_s = side.result()
+            waited = side is not None or truth_job is not None
+            if side is not None:
+                contexts, info, sensor_s, contexts_s = side.result()
+            if truth_job is not None:
+                # the last frame's truth job ran before this frame's jobs;
+                # an inline frame may wait for it here
+                _join_truth(truth_job, result.frames)
+            truth_job = new_job
             t4 = time.perf_counter()
-            join_wait = 0.0 if side is None else t4 - t3
+            join_wait = t4 - t3 if waited else 0.0
+            truth_s = 0.0
+            if side is None:
+                contexts, info, sensor_s, contexts_s = _map_free_side(
+                    partial(_sensor_side, scan.points, fcfg), cubes)
+                if mask is not None:
+                    truth_s = _truth_step(truth, cubes.cube_rm,
+                                          cubes.point_cube, mask)
             # the sensor future holds the bounds, which the worker allocated;
             # its malloc heap shrinks only once they are freed: free them
             # before its next frame
             sensor = side = None
-            report = s2m_removal(map_, contexts, fcfg)
             t5 = time.perf_counter()
+            report = s2m_removal(map_, contexts, fcfg)
+            t6 = time.perf_counter()
 
             candidate = Keyframe(contexts, pose, scan.timestamp, info)
             added = keyframe_select(last_keyframe, candidate, bcfg)
@@ -226,17 +270,19 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             backend_reports = []
             if cfg.backend_enabled:
                 backend_reports = backend_step(map_, queue, pose, bcfg, fcfg)
-            c6, t6 = time.process_time(), time.perf_counter()
+            c7, t7 = time.process_time(), time.perf_counter()
 
             stages = (t1 - t0, t2 - t1, t3 - t2, sensor_s, join_wait,
-                      contexts_s, truth_s, t5 - t4, t6 - t5)
+                      contexts_s, truth_s, t6 - t5, t7 - t6)
             result.frames.append(FrameRecord(
                 report=report, ground=ground_report,
                 backend_reports=backend_reports, keyframe_added=added,
                 map_cubes=len(map_), map_regions=map_.region_count,
-                evicted=queue.evicted, elapsed_ms=(t6 - t0) * 1e3,
-                cpu_ms=(c6 - c0) * 1e3,
+                evicted=queue.evicted, elapsed_ms=(t7 - t0) * 1e3,
+                cpu_ms=(c7 - c0) * 1e3,
                 stages_ms={k: v * 1e3 for k, v in zip(STAGES, stages)}))
+        if truth_job is not None:
+            _join_truth(truth_job, result.frames)
     finally:
         if worker is not None:
             worker.shutdown()

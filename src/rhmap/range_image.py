@@ -130,7 +130,9 @@ def extract_sup_inf(image: RangeImage, r1: float, r2: float,
     Returns ``(sup_ids, sup_bound_ids, inf_ids, inf_bound_ids)`` where the
     bound ids reference the point whose height defines the bound.  Both
     scans share one range difference per step; empty cells read NaN, so
-    they never jump.
+    they never jump.  A cell closes at most once per direction and holds
+    one point, so ``sup_ids`` are distinct, and so are ``inf_ids``;
+    :func:`~rhmap.removal.build_scan_context_3d` relies on it.
     """
     rows = image.rows
     filled = image.filled()

@@ -120,22 +120,31 @@ def build_scan_context_3d(cubes: ScanCubes, sup_ids: np.ndarray,
     ``sup_ids`` and ``inf_ids`` index the points of ``cubes``.  ``sup`` is
     the minimum upper bound over the region's sup points and ``inf`` the
     maximum lower bound over its inf points; both default to the region's
-    own height extrema when one side is absent.
+    own height extrema when one side is absent.  Regions with neither are
+    left out.
+
+    The ids of one side must be distinct, as :func:`extract_sup_inf`'s
+    are: a cell closes once per direction and holds one point.  Each
+    side's bounds are then written to their points once and reduced per
+    region over the grouping's sorted points, with no ``ufunc.at`` scatter,
+    which would hold the GIL throughout.  A point may be on both sides.
     """
-    n_regions = len(cubes.region_keys)
-    sup_reg = cubes.cube_region[cubes.point_cube[sup_ids]]
-    inf_reg = cubes.cube_region[cubes.point_cube[inf_ids]]
-    reg = np.concatenate([sup_reg, inf_reg])
-    z = cubes.points[np.concatenate([sup_ids, inf_ids]).astype(np.int64), 2]
-    z_max = np.full(n_regions, -np.inf)
-    z_min = np.full(n_regions, np.inf)
-    np.maximum.at(z_max, reg, z)
-    np.minimum.at(z_min, reg, z)
-    sup = z_max.copy()
-    inf = z_min.copy()
-    np.minimum.at(sup, sup_reg, np.asarray(sup_heights, dtype=np.float64))
-    np.maximum.at(inf, inf_reg, np.asarray(inf_heights, dtype=np.float64))
-    seen = np.bincount(reg, minlength=n_regions) > 0
+    n = len(cubes.points)
+    order, starts = cubes.order, cubes.region_start
+    bound = np.zeros(n, dtype=bool)
+    bound[sup_ids] = True
+    bound[inf_ids] = True
+    bound = bound[order]
+    z = cubes.points[order, 2]
+    z_max = np.maximum.reduceat(np.where(bound, z, -np.inf), starts)
+    z_min = np.minimum.reduceat(np.where(bound, z, np.inf), starts)
+    sup = np.full(n, np.inf)
+    sup[sup_ids] = sup_heights
+    sup = np.minimum(np.minimum.reduceat(sup[order], starts), z_max)
+    inf = np.full(n, -np.inf)
+    inf[inf_ids] = inf_heights
+    inf = np.maximum(np.maximum.reduceat(inf[order], starts), z_min)
+    seen = z_max >= z_min
     return ScanContext3D(cubes.region_keys[seen], z_max[seen], z_min[seen],
                          sup[seen], inf[seen])
 

@@ -92,6 +92,8 @@ def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys,
     timing = body["timing"]
     assert list(timing["stages_ms"]) == list(STAGES)
     assert 0 < timing["p50_ms"] <= timing["p95_ms"]
+    assert timing["p95_ms"] <= timing["max_ms"] == max(
+        f["elapsed_ms"] for f in body["frames"])
     assert 0.0 <= body["eval"]["PR"] <= 1.0
     printed = json.loads(capsys.readouterr().out)
     assert set(printed) == {"PR", "RR", "F1", "N_sta", "N_dyn", "N_TN", "N_TP"}
@@ -316,6 +318,7 @@ def test_bench_reports_throughput(capsys):
     body = json.loads(capsys.readouterr().out)
     assert body["hz"] > 0
     assert 0 < body["p50_ms"] <= body["p95_ms"]
+    assert body["p95_ms"] <= body["max_ms"]
     assert list(body["stages_ms"]) == list(STAGES)
     assert 0 < body["cpu_p50_ms"] and 0 < body["cpu_mean_ms"]
     assert body["points_per_frame"] > 50000

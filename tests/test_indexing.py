@@ -1,5 +1,7 @@
 """Cube indexing, packed keys and the sorted-key grouping primitives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,58 @@ def test_scan_cubes_groups_match_brute_force():
     starts = np.append(cubes.column_start, len(pts))
     for c, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
         assert (col_of_sorted[a:b] == cubes.column_keys[c]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord, _coord), min_size=1, max_size=60),
+       st.integers(0, 2**32 - 1), st.integers(1, 20),
+       st.sampled_from([0.05, 0.1, 0.25, 1.0]))
+def test_scan_cubes_keys_and_region_starts_match_packed_keys(idx, seed, bits,
+                                                             cube_size):
+    # points anywhere in the packable range, negative coordinates included,
+    # and clustered copies so cubes and regions hold several points
+    rng = np.random.default_rng(seed)
+    idx = np.array(idx, dtype=np.int64)
+    idx = idx[rng.integers(0, len(idx), 3 * len(idx))]
+    pts = (idx + rng.random(idx.shape)) * cube_size
+    try:
+        gidx = cube_indices(pts, cube_size)
+    except ValueError as err:
+        # the fraction pushed a point past the edge of the range
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            ScanCubes(pts, MapConfig(cube_size=cube_size, mask_bits=bits))
+        return
+    cubes = ScanCubes(pts, MapConfig(cube_size=cube_size, mask_bits=bits))
+    keys = pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2])
+    rm = region_major(keys, bits)
+    assert np.array_equal(cubes.cube_rm[cubes.point_cube], rm)
+    assert np.array_equal(cubes.cube_keys[cubes.point_cube], keys)
+    assert np.array_equal(cubes.cube_rm, sorted_unique(rm))
+    # each region's points form one run of the sorted order, and the run
+    # starts at region_start
+    region_of_sorted = (keys & region_key_mask(bits))[cubes.order]
+    heads = [k for k in range(len(pts))
+             if k == 0 or region_of_sorted[k] != region_of_sorted[k - 1]]
+    assert cubes.region_start.tolist() == heads
+    assert np.array_equal(region_of_sorted[heads], cubes.region_keys)
+    assert len(heads) == len(set(region_of_sorted.tolist()))
+
+
+@pytest.mark.parametrize("point, message", [
+    ([0.0, np.nan, 0.0], "non-finite"),
+    ([np.inf, 0.0, 0.0], "non-finite"),
+    ([0.0, 0.0, -np.inf], "non-finite"),
+    ([209715.25, 0.0, 0.0], "packed key"),
+    ([0.0, -104857.7, 0.0], "packed key"),
+    ([0.0, 0.0, 104857.6], "packed key"),
+])
+def test_scan_cubes_reject_points_as_cube_indices_does(point, message):
+    pts = np.array([[0.05, 0.05, 0.05], point, [-1.0, 2.0, 0.5]])
+    with pytest.raises(ValueError, match=message) as expected:
+        cube_indices(pts, 0.1)
+    with pytest.raises(ValueError) as got:
+        ScanCubes(pts, CFG)
+    assert str(got.value) == str(expected.value)
 
 
 def test_a_grouping_is_read_only():

@@ -179,11 +179,16 @@ def test_timing_report():
     rep = timing_report([50.0])
     assert rep["mean_ms"] == 50.0 and rep["hz"] == 20.0
     assert rep["p50_ms"] == 50.0 and rep["p95_ms"] == 50.0
+    assert rep["max_ms"] == 50.0
     rep = timing_report([10.0, 30.0])
     assert rep["mean_ms"] == 20.0 and rep["hz"] == 50.0
+    assert rep["max_ms"] == 30.0
     rep = timing_report(float(i) for i in range(1, 101))
     assert rep["p50_ms"] == pytest.approx(50.5)
     assert rep["p95_ms"] == pytest.approx(95.05)
+    assert rep["max_ms"] == 100.0
+    # the worst frame, wherever it falls in the run
+    assert timing_report([5.0, 90.0, 6.0, 7.0])["max_ms"] == 90.0
     assert "stages_ms" not in rep
     rep = timing_report([1.0, 3.0], [{"s2m": 2.0, "ground": 0.0},
                                      {"s2m": 4.0, "ground": 1.0}])
@@ -214,6 +219,8 @@ def _run_both_ways(monkeypatch, cfg, frames):
                 assert name.startswith("rhmap-sensor")
             else:
                 assert name == threading.current_thread().name
+    # a truth job joined after its frame still records its busy time
+    assert all(f.stages_ms["truth"] > 0 for run in runs for f in run.frames)
     return runs
 
 
@@ -264,12 +271,19 @@ class _SideError(Exception):
 @pytest.mark.parametrize("module, side", [
     pytest.param(module, side, id=side) for module, side in
     [(pipeline, "build_range_image"), (removal, "build_scan_context_3d"),
-     (pipeline, "r_gpe")]])
+     (pipeline, "r_gpe"), (pipeline, "_truth_part")]])
 def test_an_error_on_either_side_keeps_its_type_and_stops_the_worker(
         monkeypatch, module, side):
     frames = synth_scene(_small_scene(frames=3))
     baseline = threading.active_count()
     calls = []
+    pulled = []
+
+    def stream():
+        for frame in frames:
+            pulled.append(len(pulled))
+            yield frame
+        pulled.append("end")
 
     def failing(*args, **kwargs):
         calls.append(threading.current_thread().name)
@@ -281,8 +295,12 @@ def test_an_error_on_either_side_keeps_its_type_and_stops_the_worker(
     force_overlap(monkeypatch, True)
     monkeypatch.setattr(module, side, failing)
     with pytest.raises(_SideError, match=side):
-        run_pipeline(_cfg(), frames)
-    assert len(calls) == 2
+        run_pipeline(_cfg(), stream())
+    # frame 2 fails; a truth job may outlive its frame, but its error
+    # surfaces by frame 3's join, when frame 3's own job is already queued
+    truth_side = side == "_truth_part"
+    assert pulled == ([0, 1, 2] if truth_side else [0, 1])
+    assert len(calls) == (3 if truth_side else 2)
     worker_side = side != "r_gpe"
     assert calls[1].startswith("rhmap-sensor") == worker_side
     assert threading.active_count() == baseline
@@ -300,15 +318,31 @@ def test_a_run_switching_between_inline_and_overlapped_frames_matches(
     sizes = sorted({len(scan) for scan, _, _ in frames})
     cutoff = sizes[len(sizes) // 2]
     threads = set()
+    parts = []
+    real_add = TruthHistogram.add
+
+    def add_spy(self, keys, counts):
+        parts.append((keys, threading.current_thread().name))
+        return real_add(self, keys, counts)
+
     with monkeypatch.context() as m:
         force_overlap(m, False)
         inline = run_pipeline(_cfg(), frames)
         m.setattr(pipeline, "OVERLAP_MIN_POINTS", cutoff)
         m.setattr(removal, "build_scan_context_2d",
                   _thread_spy(removal.build_scan_context_2d, threads))
+        m.setattr(TruthHistogram, "add", add_spy)
         mixed = run_pipeline(_cfg(), frames)
     assert threading.current_thread().name in threads
     assert any(name.startswith("rhmap-sensor") for name in threads)
+    # the truth parts are added in frame order, from both threads
+    cfg = _cfg().map
+    assert len(parts) == len(frames)
+    for (keys, _), (scan, pose, _) in zip(parts, frames):
+        assert np.array_equal(
+            keys, ScanCubes(transform_scan(scan, pose), cfg).cube_rm)
+    adders = {name for _, name in parts}
+    assert threading.current_thread().name in adders and len(adders) == 2
     _assert_same_run(inline, mixed)
     _assert_histogram_of(mixed, point_truth(frames, mixed.map.config))
 

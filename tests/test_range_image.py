@@ -162,3 +162,5 @@ def test_sup_inf_matches_brute_force():
                     break
     assert dict(zip(sup_ids.tolist(), sup_b.tolist())) == exp_sup
     assert dict(zip(inf_ids.tolist(), inf_b.tolist())) == exp_inf
+    # each side's ids are distinct, which build_scan_context_3d relies on
+    assert len(sup_ids) == len(exp_sup) and len(inf_ids) == len(exp_inf)

@@ -9,7 +9,7 @@ from rhmap.ground import r_gpe
 from rhmap.indexing import (ScanCubes, cube_indices, find_sorted, pack2, pack3,
                             sorted_unique)
 from rhmap.map_core import RHMap
-from rhmap.removal import (_flag_columns, _flag_regions,
+from rhmap.removal import (ScanContext3D, _flag_columns, _flag_regions,
                            build_scan_context_2d, build_scan_context_3d,
                            select_candidate_regions, s2m_removal)
 
@@ -226,6 +226,75 @@ def test_ctx3d_matches_brute_force_group_by():
         assert ctx.z_max[i] == max(g["z"]) and ctx.z_min[i] == min(g["z"])
         assert ctx.sup[i] == min(g["sup"] + [max(g["z"])])
         assert ctx.inf[i] == max(g["inf"] + [min(g["z"])])
+
+
+def scatter_context_3d(cubes, sup_ids, sup_heights, inf_ids, inf_heights):
+    """The 3D context as four ``ufunc.at`` scatters over the bound points'
+    regions, with a ``bincount`` for the regions seen: the oracle of
+    :func:`build_scan_context_3d`, which reduces over the sorted points."""
+    n_regions = len(cubes.region_keys)
+    sup_reg = cubes.cube_region[cubes.point_cube[sup_ids]]
+    inf_reg = cubes.cube_region[cubes.point_cube[inf_ids]]
+    reg = np.concatenate([sup_reg, inf_reg])
+    z = cubes.points[np.concatenate([sup_ids, inf_ids]).astype(np.int64), 2]
+    z_max = np.full(n_regions, -np.inf)
+    z_min = np.full(n_regions, np.inf)
+    np.maximum.at(z_max, reg, z)
+    np.minimum.at(z_min, reg, z)
+    sup = z_max.copy()
+    inf = z_min.copy()
+    np.minimum.at(sup, sup_reg, np.asarray(sup_heights, dtype=np.float64))
+    np.maximum.at(inf, inf_reg, np.asarray(inf_heights, dtype=np.float64))
+    seen = np.bincount(reg, minlength=n_regions) > 0
+    return ScanContext3D(cubes.region_keys[seen], z_max[seen], z_min[seen],
+                         sup[seen], inf[seen])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 400), st.integers(0, 2**32 - 1), st.integers(1, 4),
+       st.floats(0.05, 4.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_ctx3d_matches_the_scatter_oracle_bit_for_bit(n, seed, bits, spread,
+                                                      p_sup, p_inf):
+    # points around the origin, so regions of negative indexes occur; each
+    # side is a random set of distinct ids, as extract_sup_inf's are, which
+    # may be empty, may share points with the other side and may leave
+    # regions without a bound point.  Bounds are other points' heights, as
+    # in a range image, so they tie with the extrema.  Signed zeros are
+    # made positive: min and max of 0.0 and -0.0 depend on the order
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-spread, spread, size=(n, 3)) + 0.0
+    cubes = ScanCubes(pts, MapConfig(cube_size=0.1, mask_bits=bits))
+    sup_ids = np.flatnonzero(rng.random(n) < p_sup)
+    inf_ids = np.flatnonzero(rng.random(n) < p_inf)
+    rng.shuffle(sup_ids)
+    rng.shuffle(inf_ids)
+    sup_h = pts[rng.integers(0, max(n, 1), len(sup_ids)), 2]
+    inf_h = pts[rng.integers(0, max(n, 1), len(inf_ids)), 2]
+    got = build_scan_context_3d(cubes, sup_ids, sup_h, inf_ids, inf_h)
+    want = scatter_context_3d(cubes, sup_ids, sup_h, inf_ids, inf_h)
+    for name in ("keys", "z_max", "z_min", "sup", "inf"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_ctx3d_leaves_out_regions_without_a_bound_point():
+    # three regions hold points; only the first two hold bound points, one
+    # point on both sides
+    pts = np.array([[0.05, 0.05, 0.15], [0.05, 0.05, 0.45],
+                    [-0.35, 0.05, 0.25], [0.95, 0.05, 0.05]])
+    cubes = ScanCubes(pts, CFG)
+    assert len(cubes.region_keys) == 3
+    ctx = build_scan_context_3d(cubes, np.array([0, 2]), np.array([0.3, 9.0]),
+                                np.array([2]), np.array([0.2]))
+    want = scatter_context_3d(cubes, np.array([0, 2]), np.array([0.3, 9.0]),
+                              np.array([2]), np.array([0.2]))
+    assert len(ctx) == 2
+    for name in ("keys", "z_max", "z_min", "sup", "inf"):
+        assert np.array_equal(getattr(ctx, name), getattr(want, name))
+    (i,) = np.flatnonzero(ctx.keys == int(pack3(np.int64(-8), np.int64(0),
+                                                np.int64(0))))
+    assert (ctx.z_min[i], ctx.z_max[i], ctx.sup[i], ctx.inf[i]) == (
+        0.25, 0.25, 0.25, 0.25)
 
 
 def test_select_candidates_simple_and_stacked():
