@@ -72,12 +72,7 @@ def region_major(keys, mask_bits: int) -> np.ndarray:
     ``region_major(col << 21)`` of width ``2**(AXIS_BITS + 2 * mask_bits)``.
     """
     k = np.asarray(keys, dtype=np.int64)
-    b, hb = mask_bits, AXIS_BITS - mask_bits
-    hmask, lmask = (1 << hb) - 1, (1 << b) - 1
-    hi = ((((k >> (42 + b)) & hmask) << (2 * hb))
-          | (((k >> (21 + b)) & hmask) << hb) | ((k >> b) & hmask))
-    lo = (((k >> 42) & lmask) << (2 * b)) | (((k >> 21) & lmask) << b) | (k & lmask)
-    return (hi << (3 * b)) | lo
+    return region_major_of_indices(k >> 42, k >> 21, k, mask_bits)
 
 
 def from_region_major(rm, mask_bits: int) -> np.ndarray:
@@ -92,13 +87,15 @@ def from_region_major(rm, mask_bits: int) -> np.ndarray:
     return (x << 42) | (y << 21) | z
 
 
-def _region_major_of_indices(x, y, z, mask_bits: int) -> np.ndarray:
-    """``region_major(pack3(x, y, z), mask_bits)`` of int64 cube indexes in
-    ``[-2**20, 2**20)``, built field by field without the packed key.
+def region_major_of_indices(x, y, z, mask_bits: int) -> np.ndarray:
+    """:func:`region_major` keys of per-axis int64 cube indexes, built
+    field by field without the packed key.
 
-    An axis's region bits (``mask_bits`` up to 20) move to its region
-    field and its cube-local bits (below ``mask_bits``) to its local field;
-    two's complement keeps the bits a 21-bit field would hold.
+    Only the low 21 bits of each axis are read, so the indexes may be
+    signed indexes in ``[-2**20, 2**20)`` (two's complement keeps the bits
+    a 21-bit field holds) or a packed key shifted to put the axis's field
+    lowest.  An axis's region bits (``mask_bits`` up to 20) move to its
+    region field and its cube-local bits to its local field.
     """
     b = mask_bits
     local = (1 << b) - 1
@@ -127,17 +124,20 @@ def cube_indices(points, cube_size: float) -> np.ndarray:
 
     Non-finite coordinates are rejected, and so are indexes outside
     ``[-2**20, 2**20)``, which a packed key cannot hold (about 104.8 km
-    from the origin at 0.1 m cubes).
+    from the origin at 0.1 m cubes).  An (N, 3) result is column-major:
+    each axis is a contiguous column.
     """
     p = np.asarray(points, dtype=np.float64)
-    if not np.isfinite(p).all():
-        raise ValueError("non-finite point coordinate")
-    idx = np.floor(p / cube_size)
-    if idx.size and (idx.min() < -_SIGN or idx.max() >= _SIGN):
+    idx = p / cube_size
+    np.floor(idx, out=idx)
+    # NaN fails both comparisons, so one min and one max check everything
+    if idx.size and not (idx.min() >= -_SIGN and idx.max() < _SIGN):
+        if not np.isfinite(p).all():
+            raise ValueError("non-finite point coordinate")
         raise ValueError(
             f"point more than {_SIGN * cube_size:g} m from the origin on an "
             f"axis: its cube index does not fit a packed key")
-    return idx.astype(np.int64)
+    return idx.T.astype(np.int64, order="C").T
 
 
 def cube_centers(keys, cube_size: float) -> np.ndarray:
@@ -212,15 +212,8 @@ class ScanCubes:
         self.config = cfg
         self.points = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
         bits = cfg.mask_bits
-        # cube_indices' floor, checked with one min and one max; when the
-        # check fails, cube_indices raises its own message
-        gidx = self.points / cfg.cube_size
-        np.floor(gidx, out=gidx)
-        if gidx.size and not (gidx.min() >= -_SIGN and gidx.max() < _SIGN):
-            gidx = cube_indices(self.points, cfg.cube_size)
-        # one contiguous row per axis
-        rm = _region_major_of_indices(
-            *gidx.T.astype(np.int64, order="C"), bits)
+        gidx = cube_indices(self.points, cfg.cube_size)
+        rm = region_major_of_indices(*gidx.T, bits)
         n = len(rm)
         #: argsort of the points by region-major key
         self.order = np.argsort(rm)

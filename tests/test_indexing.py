@@ -122,11 +122,13 @@ def test_cube_indices_reject_unpackable_coordinates():
     assert cube_indices(np.array([0.0, -104857.6, 104857.5]),
                         0.1).tolist() == [0, -(1 << 20), (1 << 20) - 1]
     assert cube_indices(np.empty((0, 3)), 0.1).shape == (0, 3)
+    # each axis is a contiguous column
+    assert cube_indices(np.ones((4, 3)), 0.1)[:, 0].flags.c_contiguous
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_coord, _coord, _coord), min_size=1, max_size=40),
-       st.integers(1, 6))
+       st.integers(1, 20))
 def test_region_major_orders_by_region_then_cube(idx, bits):
     idx = np.array(idx, dtype=np.int64)
     keys = pack3(idx[:, 0], idx[:, 1], idx[:, 2])
