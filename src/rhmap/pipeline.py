@@ -21,14 +21,15 @@ from .map_core import RHMap
 from .range_image import build_range_image
 from .removal import RemovalReport, s2m_removal, scan_contexts, sensor_bounds
 
-#: A scan of at least this many points has its map-free work done on a
-#: worker thread while the main thread updates the map, when the process
-#: may run on two CPUs or more.  Smaller scans run it inline: on a 2-vCPU
-#: host the overlap saved 3-9% of a 9k-14k-point frame with a free second
-#: core and cost about 1% without one.
+#: From the first scan of at least this many points on, a run does its
+#: map-free work on a worker thread while the main thread updates the
+#: map, when the process may run on two CPUs or more.  Before it, that
+#: work runs on the main thread: on a 2-vCPU host the overlap saved 3-9%
+#: of a 9k-14k-point frame with a free second core and cost about 1%
+#: without one.
 OVERLAP_MIN_POINTS = 16384
 
-#: The keys of ``FrameRecord.stages_ms``, in the order a frame runs them.
+#: The keys of ``FrameRecord.stages_ms``.
 STAGES = ("transform_group", "integrate", "ground", "sensor", "join_wait",
           "contexts", "truth", "s2m", "backend")
 
@@ -52,13 +53,12 @@ class FrameRecord:
     #: Milliseconds of each stage in ``STAGES``.  ``sensor`` (range image,
     #: bounds, information content), ``contexts`` (scan contexts) and
     #: ``truth`` (adding the frame's labeled points to the truth histogram,
-    #: 0 without a mask) are busy time on whichever thread ran them.  On
-    #: the worker, ``truth`` is recorded when its job is joined, at the
-    #: next frame's join or at the end of the run, and it may fall outside
-    #: ``elapsed_ms``.  ``join_wait`` is how long the main thread waited
-    #: for the worker: for the frame's contexts and for the previous
-    #: frame's truth job, 0 when it waited for neither.  The stages the
-    #: main thread ran add up to about ``elapsed_ms``.
+    #: 0 without a mask) are each job's busy time; ``truth`` is recorded
+    #: when its job is joined, at the next frame's join or at the end of
+    #: the run.  ``join_wait`` is how long the main thread waited for the
+    #: frame's contexts and the previous frame's truth job, 0 when both
+    #: were done.  The stages the main thread ran, jobs run at once
+    #: included, add up to about ``elapsed_ms``.
     stages_ms: dict[str, float]
 
 
@@ -156,6 +156,21 @@ def _join_truth(job, frames: list[FrameRecord]):
     frames[index].stages_ms["truth"] = future.result() * 1e3
 
 
+def _now(fn, *args):
+    """Run ``fn(*args)`` at once; returns a done future that holds its
+    result or its exception, as a worker's future would once the job
+    has run."""
+    # imported here, so importing rhmap does not import concurrent.futures
+    # and logging with it (~5 ms)
+    from concurrent.futures import Future
+    future = Future()
+    try:
+        future.set_result(fn(*args))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -165,33 +180,28 @@ def _usable_cpus() -> int:
 def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     """Process (Scan, Pose[, dynamic_mask]) frames into a static map.
 
-    Per frame, two sides.  The map-free side builds the range image of the
-    sensor-frame scan, its max-ring and sup/inf bounds and its information
-    content, then the scan contexts from the bounds and the frame's cube
-    grouping, and, when masks are supplied, adds the frame's static and
-    dynamic point counts per cube to a truth histogram for evaluation.
-    The map side transforms the scan, groups the world points by cube,
-    integrates them and estimates ground.  On a scan of at least
-    ``OVERLAP_MIN_POINTS`` points, when two CPUs are usable, the map-free
-    side runs as jobs on one worker thread while the main thread runs the
-    map side: the sensor side, then, once the grouping exists, the scan
-    contexts and, with a mask, the truth step.  Otherwise it runs inline.
-    Both give the same map and truth.  After the contexts are joined,
-    scan-to-map removal, keyframe selection and (when enabled) one
-    back-end step run.
-    The truth step is bookkeeping that nothing in the frame reads, so the
-    main thread does not wait for it: on the worker it may outlive its
-    frame, beside the frame's removal and back end and the next frame's
-    transform and grouping.  It holds only the grouping's cube keys, the
-    points' cube ids and the mask, never a scan or world points.  The
-    worker runs jobs in order, so it ends before the next frame's jobs;
-    it is joined at the next frame's join (an inline frame joins it before
-    adding its own part) or, after the last frame, before the histogram
-    is finished, and the parts are added in frame order either way.  A
-    keyframe keeps the contexts, so no scan outlives its frame.  Timing
-    covers processing only, not data loading.  An error on either side,
-    the truth step's included, is raised with its own type, after the
-    worker has stopped.
+    Each frame submits its work that reads no map as jobs: the sensor side
+    (range image of the sensor-frame scan, its max-ring and sup/inf bounds
+    and its information content), then, once the main thread has grouped
+    the world points by cube, the scan contexts and, when masks are
+    supplied, the truth step, which adds the frame's static and dynamic
+    point counts per cube to a truth histogram for evaluation.  The main
+    thread integrates the points and estimates ground, then joins the
+    contexts and the previous frame's truth job; scan-to-map removal,
+    keyframe selection and (when enabled) one back-end step follow.
+    From the first scan of at least ``OVERLAP_MIN_POINTS`` points on, when
+    two CPUs are usable, the jobs run on one worker thread beside the main
+    thread's work; before that, or on one CPU, each job runs at once where
+    it is submitted.  Both give the same map and truth.  The worker runs
+    jobs in order, so the truth parts are added in frame order.  Nothing
+    in the frame reads the histogram, so a truth job may outlive its
+    frame; it holds only the grouping's cube keys, the points' cube ids
+    and the mask, never a scan or world points.  A keyframe keeps the
+    contexts, so no scan outlives its frame.  Timing covers processing
+    only, not data loading.  An error in a job is raised with its own type
+    at the join that reads it, its frame's for the sensor side and the
+    contexts, the next frame's or the end of the run for a truth job, and
+    an error on either thread is raised after the worker has stopped.
     """
     cfg.validate()
     fcfg, bcfg = cfg.frontend, cfg.backend
@@ -203,8 +213,9 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     labeled = False
     can_overlap = _usable_cpus() >= 2
 
-    # the worker starts at the first scan large enough to overlap; it is
-    # shut down however the loop ends, an error on either side included
+    # the worker starts at the first scan large enough to overlap and takes
+    # every later frame, so a job run at once never races a queued one; it
+    # is shut down however the loop ends, an error on either side included
     worker = None
     # (frame index, future) of a truth job not joined yet
     truth_job = None
@@ -215,52 +226,42 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             labeled = labeled or mask is not None
 
             c0, t0 = time.process_time(), time.perf_counter()
-            sensor = side = None
-            if can_overlap and len(scan) >= OVERLAP_MIN_POINTS:
-                if worker is None:
-                    # imported here, so runs that never overlap skip its cost
-                    from concurrent.futures import ThreadPoolExecutor
-                    worker = ThreadPoolExecutor(
-                        1, thread_name_prefix="rhmap-sensor")
-                sensor = worker.submit(_sensor_side, scan.points, fcfg)
-            cubes = ScanCubes(transform_scan(scan, pose), cfg.map)
-            new_job = None
-            if sensor is not None:
-                # one thread runs jobs in order: the sensor job ends first
-                side = worker.submit(_map_free_side, sensor.result, cubes)
-                if mask is not None:
-                    new_job = (len(result.frames), worker.submit(
-                        _truth_step, truth, cubes.cube_rm, cubes.point_cube,
-                        mask))
+            if (worker is None and can_overlap
+                    and len(scan) >= OVERLAP_MIN_POINTS):
+                # imported here, so runs that never overlap skip its cost
+                from concurrent.futures import ThreadPoolExecutor
+                worker = ThreadPoolExecutor(
+                    1, thread_name_prefix="rhmap-sensor")
+            submit = worker.submit if worker else _now
+            sensor = submit(_sensor_side, scan.points, fcfg)
             t1 = time.perf_counter()
-            map_.integrate_points(cubes)
+            cubes = ScanCubes(transform_scan(scan, pose), cfg.map)
             t2 = time.perf_counter()
-            ground_report = r_gpe(map_, cubes, fcfg)
+            # jobs run in order: the sensor job ends first
+            side = submit(_map_free_side, sensor.result, cubes)
+            new_job = None
+            if mask is not None:
+                new_job = (len(result.frames), submit(
+                    _truth_step, truth, cubes.cube_rm, cubes.point_cube,
+                    mask))
             t3 = time.perf_counter()
-            waited = side is not None or truth_job is not None
-            if side is not None:
-                contexts, info, sensor_s, contexts_s = side.result()
+            map_.integrate_points(cubes)
+            t4 = time.perf_counter()
+            ground_report = r_gpe(map_, cubes, fcfg)
+            t5 = time.perf_counter()
+            done = side.done() and (truth_job is None or truth_job[1].done())
+            contexts, info, sensor_s, contexts_s = side.result()
             if truth_job is not None:
-                # the last frame's truth job ran before this frame's jobs;
-                # an inline frame may wait for it here
+                # the last frame's truth job ran before this frame's jobs
                 _join_truth(truth_job, result.frames)
             truth_job = new_job
-            t4 = time.perf_counter()
-            join_wait = t4 - t3 if waited else 0.0
-            truth_s = 0.0
-            if side is None:
-                contexts, info, sensor_s, contexts_s = _map_free_side(
-                    partial(_sensor_side, scan.points, fcfg), cubes)
-                if mask is not None:
-                    truth_s = _truth_step(truth, cubes.cube_rm,
-                                          cubes.point_cube, mask)
+            t6 = time.perf_counter()
             # the sensor future holds the bounds, which the worker allocated;
             # its malloc heap shrinks only once they are freed: free them
             # before its next frame
             sensor = side = None
-            t5 = time.perf_counter()
             report = s2m_removal(map_, contexts, fcfg)
-            t6 = time.perf_counter()
+            t7 = time.perf_counter()
 
             candidate = Keyframe(contexts, pose, scan.timestamp, info)
             added = keyframe_select(last_keyframe, candidate, bcfg)
@@ -270,16 +271,18 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             backend_reports = []
             if cfg.backend_enabled:
                 backend_reports = backend_step(map_, queue, pose, bcfg, fcfg)
-            c7, t7 = time.process_time(), time.perf_counter()
+            c8, t8 = time.process_time(), time.perf_counter()
 
-            stages = (t1 - t0, t2 - t1, t3 - t2, sensor_s, join_wait,
-                      contexts_s, truth_s, t6 - t5, t7 - t6)
+            # truth is recorded when its job is joined
+            stages = (t2 - t1, t4 - t3, t5 - t4, sensor_s,
+                      0.0 if done else t6 - t5, contexts_s, 0.0, t7 - t6,
+                      t8 - t7)
             result.frames.append(FrameRecord(
                 report=report, ground=ground_report,
                 backend_reports=backend_reports, keyframe_added=added,
                 map_cubes=len(map_), map_regions=map_.region_count,
-                evicted=queue.evicted, elapsed_ms=(t7 - t0) * 1e3,
-                cpu_ms=(c7 - c0) * 1e3,
+                evicted=queue.evicted, elapsed_ms=(t8 - t0) * 1e3,
+                cpu_ms=(c8 - c0) * 1e3,
                 stages_ms={k: v * 1e3 for k, v in zip(STAGES, stages)}))
         if truth_job is not None:
             _join_truth(truth_job, result.frames)

@@ -1,7 +1,7 @@
 """Shared fixtures: benchmark scenes, session-scoped pipeline runs, a
 global guard that counts any ground cube killed by region removal, and
 helpers that group points and build scan contexts the way the pipeline
-does, force the pipeline's sensor side onto its worker thread or inline,
+does, run the pipeline's map-free jobs on its worker thread or at once,
 keep and score the truth point by point as the histogram's oracle, and
 insert and read single cubes and regions through the batch map API."""
 
@@ -71,8 +71,9 @@ def integrate(map_, points_world) -> int:
 
 
 def force_overlap(monkeypatch, overlap: bool):
-    """Make run_pipeline build every frame's sensor side on its worker
-    thread (True) or inline (False), whatever the scan size and CPU count."""
+    """Make run_pipeline run every frame's map-free jobs on its worker
+    thread (True) or at once on the main thread (False), whatever the scan
+    size and CPU count."""
     monkeypatch.setattr(pipeline, "OVERLAP_MIN_POINTS",
                         0 if overlap else sys.maxsize)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)

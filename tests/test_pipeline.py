@@ -2,7 +2,9 @@
 
 import gc
 import threading
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,10 +171,16 @@ def test_frame_records_carry_stage_timers():
     for f in result.frames:
         assert list(f.stages_ms) == list(STAGES)
         assert all(v >= 0 for v in f.stages_ms.values())
-        # these scans are below the overlap cutoff: the sensor side ran
-        # inline, so the main thread never waited for the worker
+        # these scans are below the overlap cutoff: every job ran at once,
+        # so the main thread never waited at the join
         assert f.stages_ms["join_wait"] == 0.0
         assert sum(f.stages_ms.values()) <= f.elapsed_ms
+
+
+def test_every_stage_is_named_in_the_readme():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    assert [k for k in STAGES if f"`{k}`" not in text] == []
 
 
 def test_timing_report():
@@ -268,12 +276,15 @@ class _SideError(Exception):
     pass
 
 
-@pytest.mark.parametrize("module, side", [
-    pytest.param(module, side, id=side) for module, side in
+@pytest.mark.parametrize("module, side, overlap", [
+    pytest.param(module, side, overlap,
+                 id=side if overlap else f"{side}-inline")
+    for module, side in
     [(pipeline, "build_range_image"), (removal, "build_scan_context_3d"),
-     (pipeline, "r_gpe"), (pipeline, "_truth_part")]])
+     (pipeline, "r_gpe"), (pipeline, "_truth_part")]
+    for overlap in (True, False)])
 def test_an_error_on_either_side_keeps_its_type_and_stops_the_worker(
-        monkeypatch, module, side):
+        monkeypatch, module, side, overlap):
     frames = synth_scene(_small_scene(frames=3))
     baseline = threading.active_count()
     calls = []
@@ -291,60 +302,132 @@ def test_an_error_on_either_side_keeps_its_type_and_stops_the_worker(
             raise _SideError(side)
         return real(*args, **kwargs)
 
-    real = getattr(module, side)
-    force_overlap(monkeypatch, True)
+    def counted_gpe(*args):
+        grounds.append(pulled[-1])
+        return real_gpe(*args)
+
+    real, real_gpe, grounds = getattr(module, side), pipeline.r_gpe, []
+    force_overlap(monkeypatch, overlap)
+    if side != "r_gpe":
+        monkeypatch.setattr(pipeline, "r_gpe", counted_gpe)
     monkeypatch.setattr(module, side, failing)
     with pytest.raises(_SideError, match=side):
         run_pipeline(_cfg(), stream())
-    # frame 2 fails; a truth job may outlive its frame, but its error
-    # surfaces by frame 3's join, when frame 3's own job is already queued
+    # frame 2 fails; a job's error surfaces at a join, after the frame's
+    # ground estimation: a map-free job's at its own frame's join, a truth
+    # job's at frame 3's, when frame 3's own truth job has been submitted
     truth_side = side == "_truth_part"
     assert pulled == ([0, 1, 2] if truth_side else [0, 1])
+    if side != "r_gpe":
+        assert grounds == pulled
     assert len(calls) == (3 if truth_side else 2)
-    worker_side = side != "r_gpe"
+    worker_side = overlap and side != "r_gpe"
     assert calls[1].startswith("rhmap-sensor") == worker_side
     assert threading.active_count() == baseline
 
 
 def test_a_run_switching_between_inline_and_overlapped_frames_matches(
         monkeypatch):
-    # thinned scans fall below the cutoff and run inline; the others run on
-    # the worker.  The truth and the map are the same.
-    frames = []
+    # thinned scans fall below the cutoff.  Frames before the first large
+    # scan run their jobs on the main thread; the worker starts there and
+    # takes every later frame, thinned or not.  The truth and the map are
+    # the same as inline.
+    frames, thinned = [], []
     for i, (scan, pose, mask) in enumerate(synth_scene(_small_scene(20))):
-        keep = slice(None) if i % 3 else slice(None, None, 2)
+        thinned.append(i < 2 or i % 3 == 0)
+        keep = slice(None, None, 2) if thinned[-1] else slice(None)
         frames.append((Scan(scan.points[keep], scan.timestamp), pose,
                        mask[keep]))
-    sizes = sorted({len(scan) for scan, _, _ in frames})
-    cutoff = sizes[len(sizes) // 2]
-    threads = set()
+    sizes = [len(scan) for scan, _, _ in frames]
+    cutoff = min(n for n, thin in zip(sizes, thinned) if not thin)
+    assert [n < cutoff for n in sizes] == thinned
+    first_large = 2
+    threads = []
     parts = []
     real_add = TruthHistogram.add
+    real_ctx = removal.build_scan_context_2d
 
     def add_spy(self, keys, counts):
         parts.append((keys, threading.current_thread().name))
         return real_add(self, keys, counts)
 
+    def ctx_spy(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return real_ctx(*args, **kwargs)
+
     with monkeypatch.context() as m:
         force_overlap(m, False)
         inline = run_pipeline(_cfg(), frames)
         m.setattr(pipeline, "OVERLAP_MIN_POINTS", cutoff)
-        m.setattr(removal, "build_scan_context_2d",
-                  _thread_spy(removal.build_scan_context_2d, threads))
+        m.setattr(removal, "build_scan_context_2d", ctx_spy)
         m.setattr(TruthHistogram, "add", add_spy)
         mixed = run_pipeline(_cfg(), frames)
-    assert threading.current_thread().name in threads
-    assert any(name.startswith("rhmap-sensor") for name in threads)
-    # the truth parts are added in frame order, from both threads
+    # the truth parts are added in frame order, each frame's jobs on the
+    # main thread before the first large scan and on the worker from it on
     cfg = _cfg().map
-    assert len(parts) == len(frames)
+    assert len(parts) == len(threads) == len(frames)
     for (keys, _), (scan, pose, _) in zip(parts, frames):
         assert np.array_equal(
             keys, ScanCubes(transform_scan(scan, pose), cfg).cube_rm)
-    adders = {name for _, name in parts}
-    assert threading.current_thread().name in adders and len(adders) == 2
+    main = threading.current_thread().name
+    for names in (threads, [name for _, name in parts]):
+        assert names[:first_large] == [main] * first_large
+        assert all(name.startswith("rhmap-sensor")
+                   for name in names[first_large:])
     _assert_same_run(inline, mixed)
     _assert_histogram_of(mixed, point_truth(frames, mixed.map.config))
+
+
+def test_join_wait_is_zero_when_the_jobs_ended_first(monkeypatch):
+    # r_gpe waits until the frame's truth job, its last job, has run, so
+    # both joined futures are done at the join
+    frames = synth_scene(_small_scene(frames=5))
+    truth_ran = threading.Event()
+    real_truth, real_gpe = pipeline._truth_step, pipeline.r_gpe
+
+    def truth_step(*args):
+        busy = real_truth(*args)
+        truth_ran.set()
+        return busy
+
+    def slow_gpe(*args):
+        assert truth_ran.wait(10)
+        truth_ran.clear()
+        time.sleep(0.05)        # time for the worker to mark it done
+        return real_gpe(*args)
+
+    force_overlap(monkeypatch, True)
+    monkeypatch.setattr(pipeline, "_truth_step", truth_step)
+    monkeypatch.setattr(pipeline, "r_gpe", slow_gpe)
+    result = run_pipeline(_cfg(), frames)
+    assert [f.stages_ms["join_wait"] for f in result.frames] == [0.0] * 5
+
+
+def test_join_wait_counts_a_real_wait(monkeypatch):
+    # the 3D context of each frame starts only once ground estimation has
+    # returned, so the main thread waits for it at the join
+    frames = synth_scene(_small_scene(frames=5))
+    ground_done = threading.Event()
+    real_ctx, real_gpe = removal.build_scan_context_3d, pipeline.r_gpe
+
+    def gpe(*args):
+        report = real_gpe(*args)
+        ground_done.set()
+        return report
+
+    def slow_ctx(*args, **kwargs):
+        assert ground_done.wait(10)
+        ground_done.clear()
+        time.sleep(0.05)
+        return real_ctx(*args, **kwargs)
+
+    force_overlap(monkeypatch, True)
+    monkeypatch.setattr(pipeline, "r_gpe", gpe)
+    monkeypatch.setattr(removal, "build_scan_context_3d", slow_ctx)
+    result = run_pipeline(_cfg(), frames)
+    for f in result.frames:
+        assert f.stages_ms["join_wait"] >= 40.0
+        assert f.stages_ms["join_wait"] <= f.elapsed_ms
 
 
 def test_truth_rows_stay_within_twice_the_distinct_cubes(monkeypatch):
