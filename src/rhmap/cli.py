@@ -20,7 +20,7 @@ from .evaluate import (TruthHistogram, cube_keys, evaluate,
 from .indexing import sorted_unique
 from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply,
                          read_poses, read_times, write_kitti_scan, write_labels,
-                         write_map_ply, write_poses)
+                         write_map_ply, write_poses, write_times)
 from .pipeline import run_pipeline, timing_report
 from .synth import bench_scene, load_scene, synth_frames
 
@@ -166,7 +166,7 @@ def cmd_synth(args) -> int:
     labels_dir = os.path.join(args.out, "labels")
     os.makedirs(scans_dir, exist_ok=True)
     os.makedirs(labels_dir, exist_ok=True)
-    poses, points = [], 0
+    poses, times, points = [], [], 0
     # each frame is written as it is made, so only one is held at a time
     for i, (scan, pose, mask) in enumerate(frames):
         write_kitti_scan(os.path.join(scans_dir, f"{i:06d}.bin"), scan.points)
@@ -174,8 +174,11 @@ def cmd_synth(args) -> int:
         write_labels(os.path.join(labels_dir, f"{i:06d}.label"),
                      np.where(mask, 252, 0).astype(np.uint32))
         poses.append(pose)
+        times.append(scan.timestamp)
         points += len(scan)
     write_poses(os.path.join(args.out, "poses.txt"), poses)
+    # beside velodyne/, where `rhmap run --scans` looks for the stamps
+    write_times(os.path.join(args.out, "times.txt"), times)
     print(json.dumps({"frames": len(poses), "points": points}))
     return EXIT_OK
 

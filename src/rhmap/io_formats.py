@@ -84,6 +84,13 @@ def read_times(path) -> list[float]:
     return times
 
 
+def write_times(path, times):
+    """Write one timestamp per line, as ``repr(float)`` so that
+    :func:`read_times` reads back the same floats."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(repr(float(t)) + "\n" for t in times)
+
+
 def write_poses(path, poses):
     with open(path, "w", encoding="utf-8") as fh:
         for pose in poses:

@@ -70,15 +70,19 @@ class RemovalReport:
 
 
 def build_scan_context_2d(cubes: ScanCubes, max_ring: np.ndarray,
-                          roi: np.ndarray | None = None) -> ScanContext2D:
+                          roi: np.ndarray | None = None,
+                          z: np.ndarray | None = None) -> ScanContext2D:
     """Per region-column height extrema of the scan, with max-ring flags.
 
     ``roi`` masks the points to summarise (all by default); columns without
     a point in it are left out.  ``max_ring`` are point ids of ``cubes``,
     as in :func:`build_scan_context_3d`: a column is flagged max-ring when
     one of those points falls into it, which the grouping already knows.
+    ``z`` are the points' heights in the grouping's sorted order,
+    ``cubes.points[cubes.order, 2]``, gathered here when not given.
     """
-    z = cubes.points[cubes.order, 2]
+    if z is None:
+        z = cubes.points[cubes.order, 2]
     starts = cubes.column_start
     if roi is None:
         in_roi = np.ones(len(z), dtype=bool)
@@ -114,7 +118,8 @@ def _flag_columns(ctx: ScanContext2D, map_: RHMap,
 
 def build_scan_context_3d(cubes: ScanCubes, sup_ids: np.ndarray,
                           sup_heights: np.ndarray, inf_ids: np.ndarray,
-                          inf_heights: np.ndarray) -> ScanContext3D:
+                          inf_heights: np.ndarray,
+                          z: np.ndarray | None = None) -> ScanContext3D:
     """Per-region extrema plus occlusion bounds of the sup/inf point sets.
 
     ``sup_ids`` and ``inf_ids`` index the points of ``cubes``.  ``sup`` is
@@ -128,6 +133,7 @@ def build_scan_context_3d(cubes: ScanCubes, sup_ids: np.ndarray,
     side's bounds are then written to their points once and reduced per
     region over the grouping's sorted points, with no ``ufunc.at`` scatter,
     which would hold the GIL throughout.  A point may be on both sides.
+    ``z`` is as in :func:`build_scan_context_2d`.
     """
     n = len(cubes.points)
     order, starts = cubes.order, cubes.region_start
@@ -135,7 +141,8 @@ def build_scan_context_3d(cubes: ScanCubes, sup_ids: np.ndarray,
     bound[sup_ids] = True
     bound[inf_ids] = True
     bound = bound[order]
-    z = cubes.points[order, 2]
+    if z is None:
+        z = cubes.points[cubes.order, 2]
     z_max = np.maximum.reduceat(np.where(bound, z, -np.inf), starts)
     z_min = np.minimum.reduceat(np.where(bound, z, np.inf), starts)
     sup = np.full(n, np.inf)
@@ -199,12 +206,15 @@ def scan_contexts(bounds: SensorBounds, cubes: ScanCubes
     order.  The 2D context summarises the points inside the vertical
     field of view, with the max-ring flags; the 3D context summarises the
     sup/inf points with their occlusion bounds.  The contexts share no
-    memory with their inputs.
+    memory with their inputs.  The points' sorted heights are gathered
+    once for both, on the thread that builds them.
     """
     pw = cubes.points
-    return (build_scan_context_2d(cubes, bounds.max_ring, roi=bounds.in_fov),
+    z = cubes.points[cubes.order, 2]
+    return (build_scan_context_2d(cubes, bounds.max_ring, roi=bounds.in_fov,
+                                  z=z),
             build_scan_context_3d(cubes, bounds.sup, pw[bounds.sup_bound, 2],
-                                  bounds.inf, pw[bounds.inf_bound, 2]))
+                                  bounds.inf, pw[bounds.inf_bound, 2], z=z))
 
 
 def s2m_removal(map_: RHMap, contexts: tuple[ScanContext2D, ScanContext3D],

@@ -8,9 +8,17 @@ dynamic label (True when the hit body is a moving box).
 Boxes are cast with the slab method (Kay & Kajiya, SIGGRAPH 1986) in the
 form of Williams et al. (JGT 2005): per axis, the ray's parameters at the
 box's two planes are products of the plane offsets with the reciprocal
-direction, computed on whole (N,) columns of rays at a time.  The NaN of
+direction, computed on whole blocks of rays at a time.  The NaN of
 0 * inf, where a ray runs inside a box face's plane, is skipped when the
 axes are combined (see :func:`_ray_box`).
+
+Each box is cast only against the beam columns whose azimuth can meet
+its xy footprint, a per-body form of the visibility culling of Clark
+(CACM 1976): seen from outside, a box's footprint spans less than half a
+turn, bounded by the azimuths of its corners (:func:`_reach`).  A ray in
+any other column heads away from the footprint, so the slab test could
+not hit; the rays that are tested go through the same float operations
+as over the whole grid, so culling changes no output bit.
 """
 
 from __future__ import annotations
@@ -170,12 +178,18 @@ def _check_scene(spec: SceneSpec) -> None:
     _count(spec.beam_cols, 1, "beam_cols")
 
 
-def beam_directions(spec: SceneSpec) -> np.ndarray:
-    """Unit directions at elevation/azimuth bin centers, (rows*cols, 3)."""
+def _beam_angles(spec: SceneSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Elevation of each beam row and azimuth of each beam column, at
+    the bin centers, in radians."""
     lo, hi = np.radians(spec.fov_down_deg), np.radians(spec.fov_up_deg)
     elev = lo + (np.arange(spec.beam_rows) + 0.5) * (hi - lo) / spec.beam_rows
     azim = (np.arange(spec.beam_cols) + 0.5) * 2.0 * np.pi / spec.beam_cols
-    el, az = np.meshgrid(elev, azim, indexing="ij")
+    return elev, azim
+
+
+def beam_directions(spec: SceneSpec) -> np.ndarray:
+    """Unit directions at elevation/azimuth bin centers, (rows*cols, 3)."""
+    el, az = np.meshgrid(*_beam_angles(spec), indexing="ij")
     return np.stack([np.cos(el) * np.cos(az),
                      np.cos(el) * np.sin(az),
                      np.sin(el)], axis=-1).reshape(-1, 3)
@@ -199,7 +213,8 @@ def _ray_box(origin, inv, lo, hi, best_t):
     nearer than ``best_t``, write the hit distance into ``best_t`` and
     return those rays as a boolean mask.
 
-    ``inv`` holds the reciprocal direction per axis, one (N,) column each.
+    ``inv`` holds the reciprocal direction per axis, one array each of the
+    shape of ``best_t`` (any block of rays, such as a view of the grid).
     On each axis the ray's parameters at the two slab planes give an entry
     (their min) and an exit (their max); the entries are combined in x, y, z
     order with ``np.fmax`` and the exits with ``np.fmin``.  A ray with a
@@ -224,6 +239,49 @@ def _ray_box(origin, inv, lo, hi, best_t):
     return closer
 
 
+def _row_runs(elev: np.ndarray) -> list[tuple[slice, float]]:
+    """The beam rows in runs, each with the turn from its columns'
+    azimuths to its rays' horizontal heading: 0, or pi for rows whose
+    elevation lies past straight up or down (cos < 0).  Elevation is
+    monotone in the row, so there are at most three runs."""
+    back = np.cos(elev) < 0
+    edges = [0, *(np.flatnonzero(back[1:] != back[:-1]) + 1).tolist(),
+             len(elev)]
+    return [(slice(a, b), math.pi if back[a] else 0.0)
+            for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _reach(ox, oy, lo, hi, turn: float, n: int) -> list[slice]:
+    """The beam columns, at most two slices of ``range(n)``, whose rays,
+    heading at the column's azimuth plus ``turn``, can meet the footprint
+    ``lo[:2]``..``hi[:2]`` from the sensor's xy (``ox``, ``oy``).
+
+    From on or inside the footprint (edges included) every column can.
+    From outside, the footprint spans less than half a turn, so the
+    azimuths of its four corners bound it; measured around the azimuth of
+    its center, they run from the smallest to the largest.  The columns
+    whose azimuths fall in that range, widened by one column on each side
+    to absorb rounding, are split in two where they wrap past 0/2pi.
+    Elevation does not narrow this: a box's highest elevation can lie
+    in the middle of an edge, so its corners do not bound it.
+    """
+    if lo[0] <= ox <= hi[0] and lo[1] <= oy <= hi[1]:
+        return [slice(0, n)]
+    mid = math.atan2((lo[1] + hi[1]) / 2 - oy, (lo[0] + hi[0]) / 2 - ox)
+    off = [math.remainder(math.atan2(y - oy, x - ox) - mid, 2 * math.pi)
+           for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
+    width = 2 * math.pi / n
+    first = math.ceil((mid + min(off) - turn) / width - 0.5) - 1
+    last = math.floor((mid + max(off) - turn) / width - 0.5) + 1
+    if last - first + 1 >= n:
+        return [slice(0, n)]
+    start = first % n
+    stop = start + last - first + 1
+    if stop <= n:
+        return [slice(start, stop)]
+    return [slice(start, n), slice(0, stop - n)]
+
+
 def synth_frames(spec: SceneSpec):
     """Generate the frame sequence one frame at a time; yields
     (Scan, Pose, dynamic_mask).
@@ -235,18 +293,34 @@ def synth_frames(spec: SceneSpec):
     every body tested before it (the ground, the static boxes in order,
     then the active movers in order).  The reciprocal directions and the
     ground plane's per-ray denominator are computed once per scene, so the
-    output is deterministic and only the frame in hand is held.
+    output is deterministic and only the frame in hand is held.  Each box
+    is tested only on the rays that can reach it (:func:`_cast`).
     """
     _check_scene(spec)
     return _cast(spec)
 
 
 def _cast(spec: SceneSpec):
+    """The frames of a checked ``spec`` (:func:`synth_frames`).
+
+    The ground plane is cast against every ray.  Each box is cast only
+    against the beam columns that can reach its xy footprint
+    (:func:`_reach`), on 2-D views of the (rows, cols) grid of reciprocal
+    directions, distances and labels.  This is exact: a ray in any other
+    column heads away from the footprint in xy, so the slab test would
+    find no hit, and each tested ray goes through the same float
+    operations as in a test of the whole grid.  The points are built one
+    axis at a time from the kept rays, with the same products.
+    """
+    elev, _ = _beam_angles(spec)
     dirs = beam_directions(spec)
+    grid = (spec.beam_rows, spec.beam_cols)
     with np.errstate(divide="ignore", over="ignore"):
-        inv = [1.0 / dirs[:, a] for a in range(3)]
+        inv = [(1.0 / dirs[:, a]).reshape(grid) for a in range(3)]
     gx, gy = spec.ground_slope
     denom = dirs[:, 2] - gx * dirs[:, 0] - gy * dirs[:, 1]
+    axes = dirs.T.copy()
+    runs = _row_runs(elev)
     statics = [(np.asarray(lo, float), np.asarray(hi, float), False)
                for lo, hi in spec.static_boxes]
     for f in range(spec.frames):
@@ -255,20 +329,30 @@ def _cast(spec: SceneSpec):
                   + np.asarray(spec.sensor_velocity) * t)
 
         best_t = _ray_plane(origin, denom, spec.ground_z, spec.ground_slope)
-        best_dyn = np.zeros(len(dirs), dtype=bool)
+        best_dyn = np.zeros(grid, dtype=bool)
+        grid_t = best_t.reshape(grid)
 
         boxes = statics + [(*box.corners(t), True)
                            for box in spec.moving_boxes if box.active(t)]
         for lo, hi, dyn in boxes:
             if np.all(origin > lo) and np.all(origin < hi):
                 raise SceneError(f"sensor inside box {lo}..{hi} at frame {f}")
-            best_dyn[_ray_box(origin, inv, lo, hi, best_t)] = dyn
+            for rows, turn in runs:
+                for cols in _reach(origin[0], origin[1], lo, hi, turn,
+                                   spec.beam_cols):
+                    view = (rows, cols)
+                    closer = _ray_box(origin, [i[view] for i in inv], lo, hi,
+                                      grid_t[view])
+                    best_dyn[view][closer] = dyn
 
-        hit = best_t <= spec.r_max
-        points = dirs[hit] * best_t[hit, None]
+        kept = np.flatnonzero(best_t <= spec.r_max)
+        reach = best_t[kept]
+        points = np.empty((len(kept), 3))
+        for a in range(3):
+            np.multiply(axes[a][kept], reach, out=points[:, a])
         scan = Scan(points=points, timestamp=t)
         pose = Pose(np.eye(3), origin)
-        yield scan, pose, best_dyn[hit]
+        yield scan, pose, best_dyn.reshape(-1)[kept]
 
 
 def synth_scene(spec: SceneSpec, seed: int = 0):

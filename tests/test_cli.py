@@ -10,7 +10,7 @@ import pytest
 from rhmap.cli import main
 from rhmap.geometry import Pose
 from rhmap.io_formats import (read_map_ply, write_kitti_scan, write_labels,
-                               write_map_ply, write_poses)
+                               write_map_ply, write_poses, write_times)
 from rhmap.pipeline import STAGES
 from rhmap.synth import scene_from_dict, synth_scene
 
@@ -184,11 +184,36 @@ def test_synth_streams_the_scene_into_the_same_files(tmp_path, scene_file,
         write_labels(expect / "labels" / f"{i:06d}.label",
                      np.where(mask, 252, 0).astype(np.uint32))
     write_poses(expect / "poses.txt", [pose for _, pose, _ in listed])
+    write_times(expect / "times.txt", [scan.timestamp for scan, _, _ in listed])
     names = sorted(p.relative_to(expect) for p in expect.rglob("*") if p.is_file())
     assert names == sorted(p.relative_to(out) for p in out.rglob("*")
                            if p.is_file())
     assert all((out / n).read_bytes() == (expect / n).read_bytes()
                for n in names)
+
+
+def test_synth_dataset_runs_with_the_scene_timestamps(tmp_path, monkeypatch,
+                                                      capsys):
+    import rhmap.cli as cli
+
+    stamps = []
+    real = cli.run_pipeline
+
+    def spy(cfg, frames):
+        frames = list(frames)
+        stamps.append([frame[0].timestamp for frame in frames])
+        return real(cfg, frames)
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    spec = tmp_path / "scene.json"
+    spec.write_text(json.dumps({**SCENE, "frames": 7, "dt": 0.05}))
+    data = tmp_path / "data"
+    assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+    assert main(["run", "--synthetic", str(spec)] + CFG_FLAGS) == 0
+    assert main(["run", "--scans", str(data / "velodyne"),
+                 "--poses", str(data / "poses.txt")] + CFG_FLAGS) == 0
+    synthetic, read = stamps
+    assert read == synthetic == [i * 0.05 for i in range(7)]
 
 
 def test_config_override_flags_change_behavior(tmp_path, scene_file, capsys):

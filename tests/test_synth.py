@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import residue_scene
-from rhmap.synth import (MovingBox, SceneError, SceneSpec, beam_directions,
+from rhmap.synth import (MovingBox, SceneError, SceneSpec, _beam_angles,
+                         _reach, _ray_box, _row_runs, beam_directions,
                          bench_scene, load_scene, scene_from_dict,
                          synth_frames, synth_scene)
 
@@ -298,9 +299,30 @@ FACE_PLANE = SceneSpec(static_boxes=[((2.0, -4.0, 1.0), (3.0, 2.0, 2.5))],
                        r_max=40.0)
 
 
+# a box and a mover across the +x axis, whose columns wrap past 0/2pi,
+# and one behind the sensor
+WRAP = SceneSpec(static_boxes=[((3.0, -1.0, 0.0), (4.0, 1.0, 2.0)),
+                               ((-6.0, -0.5, 0.0), (-5.0, 0.5, 3.0))],
+                 moving_boxes=[MovingBox((0.5, 2.0, 1.0), (2.0, -0.7, 0.5),
+                                         (0.0, 0.3, 0.0))],
+                 sensor_start=(0.0, 0.0, 1.0), frames=2, beam_rows=5,
+                 beam_cols=24, fov_down_deg=-30.0, fov_up_deg=10.0)
+# the sensor above a box's footprint: every column meets the box
+OVER = SceneSpec(static_boxes=[((-1.0, -1.5, 0.0), (2.0, 1.0, 2.0))],
+                 sensor_start=(0.0, 0.0, 3.0), beam_rows=6, beam_cols=16,
+                 fov_down_deg=-80.0, fov_up_deg=0.0)
+# rows past straight down head opposite to their columns' azimuths
+PAST_NADIR = SceneSpec(static_boxes=[((1.0, -1.0, 0.0), (3.0, 2.0, 2.0))],
+                       sensor_start=(0.5, 0.0, 4.0), beam_rows=7,
+                       beam_cols=24, fov_down_deg=-150.0, fov_up_deg=-40.0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(spec=scenes())
 @example(spec=FACE_PLANE)
+@example(spec=WRAP)
+@example(spec=OVER)
+@example(spec=PAST_NADIR)
 def test_ray_caster_equals_the_scalar_slab_oracle(spec):
     assume(not _sensor_inside(spec))
     frames = list(synth_frames(spec))
@@ -319,6 +341,83 @@ def test_ray_in_a_face_plane_hits_the_box():
     assert np.isclose(flat[:, 0], 5.0, rtol=0.0, atol=1e-9).any()
     (points, labels), = oracle_frames(FACE_PLANE)
     assert scan.points.tobytes() == points.tobytes()
+
+
+@st.composite
+def cull_cases(draw):
+    """A box (static or a mover, possibly of zero size on any axis), a
+    sensor position and a beam grid.  The sensor is placed freely, on an
+    edge, on a corner or over the footprint, or the box is put across
+    the sensor's +x axis (its columns wrap past 0/2pi) or behind the
+    sensor.  Some fields of view reach past straight down or up, where a
+    row's rays head opposite to their columns' azimuths."""
+    size = [draw(st.floats(0.0, 6.0)) for _ in range(3)]
+    if draw(st.integers(0, 7)) == 0:
+        size = [0.0, 0.0, 0.0]          # a mover of zero size
+    lo = [draw(coord) for _ in range(3)]
+    hi = [a + b for a, b in zip(lo, size)]
+    # mostly at the box's height, so that near-level rows can meet it
+    z = draw(st.floats(lo[2], hi[2]) | st.floats(lo[2] - 3.0, hi[2] + 3.0))
+    place = draw(st.sampled_from(["free", "edge", "corner", "over",
+                                  "wrap", "behind"]))
+    if place == "free":
+        x = draw(st.floats(lo[0] - 8.0, hi[0] + 8.0))
+        y = draw(st.floats(lo[1] - 8.0, hi[1] + 8.0))
+    elif place == "edge":
+        x, y = draw(st.floats(lo[0], hi[0])), draw(st.sampled_from(
+            [lo[1], hi[1]]))
+        if draw(st.booleans()):
+            x, y = draw(st.sampled_from([lo[0], hi[0]])), draw(
+                st.floats(lo[1], hi[1]))
+    elif place == "corner":
+        x, y = (draw(st.sampled_from([lo[0], hi[0]])),
+                draw(st.sampled_from([lo[1], hi[1]])))
+    elif place == "over":
+        x, y = draw(st.floats(lo[0], hi[0])), draw(st.floats(lo[1], hi[1]))
+        z = hi[2] + draw(st.floats(0.0, 5.0))
+    else:
+        y = draw(st.floats(lo[1], hi[1]))
+        gap = draw(st.floats(0.0, 4.0))
+        x = lo[0] - gap if place == "wrap" else hi[0] + gap
+        # from above the box top, rows past straight down reach it
+        z = draw(st.floats(lo[2], hi[2] + 4.0))
+    fov = sorted([draw(st.floats(-120.0, 10.0)), draw(st.floats(-10.0,
+                                                                120.0))])
+    spec = SceneSpec(beam_rows=draw(st.integers(1, 6)),
+                     beam_cols=draw(st.integers(1, 64)),
+                     fov_down_deg=fov[0], fov_up_deg=fov[1])
+    return spec, np.array([x, y, z]), np.array(lo), np.array(hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cull_cases())
+def test_cull_keeps_every_column_the_box_can_hit(case):
+    spec, origin, lo, hi = case
+    grid = (spec.beam_rows, spec.beam_cols)
+    dirs = beam_directions(spec)
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = [(1.0 / dirs[:, a]).reshape(grid) for a in range(3)]
+    hit = _ray_box(origin, inv, lo, hi, np.full(grid, np.inf))
+    cast = np.zeros(grid, dtype=bool)
+    for rows, turn in _row_runs(_beam_angles(spec)[0]):
+        for cols in _reach(origin[0], origin[1], lo, hi, turn,
+                           spec.beam_cols):
+            cast[rows, cols] = True
+    assert not (hit & ~cast).any()
+
+
+def test_cull_wraps_past_zero_and_casts_all_from_over_the_box():
+    lo, hi = WRAP.static_boxes[0]
+    wrap = _reach(0.0, 0.0, lo, hi, 0.0, 24)
+    assert len(wrap) == 2 and wrap[0].stop == 24 and wrap[1].start == 0
+    # the box spans 2 * atan(1/3) of the turn: 2 columns plus one each side
+    assert sum(c.stop - c.start for c in wrap) == 4
+    # from behind, the columns around azimuth pi
+    (back,) = _reach(0.0, 0.0, *WRAP.static_boxes[1], 0.0, 24)
+    assert back.start <= 11 and back.stop >= 13 and back.stop - back.start < 6
+    lo, hi = OVER.static_boxes[0]
+    for x, y in ((0.0, 0.0), (-1.0, 0.0), (-1.0, -1.5), (2.0, 1.0)):
+        assert _reach(x, y, lo, hi, 0.0, 16) == [slice(0, 16)]
 
 
 @pytest.mark.parametrize("change", [
