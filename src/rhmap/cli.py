@@ -15,9 +15,8 @@ import numpy as np
 
 from .config import (BackendConfig, ConfigError, FrontendConfig, MapConfig,
                      PipelineConfig, load_config, set_config_key)
-from .evaluate import (TruthHistogram, cube_keys, evaluate,
-                       truth_histogram)
-from .indexing import sorted_unique
+from .evaluate import TruthHistogram, cube_keys, evaluate
+from .indexing import ScanCubes, sorted_unique
 from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply,
                          read_poses, read_times, write_kitti_scan, write_labels,
                          write_map_ply, write_poses, write_times)
@@ -150,10 +149,11 @@ def cmd_eval(args) -> int:
     scans_dir = os.path.join(truth, "velodyne")
     labels_dir = os.path.join(truth, "labels")
     poses_file = os.path.join(truth, "poses.txt")
-    truth = TruthHistogram()
+    # each truth scan is grouped by cube as `rhmap run` groups it
+    truth = TruthHistogram(cfg.map.mask_bits)
     for scan, pose, mask in _dataset_frames(scans_dir, poses_file, labels_dir):
-        truth.add(*truth_histogram(cube_keys(pose.apply(scan.points), cube),
-                                   mask))
+        cubes = ScanCubes(pose.apply(scan.points), cfg.map)
+        truth.add(cubes.cube_rm, cubes.point_cube, mask)
     res = evaluate(SimpleNamespace(occupied_keys=lambda: map_keys),
                    *truth.finish())
     print(json.dumps(res.to_dict()))
@@ -222,6 +222,18 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """An integer >= 1, for argparse; any other value is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rhmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,7 +261,7 @@ def build_parser() -> _Parser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_bench = sub.add_parser("bench", help="measure pipeline throughput")
-    p_bench.add_argument("--frames", type=int, default=20)
+    p_bench.add_argument("--frames", type=_positive_int, default=20)
     _add_config_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     return parser

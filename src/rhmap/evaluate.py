@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import cube_indices, find_sorted, pack3, run_starts
+from .indexing import (cube_indices, find_sorted, from_region_major, pack3,
+                       run_starts)
 
 #: Keys converted at a time by :meth:`TruthHistogram.finish`, so the
 #: conversion's temporaries stay small beside the table.
@@ -44,63 +45,39 @@ def cube_keys(points: np.ndarray, cube_size: float) -> np.ndarray:
     return pack3(gidx[:, 0], gidx[:, 1], gidx[:, 2])
 
 
-def _keys(keys) -> np.ndarray:
-    """Validated int64 cube keys of a truth cloud or histogram."""
-    keys = np.asarray(keys)
+def _histogram(keys, counts):
+    """Validated (keys, counts) pair of a truth histogram."""
+    keys, counts = np.asarray(keys), np.asarray(counts)
     if keys.ndim != 1 or keys.dtype.kind not in "iu":
         raise ValueError("truth must be a 1-D integer array of packed cube "
                          f"keys, got {keys.dtype} of shape {keys.shape}; "
                          "quantise points with cube_keys()")
-    return keys.astype(np.int64, copy=False)
-
-
-def _histogram(keys, counts):
-    """Validated (keys, counts) pair of a truth histogram."""
-    keys, counts = _keys(keys), np.asarray(counts)
     if counts.shape != (len(keys), 2) or counts.dtype.kind not in "iu":
         raise ValueError(f"{len(keys)} truth keys need ({len(keys)}, 2) "
                          f"integer counts, got {counts.dtype} of shape "
                          f"{counts.shape}")
     if counts.size and counts.min() < 0:
         raise ValueError("truth counts must not be negative")
-    return keys, counts
-
-
-def truth_histogram(keys, dynamic_mask):
-    """The truth histogram of a labeled cloud given as the packed cube key
-    of each point (:func:`cube_keys`), in any order: its sorted distinct
-    keys and an (n, 2) int64 array of the static and dynamic points under
-    each key."""
-    keys = _keys(keys)
-    mask = np.asarray(dynamic_mask, dtype=bool)
-    if mask.shape != keys.shape:
-        raise ValueError(f"{len(keys)} truth keys but {mask.size} labels")
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = run_starts(keys)
-    counts = np.empty((2, len(starts)), dtype=np.int64)
-    counts[0] = np.diff(starts, append=len(keys))
-    counts[1] = np.add.reduceat(mask[order], starts, dtype=np.int64)
-    counts[0] -= counts[1]
-    return keys[starts], counts.T
+    return keys.astype(np.int64, copy=False), counts
 
 
 class TruthHistogram:
     """Static and dynamic point counts per cube of a labeled cloud, added
-    a part at a time: all that cube-level scoring reads of the cloud.
+    a frame at a time: all that cube-level scoring reads of the cloud.
 
-    A part is a sorted array of distinct int64 keys and an (n, 2) array of
-    their static and dynamic counts.  Every part uses the same key order:
-    packed keys, or the pipeline's region-major keys.  The table is kept
-    sorted, with one count array per label.  A part's rows whose keys the
-    table holds are added in place.  The others wait in a pending list,
-    folded in (one sort, one reduce, one sorted insert) once they are as
-    many as the table's rows.  So table plus pending rows stay below twice
-    the distinct keys added, and each fold is paid for by at least as many
-    rows added since the last one.
+    A frame's part comes from its grouping (:class:`~.indexing.ScanCubes`):
+    its sorted distinct region-major cube keys, at the histogram's
+    ``mask_bits``, and one bincount of its points' cube ids per label.  The
+    table is kept sorted by region-major key, with one count array per
+    label.  A part's rows whose keys the table holds are added in place.
+    The others wait in a pending list, folded in (one sort, one reduce, one
+    sorted insert) once they are as many as the table's rows.  So table
+    plus pending rows stay below twice the distinct keys added, and each
+    fold is paid for by at least as many rows added since the last one.
     """
 
-    def __init__(self):
+    def __init__(self, mask_bits: int):
+        self._mask_bits = mask_bits
         self._reset()
 
     def _reset(self):
@@ -116,17 +93,28 @@ class TruthHistogram:
         """Table rows plus pending rows."""
         return len(self._keys) + self._n_pending
 
-    def add(self, keys: np.ndarray, counts: np.ndarray):
-        """Add a part: sorted distinct ``keys`` and their (n, 2) counts."""
-        counts = counts.T
-        pos, found = find_sorted(self._keys, keys)
+    def add(self, cube_rm: np.ndarray, point_cube: np.ndarray, mask):
+        """Add a frame's labeled points, given its grouping's sorted
+        region-major cube keys ``cube_rm``, each point's cube id
+        ``point_cube`` and each point's dynamic label ``mask``."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.size != len(point_cube):
+            raise ValueError(f"{len(point_cube)} truth points but "
+                             f"{mask.size} labels")
+        n = len(cube_rm)
+        counts = np.empty((2, n), dtype=np.int64)
+        counts[0] = np.bincount(point_cube, minlength=n)
+        counts[1] = np.bincount(point_cube[mask.reshape(-1)], minlength=n)
+        counts[0] -= counts[1]
+        pos, found = find_sorted(self._keys, cube_rm)
         at = pos[found]
         for row, part in zip(self._counts, counts):
             row[at] += part[found]
         if found.all():
             return
         new = ~found
-        self._pending.append((keys[new], *(part[new] for part in counts)))
+        self._pending.append((cube_rm[new],
+                              *(part[new] for part in counts)))
         self._n_pending += len(self._pending[-1][0])
         if self._n_pending >= len(self._keys):
             self._fold()
@@ -156,19 +144,18 @@ class TruthHistogram:
             row[old] = table
         self._counts = grown
 
-    def finish(self, convert=None):
-        """The histogram as (keys, (n, 2) counts), each key once, and the
-        accumulator emptied.  ``convert`` maps the keys to packed keys in
-        place, a chunk at a time; the keys then stay in the table's order,
-        which need not be packed order."""
+    def finish(self):
+        """The histogram as (packed keys, (n, 2) counts), each key once, and
+        the accumulator emptied.  The keys are converted from region-major
+        keys in place, a chunk at a time, so they stay in region-major
+        order, which is not packed order."""
         if self._pending:
             self._fold()
         keys, counts = self._keys, self._counts
         self._reset()
-        if convert is not None:
-            for lo in range(0, len(keys), _CONVERT_CHUNK):
-                chunk = keys[lo:lo + _CONVERT_CHUNK]
-                chunk[:] = convert(chunk)
+        for lo in range(0, len(keys), _CONVERT_CHUNK):
+            chunk = keys[lo:lo + _CONVERT_CHUNK]
+            chunk[:] = from_region_major(chunk, self._mask_bits)
         return keys, counts.T
 
 
@@ -177,11 +164,10 @@ def evaluate(map_, truth_keys: np.ndarray, counts: np.ndarray) -> EvalResult:
 
     The cloud is given as its truth histogram: distinct packed cube keys
     (at the map's cube size) and an (n, 2) integer array of the static and
-    dynamic points in each (:func:`truth_histogram`,
-    :class:`TruthHistogram`).  Only ``map_.occupied_keys()`` is read from
-    the map.  A ground-truth point counts as preserved when the cube
-    containing it is occupied in the final map.  Metrics with an empty
-    denominator are reported as None.
+    dynamic points in each (:class:`TruthHistogram`).  Only
+    ``map_.occupied_keys()`` is read from the map.  A ground-truth point
+    counts as preserved when the cube containing it is occupied in the
+    final map.  Metrics with an empty denominator are reported as None.
     """
     keys, counts = _histogram(truth_keys, counts)
     _, hit = find_sorted(map_.occupied_keys(), keys)

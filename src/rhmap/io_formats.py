@@ -16,14 +16,18 @@ class FormatError(ValueError):
 
 
 def read_kitti_scan(path) -> Scan:
-    """Read little-endian float32 (x, y, z, intensity) quadruples."""
+    """Read little-endian float32 (x, y, z, intensity) quadruples; a
+    non-finite coordinate is a :class:`FormatError` naming the file."""
     raw = np.fromfile(path, dtype=np.uint8)
     if len(raw) % 16 != 0:
         raise FormatError(
             f"{path}: truncated scan, {len(raw)} bytes is not a multiple of 16 "
             f"(stops at byte {len(raw) - len(raw) % 16})")
     data = raw.view("<f4").reshape(-1, 4)
-    return Scan(points=data[:, :3].astype(np.float64))
+    try:
+        return Scan(points=data[:, :3].astype(np.float64))
+    except ValueError as e:
+        raise FormatError(f"{path}: {e}") from None
 
 
 def write_kitti_scan(path, points: np.ndarray, intensity=None):

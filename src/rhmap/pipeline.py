@@ -6,7 +6,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -16,7 +15,7 @@ from .config import FrontendConfig, PipelineConfig
 from .evaluate import TruthHistogram
 from .geometry import transform_scan
 from .ground import GroundReport, r_gpe
-from .indexing import ScanCubes, from_region_major
+from .indexing import ScanCubes
 from .map_core import RHMap
 from .range_image import build_range_image
 from .removal import RemovalReport, s2m_removal, scan_contexts, sensor_bounds
@@ -66,10 +65,11 @@ class FrameRecord:
 class PipelineResult:
     map: RHMap
     frames: list[FrameRecord] = field(default_factory=list)
-    #: Ground-truth cloud as a histogram (see ``evaluate.TruthHistogram``):
-    #: the distinct packed int64 cube keys (at the map's cube size) that
-    #: hold a labeled point, in no particular order.  None without masks.
-    #: The name is kept for the benchmark harness, which reads it.
+    #: Ground-truth cloud as a histogram (``evaluate.TruthHistogram``,
+    #: filled from each frame's cube grouping): the distinct packed int64
+    #: cube keys (at the map's cube size) that hold a labeled point, in
+    #: region-major order, not packed order.  None without masks.  The
+    #: name is kept for the benchmark harness, which reads it.
     truth_points: np.ndarray | None = None
     #: (n, 2) int64 static and dynamic point counts of each truth key; the
     #: name is kept for the benchmark harness too.
@@ -100,52 +100,34 @@ def timing_report(frame_times_ms, stages_ms=()) -> dict:
     return body
 
 
-def _sensor_side(points: np.ndarray, fcfg: FrontendConfig):
-    """A frame's work on its sensor-frame points alone: the range image,
-    its bounds and its information content, with its busy seconds.
-    It reads only ``points`` and ``fcfg``, which nothing mutates during
-    the frame, so it may run on another thread."""
+def _timed(fn, *args):
+    """``fn(*args)`` and the seconds it took."""
     t0 = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - t0
+
+
+def _sensor_side(points: np.ndarray, fcfg: FrontendConfig):
+    """A frame's work on its sensor-frame points alone: the range image's
+    bounds and its information content.  It reads only ``points`` and
+    ``fcfg``, which nothing mutates during the frame, so it may run on
+    another thread."""
     image = build_range_image(points, fcfg.image_rows, fcfg.image_cols,
                               fcfg.fov)
-    bounds = sensor_bounds(image, fcfg)
-    info = information_content(image, fcfg.r_max)
-    return bounds, info, time.perf_counter() - t0
-
-
-def _truth_part(point_cube: np.ndarray, n_cubes: int, mask) -> np.ndarray:
-    """A frame's part of the truth histogram, aligned with its grouping's
-    ``n_cubes`` sorted cube keys: each cube's static and dynamic point
-    counts as an (n, 2) view of a (2, n) array."""
-    mask = np.asarray(mask, dtype=bool).reshape(len(point_cube))
-    counts = np.empty((2, n_cubes), dtype=np.int64)
-    counts[0] = np.bincount(point_cube, minlength=n_cubes)
-    counts[1] = np.bincount(point_cube[mask], minlength=n_cubes)
-    counts[0] -= counts[1]
-    return counts.T
-
-
-def _truth_step(truth: TruthHistogram, cube_rm: np.ndarray,
-                point_cube: np.ndarray, mask) -> float:
-    """Add a frame's labeled points to the truth histogram, given its
-    grouping's sorted region-major cube keys and each point's cube id;
-    returns the busy seconds.  It holds no scan and no world points."""
-    t0 = time.perf_counter()
-    truth.add(cube_rm, _truth_part(point_cube, len(cube_rm), mask))
-    return time.perf_counter() - t0
+    return sensor_bounds(image, fcfg), information_content(image, fcfg.r_max)
 
 
 def _map_free_side(sensor, cubes: ScanCubes):
     """A frame's scan work that reads no map: ``sensor()`` returns its
-    sensor side (:func:`_sensor_side`), then its scan contexts are built.
-    Returns the contexts, the information content and the busy seconds of
-    the sensor side and of the contexts.  The grouping is read-only, so
-    the main thread may read it meanwhile.  The truth step is a job of its
-    own (:func:`_truth_step`), which may outlive the frame."""
-    bounds, info, sensor_s = sensor()
-    t0 = time.perf_counter()
-    contexts = scan_contexts(bounds, cubes)
-    return contexts, info, sensor_s, time.perf_counter() - t0
+    timed sensor side (:func:`_sensor_side`), then its scan contexts are
+    built.  Returns the contexts, the information content and the busy
+    seconds of the sensor side and of the contexts.  The grouping is
+    read-only, so the main thread may read it meanwhile.  The truth step
+    is a job of its own (``TruthHistogram.add``), which may outlive the
+    frame."""
+    (bounds, info), sensor_s = sensor()
+    contexts, contexts_s = _timed(scan_contexts, bounds, cubes)
+    return contexts, info, sensor_s, contexts_s
 
 
 def _join_truth(job, frames: list[FrameRecord]):
@@ -153,7 +135,7 @@ def _join_truth(job, frames: list[FrameRecord]):
     as its own frame's ``truth`` stage.  ``job`` is that frame's index in
     ``frames`` and the job's future."""
     index, future = job
-    frames[index].stages_ms["truth"] = future.result() * 1e3
+    frames[index].stages_ms["truth"] = future.result()[1] * 1e3
 
 
 def _now(fn, *args):
@@ -184,11 +166,13 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     (range image of the sensor-frame scan, its max-ring and sup/inf bounds
     and its information content), then, once the main thread has grouped
     the world points by cube, the scan contexts and, when masks are
-    supplied, the truth step, which adds the frame's static and dynamic
-    point counts per cube to a truth histogram for evaluation.  The main
-    thread integrates the points and estimates ground, then joins the
-    contexts and the previous frame's truth job; scan-to-map removal,
-    keyframe selection and (when enabled) one back-end step follow.
+    supplied, the truth step: ``TruthHistogram.add`` of the grouping's
+    cube keys, the points' cube ids and the mask, which adds the frame's
+    static and dynamic point counts per cube for evaluation.  Each job
+    is timed by :func:`_timed`.  The main thread integrates the points and
+    estimates ground, then joins the contexts and the previous frame's
+    truth job; scan-to-map removal, keyframe selection and (when enabled)
+    one back-end step follow.
     From the first scan of at least ``OVERLAP_MIN_POINTS`` points on, when
     two CPUs are usable, the jobs run on one worker thread beside the main
     thread's work; before that, or on one CPU, each job runs at once where
@@ -209,7 +193,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     queue = KeyframeQueue(bcfg.queue_capacity)
     last_keyframe: Keyframe | None = None
     result = PipelineResult(map=map_)
-    truth = TruthHistogram()
+    truth = TruthHistogram(cfg.map.mask_bits)
     labeled = False
     can_overlap = _usable_cpus() >= 2
 
@@ -233,7 +217,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
                 worker = ThreadPoolExecutor(
                     1, thread_name_prefix="rhmap-sensor")
             submit = worker.submit if worker else _now
-            sensor = submit(_sensor_side, scan.points, fcfg)
+            sensor = submit(_timed, _sensor_side, scan.points, fcfg)
             t1 = time.perf_counter()
             cubes = ScanCubes(transform_scan(scan, pose), cfg.map)
             t2 = time.perf_counter()
@@ -242,7 +226,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             new_job = None
             if mask is not None:
                 new_job = (len(result.frames), submit(
-                    _truth_step, truth, cubes.cube_rm, cubes.point_cube,
+                    _timed, truth.add, cubes.cube_rm, cubes.point_cube,
                     mask))
             t3 = time.perf_counter()
             map_.integrate_points(cubes)
@@ -291,6 +275,5 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
             worker.shutdown()
 
     if labeled:
-        result.truth_points, result.truth_mask = truth.finish(
-            partial(from_region_major, mask_bits=cfg.map.mask_bits))
+        result.truth_points, result.truth_mask = truth.finish()
     return result

@@ -34,8 +34,8 @@ from .geometry import Pose, Scan
 
 class SceneError(ValueError):
     """Raised for a scene spec that cannot be cast: not a JSON object of
-    known keys, a non-finite or mistyped field, an inverted box, or a
-    sensor inside a box."""
+    known keys, a non-finite or mistyped field, a field of view past
+    straight up or down, an inverted box, or a sensor inside a box."""
 
 
 @dataclass
@@ -141,9 +141,10 @@ def _count(value, least: int, what: str) -> None:
 def _check_scene(spec: SceneSpec) -> None:
     """Raise :class:`SceneError` unless every coordinate, size, velocity,
     angle, ``dt`` and ``r_max`` of ``spec`` is a finite number (a mover's
-    ``t_start``/``t_end`` may be infinite, not NaN), every static box has
-    lo <= hi on each axis, every mover size is >= 0, ``beam_rows`` and
-    ``beam_cols`` are >= 1 and ``frames`` is >= 0."""
+    ``t_start``/``t_end`` may be infinite, not NaN), both field-of-view
+    angles lie in -90..90 degrees, every static box has lo <= hi on each
+    axis, every mover size is >= 0, ``beam_rows`` and ``beam_cols`` are
+    >= 1 and ``frames`` is >= 0."""
     _number(spec.ground_z, "ground_z")
     _vector(spec.ground_slope, 2, "ground_slope")
     for name in ("static_boxes", "moving_boxes"):
@@ -171,8 +172,12 @@ def _check_scene(spec: SceneSpec) -> None:
         _number(box.t_end, f"moving_boxes[{i}].t_end", allow_inf=True)
     _vector(spec.sensor_start, 3, "sensor_start")
     _vector(spec.sensor_velocity, 3, "sensor_velocity")
-    for name in ("dt", "fov_down_deg", "fov_up_deg", "r_max"):
+    for name in ("dt", "r_max"):
         _number(getattr(spec, name), name)
+    for name in ("fov_down_deg", "fov_up_deg"):
+        if abs(_number(getattr(spec, name), name)) > 90.0:
+            raise SceneError(f"{name}: {getattr(spec, name)!r} lies outside "
+                             f"-90..90 degrees")
     _count(spec.frames, 0, "frames")
     _count(spec.beam_rows, 1, "beam_rows")
     _count(spec.beam_cols, 1, "beam_cols")
@@ -239,22 +244,12 @@ def _ray_box(origin, inv, lo, hi, best_t):
     return closer
 
 
-def _row_runs(elev: np.ndarray) -> list[tuple[slice, float]]:
-    """The beam rows in runs, each with the turn from its columns'
-    azimuths to its rays' horizontal heading: 0, or pi for rows whose
-    elevation lies past straight up or down (cos < 0).  Elevation is
-    monotone in the row, so there are at most three runs."""
-    back = np.cos(elev) < 0
-    edges = [0, *(np.flatnonzero(back[1:] != back[:-1]) + 1).tolist(),
-             len(elev)]
-    return [(slice(a, b), math.pi if back[a] else 0.0)
-            for a, b in zip(edges[:-1], edges[1:])]
-
-
-def _reach(ox, oy, lo, hi, turn: float, n: int) -> list[slice]:
-    """The beam columns, at most two slices of ``range(n)``, whose rays,
-    heading at the column's azimuth plus ``turn``, can meet the footprint
-    ``lo[:2]``..``hi[:2]`` from the sensor's xy (``ox``, ``oy``).
+def _reach(ox, oy, lo, hi, n: int) -> list[slice]:
+    """The beam columns, at most two slices of ``range(n)``, whose rays can
+    meet the footprint ``lo[:2]``..``hi[:2]`` from the sensor's xy
+    (``ox``, ``oy``).  The field of view lies within -90..90 degrees
+    (:func:`_check_scene`), so every row's elevation has a positive cosine
+    and each ray heads at its column's azimuth in xy.
 
     From on or inside the footprint (edges included) every column can.
     From outside, the footprint spans less than half a turn, so the
@@ -271,8 +266,8 @@ def _reach(ox, oy, lo, hi, turn: float, n: int) -> list[slice]:
     off = [math.remainder(math.atan2(y - oy, x - ox) - mid, 2 * math.pi)
            for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]
     width = 2 * math.pi / n
-    first = math.ceil((mid + min(off) - turn) / width - 0.5) - 1
-    last = math.floor((mid + max(off) - turn) / width - 0.5) + 1
+    first = math.ceil((mid + min(off)) / width - 0.5) - 1
+    last = math.floor((mid + max(off)) / width - 0.5) + 1
     if last - first + 1 >= n:
         return [slice(0, n)]
     start = first % n
@@ -312,7 +307,6 @@ def _cast(spec: SceneSpec):
     operations as in a test of the whole grid.  The points are built one
     axis at a time from the kept rays, with the same products.
     """
-    elev, _ = _beam_angles(spec)
     dirs = beam_directions(spec)
     grid = (spec.beam_rows, spec.beam_cols)
     with np.errstate(divide="ignore", over="ignore"):
@@ -320,7 +314,6 @@ def _cast(spec: SceneSpec):
     gx, gy = spec.ground_slope
     denom = dirs[:, 2] - gx * dirs[:, 0] - gy * dirs[:, 1]
     axes = dirs.T.copy()
-    runs = _row_runs(elev)
     statics = [(np.asarray(lo, float), np.asarray(hi, float), False)
                for lo, hi in spec.static_boxes]
     for f in range(spec.frames):
@@ -337,13 +330,11 @@ def _cast(spec: SceneSpec):
         for lo, hi, dyn in boxes:
             if np.all(origin > lo) and np.all(origin < hi):
                 raise SceneError(f"sensor inside box {lo}..{hi} at frame {f}")
-            for rows, turn in runs:
-                for cols in _reach(origin[0], origin[1], lo, hi, turn,
-                                   spec.beam_cols):
-                    view = (rows, cols)
-                    closer = _ray_box(origin, [i[view] for i in inv], lo, hi,
-                                      grid_t[view])
-                    best_dyn[view][closer] = dyn
+            for cols in _reach(origin[0], origin[1], lo, hi, spec.beam_cols):
+                view = (slice(None), cols)
+                closer = _ray_box(origin, [i[view] for i in inv], lo, hi,
+                                  grid_t[view])
+                best_dyn[view][closer] = dyn
 
         kept = np.flatnonzero(best_t <= spec.r_max)
         reach = best_t[kept]

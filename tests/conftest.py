@@ -20,7 +20,7 @@ from rhmap.evaluate import (EvalResult, count_dynamic_cubes, evaluate,
                             f1_score)
 from rhmap.geometry import Pose, transform_scan
 from rhmap.indexing import (ScanCubes, cube_indices, find_sorted, pack3,
-                            sorted_unique)
+                            run_starts, sorted_unique)
 from rhmap.pipeline import run_pipeline
 from rhmap.range_image import build_range_image
 from rhmap.removal import scan_contexts, sensor_bounds
@@ -90,7 +90,8 @@ def frame_contexts(scan, pose, fcfg, map_cfg):
 # ---------------------------------------------------------------------------
 # Point-by-point truth, the oracle of the truth histogram: the cloud as
 # run_pipeline kept it before the histogram (each labeled point's cube key
-# and label, in frame and scan order), and the scoring that read it.
+# and label, in frame and scan order), its histogram by one argsort, and
+# the scoring that read it.
 
 class PointTruth:
     """Each labeled point's packed cube key and dynamic label, in frame and
@@ -124,6 +125,21 @@ def point_truth(frames, map_cfg) -> PointTruth:
     for scan, pose, mask in frames:
         truth.append(ScanCubes(transform_scan(scan, pose), map_cfg), mask)
     return truth
+
+
+def truth_histogram(keys, dynamic_mask):
+    """The truth histogram of a point-by-point cloud, by one argsort of its
+    packed keys: the sorted distinct keys and an (n, 2) int64 array of the
+    static and dynamic points under each.  The oracle of
+    ``TruthHistogram``, which counts per cube of each frame's grouping."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = run_starts(keys)
+    counts = np.empty((2, len(starts)), dtype=np.int64)
+    counts[0] = np.diff(starts, append=len(keys))
+    counts[1] = np.add.reduceat(dynamic_mask[order], starts, dtype=np.int64)
+    counts[0] -= counts[1]
+    return keys[starts], counts.T
 
 
 def evaluate_points(map_, keys, dynamic_mask) -> EvalResult:

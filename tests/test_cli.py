@@ -146,14 +146,18 @@ def test_synth_then_run_then_eval_round_trip(tmp_path, scene_file, capsys):
     assert rc == 0
     run_eval = json.loads(capsys.readouterr().out)
 
-    rc = main(["eval", "--map", out_map, "--truth", data_dir] + CFG_FLAGS)
-    assert rc == 0
-    scored = json.loads(capsys.readouterr().out)
-    # scoring the exported map reproduces the pipeline's own counts
-    assert scored["N_sta"] == run_eval["N_sta"]
-    assert scored["N_dyn"] == run_eval["N_dyn"]
-    assert scored["N_TN"] == pytest.approx(run_eval["N_TN"], abs=0)
-    assert scored["PR"] == pytest.approx(run_eval["PR"], abs=1e-12)
+    # scoring the exported map reproduces the pipeline's own counts, at
+    # the run's region width (mask_bits 3) and at others: eval groups the
+    # truth by region, and its counts must not depend on the width
+    for bits in ([], ["--mask_bits", "1"], ["--mask_bits", "2"],
+                 ["--mask_bits", "4"]):
+        rc = main(["eval", "--map", out_map, "--truth", data_dir]
+                  + CFG_FLAGS + bits)
+        assert rc == 0
+        scored = json.loads(capsys.readouterr().out)
+        for count in ("N_sta", "N_dyn", "N_TN", "N_TP"):
+            assert scored[count] == run_eval[count], (bits, count)
+        assert scored["PR"] == pytest.approx(run_eval["PR"], abs=1e-12)
 
 
 def test_synth_streams_the_scene_into_the_same_files(tmp_path, scene_file,
@@ -324,6 +328,7 @@ def _mover(**change):
     ({**SCENE, "moving_boxes": [_mover(size=[1.0, -1.0, 1.5])]}, "negative"),
     ({**SCENE, "beam_rows": 0}, "beam_rows"),
     ({**SCENE, "beam_cols": 0}, "beam_cols"),
+    ({**SCENE, "fov_down_deg": -150.0}, "fov_down_deg"),
 ])
 def test_bad_scene_specs_exit_two(tmp_path, capsys, spec, message):
     path = tmp_path / "scene.json"
@@ -335,6 +340,14 @@ def test_bad_scene_specs_exit_two(tmp_path, capsys, spec, message):
         err = capsys.readouterr().err
         assert err.startswith("rhmap: data error:") and message in err
     assert not out.exists()       # nothing is written for a bad spec
+
+
+@pytest.mark.parametrize("frames", ["0", "-2", "two"])
+def test_bench_frames_must_be_a_positive_integer(capsys, frames):
+    assert main(["bench", "--frames", frames]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rhmap bench")
+    assert "--frames: expected an integer >= 1" in err
 
 
 def test_bench_reports_throughput(capsys):

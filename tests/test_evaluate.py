@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from rhmap.config import MapConfig
 from rhmap.evaluate import (TruthHistogram, count_dynamic_cubes, cube_keys,
-                            evaluate, f1_score, truth_histogram)
+                            evaluate, f1_score)
+from rhmap.indexing import ScanCubes, from_region_major, region_major
 from rhmap.map_core import RHMap
 
-from conftest import count_dynamic_cubes_points, evaluate_points, integrate
+from conftest import (count_dynamic_cubes_points, evaluate_points, integrate,
+                      truth_histogram)
 
 
 def test_f1_reference_row_and_extremes():
@@ -96,13 +98,13 @@ def test_scoring_rejects_anything_but_1d_integer_keys():
     for bad in (pts, cube_keys(pts, 0.1).astype(np.float64),
                 cube_keys(pts, 0.1).reshape(2, 1)):
         with pytest.raises(ValueError, match="1-D integer"):
-            truth_histogram(bad, mask)
-        with pytest.raises(ValueError, match="1-D integer"):
             evaluate(map_, bad, counts)
         with pytest.raises(ValueError, match="1-D integer"):
             count_dynamic_cubes(map_, bad, counts)
-    with pytest.raises(ValueError, match="labels"):
-        truth_histogram(cube_keys(pts, 0.1), mask[:1])
+    cubes = ScanCubes(pts, MapConfig())
+    for short in (mask[:1], np.ones(3, dtype=bool)):
+        with pytest.raises(ValueError, match="2 truth points but .* labels"):
+            TruthHistogram(3).add(cubes.cube_rm, cubes.point_cube, short)
     keys = cube_keys(pts, 0.1)
     for bad in (counts[:1], counts.T[:, :1], counts.ravel(), mask,
                 counts.astype(np.float64)):
@@ -135,16 +137,27 @@ def _cloud(rng, n):
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 3000),
-       st.integers(0, 3000))
+       st.integers(0, 3000), st.integers(1, 5), st.integers(1, 3))
 @settings(max_examples=40, deadline=None)
-def test_histogram_scores_equal_the_point_by_point_oracle(seed, n_map, n):
+def test_histogram_scores_equal_the_point_by_point_oracle(seed, n_map, n,
+                                                          bits, n_frames):
+    # the cloud is added a frame at a time, each frame grouped by cube as
+    # the pipeline groups it; its histogram is the argsort oracle's
     rng = np.random.default_rng(seed)
     map_ = _populated_map(rng.uniform(-2.0, 2.0, size=(n_map, 3)))
     pts, dyn = _cloud(rng, n)
     keys = cube_keys(pts, 0.1)
-    hkeys, counts = truth_histogram(keys, dyn)
-    assert np.all(np.diff(hkeys) > 0)
+    truth = TruthHistogram(bits)
+    for part in np.array_split(np.arange(n), n_frames):
+        cubes = ScanCubes(pts[part], MapConfig(mask_bits=bits))
+        truth.add(cubes.cube_rm, cubes.point_cube, dyn[part])
+    hkeys, counts = truth.finish()
+    assert np.all(np.diff(region_major(hkeys, bits)) > 0)
     assert counts.dtype == np.int64 and counts.shape == (len(hkeys), 2)
+    want_keys, want_counts = truth_histogram(keys, dyn)
+    order = np.argsort(hkeys)
+    assert np.array_equal(hkeys[order], want_keys)
+    assert np.array_equal(counts[order], want_counts)
     assert evaluate(map_, hkeys, counts) == evaluate_points(map_, keys, dyn)
     assert (count_dynamic_cubes(map_, hkeys, counts)
             == count_dynamic_cubes_points(map_, keys, dyn))
@@ -188,15 +201,23 @@ def test_folded_parts_equal_a_unique_oracle(raw_parts, seed):
                           dtype=np.int64).reshape(-1, 2)
         parts.append((keys, counts))
         seen.update(by_key)
-    truth, added = TruthHistogram(), set()
+    # each part is added as a frame's grouping: its keys taken as sorted
+    # region-major cube keys, and its points' cube ids and labels in a
+    # random order
+    truth, added = TruthHistogram(3), set()
     for keys, counts in parts:
-        truth.add(keys, counts)
+        point_cube = np.repeat(np.arange(len(keys)), counts.sum(axis=1))
+        mask = np.concatenate([np.arange(s + d) >= s
+                               for s, d in counts.tolist()] + [[]])
+        shuffle = rng.permutation(len(point_cube))
+        truth.add(keys, point_cube[shuffle], mask[shuffle])
         added.update(keys.tolist())
         assert truth.rows <= 2 * len(added)
     keys, counts = truth.finish()
     want_keys, want_counts = _fold_oracle(parts)
     assert keys.dtype == np.int64 and counts.dtype == np.int64
-    assert np.array_equal(keys, want_keys)
+    # finishing converts the region-major keys to packed keys in place
+    assert np.array_equal(keys, from_region_major(want_keys, 3))
     assert np.array_equal(counts, want_counts)
     # finishing hands the table over and empties the accumulator
     assert truth.rows == 0

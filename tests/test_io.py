@@ -42,6 +42,20 @@ def test_scan_truncated_reports_offset(tmp_path):
         read_kitti_scan(p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_scan_non_finite_coordinate_names_the_file(tmp_path, bad):
+    p = tmp_path / "000007.bin"
+    data = np.ones((3, 4), dtype="<f4")
+    data[1, 2] = bad
+    data.tofile(p)
+    with pytest.raises(FormatError, match=r"000007\.bin: .*non-finite"):
+        read_kitti_scan(p)
+    # a non-finite intensity is not a coordinate
+    data[1, 2], data[2, 3] = 0.0, bad
+    data.tofile(p)
+    assert len(read_kitti_scan(p)) == 3
+
+
 def test_poses_identity_and_translation(tmp_path):
     p = tmp_path / "poses.txt"
     p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n"

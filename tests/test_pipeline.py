@@ -12,7 +12,7 @@ import pytest
 from rhmap import pipeline, removal
 from rhmap.config import PipelineConfig
 from rhmap.evaluate import (TruthHistogram, count_dynamic_cubes, cube_keys,
-                            evaluate, truth_histogram)
+                            evaluate)
 from rhmap.geometry import Scan, transform_scan
 from rhmap.indexing import ScanCubes, find_sorted
 from rhmap.pipeline import STAGES, run_pipeline, timing_report
@@ -21,7 +21,7 @@ from rhmap.synth import (MovingBox, SceneSpec, bench_scene, synth_frames,
 
 from conftest import (PointTruth, bench_config, count_dynamic_cubes_points,
                       dor_config, evaluate_points, force_overlap, point_truth,
-                      residue_config, residue_scene)
+                      residue_config, residue_scene, truth_histogram)
 
 
 def _small_scene(frames=60):
@@ -278,10 +278,11 @@ class _SideError(Exception):
 
 @pytest.mark.parametrize("module, side, overlap", [
     pytest.param(module, side, overlap,
-                 id=side if overlap else f"{side}-inline")
-    for module, side in
-    [(pipeline, "build_range_image"), (removal, "build_scan_context_3d"),
-     (pipeline, "r_gpe"), (pipeline, "_truth_part")]
+                 id=name if overlap else f"{name}-inline")
+    for module, side, name in
+    [(pipeline, "build_range_image", "build_range_image"),
+     (removal, "build_scan_context_3d", "build_scan_context_3d"),
+     (pipeline, "r_gpe", "r_gpe"), (TruthHistogram, "add", "truth_add")]
     for overlap in (True, False)])
 def test_an_error_on_either_side_keeps_its_type_and_stops_the_worker(
         monkeypatch, module, side, overlap):
@@ -316,7 +317,7 @@ def test_an_error_on_either_side_keeps_its_type_and_stops_the_worker(
     # frame 2 fails; a job's error surfaces at a join, after the frame's
     # ground estimation: a map-free job's at its own frame's join, a truth
     # job's at frame 3's, when frame 3's own truth job has been submitted
-    truth_side = side == "_truth_part"
+    truth_side = module is TruthHistogram
     assert pulled == ([0, 1, 2] if truth_side else [0, 1])
     if side != "r_gpe":
         assert grounds == pulled
@@ -347,9 +348,9 @@ def test_a_run_switching_between_inline_and_overlapped_frames_matches(
     real_add = TruthHistogram.add
     real_ctx = removal.build_scan_context_2d
 
-    def add_spy(self, keys, counts):
-        parts.append((keys, threading.current_thread().name))
-        return real_add(self, keys, counts)
+    def add_spy(self, cube_rm, point_cube, mask):
+        parts.append((cube_rm, threading.current_thread().name))
+        return real_add(self, cube_rm, point_cube, mask)
 
     def ctx_spy(*args, **kwargs):
         threads.append(threading.current_thread().name)
@@ -383,12 +384,11 @@ def test_join_wait_is_zero_when_the_jobs_ended_first(monkeypatch):
     # both joined futures are done at the join
     frames = synth_scene(_small_scene(frames=5))
     truth_ran = threading.Event()
-    real_truth, real_gpe = pipeline._truth_step, pipeline.r_gpe
+    real_add, real_gpe = TruthHistogram.add, pipeline.r_gpe
 
-    def truth_step(*args):
-        busy = real_truth(*args)
+    def add(*args):
+        real_add(*args)
         truth_ran.set()
-        return busy
 
     def slow_gpe(*args):
         assert truth_ran.wait(10)
@@ -397,7 +397,7 @@ def test_join_wait_is_zero_when_the_jobs_ended_first(monkeypatch):
         return real_gpe(*args)
 
     force_overlap(monkeypatch, True)
-    monkeypatch.setattr(pipeline, "_truth_step", truth_step)
+    monkeypatch.setattr(TruthHistogram, "add", add)
     monkeypatch.setattr(pipeline, "r_gpe", slow_gpe)
     result = run_pipeline(_cfg(), frames)
     assert [f.stages_ms["join_wait"] for f in result.frames] == [0.0] * 5
@@ -438,14 +438,14 @@ def test_truth_rows_stay_within_twice_the_distinct_cubes(monkeypatch):
     after_frame = []
 
     class Recording(TruthHistogram):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, mask_bits):
+            super().__init__(mask_bits)
             self.added = np.empty(0, dtype=np.int64)
 
-        def add(self, keys, counts):
-            super().add(keys, counts)
-            pos, found = find_sorted(self.added, keys)
-            self.added = np.insert(self.added, pos[~found], keys[~found])
+        def add(self, cube_rm, point_cube, mask):
+            super().add(cube_rm, point_cube, mask)
+            pos, found = find_sorted(self.added, cube_rm)
+            self.added = np.insert(self.added, pos[~found], cube_rm[~found])
             after_frame.append((self.rows, len(self.added)))
 
     cfg = residue_config(True)
