@@ -61,6 +61,12 @@ def _histogram(keys, counts):
     return keys.astype(np.int64, copy=False), counts
 
 
+#: Largest count an int32 column holds.  No cube's count exceeds the
+#: labeled points added so far, so the histogram widens its counts to int64
+#: once that total would pass this.
+COUNT_MAX = int(np.iinfo(np.int32).max)
+
+
 class TruthHistogram:
     """Static and dynamic point counts per cube of a labeled cloud, added
     a frame at a time: all that cube-level scoring reads of the cloud.
@@ -68,12 +74,15 @@ class TruthHistogram:
     A frame's part comes from its grouping (:class:`~.indexing.ScanCubes`):
     its sorted distinct region-major cube keys, at the histogram's
     ``mask_bits``, and one bincount of its points' cube ids per label.  The
-    table is kept sorted by region-major key, with one count array per
-    label.  A part's rows whose keys the table holds are added in place.
-    The others wait in a pending list, folded in (one sort, one reduce, one
-    sorted insert) once they are as many as the table's rows.  So table
-    plus pending rows stay below twice the distinct keys added, and each
-    fold is paid for by at least as many rows added since the last one.
+    table is kept sorted by region-major key, as three columns: the int64
+    keys and the static and dynamic counts.  The counts are int32, so a row
+    takes 16 B, until the labeled points added would pass
+    :data:`COUNT_MAX`; then they widen to int64, once.  A part's rows whose
+    keys the table holds are added in place.  The others wait in a pending
+    list, folded in (one sort, one reduce, one sorted insert) once they are
+    as many as the table's rows.  So table plus pending rows stay below
+    twice the distinct keys added, and each fold is paid for by at least as
+    many rows added since the last one.
     """
 
     def __init__(self, mask_bits: int):
@@ -82,11 +91,14 @@ class TruthHistogram:
 
     def _reset(self):
         self._keys = np.empty(0, dtype=np.int64)
-        #: (2, n): static and dynamic counts of each table row
-        self._counts = np.empty((2, 0), dtype=np.int64)
-        #: (keys, static, dynamic) of the rows waiting to be folded in
-        self._pending = []
+        #: static and dynamic counts of each table row
+        self._counts = [np.empty(0, dtype=np.int32) for _ in range(2)]
+        #: the rows waiting to be folded in, as parts of each column: keys,
+        #: static counts, dynamic counts
+        self._pending = ([], [], [])
         self._n_pending = 0
+        #: labeled points added, which bounds every count
+        self._n_points = 0
 
     @property
     def rows(self) -> int:
@@ -101,11 +113,13 @@ class TruthHistogram:
         if mask.size != len(point_cube):
             raise ValueError(f"{len(point_cube)} truth points but "
                              f"{mask.size} labels")
-        n = len(cube_rm)
-        counts = np.empty((2, n), dtype=np.int64)
-        counts[0] = np.bincount(point_cube, minlength=n)
-        counts[1] = np.bincount(point_cube[mask.reshape(-1)], minlength=n)
-        counts[0] -= counts[1]
+        self._n_points += len(point_cube)
+        if self._n_points > COUNT_MAX and self._counts[0].dtype != np.int64:
+            self._widen()
+        n, dtype = len(cube_rm), self._counts[0].dtype
+        dynamic = np.bincount(point_cube[mask.reshape(-1)], minlength=n)
+        static = np.bincount(point_cube, minlength=n) - dynamic
+        counts = [part.astype(dtype) for part in (static, dynamic)]
         pos, found = find_sorted(self._keys, cube_rm)
         at = pos[found]
         for row, part in zip(self._counts, counts):
@@ -113,50 +127,75 @@ class TruthHistogram:
         if found.all():
             return
         new = ~found
-        self._pending.append((cube_rm[new],
-                              *(part[new] for part in counts)))
-        self._n_pending += len(self._pending[-1][0])
+        for col, part in zip(self._pending, (cube_rm, *counts)):
+            col.append(part[new])
+        self._n_pending += len(self._pending[0][-1])
         if self._n_pending >= len(self._keys):
             self._fold()
 
+    def _widen(self):
+        """Hold the counts, table and pending, as int64 from now on."""
+        self._counts = [row.astype(np.int64) for row in self._counts]
+        for col in self._pending[1:]:
+            col[:] = [part.astype(np.int64) for part in col]
+
     def _fold(self):
-        """Insert the pending rows into the table.  No pending key is in
-        the table, but a key may be pending more than once.  Rows move by
-        integer scatters: a boolean-mask assignment is several times
-        slower at this size."""
-        keys, *counts = (np.concatenate(col) for col in zip(*self._pending))
-        self._pending, self._n_pending = [], 0
+        """Insert the pending rows into the table a column at a time: the
+        keys, then the static counts, then the dynamic counts.  A column's
+        pending parts and its old table column are dropped as soon as its
+        grown column exists.  No pending key is in the table, but a key may
+        be pending more than once."""
+        pending, self._pending = self._pending, ([], [], [])
+        self._n_pending = 0
+        keys = np.concatenate(pending[0])
+        pending[0].clear()
         order = np.argsort(keys)
         keys = keys[order]
         starts = run_starts(keys)
         keys = keys[starts]
-        n, k = len(self._keys), len(keys)
-        new = np.searchsorted(self._keys, keys) + np.arange(k)
-        is_old = np.ones(n + k, dtype=bool)
+        new = np.searchsorted(self._keys, keys) + np.arange(len(keys))
+        is_old = np.ones(len(self._keys) + len(keys), dtype=bool)
         is_old[new] = False
-        old = np.flatnonzero(is_old)
-        grown = np.empty(n + k, dtype=np.int64)
-        grown[new], grown[old] = keys, self._keys
-        self._keys = grown
-        grown = np.empty((2, n + k), dtype=np.int64)
-        for row, part, table in zip(grown, counts, self._counts):
-            row[new] = np.add.reduceat(part[order], starts)
-            row[old] = table
-        self._counts = grown
+        self._keys = _insert(self._keys, keys, new, is_old)
+        del keys
+        for i, parts in enumerate(pending[1:]):
+            part = np.concatenate(parts)
+            parts.clear()
+            part = np.add.reduceat(part[order], starts, dtype=part.dtype)
+            self._counts[i] = _insert(self._counts[i], part, new, is_old)
 
     def finish(self):
-        """The histogram as (packed keys, (n, 2) counts), each key once, and
-        the accumulator emptied.  The keys are converted from region-major
-        keys in place, a chunk at a time, so they stay in region-major
-        order, which is not packed order."""
-        if self._pending:
+        """The histogram as (packed keys, (n, 2) int64 counts), each key
+        once, and the accumulator emptied.  The keys are converted from
+        region-major keys in place, a chunk at a time, so they stay in
+        region-major order, which is not packed order."""
+        if self._n_pending:
             self._fold()
-        keys, counts = self._keys, self._counts
+        keys, columns = self._keys, self._counts
         self._reset()
         for lo in range(0, len(keys), _CONVERT_CHUNK):
             chunk = keys[lo:lo + _CONVERT_CHUNK]
             chunk[:] = from_region_major(chunk, self._mask_bits)
+        # each count column is widened, then dropped
+        counts = np.empty((2, len(keys)), dtype=np.int64)
+        for i in range(2):
+            counts[i] = columns[i]
+            columns[i] = None
         return keys, counts.T
+
+
+def _insert(column, rows, new, is_old):
+    """``column`` with ``rows`` inserted at positions ``new`` of the result;
+    its own rows go where ``is_old`` is set.  They move by a boolean-mask
+    assignment, which needs no index array the size of the table: 8 B a
+    table row less at the fold's peak than an integer scatter through
+    ``flatnonzero(is_old)``.  On the benchmark drives' folds, whose new
+    cubes come in runs, the mask takes 0.97-1.15x the scatter's time; new
+    rows scattered one by one would make it about three times slower."""
+    grown = np.empty(len(is_old), dtype=column.dtype)
+    grown[new] = rows
+    grown[is_old] = column
+    return grown
 
 
 def evaluate(map_, truth_keys: np.ndarray, counts: np.ndarray) -> EvalResult:

@@ -66,13 +66,15 @@ class PipelineResult:
     map: RHMap
     frames: list[FrameRecord] = field(default_factory=list)
     #: Ground-truth cloud as a histogram (``evaluate.TruthHistogram``,
-    #: filled from each frame's cube grouping): the distinct packed int64
-    #: cube keys (at the map's cube size) that hold a labeled point, in
-    #: region-major order, not packed order.  None without masks.  The
-    #: name is kept for the benchmark harness, which reads it.
+    #: filled from each frame's cube grouping, 16 B a cube while the run
+    #: fills it): the distinct packed int64 cube keys (at the map's cube
+    #: size) that hold a labeled point, in region-major order, not packed
+    #: order.  None without masks.  The name is kept for the benchmark
+    #: harness, which reads it.
     truth_points: np.ndarray | None = None
-    #: (n, 2) int64 static and dynamic point counts of each truth key; the
-    #: name is kept for the benchmark harness too.
+    #: (n, 2) int64 static and dynamic point counts of each truth key,
+    #: widened from the histogram's int32 columns at the end of the run;
+    #: the name is kept for the benchmark harness too.
     truth_mask: np.ndarray | None = None
 
     @property

@@ -1,6 +1,7 @@
 """Preservation/rejection metrics, dynamic-cube counting and the truth
 histogram they read."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhmap import evaluate as evaluate_mod
 from rhmap.config import MapConfig
 from rhmap.evaluate import (TruthHistogram, count_dynamic_cubes, cube_keys,
                             evaluate, f1_score)
@@ -213,6 +215,8 @@ def test_folded_parts_equal_a_unique_oracle(raw_parts, seed):
         truth.add(keys, point_cube[shuffle], mask[shuffle])
         added.update(keys.tolist())
         assert truth.rows <= 2 * len(added)
+    # far fewer points than COUNT_MAX: the counts stay int32
+    assert all(row.dtype == np.int32 for row in truth._counts)
     keys, counts = truth.finish()
     want_keys, want_counts = _fold_oracle(parts)
     assert keys.dtype == np.int64 and counts.dtype == np.int64
@@ -222,3 +226,71 @@ def test_folded_parts_equal_a_unique_oracle(raw_parts, seed):
     # finishing hands the table over and empties the accumulator
     assert truth.rows == 0
     assert len(truth.finish()[0]) == 0
+
+
+def _drive_parts(seed, frames, cubes, window, step):
+    """Frame parts of a drive: each frame sees ``cubes`` of the ``window``
+    cubes ahead of it, the window moving ``step`` keys a frame, so most of
+    a frame's cubes were seen before, and one to three points in each."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for f in range(frames):
+        cube_rm = np.sort(rng.choice(window, cubes, replace=False)) + f * step
+        point_cube = np.repeat(np.arange(cubes), rng.integers(1, 4, cubes))
+        parts.append((cube_rm.astype(np.int64), point_cube,
+                      rng.random(len(point_cube)) < 0.2))
+    return parts
+
+
+def test_counts_widen_to_int64_past_the_int32_bound(monkeypatch):
+    # the bound is lowered so that a few frames cross it; a cube's count
+    # never exceeds the points added, so the int32 counts cannot wrap
+    # before the add that passes the bound widens them
+    bound = 3000
+    monkeypatch.setattr(evaluate_mod, "COUNT_MAX", bound)
+    # cube 0 is in every frame, with 100 points, so its count passes the
+    # bound too
+    parts = [(np.r_[0, cube_rm + 1], np.r_[np.zeros(100, int), point_cube + 1],
+              np.r_[np.arange(100) < 10, mask])
+             for cube_rm, point_cube, mask in
+             _drive_parts(1, frames=40, cubes=200, window=600, step=30)]
+    truth, n_points, pending_at_widening = TruthHistogram(3), 0, None
+    for cube_rm, point_cube, mask in parts:
+        if n_points <= bound < n_points + len(point_cube):
+            pending_at_widening = truth._n_pending
+        truth.add(cube_rm, point_cube, mask)
+        n_points += len(point_cube)
+        want = np.int64 if n_points > bound else np.int32
+        assert all(row.dtype == want for row in truth._counts)
+        assert all(part.dtype == want
+                   for col in truth._pending[1:] for part in col)
+    # the widening add found pending parts to widen as well as the table
+    assert pending_at_widening > 0
+    assert n_points > 4 * bound
+    keys, counts = truth.finish()
+    want_keys, want_counts = truth_histogram(
+        np.concatenate([c[p] for c, p, _ in parts]),
+        np.concatenate([m for _, _, m in parts]))
+    assert counts.dtype == np.int64
+    assert counts[0, 0] > bound
+    assert np.array_equal(keys, from_region_major(want_keys, 3))
+    assert np.array_equal(counts, want_counts)
+
+
+def test_truth_histogram_peak_memory_per_cube():
+    # numpy reports its buffers to tracemalloc; the parts are made before
+    # tracing starts, so the traced peak is the histogram's own
+    parts = _drive_parts(2, frames=300, cubes=1500, window=4000, step=400)
+    truth = TruthHistogram(3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for part in parts:
+            truth.add(*part)
+        keys, _ = truth.finish()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # 24 B a cube is the finished histogram itself; a fold holds the table
+    # and as many pending rows at 16 B each, plus one column's temporaries
+    assert peak < 52 * len(keys)
