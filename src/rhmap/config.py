@@ -10,6 +10,14 @@ class ConfigError(ValueError):
     """Raised for invalid configuration values or unknown config keys."""
 
 
+def _check_finite(cfg):
+    """Reject a NaN or infinite float field; NaN passes every ``<=`` test."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass
 class MapConfig:
     cube_size: float = 0.1
@@ -54,9 +62,13 @@ class FrontendConfig:
         return (math.radians(self.fov_down_deg), math.radians(self.fov_up_deg))
 
     def validate(self):
+        _check_finite(self)
         for name in ("delta1", "delta2", "r1", "r2", "r_gro", "r_max"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        # with no step no sup/inf bound is found, and ratio2 never flags
+        if self.max_search < 1:
+            raise ConfigError(f"max_search must be at least 1, got {self.max_search}")
         if self.image_rows < 1 or self.image_cols < 1:
             raise ConfigError("range image must have at least one row and column")
         if self.fov_down_deg >= self.fov_up_deg:
@@ -74,6 +86,7 @@ class BackendConfig:
     max_per_step: int = 1
 
     def validate(self):
+        _check_finite(self)
         for f in fields(self):
             if getattr(self, f.name) <= 0:
                 raise ConfigError(f"{f.name} must be positive")

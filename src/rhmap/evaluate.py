@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import (cube_indices, find_sorted, from_region_major, pack3,
-                       run_starts)
+from .indexing import (cube_indices, find_sorted, from_region_major,
+                       insert_rows, pack3, run_starts)
 
 #: Keys converted at a time by :meth:`TruthHistogram.finish`, so the
 #: conversion's temporaries stay small beside the table.
@@ -141,10 +141,10 @@ class TruthHistogram:
 
     def _fold(self):
         """Insert the pending rows into the table a column at a time: the
-        keys, then the static counts, then the dynamic counts.  A column's
-        pending parts and its old table column are dropped as soon as its
-        grown column exists.  No pending key is in the table, but a key may
-        be pending more than once."""
+        keys, then the static counts, then the dynamic counts, each at the
+        same positions.  A column's pending parts and its old table column
+        are dropped as soon as its grown column exists.  No pending key is
+        in the table, but a key may be pending more than once."""
         pending, self._pending = self._pending, ([], [], [])
         self._n_pending = 0
         keys = np.concatenate(pending[0])
@@ -153,16 +153,14 @@ class TruthHistogram:
         keys = keys[order]
         starts = run_starts(keys)
         keys = keys[starts]
-        new = np.searchsorted(self._keys, keys) + np.arange(len(keys))
-        is_old = np.ones(len(self._keys) + len(keys), dtype=bool)
-        is_old[new] = False
-        self._keys = _insert(self._keys, keys, new, is_old)
+        pos = np.searchsorted(self._keys, keys)
+        [self._keys] = insert_rows([self._keys], pos, [keys])
         del keys
         for i, parts in enumerate(pending[1:]):
             part = np.concatenate(parts)
             parts.clear()
             part = np.add.reduceat(part[order], starts, dtype=part.dtype)
-            self._counts[i] = _insert(self._counts[i], part, new, is_old)
+            [self._counts[i]] = insert_rows([self._counts[i]], pos, [part])
 
     def finish(self):
         """The histogram as (packed keys, (n, 2) int64 counts), each key
@@ -182,20 +180,6 @@ class TruthHistogram:
             counts[i] = columns[i]
             columns[i] = None
         return keys, counts.T
-
-
-def _insert(column, rows, new, is_old):
-    """``column`` with ``rows`` inserted at positions ``new`` of the result;
-    its own rows go where ``is_old`` is set.  They move by a boolean-mask
-    assignment, which needs no index array the size of the table: 8 B a
-    table row less at the fold's peak than an integer scatter through
-    ``flatnonzero(is_old)``.  On the benchmark drives' folds, whose new
-    cubes come in runs, the mask takes 0.97-1.15x the scatter's time; new
-    rows scattered one by one would make it about three times slower."""
-    grown = np.empty(len(is_old), dtype=column.dtype)
-    grown[new] = rows
-    grown[is_old] = column
-    return grown
 
 
 def evaluate(map_, truth_keys: np.ndarray, counts: np.ndarray) -> EvalResult:

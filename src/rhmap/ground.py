@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FrontendConfig
-from .indexing import (ScanCubes, find_sorted, gather_runs, pack2, run_starts,
-                       unpack3, z_of_keys)
+from .indexing import (ScanCubes, column_of, find_sorted, gather_runs, pack2,
+                       run_starts, unpack3, z_of_keys)
 from .map_core import RHMap
 
 # Two covariance eigenvalues closer than this, relative to the largest (or
@@ -74,7 +74,7 @@ def elect_candidate_ground_regions(map_: RHMap, cubes: ScanCubes,
     keys = cubes.cube_keys[sel]
     kz = z_of_keys(keys)
     # each cube's (x, y) cube column's ground sum and count
-    z_sum, n = map_.ground_columns(keys >> 21)
+    z_sum, n = map_.ground_columns(column_of(keys))
     below = 2 * n * kz < 2 * z_sum + n
     boot = np.flatnonzero(n == 0)
     if len(boot):

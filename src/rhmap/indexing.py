@@ -8,16 +8,16 @@ two's-complement semantics so negative coordinates group correctly
 (e.g. m=7: I=-1 lives in region -8 with local offset 7).
 
 Indexes are packed into a single int64 key with 21 bits per axis, which
-keeps region extraction a single AND on the packed value.  A region's
-column key is its packed key shifted right by 21 (the z field dropped).
-Only indexes in ``[-2**20, 2**20)`` fit a field; :func:`cube_indices`
-rejects the rest.
+keeps region extraction a single AND on the packed value.  A key's column
+key drops its z field (:func:`column_of`): a column's keys are one run of
+a sorted table.  Only indexes in ``[-2**20, 2**20)`` fit a field;
+:func:`cube_indices` rejects the rest.
 
 This is how the paper's two-layer region-wise hash is realised: the map
 keeps every table as a sorted array of exact packed keys and looks keys
 up with ``searchsorted``.  There is no probe table and no hash function,
 so two distinct indexes never collide.  The helpers at the end of this
-module are the grouping and lookup primitives over those arrays.
+module are the grouping, lookup and row primitives over those arrays.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def region_major(keys, mask_bits: int) -> np.ndarray:
     (packed region key, packed cube key), so a region's cubes occupy the
     range ``[region_major(rkey), region_major(rkey) + 2**(3 * mask_bits))``
     and a region column's cubes the range starting at
-    ``region_major(col << 21)`` of width ``2**(AXIS_BITS + 2 * mask_bits)``.
+    ``region_major(column_start(col))`` of width
+    ``2**(AXIS_BITS + 2 * mask_bits)``.
     """
     k = np.asarray(keys, dtype=np.int64)
     return region_major_of_indices(k >> 42, k >> 21, k, mask_bits)
@@ -107,6 +108,25 @@ def region_major_of_indices(x, y, z, mask_bits: int) -> np.ndarray:
     rm |= (y & local) << b
     rm |= z & local
     return rm
+
+
+def column_of(keys) -> np.ndarray:
+    """The (x, y) column keys of packed keys: their z field dropped."""
+    return np.asarray(keys, dtype=np.int64) >> AXIS_BITS
+
+
+def column_start(cols) -> np.ndarray:
+    """The first packed key of each column.  The last is ``column_start(c)
+    | AXIS_MASK``: ``column_start(c + 1)`` overflows for the top column,
+    ``2**42 - 1``."""
+    return np.asarray(cols, dtype=np.int64) << AXIS_BITS
+
+
+def column_runs(sorted_keys: np.ndarray, cols):
+    """``(starts, ends)``: each column's run of sorted packed keys."""
+    lo = column_start(cols)
+    return (np.searchsorted(sorted_keys, lo),
+            np.searchsorted(sorted_keys, lo | AXIS_MASK, side="right"))
 
 
 def cube_local_key_mask(mask_bits: int) -> int:
@@ -183,6 +203,37 @@ def find_sorted(sorted_keys: np.ndarray, queries: np.ndarray):
     return pos, found
 
 
+def insert_rows(columns, pos, values) -> list[np.ndarray]:
+    """Parallel ``columns`` of any dtypes and row shapes with ``values[i]``
+    inserted into ``columns[i]`` before the ascending positions ``pos``, as
+    ``np.insert(..., axis=0)`` would.  Old rows move by a boolean-mask
+    assignment, which needs no table-sized index array.  On a 2-vCPU host
+    it beats an integer scatter through ``flatnonzero`` on a frame's few
+    new rows (300k rows, 530 new: 0.47 vs 3.52 ms; 650k, 5.5k new: 1.06 vs
+    5.46 ms).  On the truth folds, whose new rows come in runs, it takes
+    0.97-1.15x the scatter's time and peaks 0.8-2.2 MiB lower; new rows
+    scattered one by one would make it ~3x slower."""
+    n, k = len(columns[0]), len(pos)
+    dest = pos + np.arange(k)
+    old = np.ones(n + k, dtype=bool)
+    old[dest] = False
+    grown = [np.empty((n + k,) + c.shape[1:], dtype=c.dtype) for c in columns]
+    for out, vals in zip(grown, values):
+        out[dest] = vals
+    del dest    # the old rows' move touches most of the table: no index then
+    for out, col in zip(grown, columns):
+        out[old] = col
+    return grown
+
+
+def delete_rows(columns, gone) -> list[np.ndarray]:
+    """The parallel ``columns`` of one table without rows ``gone``, as
+    ``np.delete(..., axis=0)`` would, with one keep mask for them all."""
+    keep = np.ones(len(columns[0]), dtype=bool)
+    keep[gone] = False
+    return [col[keep] for col in columns]
+
+
 def gather_runs(starts: np.ndarray, ends: np.ndarray):
     """Concatenated ``arange(s, e)`` over paired runs.
 
@@ -237,7 +288,7 @@ class ScanCubes:
         cstarts = run_starts(self.cube_rm >> (AXIS_BITS + 2 * bits))
         #: sorted region-column keys, the dense column id of each cube, and
         #: where each column's run of points starts in ``order``
-        self.column_keys = (self.cube_keys[cstarts] & rmask) >> 21
+        self.column_keys = column_of(self.cube_keys[cstarts] & rmask)
         self.cube_column = _dense_ids(cstarts, n_cubes)
         self.column_start = starts[cstarts]
         for arr in vars(self).values():

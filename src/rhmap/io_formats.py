@@ -30,12 +30,9 @@ def read_kitti_scan(path) -> Scan:
         raise FormatError(f"{path}: {e}") from None
 
 
-def write_kitti_scan(path, points: np.ndarray, intensity=None):
-    points = np.asarray(points, dtype=np.float64)
+def write_kitti_scan(path, points: np.ndarray):
     data = np.zeros((len(points), 4), dtype="<f4")
     data[:, :3] = points
-    if intensity is not None:
-        data[:, 3] = intensity
     data.tofile(path)
 
 

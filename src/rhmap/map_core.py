@@ -16,9 +16,9 @@ parallel where a row holds more than its key:
   cubes.  The fitted plane is not kept, nor a region's cube count or
   z-index sum: its run of the cube table answers those.  Integer
   extents do not depend on the order cubes arrive in, so neither does
-  anything computed from the table.  A region's column key is
-  ``region_key >> 21``, so the regions of one column are a contiguous
-  run of the table as well, and a column's z band is the min/max of its
+  anything computed from the table.  The regions of one region column
+  (:func:`~rhmap.indexing.column_of` of their keys) are a contiguous run
+  of the table as well, and a column's z band is the min/max of its
   regions' z extents;
 * the ground keys: the sorted packed keys of the ground cubes, the
   map's one record of which cubes are ground.  Every ground key is a cube
@@ -29,7 +29,8 @@ parallel where a row holds more than its key:
   integer sums over that run.
 
 Cube-table positions never leave :class:`RHMap`: its methods take and
-return packed keys.
+return packed keys.  Every table grows and shrinks through
+:func:`~rhmap.indexing.insert_rows` and :func:`~rhmap.indexing.delete_rows`.
 
 The paper's hash lookup is realised as ``searchsorted`` on these sorted
 keys.  Region and cube keys are exact packed indexes, so two distinct
@@ -45,19 +46,20 @@ import numpy as np
 from .config import MapConfig
 from .indexing import (
     ScanCubes,
+    column_of,
+    column_runs,
+    column_start,
     cube_centers,
+    delete_rows,
     find_sorted,
     from_region_major,
     gather_runs,
-    region_key_mask,
+    insert_rows,
     region_major,
     run_starts,
     sorted_unique,
     z_of_keys,
 )
-
-# the parallel arrays of the region table
-_REGION_ARRAYS = ("_rkeys", "_rz_lo", "_rz_hi", "_rfit")
 
 
 class RegionCubes(NamedTuple):
@@ -72,20 +74,14 @@ class RegionCubes(NamedTuple):
 
 
 class RHMap:
-    def __init__(self, config: MapConfig | None = None):
-        self.config = (config or MapConfig()).validate()
-        bits = self.config.mask_bits
-        self._rmask = region_key_mask(bits)
-        self._region_span = 1 << (3 * bits)            # region-major width
+    def __init__(self, config: MapConfig):
+        self.config = config.validate()
         self._skeys = np.empty(0, dtype=np.int64)     # region-major, sorted
         self._rkeys = np.empty(0, dtype=np.int64)
         self._rz_lo = np.empty(0, dtype=np.int64)      # z-index extent
         self._rz_hi = np.empty(0, dtype=np.int64)
         self._rfit = np.empty(0, dtype=np.int64)       # fit state
         self._gkeys = np.empty(0, dtype=np.int64)      # ground cubes, sorted
-
-    def _rm(self, keys) -> np.ndarray:
-        return region_major(keys, self.config.mask_bits)
 
     def _keys_at(self, pos) -> np.ndarray:
         """Packed keys of cube-table positions."""
@@ -94,31 +90,6 @@ class RHMap:
     def _zc(self, kz) -> np.ndarray:
         """Cube-centre heights of z indices."""
         return (kz + 0.5) * self.config.cube_size
-
-    def _insert_rows(self, names, pos, values):
-        """Insert ``values[i]`` into the table array named ``names[i]``
-        before the sorted positions ``pos``, as ``np.insert`` would; the
-        destination rows are worked out once for the whole table."""
-        n, k = len(getattr(self, names[0])), len(pos)
-        dest = pos + np.arange(k)
-        old = np.ones(n + k, dtype=bool)
-        old[dest] = False
-        for name, vals in zip(names, values):
-            arr = getattr(self, name)
-            grown = np.empty((n + k,) + arr.shape[1:], dtype=arr.dtype)
-            grown[dest] = vals
-            # for a frame's few new rows (k << n) a mask assignment moves the
-            # old rows several times faster than a scatter through flatnonzero
-            grown[old] = arr
-            setattr(self, name, grown)
-
-    def _delete_rows(self, names, gone):
-        """Delete rows ``gone`` from every named array of one table, as
-        ``np.delete`` would, with one keep mask for the whole table."""
-        keep = np.ones(len(getattr(self, names[0])), dtype=bool)
-        keep[gone] = False
-        for name in names:
-            setattr(self, name, getattr(self, name)[keep])
 
     # ------------------------------------------------------------------ lookup
 
@@ -146,67 +117,49 @@ class RHMap:
         returns their count.
         """
         self.check_grouping(cubes)
-        rm, keys = cubes.cube_rm, cubes.cube_keys
-        pos, present = find_sorted(self._skeys, rm)
-        new = ~present
-        if new.any():
-            self._insert_rows(("_skeys",), pos[new], (rm[new],))
-            self._register_new(rm[new], keys[new])
-        return int(new.sum())
+        pos, present = find_sorted(self._skeys, cubes.cube_rm)
+        new = np.flatnonzero(~present)
+        if len(new):
+            [self._skeys] = insert_rows([self._skeys], pos[new],
+                                        [cubes.cube_rm[new]])
+            self._register_new(cubes, new)
+        return len(new)
 
-    def _register_new(self, rm: np.ndarray, keys: np.ndarray):
-        """Fold new cubes (region-major sorted) into the region table: the
-        z extents of their regions widen, and new regions enter unfitted."""
-        seg = run_starts(rm >> (3 * self.config.mask_bits))
-        kz = z_of_keys(keys)
+    def _register_new(self, cubes: ScanCubes, new: np.ndarray):
+        """Fold a grouping's new cubes, given by ascending cube id, into the
+        region table: the z extents of their regions widen, and new regions
+        enter unfitted."""
+        region = cubes.cube_region[new]
+        seg = run_starts(region)
+        kz = z_of_keys(cubes.cube_keys[new])
         lo = np.minimum.reduceat(kz, seg)
         hi = np.maximum.reduceat(kz, seg)
-        rkeys = keys[seg] & self._rmask
+        rkeys = cubes.region_keys[region[seg]]
         pos, found = find_sorted(self._rkeys, rkeys)
         i = pos[found]
         self._rz_lo[i] = np.minimum(self._rz_lo[i], lo[found])
         self._rz_hi[i] = np.maximum(self._rz_hi[i], hi[found])
         new = ~found
         if new.any():
-            self._insert_rows(_REGION_ARRAYS, pos[new], (
-                rkeys[new], lo[new], hi[new], np.zeros(new.sum(), dtype=np.int64)))
+            self._rkeys, self._rz_lo, self._rz_hi, self._rfit = insert_rows(
+                [self._rkeys, self._rz_lo, self._rz_hi, self._rfit], pos[new],
+                [rkeys[new], lo[new], hi[new], np.zeros_like(lo[new])])
 
     # ---------------------------------------------------------------- regions
 
     def _region_runs(self, rkeys: np.ndarray):
         """``(starts, ends)``: the run of the cube table holding each given
         region's cubes; ``ends - starts`` is its cube count."""
-        lo = self._rm(rkeys)
+        lo = region_major(rkeys, self.config.mask_bits)
         # the last key of a span can be the largest int64; span - 1 stays in range
-        hi = lo + (self._region_span - 1)
+        hi = lo + ((1 << 3 * self.config.mask_bits) - 1)
         return (np.searchsorted(self._skeys, lo),
                 np.searchsorted(self._skeys, hi, side="right"))
-
-    def _region_pos(self, rkeys: np.ndarray):
-        """Cube-table positions of every cube of the given regions.
-
-        Returns ``(pos, owner)``: positions grouped by region in the order
-        of ``rkeys`` and in cube-key order within a region, which does not
-        depend on the order the cubes arrived in; ``owner`` is the index
-        into ``rkeys`` of each position's region.
-        """
-        return gather_runs(*self._region_runs(rkeys))
 
     def region_bands(self, rkeys: np.ndarray):
         """(z_min, z_max) cube-centre heights of existing regions' cubes."""
         pos = np.searchsorted(self._rkeys, rkeys)
         return self._zc(self._rz_lo[pos]), self._zc(self._rz_hi[pos])
-
-    def _column_regions(self, cols: np.ndarray):
-        """Region-table positions of the given region columns' regions.
-
-        Returns ``(pos, owner)``: positions grouped by column in the order
-        of ``cols`` (each column's regions are one run of the table), and
-        the index into ``cols`` of each position's column.
-        """
-        rcols = self._rkeys >> 21
-        return gather_runs(np.searchsorted(rcols, cols, side="left"),
-                           np.searchsorted(rcols, cols, side="right"))
 
     def regions_in_columns(self, cols: np.ndarray):
         """Region keys of the given region columns.
@@ -215,7 +168,7 @@ class RHMap:
         order of ``cols``, and the index into ``cols`` of each region's
         column.
         """
-        pos, owner = self._column_regions(cols)
+        pos, owner = gather_runs(*column_runs(self._rkeys, cols))
         return self._rkeys[pos], owner
 
     def column_bands(self, cols: np.ndarray):
@@ -225,7 +178,8 @@ class RHMap:
         and read NaN.
         """
         cols = np.asarray(cols, dtype=np.int64)
-        pos, owner = self._column_regions(cols)
+        # a column's regions are one run of the region table
+        pos, owner = gather_runs(*column_runs(self._rkeys, cols))
         lo = np.full(cols.shape, np.nan)
         hi = np.full(cols.shape, np.nan)
         known = np.zeros(cols.shape, dtype=bool)
@@ -239,7 +193,7 @@ class RHMap:
 
     def occupied_columns(self) -> np.ndarray:
         """Sorted keys of the region columns holding at least one region."""
-        rcols = self._rkeys >> 21
+        rcols = column_of(self._rkeys)
         return rcols[run_starts(rcols)]
 
     @property
@@ -305,7 +259,8 @@ class RHMap:
         ground yet join the sorted ground keys once each."""
         keys = sorted_unique(keys)
         pos, ground = find_sorted(self._gkeys, keys)
-        self._insert_rows(("_gkeys",), pos[~ground], (keys[~ground],))
+        [self._gkeys] = insert_rows([self._gkeys], pos[~ground],
+                                    [keys[~ground]])
 
     def ground_columns(self, cols: np.ndarray):
         """Each given (x, y) cube column's int64 sum of its ground cubes'
@@ -322,10 +277,10 @@ class RHMap:
         # in key order a column's ground cubes are one run from its first
         # key on; most runs are one cube long, so each pass extends only
         # the runs whose next key is still in their column
-        i, at = np.arange(len(cols)), np.searchsorted(g, cols << 21)
+        i, at = np.arange(len(cols)), np.searchsorted(g, column_start(cols))
         while len(i):
             ok = at < len(g)
-            ok[ok] = (g[at[ok]] >> 21) == cols[i[ok]]
+            ok[ok] = column_of(g[at[ok]]) == cols[i[ok]]
             i, at = i[ok], at[ok]
             z_sum[i] += z_of_keys(g[at])
             count[i] += 1
@@ -346,7 +301,8 @@ class RHMap:
         """
         rkeys = sorted_unique(np.atleast_1d(region_keys))
         rkeys = rkeys[find_sorted(self._rkeys, rkeys)[1]]
-        pos, owner = self._region_pos(rkeys)
+        # by region, in key order within one: not in the order cubes arrived
+        pos, owner = gather_runs(*self._region_runs(rkeys))
         keys = self._keys_at(pos)
         doomed = ~find_sorted(self._gkeys, keys)[1]
         if not doomed.any():
@@ -365,9 +321,10 @@ class RHMap:
         hit[kept_owner] = False               # the hit regions left empty
         emptied = np.searchsorted(self._rkeys, rkeys[hit])
         if len(emptied):
-            self._delete_rows(_REGION_ARRAYS, emptied)
+            self._rkeys, self._rz_lo, self._rz_hi, self._rfit = delete_rows(
+                [self._rkeys, self._rz_lo, self._rz_hi, self._rfit], emptied)
         gone = pos[doomed]
-        self._delete_rows(("_skeys",), gone)
+        [self._skeys] = delete_rows([self._skeys], gone)
         return len(gone)
 
     # ------------------------------------------------------------------ export

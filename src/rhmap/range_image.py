@@ -120,7 +120,7 @@ def extract_max_ring(image: RangeImage) -> np.ndarray:
 
 
 def extract_sup_inf(image: RangeImage, r1: float, r2: float,
-                    max_search: int = 10):
+                    max_search: int):
     """Per-point occlusion bounds found across vertical range jumps.
 
     For each filled cell, scan upward until the range difference to a

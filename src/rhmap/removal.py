@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FrontendConfig
-from .indexing import ScanCubes, find_sorted, sorted_unique, z_of_keys
+from .indexing import (ScanCubes, column_of, find_sorted, sorted_unique,
+                       z_of_keys)
 from .map_core import RHMap
 from .range_image import RangeImage, extract_max_ring, extract_sup_inf
 
@@ -70,24 +71,18 @@ class RemovalReport:
 
 
 def build_scan_context_2d(cubes: ScanCubes, max_ring: np.ndarray,
-                          roi: np.ndarray | None = None,
-                          z: np.ndarray | None = None) -> ScanContext2D:
+                          roi: np.ndarray, z: np.ndarray) -> ScanContext2D:
     """Per region-column height extrema of the scan, with max-ring flags.
 
-    ``roi`` masks the points to summarise (all by default); columns without
-    a point in it are left out.  ``max_ring`` are point ids of ``cubes``,
-    as in :func:`build_scan_context_3d`: a column is flagged max-ring when
-    one of those points falls into it, which the grouping already knows.
-    ``z`` are the points' heights in the grouping's sorted order,
-    ``cubes.points[cubes.order, 2]``, gathered here when not given.
+    ``roi`` masks the points to summarise; columns without a point in it
+    are left out.  ``max_ring`` are point ids of ``cubes``, as in
+    :func:`build_scan_context_3d`: a column is flagged max-ring when one of
+    those points falls into it, which the grouping already knows.  ``z``
+    are the points' heights in the grouping's sorted order,
+    ``cubes.points[cubes.order, 2]``.
     """
-    if z is None:
-        z = cubes.points[cubes.order, 2]
     starts = cubes.column_start
-    if roi is None:
-        in_roi = np.ones(len(z), dtype=bool)
-    else:
-        in_roi = np.asarray(roi, dtype=bool)[cubes.order]
+    in_roi = np.asarray(roi, dtype=bool)[cubes.order]
     count = np.add.reduceat(in_roi.astype(np.int64), starts)
     seen = count > 0
     keys = cubes.column_keys[seen]
@@ -119,7 +114,7 @@ def _flag_columns(ctx: ScanContext2D, map_: RHMap,
 def build_scan_context_3d(cubes: ScanCubes, sup_ids: np.ndarray,
                           sup_heights: np.ndarray, inf_ids: np.ndarray,
                           inf_heights: np.ndarray,
-                          z: np.ndarray | None = None) -> ScanContext3D:
+                          z: np.ndarray) -> ScanContext3D:
     """Per-region extrema plus occlusion bounds of the sup/inf point sets.
 
     ``sup_ids`` and ``inf_ids`` index the points of ``cubes``.  ``sup`` is
@@ -141,8 +136,6 @@ def build_scan_context_3d(cubes: ScanCubes, sup_ids: np.ndarray,
     bound[sup_ids] = True
     bound[inf_ids] = True
     bound = bound[order]
-    if z is None:
-        z = cubes.points[cubes.order, 2]
     z_max = np.maximum.reduceat(np.where(bound, z, -np.inf), starts)
     z_min = np.minimum.reduceat(np.where(bound, z, np.inf), starts)
     sup = np.full(n, np.inf)
@@ -162,7 +155,7 @@ def select_candidate_regions(ctx: ScanContext3D, map_: RHMap) -> np.ndarray:
     A map region is matched against the context entries of its own
     region column.
     """
-    rkeys, owner = map_.regions_in_columns(ctx.keys >> 21)
+    rkeys, owner = map_.regions_in_columns(column_of(ctx.keys))
     lo = z_of_keys(rkeys) * map_.config.cube_size
     hi = lo + map_.config.region_size
     keep = (lo <= ctx.sup[owner]) & (hi >= ctx.inf[owner])
@@ -211,8 +204,7 @@ def scan_contexts(bounds: SensorBounds, cubes: ScanCubes
     """
     pw = cubes.points
     z = cubes.points[cubes.order, 2]
-    return (build_scan_context_2d(cubes, bounds.max_ring, roi=bounds.in_fov,
-                                  z=z),
+    return (build_scan_context_2d(cubes, bounds.max_ring, bounds.in_fov, z),
             build_scan_context_3d(cubes, bounds.sup, pw[bounds.sup_bound, 2],
                                   bounds.inf, pw[bounds.inf_bound, 2], z=z))
 

@@ -19,8 +19,8 @@ from rhmap.config import PipelineConfig
 from rhmap.evaluate import (EvalResult, count_dynamic_cubes, evaluate,
                             f1_score)
 from rhmap.geometry import Pose, transform_scan
-from rhmap.indexing import (ScanCubes, cube_indices, find_sorted, pack3,
-                            run_starts, sorted_unique)
+from rhmap.indexing import (ScanCubes, cube_indices, find_sorted, gather_runs,
+                            pack3, region_major, run_starts, sorted_unique)
 from rhmap.pipeline import run_pipeline
 from rhmap.range_image import build_range_image
 from rhmap.removal import scan_contexts, sensor_bounds
@@ -179,7 +179,7 @@ def hit_cubes(map_, idx) -> int:
 
 def lookup_pos(map_, keys):
     """Cube-table positions of packed cube keys; returns (pos, present)."""
-    return find_sorted(map_._skeys, map_._rm(keys))
+    return find_sorted(map_._skeys, region_major(keys, map_.config.mask_bits))
 
 
 def table_keys(map_):
@@ -225,7 +225,7 @@ def region(map_, rkey) -> SimpleNamespace:
     if i == len(map_._rkeys) or map_._rkeys[i] != rkey:
         raise KeyError(rkey)
     rkeys = np.array([rkey], dtype=np.int64)
-    keys = map_._keys_at(map_._region_pos(rkeys)[0])
+    keys = map_._keys_at(gather_runs(*map_._region_runs(rkeys))[0])
     (z_min,), (z_max,) = map_.region_bands(rkeys)
     fit = int(map_._rfit[i])
     return SimpleNamespace(

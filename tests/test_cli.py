@@ -350,6 +350,11 @@ def test_bench_frames_must_be_a_positive_integer(capsys, frames):
     assert "--frames: expected an integer >= 1" in err
 
 
+def test_bench_rejects_a_non_finite_config_value(capsys):
+    assert main(["bench", "--frames", "1", "--delta1", "nan"]) == 1
+    assert "config error: delta1 must be finite" in capsys.readouterr().err
+
+
 def test_bench_reports_throughput(capsys):
     rc = main(["bench", "--frames", "2"])
     assert rc == 0
@@ -364,6 +369,8 @@ def test_bench_reports_throughput(capsys):
     # the process's peak resident memory, in MB: more than the ~2 MB of one
     # 91k-point float64 scan, less than the whole 8 GB of a small host
     assert 2 < body["peak_rss_mb"] < 8192
+    # the preservation rate of the run's own labeled frames
+    assert 0 <= body["pr"] <= 1
 
 
 def test_bench_streams_the_scene(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Configuration dataclasses, validation and the flat key=value loader."""
 
+from dataclasses import fields
+
 import pytest
 
 from rhmap.config import (BackendConfig, ConfigError, FrontendConfig,
@@ -39,6 +41,29 @@ def test_frontend_config_rejections():
         FrontendConfig(image_rows=0).validate()
     with pytest.raises(ConfigError):
         FrontendConfig(fov_down_deg=10.0, fov_up_deg=-10.0).validate()
+
+
+def _float_fields(section):
+    return [(section, f.name) for f in fields(section)
+            if isinstance(getattr(section(), f.name), float)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("section, name",
+                         _float_fields(FrontendConfig)
+                         + _float_fields(BackendConfig))
+def test_non_finite_float_fields_are_rejected(section, name, value):
+    # NaN passes every `<= 0` test, so each field is checked for it first
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        section(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("steps", [0, -1, -3])
+def test_max_search_needs_a_step(steps):
+    with pytest.raises(ConfigError, match="max_search"):
+        FrontendConfig(max_search=steps).validate()
+    FrontendConfig(max_search=1).validate()
 
 
 def test_backend_config_rejections():

@@ -82,3 +82,25 @@ def test_unread_definitions_finds_what_is_never_read():
 def test_every_definition_is_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert unread_definitions(sources, BENCHMARK_ONLY) == []
+
+
+def layout_shifts(source: str) -> list[int]:
+    """Lines of a module that shift by the literal 21, the packed key's
+    field width."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.BinOp)
+                  and isinstance(n.op, (ast.LShift, ast.RShift))
+                  and isinstance(n.right, ast.Constant) and n.right.value == 21)
+
+
+def test_layout_shifts_finds_shifts_by_21():
+    source = "a = k >> 21\nb = k << 21\nc = k >> 42\nd = k >> AXIS_BITS\n"
+    assert layout_shifts(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_indexing_knows_the_key_layout(path):
+    # other modules go through column_of / column_start / column_runs, so
+    # a change of the packed layout is a change of indexing.py alone
+    if path.name != "indexing.py":
+        assert layout_shifts(path.read_text(encoding="utf-8")) == []

@@ -88,10 +88,12 @@ def test_cube_centers():
 
 # ------------------------------------ key range, region-major keys, grouping
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from rhmap.indexing import (ScanCubes, from_region_major, gather_runs,  # noqa: E402
-                            region_key_mask, region_major, sorted_unique)
+from rhmap.indexing import (ScanCubes, column_of, column_runs,  # noqa: E402
+                            column_start, delete_rows, from_region_major,
+                            gather_runs, insert_rows, region_key_mask,
+                            region_major, sorted_unique)
 
 _coord = st.integers(-(1 << 20), (1 << 20) - 1)
 
@@ -145,6 +147,64 @@ def test_sorted_unique_and_gather_runs():
     pos, owner = gather_runs(np.array([4, 0, 7]), np.array([6, 0, 8]))
     assert pos.tolist() == [4, 5, 7]
     assert owner.tolist() == [0, 0, 2]
+
+
+# a table of n rows and the sorted positions of the rows inserted into it
+_table = st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n), max_size=20).map(sorted)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_table, st.integers(0, 2**32 - 1))
+@example((0, []), 0)
+@example((0, [0, 0]), 1)
+@example((7, []), 2)
+@example((7, [0, 0, 3, 7, 7]), 3)
+def test_insert_and_delete_rows_match_numpy(table, seed):
+    # int64, int32 and (n, 3) float columns of one table move together, at
+    # the ends of the table too; the rows inserted are then deleted from
+    # random places, as many as were inserted
+    (n, pos), rng = table, np.random.default_rng(seed)
+    k = len(pos)
+
+    def columns(m):
+        return [rng.integers(-2**62, 2**62, m),
+                rng.integers(-2**31, 2**31, m).astype(np.int32),
+                rng.normal(size=(m, 3))]
+
+    cols, vals = columns(n), columns(k)
+    grown = insert_rows(cols, np.array(pos, dtype=np.int64), vals)
+    for got, col, v in zip(grown, cols, vals):
+        want = np.insert(col, pos, v, axis=0)
+        assert got.dtype == col.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    gone = rng.choice(n + k, k, replace=False)
+    for got, col in zip(delete_rows(grown, gone), grown):
+        want = np.delete(col, gone, axis=0)
+        assert got.dtype == col.dtype and np.array_equal(got, want)
+
+
+_top = (-1, -1)    # the column 2**42 - 1, whose last key is 2**63 - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord, _coord), max_size=40),
+       st.lists(st.tuples(_coord, _coord), max_size=10))
+@example([(*_top, -1), (*_top, 0), (*_top, (1 << 20) - 1), (-2, -1, 3),
+          (0, -1, 0)], [_top, (0, 0)])
+@example([(5, -3, 1), (5, -3, -(1 << 20)), (-(1 << 20), 0, 0)], [(5, -3)])
+def test_column_runs_match_a_brute_force_filter(idx, queries):
+    # keys of negative indexes and of the top column included; the queries
+    # are the keys' own columns and other columns, in any order
+    idx = np.array(idx, dtype=np.int64).reshape(-1, 3)
+    keys = sorted_unique(pack3(idx[:, 0], idx[:, 1], idx[:, 2]))
+    q = np.array(queries, dtype=np.int64).reshape(-1, 2)
+    cols = np.concatenate([pack2(q[:, 0], q[:, 1]), keys >> 21])[::-1]
+    assert np.array_equal(column_of(keys), keys >> 21)
+    assert np.array_equal(column_start(cols) >> 21, cols)
+    starts, ends = column_runs(keys, cols)
+    for c, s, e in zip(cols, starts, ends):
+        assert list(range(s, e)) == np.flatnonzero((keys >> 21) == c).tolist()
 
 
 def test_scan_cubes_groups_match_brute_force():

@@ -30,9 +30,14 @@ def test_scan_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(500, 3)).astype(np.float32).astype(np.float64)
     p = tmp_path / "rt.bin"
-    write_kitti_scan(p, pts, intensity=rng.random(500))
-    scan = read_kitti_scan(p)
-    assert np.array_equal(scan.points, pts)
+    write_kitti_scan(p, pts)
+    assert np.array_equal(read_kitti_scan(p).points, pts)
+    # a scan with intensities, as a dataset holds, reads the same points
+    data = np.fromfile(p, dtype="<f4").reshape(-1, 4)
+    assert not data[:, 3].any()
+    data[:, 3] = rng.random(500)
+    data.tofile(p)
+    assert np.array_equal(read_kitti_scan(p).points, pts)
 
 
 def test_scan_truncated_reports_offset(tmp_path):

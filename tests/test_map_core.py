@@ -477,27 +477,3 @@ def test_failed_fit_count_follows_the_cube_run_through_removal():
     cubes, stale = map_.unfitted_region_cubes(rkey)
     assert stale == 0 and cubes.count.tolist() == [7]
     assert cubes.z_sum.tolist() == [sum(range(6))]
-
-
-def test_table_row_inserts_and_deletes_match_numpy():
-    # one destination index or keep mask serves every array of a table;
-    # ``_rows3``, an array of (n, 3) rows set on the map for this test
-    # only, checks that rows of any shape move together
-    rng = np.random.default_rng(5)
-    map_ = make_map()
-    for n, k in [(0, 3), (50, 1), (50, 20), (1000, 37)]:
-        keys = np.sort(rng.integers(0, 10**6, n))
-        rows3 = rng.normal(size=(n, 3))
-        map_._rkeys, map_._rows3 = keys, rows3
-        pos = np.sort(rng.integers(0, n + 1, k))
-        vals = (rng.integers(0, 10**6, k), rng.normal(size=(k, 3)))
-        map_._insert_rows(("_rkeys", "_rows3"), pos, vals)
-        assert np.array_equal(map_._rkeys, np.insert(keys, pos, vals[0]))
-        assert np.array_equal(map_._rows3,
-                              np.insert(rows3, pos, vals[1], axis=0))
-        gone = rng.choice(n + k, k, replace=False)
-        before = map_._rkeys, map_._rows3
-        map_._delete_rows(("_rkeys", "_rows3"), gone)
-        assert np.array_equal(map_._rkeys, np.delete(before[0], gone))
-        assert np.array_equal(map_._rows3,
-                              np.delete(before[1], gone, axis=0))

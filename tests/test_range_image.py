@@ -115,14 +115,14 @@ def _column_image(ranges):
 
 def test_sup_inf_uniform_column_empty():
     img = _column_image([10.0] * 6)
-    sup_ids, sup_b, inf_ids, inf_b = extract_sup_inf(img, 1.0, 1.0)
+    sup_ids, sup_b, inf_ids, inf_b = extract_sup_inf(img, 1.0, 1.0, 10)
     assert len(sup_ids) == 0 and len(inf_ids) == 0
 
 
 def test_sup_from_range_jump():
     heights = np.array([0.5, 4.0])        # of the points with ids 0 and 1
     img = _column_image([10.0, 25.0])
-    sup_ids, sup_b, inf_ids, inf_b = extract_sup_inf(img, 1.0, 1.0)
+    sup_ids, sup_b, inf_ids, inf_b = extract_sup_inf(img, 1.0, 1.0, 10)
     assert sup_ids.tolist() == [0]
     assert sup_b.tolist() == [1]          # bound is the upper cell's point
     assert heights[sup_b[0]] == 4.0

@@ -28,10 +28,19 @@ def col_key(x, y):
 NO_RING = np.empty(0, dtype=np.int64)
 
 
+def sorted_z(cubes):
+    """The grouping's point heights in its sorted order, as
+    ``scan_contexts`` gathers them for both contexts."""
+    return cubes.points[cubes.order, 2]
+
+
 def ctx_2d(points_roi_w, max_ring):
     """2D context of a point set, every point inside the region of interest;
     ``max_ring`` are ids of the points on the max ring."""
-    return build_scan_context_2d(ScanCubes(points_roi_w, CFG), max_ring)
+    cubes = ScanCubes(points_roi_w, CFG)
+    return build_scan_context_2d(cubes, max_ring,
+                                 np.ones(len(points_roi_w), dtype=bool),
+                                 sorted_z(cubes))
 
 
 def ctx_3d(sup_w, sup_heights, inf_w, inf_heights):
@@ -39,7 +48,8 @@ def ctx_3d(sup_w, sup_heights, inf_w, inf_heights):
     cubes = ScanCubes(np.concatenate([sup_w, inf_w]), CFG)
     n_sup = len(sup_w)
     return build_scan_context_3d(cubes, np.arange(n_sup), sup_heights,
-                                 n_sup + np.arange(len(inf_w)), inf_heights)
+                                 n_sup + np.arange(len(inf_w)), inf_heights,
+                                 sorted_z(cubes))
 
 
 # Scalar oracles of the two ratio tests, one column / one region at a time.
@@ -133,7 +143,7 @@ def test_ctx2d_max_ring_flags_match_requantised_points(n, seed, spread, ring):
     roi = rng.random(n) < 0.8
     max_ring = np.array([i for i in ring if i < n], dtype=np.int64)
     cubes = ScanCubes(pts, CFG)
-    ctx = build_scan_context_2d(cubes, max_ring, roi=roi)
+    ctx = build_scan_context_2d(cubes, max_ring, roi, sorted_z(cubes))
     assert np.array_equal(ctx.max_ring,
                           max_ring_flags_by_requantising(cubes, ctx, max_ring))
 
@@ -270,7 +280,8 @@ def test_ctx3d_matches_the_scatter_oracle_bit_for_bit(n, seed, bits, spread,
     rng.shuffle(inf_ids)
     sup_h = pts[rng.integers(0, max(n, 1), len(sup_ids)), 2]
     inf_h = pts[rng.integers(0, max(n, 1), len(inf_ids)), 2]
-    got = build_scan_context_3d(cubes, sup_ids, sup_h, inf_ids, inf_h)
+    got = build_scan_context_3d(cubes, sup_ids, sup_h, inf_ids, inf_h,
+                                sorted_z(cubes))
     want = scatter_context_3d(cubes, sup_ids, sup_h, inf_ids, inf_h)
     for name in ("keys", "z_max", "z_min", "sup", "inf"):
         a, b = getattr(got, name), getattr(want, name)
@@ -285,7 +296,7 @@ def test_ctx3d_leaves_out_regions_without_a_bound_point():
     cubes = ScanCubes(pts, CFG)
     assert len(cubes.region_keys) == 3
     ctx = build_scan_context_3d(cubes, np.array([0, 2]), np.array([0.3, 9.0]),
-                                np.array([2]), np.array([0.2]))
+                                np.array([2]), np.array([0.2]), sorted_z(cubes))
     want = scatter_context_3d(cubes, np.array([0, 2]), np.array([0.3, 9.0]),
                               np.array([2]), np.array([0.2]))
     assert len(ctx) == 2
