@@ -16,7 +16,7 @@ import numpy as np
 from .config import (BackendConfig, ConfigError, FrontendConfig, MapConfig,
                      PipelineConfig, load_config, set_config_key)
 from .evaluate import TruthHistogram, cube_keys, evaluate
-from .indexing import ScanCubes, sorted_unique
+from .indexing import group_cubes, sorted_unique
 from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply,
                          read_poses, read_times, write_kitti_scan, write_labels,
                          write_map_ply, write_poses, write_times)
@@ -97,6 +97,7 @@ def _dataset_frames(scans_dir, poses_file, labels_dir):
 def _write_report(result, ev, path):
     reports = [{**asdict(f.report), **asdict(f.ground),
                 "map_cubes": f.map_cubes, "map_regions": f.map_regions,
+                "map_bytes": f.map_bytes,
                 "evicted": f.evicted, "elapsed_ms": f.elapsed_ms,
                 "cpu_ms": f.cpu_ms, "stages_ms": f.stages_ms,
                 "backend_reports": [asdict(r) for r in f.backend_reports]}
@@ -149,11 +150,13 @@ def cmd_eval(args) -> int:
     scans_dir = os.path.join(truth, "velodyne")
     labels_dir = os.path.join(truth, "labels")
     poses_file = os.path.join(truth, "poses.txt")
-    # each truth scan is grouped by cube as `rhmap run` groups it
+    # each truth scan is grouped by cube as `rhmap run` groups it, at the
+    # cube level alone: the histogram reads no region or column
     truth = TruthHistogram(cfg.map.mask_bits)
     for scan, pose, mask in _dataset_frames(scans_dir, poses_file, labels_dir):
-        cubes = ScanCubes(pose.apply(scan.points), cfg.map)
-        truth.add(cubes.cube_rm, cubes.point_cube, mask)
+        _, _, cube_rm, point_cube = group_cubes(pose.apply(scan.points),
+                                                cfg.map)
+        truth.add(cube_rm, point_cube, mask)
     res = evaluate(SimpleNamespace(occupied_keys=lambda: map_keys),
                    *truth.finish())
     print(json.dumps(res.to_dict()))
@@ -218,6 +221,8 @@ def cmd_bench(args) -> int:
     body["scene_ms_mean"] = float(np.mean(scene_ms))
     body["peak_rss_mb"] = (
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+    # the map's tables after the last frame
+    body["map_bytes"] = result.frames[-1].map_bytes
     # the scene has no mover, so every removed cube lowers this
     body["pr"] = evaluate(result.map, result.truth_points,
                           result.truth_mask).pr

@@ -34,9 +34,14 @@ class MapConfig:
     def validate(self):
         if not (self.cube_size > 0 and math.isfinite(self.cube_size)):
             raise ConfigError(f"cube_size must be positive, got {self.cube_size}")
-        # a region key keeps at least one bit of each 21-bit packed axis
-        if not 1 <= self.mask_bits <= 20:
-            raise ConfigError(f"mask_bits must be in 1..20, got {self.mask_bits}")
+        # a region keeps two bitmaps of 2**(3 * mask_bits) bits whatever
+        # its fill (map_core): 1 KB a region at 4, but 8 and 64 KB at 5
+        # and 6, which outweigh a table of 8 B a cube on sparse regions
+        if not 1 <= self.mask_bits <= 4:
+            raise ConfigError(
+                f"mask_bits must be in 1..4, got {self.mask_bits}: a "
+                f"region's two bitmaps take 2**(3 * mask_bits) / 4 bytes "
+                f"whatever its fill")
         return self
 
 

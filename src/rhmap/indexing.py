@@ -60,24 +60,8 @@ def pack2(ix, iy) -> np.ndarray:
     return ((ix & AXIS_MASK) << 21) | (iy & AXIS_MASK)
 
 
-def region_major(keys, mask_bits: int) -> np.ndarray:
-    """Re-pack cube keys so that integer order is region order, then cube order.
-
-    The 63 key bits become, from most to least significant, the region
-    fields of x, y and z (``21 - mask_bits`` bits each) followed by the
-    cube-local fields (``mask_bits`` each).  Sorting by this key sorts by
-    (packed region key, packed cube key), so a region's cubes occupy the
-    range ``[region_major(rkey), region_major(rkey) + 2**(3 * mask_bits))``
-    and a region column's cubes the range starting at
-    ``region_major(column_start(col))`` of width
-    ``2**(AXIS_BITS + 2 * mask_bits)``.
-    """
-    k = np.asarray(keys, dtype=np.int64)
-    return region_major_of_indices(k >> 42, k >> 21, k, mask_bits)
-
-
 def from_region_major(rm, mask_bits: int) -> np.ndarray:
-    """Inverse of :func:`region_major`."""
+    """Packed keys of region-major keys (:func:`region_major_of_indices`)."""
     rm = np.asarray(rm, dtype=np.int64)
     b, hb = mask_bits, AXIS_BITS - mask_bits
     hmask, lmask = (1 << hb) - 1, (1 << b) - 1
@@ -89,8 +73,15 @@ def from_region_major(rm, mask_bits: int) -> np.ndarray:
 
 
 def region_major_of_indices(x, y, z, mask_bits: int) -> np.ndarray:
-    """:func:`region_major` keys of per-axis int64 cube indexes, built
-    field by field without the packed key.
+    """Region-major keys of per-axis int64 cube indexes: cube keys
+    re-packed so that integer order is region order, then cube order.
+
+    The 63 key bits are, from most to least significant, the region
+    fields of x, y and z (``21 - mask_bits`` bits each) followed by the
+    cube-local fields (``mask_bits`` each).  Sorting by this key sorts by
+    (packed region key, packed cube key), so a region's cubes are one run
+    of ``2**(3 * mask_bits)`` keys, ordered by slot and z
+    (:func:`cube_slots`).
 
     Only the low 21 bits of each axis are read, so the indexes may be
     signed indexes in ``[-2**20, 2**20)`` (two's complement keeps the bits
@@ -108,6 +99,86 @@ def region_major_of_indices(x, y, z, mask_bits: int) -> np.ndarray:
     rm |= (y & local) << b
     rm |= z & local
     return rm
+
+
+def word_dtype(mask_bits: int) -> np.dtype:
+    """The unsigned dtype of a cube column's word: one bit for each of the
+    ``2**mask_bits`` local z indexes of a region, so uint8 up to
+    ``mask_bits`` 3 and uint16 at 4, the most that
+    :class:`~rhmap.config.MapConfig` allows."""
+    return np.dtype(f"u{max(1, (1 << mask_bits) // 8)}")
+
+
+def cube_slots(rm, mask_bits: int):
+    """``(slot, z)`` of region-major keys: the cube's (x, y) cube
+    column within its region, numbered ``(lx << mask_bits) | ly`` from its
+    local x and y indexes, and its local z index, the bit of that column's
+    word that holds it.  A region's cubes in region-major order are in
+    slot order, then z order."""
+    local = np.asarray(rm, dtype=np.int64) & ((1 << 3 * mask_bits) - 1)
+    return local >> mask_bits, local & ((1 << mask_bits) - 1)
+
+
+def column_slots(cols, mask_bits: int):
+    """``(region column, slot)`` of (x, y) cube column keys
+    (:func:`column_of` of cube keys): the region column holding each, as
+    :func:`column_of` of its region keys, and its slot there
+    (:func:`cube_slots`)."""
+    m = (1 << mask_bits) - 1
+    cols = np.asarray(cols, dtype=np.int64)
+    slot = (((cols >> AXIS_BITS) & m) << mask_bits) | (cols & m)
+    return cols & ~((m << AXIS_BITS) | m), slot
+
+
+def slot_keys(rkeys, slot, z, mask_bits: int) -> np.ndarray:
+    """Packed keys of cubes given by their region key, slot and local z
+    index (:func:`cube_slots`)."""
+    m = (1 << mask_bits) - 1
+    return (np.asarray(rkeys, dtype=np.int64)
+            | ((slot >> mask_bits) << 2 * AXIS_BITS)
+            | ((slot & m) << AXIS_BITS) | z)
+
+
+def column_words(rm: np.ndarray, mask_bits: int):
+    """The cube-column words of sorted region-major keys (repeats
+    allowed): ``(starts, slot, words)``, where each run of keys sharing a
+    region and a slot starts, its slot, and the OR of its cubes' z bits
+    (:func:`word_dtype`)."""
+    starts = run_starts(rm >> mask_bits)
+    slot, z = cube_slots(rm, mask_bits)
+    words = np.bitwise_or.reduceat(z_bits(z, mask_bits), starts)
+    return starts, slot[starts], words
+
+
+def z_bits(z, mask_bits: int) -> np.ndarray:
+    """Words (:func:`word_dtype`) with only bit ``z`` set, for local z
+    indexes ``z``."""
+    dtype = word_dtype(mask_bits)
+    return np.left_shift(dtype.type(1), np.asarray(z).astype(dtype))
+
+
+def word_bits(words: np.ndarray, mask_bits: int) -> np.ndarray:
+    """The (n, 2**mask_bits) bool bits of n words, in z order."""
+    side = 1 << mask_bits
+    words = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder("<"))
+    as_bytes = words.view(np.uint8).reshape(len(words), words.itemsize)
+    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :side]
+    return bits.view(bool)
+
+
+def bitmap_cubes(rkeys: np.ndarray, words: np.ndarray, mask_bits: int):
+    """The cubes whose bits are set in a bitmap of regions: ``rkeys``, the
+    packed keys of n regions, and ``words``, their (n, 2**(2 mask_bits))
+    cube-column words.  Returns ``(keys, i, slot, z)``: each cube's packed
+    key, row, slot and local z index, in row, slot, z order, which is
+    region-major order when ``rkeys`` are sorted."""
+    # flat indexes: a 2-D nonzero is several times slower
+    at = np.flatnonzero(words)
+    i, slot = np.divmod(at, words.shape[1])
+    at = np.flatnonzero(word_bits(words.reshape(-1)[at], mask_bits))
+    j, z = np.divmod(at, 1 << mask_bits)
+    i, slot = i[j], slot[j]
+    return slot_keys(rkeys[i], slot, z, mask_bits), i, slot, z
 
 
 def column_of(keys) -> np.ndarray:
@@ -188,7 +259,7 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[run_starts(keys)]
 
 
-def _dense_ids(starts: np.ndarray, n: int) -> np.ndarray:
+def dense_ids(starts: np.ndarray, n: int) -> np.ndarray:
     """Run number of each of ``n`` elements, given the run starts."""
     head = np.zeros(n, dtype=np.int64)
     head[starts] = 1
@@ -246,14 +317,32 @@ def gather_runs(starts: np.ndarray, ends: np.ndarray):
     return offset + np.arange(len(owner)), owner
 
 
+def group_cubes(points: np.ndarray, cfg):
+    """The cube level of a grouping of (N, 3) points at ``cfg``'s cube
+    size and region width: ``(order, starts, cube_rm, point_cube)``, the
+    argsort of the points by region-major key, where each cube's
+    run of sorted points starts, each cube's region-major key (sorted,
+    distinct) and each point's dense cube id."""
+    gidx = cube_indices(points, cfg.cube_size)
+    rm = region_major_of_indices(*gidx.T, cfg.mask_bits)
+    n = len(rm)
+    order = np.argsort(rm)
+    rm = rm[order]
+    starts = run_starts(rm)
+    point_cube = np.empty(n, dtype=np.int64)
+    point_cube[order] = dense_ids(starts, n)
+    return order, starts, rm[starts], point_cube
+
+
 class ScanCubes:
     """A scan's world-frame points grouped by cube, region and region column.
 
-    One argsort of the points' region-major keys (:func:`region_major`)
+    One argsort of the points' region-major keys
     orders the points so that every cube, every region and every region
     column is a contiguous run.  Each level is numbered densely in key
     order, so per-group reductions are plain ``reduceat`` calls over the
     sorted points and the distinct keys of each level come out sorted.
+    The cube level is :func:`group_cubes`, which scoring calls alone.
 
     Every array of a grouping is read-only: the pipeline's two threads
     read one at once, so a write on either side raises instead of racing.
@@ -263,33 +352,26 @@ class ScanCubes:
         self.config = cfg
         self.points = np.asarray(points_world, dtype=np.float64).reshape(-1, 3)
         bits = cfg.mask_bits
-        gidx = cube_indices(self.points, cfg.cube_size)
-        rm = region_major_of_indices(*gidx.T, bits)
-        n = len(rm)
-        #: argsort of the points by region-major key
-        self.order = np.argsort(rm)
-        rm = rm[self.order]
-        starts = run_starts(rm)
-        #: per cube: sorted region-major keys and packed keys
-        self.cube_rm = rm[starts]
+        #: argsort of the points by region-major key; per cube, the sorted
+        #: region-major keys; the dense cube id of each point
+        self.order, starts, self.cube_rm, self.point_cube = group_cubes(
+            self.points, cfg)
+        #: per cube: packed keys
         self.cube_keys = from_region_major(self.cube_rm, bits)
-        #: dense cube id of each point
-        self.point_cube = np.empty(n, dtype=np.int64)
-        self.point_cube[self.order] = _dense_ids(starts, n)
 
         n_cubes = len(self.cube_rm)
         rmask = region_key_mask(bits)
         rstarts = run_starts(self.cube_rm >> (3 * bits))
         #: sorted packed region keys, and the dense region id of each cube
         self.region_keys = self.cube_keys[rstarts] & rmask
-        self.cube_region = _dense_ids(rstarts, n_cubes)
+        self.cube_region = dense_ids(rstarts, n_cubes)
         #: where each region's run of points starts in ``order``
         self.region_start = starts[rstarts]
         cstarts = run_starts(self.cube_rm >> (AXIS_BITS + 2 * bits))
         #: sorted region-column keys, the dense column id of each cube, and
         #: where each column's run of points starts in ``order``
         self.column_keys = column_of(self.cube_keys[cstarts] & rmask)
-        self.cube_column = _dense_ids(cstarts, n_cubes)
+        self.cube_column = dense_ids(cstarts, n_cubes)
         self.column_start = starts[cstarts]
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):

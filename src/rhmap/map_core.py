@@ -1,39 +1,44 @@
 """Two-layer region-wise hash map with occupancy and ground bookkeeping.
 
-The map stores occupancy at cube resolution inside fixed-extent regions.
-Every table is a sorted int64 key array, with flat numpy arrays in
-parallel where a row holds more than its key:
+The map stores occupancy at cube resolution inside fixed-extent regions
+of ``2**b`` cubes a side, ``b`` being ``mask_bits``.  Its first layer is
+the region table, sorted by packed region key; its second layer lives in
+the table's rows, as two bitmaps a region.  A row holds:
 
-* the cube table: the sorted region-major keys
-  (:func:`~rhmap.indexing.region_major`) of the occupied cubes, 8 B a
-  cube and nothing else.  A cube enters it with the first point that
-  falls in it and leaves it when removal deletes it; one seen again later
-  is a new cube.  The table answers batch lookups, and each region's
-  cubes form one contiguous run of it, in key order;
-* the region table, sorted by packed region key, 32 B a region: the
-  int64 z-index extent of the region's cubes and one ground-fit state:
-  -1 fitted, 0 never fitted, ``n > 0`` when the last fit failed at ``n``
-  cubes.  The fitted plane is not kept, nor a region's cube count or
-  z-index sum: its run of the cube table answers those.  Integer
-  extents do not depend on the order cubes arrive in, so neither does
-  anything computed from the table.  The regions of one region column
-  (:func:`~rhmap.indexing.column_of` of their keys) are a contiguous run
-  of the table as well, and a column's z band is the min/max of its
-  regions' z extents;
-* the ground keys: the sorted packed keys of the ground cubes, the
-  map's one record of which cubes are ground.  Every ground key is a cube
-  of the cube table: ground cubes never leave the map, so removal, which
-  looks its cubes up here, keeps them, and the exported ground flags are
-  the same lookup.  In packed key order the ground cubes of one (x, y)
-  cube column are one run, so a column's ground height comes from exact
-  integer sums over that run.
+* the packed region key, the int64 z-index extent of the region's cubes
+  and one ground-fit state: -1 fitted, 0 never fitted, ``n > 0`` when the
+  last fit failed at ``n`` cubes; 32 B.  The fitted plane is not kept.
+  The extent is what the occupancy bits give, kept because the band
+  queries of removal read it every frame;
+* the bitmaps ``occ`` and ``ground``: one unsigned word per (x, y) cube
+  column of the region (its slot, :func:`~rhmap.indexing.cube_slots`),
+  whose bit ``k`` is set when the column's cube at local z index ``k`` is
+  occupied, or ground (:func:`~rhmap.indexing.word_dtype`).  Each bitmap
+  has ``2**(3 b)`` bits, so a region takes ``2 * 2**(3 b) / 8`` B for
+  both: 128 B at the default ``b`` = 3, a region of 8**3 cubes.  A word
+  is at least a byte, so at ``b`` = 1 and 2 a region takes 8 and 32 B.
+  They take these bytes whatever a region's fill, so
+  :class:`~rhmap.config.MapConfig` stops ``b`` at 4, 1 KB a region.
 
-Cube-table positions never leave :class:`RHMap`: its methods take and
-return packed keys.  Every table grows and shrinks through
-:func:`~rhmap.indexing.insert_rows` and :func:`~rhmap.indexing.delete_rows`.
+A cube enters with the first point that falls in it and leaves when
+removal deletes it; one seen again later is a new cube.  Every ground
+cube is an occupied cube: removal keeps ``occ & ground``, so ground cubes
+never leave the map.  A region's cube count is the popcount of its
+words, and its cubes decode in region, slot, z order, which is
+region-major order (:func:`~rhmap.indexing.region_major_of_indices`).
+Nothing read from the table depends on the order cubes arrive in.
 
-The paper's hash lookup is realised as ``searchsorted`` on these sorted
-keys.  Region and cube keys are exact packed indexes, so two distinct
+No table holds a row per cube.  A frame looks up, reads and writes the
+rows of the regions its scan touches; the table is copied only when
+regions enter or leave it, through :func:`~rhmap.indexing.insert_rows`
+and :func:`~rhmap.indexing.delete_rows`.  The regions of one region
+column (:func:`~rhmap.indexing.column_of` of their keys) are a
+contiguous run of the table: a column's z band is the min/max of its
+regions' z extents, and an (x, y) cube column's ground cubes are its
+slot's ground words in those regions.
+
+The paper's hash lookup is realised as ``searchsorted`` on the sorted
+region keys.  Region keys are exact packed indexes, so two distinct
 indexes can never alias each other.
 """
 
@@ -46,25 +51,31 @@ import numpy as np
 from .config import MapConfig
 from .indexing import (
     ScanCubes,
+    bitmap_cubes,
     column_of,
     column_runs,
-    column_start,
+    column_slots,
+    column_words,
     cube_centers,
     delete_rows,
+    dense_ids,
     find_sorted,
-    from_region_major,
     gather_runs,
     insert_rows,
-    region_major,
+    region_key_mask,
     run_starts,
     sorted_unique,
+    word_bits,
+    word_dtype,
+    z_bits,
     z_of_keys,
 )
 
 
 class RegionCubes(NamedTuple):
-    """Cubes of some regions, grouped by region, in key order within one,
-    with each region's cube count and z-index sum taken over those cubes."""
+    """Cubes of some regions, grouped by region, in region-major order
+    within one, with each region's cube count and z-index sum taken over
+    those cubes."""
 
     rkeys: np.ndarray    # the regions, sorted
     z_sum: np.ndarray    # int64 sum of each region's cube z indices
@@ -76,25 +87,50 @@ class RegionCubes(NamedTuple):
 class RHMap:
     def __init__(self, config: MapConfig):
         self.config = config.validate()
-        self._skeys = np.empty(0, dtype=np.int64)     # region-major, sorted
+        bits = self.config.mask_bits
         self._rkeys = np.empty(0, dtype=np.int64)
         self._rz_lo = np.empty(0, dtype=np.int64)      # z-index extent
         self._rz_hi = np.empty(0, dtype=np.int64)
         self._rfit = np.empty(0, dtype=np.int64)       # fit state
-        self._gkeys = np.empty(0, dtype=np.int64)      # ground cubes, sorted
+        words = np.zeros((0, 1 << 2 * bits), dtype=word_dtype(bits))
+        self._occ = words                              # occupied z bits
+        self._ground = words.copy()                    # ground z bits
+        self._count = 0                                # occupied cubes
 
-    def _keys_at(self, pos) -> np.ndarray:
-        """Packed keys of cube-table positions."""
-        return from_region_major(self._skeys[pos], self.config.mask_bits)
+    def _table(self) -> list[np.ndarray]:
+        """The region table's parallel columns, bitmaps included."""
+        return [self._rkeys, self._rz_lo, self._rz_hi, self._rfit,
+                self._occ, self._ground]
+
+    def _set_table(self, columns):
+        (self._rkeys, self._rz_lo, self._rz_hi, self._rfit,
+         self._occ, self._ground) = columns
 
     def _zc(self, kz) -> np.ndarray:
         """Cube-centre heights of z indices."""
         return (kz + 0.5) * self.config.cube_size
 
+    def _counts(self, rows) -> np.ndarray:
+        """The int64 cube count of each region-table row."""
+        return np.bitwise_count(self._occ[rows]).sum(axis=1, dtype=np.int64)
+
+    def _cubes(self, rows):
+        """The cubes of region-table ``rows`` (an index array, or a slice)
+        in region, slot, z order, which is region-major order: ``(keys, i,
+        slot, z)``, each cube's packed key, index into ``rows``, slot and
+        local z index."""
+        return bitmap_cubes(self._rkeys[rows], self._occ[rows],
+                            self.config.mask_bits)
+
     # ------------------------------------------------------------------ lookup
 
     def __len__(self):
-        return len(self._skeys)
+        return self._count
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the map's tables."""
+        return sum(col.nbytes for col in self._table())
 
     # --------------------------------------------------------------- insertion
 
@@ -112,49 +148,42 @@ class RHMap:
         """Occupy the cubes a scan's world points (grouped by cube) fall
         in.
 
-        Cubes not in the table enter it as non-ground cubes (every ground
-        key is a cube of the table) and widen their region's z extent;
-        returns their count.
+        The scan's regions not in the table enter it unfitted, with empty
+        bitmaps.  Each region's z extent widens to the extent of its scan
+        cubes, which is exact: its old cubes lie inside the old extent.
+        The scan cubes' z bits are ORed into their columns' words, one
+        word per (region, slot) run of the grouping's sorted cubes.  Cubes
+        not in the map enter as non-ground cubes; returns their count.
         """
         self.check_grouping(cubes)
-        pos, present = find_sorted(self._skeys, cubes.cube_rm)
-        new = np.flatnonzero(~present)
-        if len(new):
-            [self._skeys] = insert_rows([self._skeys], pos[new],
-                                        [cubes.cube_rm[new]])
-            self._register_new(cubes, new)
-        return len(new)
-
-    def _register_new(self, cubes: ScanCubes, new: np.ndarray):
-        """Fold a grouping's new cubes, given by ascending cube id, into the
-        region table: the z extents of their regions widen, and new regions
-        enter unfitted."""
-        region = cubes.cube_region[new]
-        seg = run_starts(region)
-        kz = z_of_keys(cubes.cube_keys[new])
+        seg = run_starts(cubes.cube_region)
+        kz = z_of_keys(cubes.cube_keys)
         lo = np.minimum.reduceat(kz, seg)
         hi = np.maximum.reduceat(kz, seg)
-        rkeys = cubes.region_keys[region[seg]]
-        pos, found = find_sorted(self._rkeys, rkeys)
-        i = pos[found]
-        self._rz_lo[i] = np.minimum(self._rz_lo[i], lo[found])
-        self._rz_hi[i] = np.maximum(self._rz_hi[i], hi[found])
+        pos, found = find_sorted(self._rkeys, cubes.region_keys)
         new = ~found
         if new.any():
-            self._rkeys, self._rz_lo, self._rz_hi, self._rfit = insert_rows(
-                [self._rkeys, self._rz_lo, self._rz_hi, self._rfit], pos[new],
-                [rkeys[new], lo[new], hi[new], np.zeros_like(lo[new])])
+            empty = np.zeros((int(new.sum()),) + self._occ.shape[1:],
+                             dtype=self._occ.dtype)
+            self._set_table(insert_rows(
+                self._table(), pos[new],
+                [cubes.region_keys[new], lo[new], hi[new],
+                 np.zeros_like(lo[new]), empty, empty]))
+        # each scan region's row, the new regions before it counted
+        rows = pos + np.cumsum(new) - new
+        self._rz_lo[rows] = np.minimum(self._rz_lo[rows], lo)
+        self._rz_hi[rows] = np.maximum(self._rz_hi[rows], hi)
+
+        starts, slot, words = column_words(cubes.cube_rm,
+                                           self.config.mask_bits)
+        rows = rows[cubes.cube_region[starts]]
+        old = self._occ[rows, slot]
+        self._occ[rows, slot] = old | words
+        added = int(np.bitwise_count(words & ~old).sum())
+        self._count += added
+        return added
 
     # ---------------------------------------------------------------- regions
-
-    def _region_runs(self, rkeys: np.ndarray):
-        """``(starts, ends)``: the run of the cube table holding each given
-        region's cubes; ``ends - starts`` is its cube count."""
-        lo = region_major(rkeys, self.config.mask_bits)
-        # the last key of a span can be the largest int64; span - 1 stays in range
-        hi = lo + ((1 << 3 * self.config.mask_bits) - 1)
-        return (np.searchsorted(self._skeys, lo),
-                np.searchsorted(self._skeys, hi, side="right"))
 
     def region_bands(self, rkeys: np.ndarray):
         """(z_min, z_max) cube-centre heights of existing regions' cubes."""
@@ -220,25 +249,23 @@ class RHMap:
         """Cubes of the given regions that still want a ground plane.
 
         A region wants one while it has none, unless its last fit failed
-        at its current cube count, the length of its cube-table run: a
-        retry is pointless until the region gains or loses cubes.  Absent
-        keys are ignored.  Returns the wanting regions' cubes, with each
-        region's count and z-index sum summed over them, and the count of
-        regions skipped for a pointless retry.
+        at its current cube count: a retry is pointless until the region
+        gains or loses cubes.  Absent keys are ignored.  Returns the
+        wanting regions' cubes, with each region's count and z-index sum
+        summed over them, and the count of regions skipped for a pointless
+        retry.
         """
         rkeys = sorted_unique(np.atleast_1d(rkeys))
         at, found = find_sorted(self._rkeys, rkeys)
         at = at[found]
         at = at[self._rfit[at] >= 0]
-        starts, ends = self._region_runs(self._rkeys[at])
-        count = ends - starts
+        count = self._counts(at)
         want = self._rfit[at] != count
-        count = count[want]
-        pos, owner = gather_runs(starts[want], ends[want])
-        keys = self._keys_at(pos)
+        at, count = at[want], count[want]
+        keys, owner, _, _ = self._cubes(at)
         # every region holds a cube, so each run starts a reduceat segment
         z_sum = np.add.reduceat(z_of_keys(keys), np.cumsum(count) - count)
-        cubes = RegionCubes(self._rkeys[at[want]], z_sum, count, keys, owner)
+        cubes = RegionCubes(self._rkeys[at], z_sum, count, keys, owner)
         return cubes, int((~want).sum())
 
     def record_plane_fits(self, rkeys: np.ndarray, ok: np.ndarray):
@@ -246,21 +273,26 @@ class RHMap:
 
         A region whose fit passed (``ok``) is fitted (-1) and is never
         offered a fit again; one whose fit failed records its cube count,
-        the length of its cube-table run, so that
-        :meth:`unfitted_region_cubes` skips it until the count changes.
+        so that :meth:`unfitted_region_cubes` skips it until the count
+        changes.
         """
         at = np.searchsorted(self._rkeys, rkeys)
-        starts, ends = self._region_runs(rkeys[~ok])
         self._rfit[at[ok]] = -1
-        self._rfit[at[~ok]] = ends - starts
+        self._rfit[at[~ok]] = self._counts(at[~ok])
 
     def mark_ground(self, keys: np.ndarray):
-        """Mark cubes of the table, by packed key, as ground: the keys not
-        ground yet join the sorted ground keys once each."""
-        keys = sorted_unique(keys)
-        pos, ground = find_sorted(self._gkeys, keys)
-        [self._gkeys] = insert_rows([self._gkeys], pos[~ground],
-                                    [keys[~ground]])
+        """Mark cubes of the map, by packed key, as ground: their z bits
+        join their columns' ground words.  Keys of cubes not in the map
+        are ignored, so every ground cube stays an occupied one; marking a
+        cube again, in one call or a later one, changes nothing."""
+        bits = self.config.mask_bits
+        keys = np.asarray(keys, dtype=np.int64)
+        rows, found = find_sorted(self._rkeys, keys & region_key_mask(bits))
+        keys, rows = keys[found], rows[found]
+        _, slot = column_slots(column_of(keys), bits)
+        zbits = z_bits(z_of_keys(keys) & self.config.mask, bits)
+        np.bitwise_or.at(self._ground, (rows, slot),
+                         zbits & self._occ[rows, slot])
 
     def ground_columns(self, cols: np.ndarray):
         """Each given (x, y) cube column's int64 sum of its ground cubes'
@@ -268,77 +300,82 @@ class RHMap:
 
         ``cols`` are column keys (a cube key shifted past its z field) in
         any order, repeats included; each query is answered on its own,
-        and a column without ground cubes reads (0, 0).
+        and a column without ground cubes reads (0, 0).  A query reads
+        its slot's ground word in each region of its region column.
         """
-        g = self._gkeys
+        bits = self.config.mask_bits
         cols = np.asarray(cols, dtype=np.int64)
-        z_sum = np.zeros(len(cols), dtype=np.int64)
-        count = np.zeros(len(cols), dtype=np.int64)
-        # in key order a column's ground cubes are one run from its first
-        # key on; most runs are one cube long, so each pass extends only
-        # the runs whose next key is still in their column
-        i, at = np.arange(len(cols)), np.searchsorted(g, column_start(cols))
-        while len(i):
-            ok = at < len(g)
-            ok[ok] = column_of(g[at[ok]]) == cols[i[ok]]
-            i, at = i[ok], at[ok]
-            z_sum[i] += z_of_keys(g[at])
-            count[i] += 1
-            at += 1
-        return z_sum, count
+        # a scan's cubes come region by region and slot by slot, so equal
+        # queries come in runs: each run is answered once
+        heads = run_starts(cols)
+        rcols, slot = column_slots(cols[heads], bits)
+        rows, owner = gather_runs(*column_runs(self._rkeys, rcols))
+        words = self._ground[rows, slot[owner]]
+        ground = np.flatnonzero(words)
+        rows, owner, words = rows[ground], owner[ground], words[ground]
+        count = np.bitwise_count(words).astype(np.int64)
+        z_sum = (word_bits(words, bits) @ np.arange(1 << bits)
+                 + count * z_of_keys(self._rkeys[rows]))
+        out_sum = np.zeros(len(heads), dtype=np.int64)
+        out_count = np.zeros(len(heads), dtype=np.int64)
+        if len(rows):
+            seg = run_starts(owner)
+            out_sum[owner[seg]] = np.add.reduceat(z_sum, seg)
+            out_count[owner[seg]] = np.add.reduceat(count, seg)
+        run = dense_ids(heads, len(cols))
+        return out_sum[run], out_count[run]
 
     # ---------------------------------------------------------------- removal
 
     def remove_regions_nonground(self, region_keys) -> int:
-        """Delete every non-ground cube of the given regions in one masked pass.
+        """Delete every non-ground cube of the given regions in one masked
+        pass: each region's words become ``occ & ground``.
 
-        A cube is ground when its key is one of the ground keys.  Absent
-        region keys are ignored.  Regions that lose cubes get their z
-        extents recomputed over their surviving (ground) cubes, or leave
-        the table when none survive; a failed fit's count then no longer
-        matches, so the region wants a fit again.  Returns the removed cube
-        count.
+        Absent region keys are ignored.  Regions that lose cubes get their
+        z extents recomputed from the OR of their kept words, or leave the
+        table when none are kept; a failed fit's count then no longer
+        matches, so the region wants a fit again.  Returns the removed
+        cube count.
         """
         rkeys = sorted_unique(np.atleast_1d(region_keys))
-        rkeys = rkeys[find_sorted(self._rkeys, rkeys)[1]]
-        # by region, in key order within one: not in the order cubes arrived
-        pos, owner = gather_runs(*self._region_runs(rkeys))
-        keys = self._keys_at(pos)
-        doomed = ~find_sorted(self._gkeys, keys)[1]
-        if not doomed.any():
+        rows, found = find_sorted(self._rkeys, rkeys)
+        rows = rows[found]
+        occ = self._occ[rows]
+        kept = occ & self._ground[rows]
+        hit = (occ != kept).any(axis=1)
+        if not hit.any():
             return 0
+        rows, occ, kept = rows[hit], occ[hit], kept[hit]
+        removed = int(np.bitwise_count(occ ^ kept).sum())
+        self._count -= removed
+        self._occ[rows] = kept
 
-        hit = np.zeros(len(rkeys), dtype=bool)
-        hit[owner[doomed]] = True
-        keep = ~doomed & hit[owner]
-        kept_owner = owner[keep]
-        if len(kept_owner):
-            seg = run_starts(kept_owner)
-            kz = z_of_keys(keys[keep])
-            i = np.searchsorted(self._rkeys, rkeys[kept_owner[seg]])
-            self._rz_lo[i] = np.minimum.reduceat(kz, seg)
-            self._rz_hi[i] = np.maximum.reduceat(kz, seg)
-        hit[kept_owner] = False               # the hit regions left empty
-        emptied = np.searchsorted(self._rkeys, rkeys[hit])
-        if len(emptied):
-            self._rkeys, self._rz_lo, self._rz_hi, self._rfit = delete_rows(
-                [self._rkeys, self._rz_lo, self._rz_hi, self._rfit], emptied)
-        gone = pos[doomed]
-        [self._skeys] = delete_rows([self._skeys], gone)
-        return len(gone)
+        # each hit region's z bits, lowest first
+        bits = self.config.mask_bits
+        zbits = word_bits(np.bitwise_or.reduce(kept, axis=1), bits)
+        live = zbits.any(axis=1)
+        at, zbits = rows[live], zbits[live]
+        z0 = z_of_keys(self._rkeys[at])
+        self._rz_lo[at] = z0 + zbits.argmax(axis=1)
+        top = zbits.shape[1] - 1
+        self._rz_hi[at] = z0 + top - zbits[:, ::-1].argmax(axis=1)
+        if not live.all():
+            self._set_table(delete_rows(self._table(), rows[~live]))
+        return removed
 
     # ------------------------------------------------------------------ export
 
     def occupied_keys(self) -> np.ndarray:
         """Sorted packed keys of occupied cubes."""
-        return np.sort(self._keys_at(slice(None)))
+        return np.sort(self._cubes(slice(None))[0])
 
     def export_occupied_points(self):
         """Occupied cube centers sorted by region then cube key.
 
         Returns (points (N, 3), is_ground (N,)); a cube is ground when its
-        key is one of the ground keys.
+        bit of the ground bitmap is set.
         """
-        keys = self._keys_at(slice(None))
-        return (cube_centers(keys, self.config.cube_size),
-                find_sorted(self._gkeys, keys)[1])
+        keys, i, slot, z = self._cubes(slice(None))
+        ground = self._ground[i, slot]
+        is_ground = ((ground >> z.astype(ground.dtype)) & 1).astype(bool)
+        return cube_centers(keys, self.config.cube_size), is_ground

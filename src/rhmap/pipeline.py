@@ -40,9 +40,11 @@ class FrameRecord:
     ground: GroundReport
     backend_reports: list[RemovalReport]
     keyframe_added: bool
-    #: Cubes and regions in the map after the frame.
+    #: Cubes and regions in the map after the frame, and the bytes its
+    #: tables hold (``RHMap.nbytes``).
     map_cubes: int
     map_regions: int
+    map_bytes: int
     #: Keyframes the back-end queue has dropped at capacity so far.
     evicted: int
     elapsed_ms: float
@@ -268,6 +270,7 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
                 report=report, ground=ground_report,
                 backend_reports=backend_reports, keyframe_added=added,
                 map_cubes=len(map_), map_regions=map_.region_count,
+                map_bytes=map_.nbytes,
                 evicted=queue.evicted, elapsed_ms=(t8 - t0) * 1e3,
                 cpu_ms=(c8 - c0) * 1e3,
                 stages_ms={k: v * 1e3 for k, v in zip(STAGES, stages)}))

@@ -19,8 +19,10 @@ from rhmap.config import PipelineConfig
 from rhmap.evaluate import (EvalResult, count_dynamic_cubes, evaluate,
                             f1_score)
 from rhmap.geometry import Pose, transform_scan
-from rhmap.indexing import (ScanCubes, cube_indices, find_sorted, gather_runs,
-                            pack3, region_major, run_starts, sorted_unique)
+from rhmap.indexing import (ScanCubes, bitmap_cubes, column_of, column_slots,
+                            cube_indices, find_sorted, pack3,
+                            region_key_mask, region_major_of_indices,
+                            run_starts, sorted_unique, z_of_keys)
 from rhmap.pipeline import run_pipeline
 from rhmap.range_image import build_range_image
 from rhmap.removal import scan_contexts, sensor_bounds
@@ -30,9 +32,11 @@ from rhmap.synth import MovingBox, SceneSpec, bench_scene, synth_scene
 # Ground-preservation guard.  Every call to remove_regions_nonground, the
 # one removal entry point of the map, which scan-to-map removal and the
 # back end both go through, is checked anywhere in the test session: every
-# ground key of the map before the call must still be a cube of the map
-# afterwards.  Violations accumulate in GROUND_KILLS for an exact-count
-# assertion.
+# ground cube of the map before the call must still be a cube of the map
+# afterwards.  The guard compares the ground bitmaps before the call with
+# the occupancy bitmaps after it, region by region; a ground region that
+# left the table lost all its ground cubes.  Violations accumulate in
+# GROUND_KILLS for an exact-count assertion.
 
 GROUND_KILLS = {"count": 0, "calls": 0}
 
@@ -40,10 +44,14 @@ _orig_remove = map_core.RHMap.remove_regions_nonground
 
 
 def _guarded_remove(self, region_keys):
-    ground = self._gkeys.copy()
+    rows = np.flatnonzero(self._ground.any(axis=1))
+    rkeys, ground = self._rkeys[rows], self._ground[rows]
     removed = _orig_remove(self, region_keys)
+    pos, found = find_sorted(self._rkeys, rkeys)
+    occ = np.zeros_like(ground)
+    occ[found] = self._occ[pos[found]]
     GROUND_KILLS["calls"] += 1
-    GROUND_KILLS["count"] += int((~lookup_pos(self, ground)[1]).sum())
+    GROUND_KILLS["count"] += int(np.bitwise_count(ground & ~occ).sum())
     return removed
 
 
@@ -165,10 +173,9 @@ def count_dynamic_cubes_points(map_, keys, dynamic_mask) -> int:
 
 # ---------------------------------------------------------------------------
 # Single-cube access for unit tests.  The map's API is batched; these insert
-# a hit through a point at each cube's centre, read cubes through the map's
-# cube table (sorted region-major keys) and mark and read ground cubes
-# through its ground keys.  Tests reach the cube table only through these
-# helpers.
+# a hit through a point at each cube's centre, read cubes by decoding the
+# map's occupancy bitmaps and mark and read ground cubes through its ground
+# bitmaps.  Tests reach the map's tables only through these helpers.
 
 def hit_cubes(map_, idx) -> int:
     """One hit on each cube index of ``idx`` ((3,) or (N, 3)); returns the
@@ -177,26 +184,55 @@ def hit_cubes(map_, idx) -> int:
     return integrate(map_, (idx + 0.5) * map_.config.cube_size)
 
 
-def lookup_pos(map_, keys):
-    """Cube-table positions of packed cube keys; returns (pos, present)."""
-    return find_sorted(map_._skeys, region_major(keys, map_.config.mask_bits))
+def region_major(keys, mask_bits):
+    """Region-major keys of packed cube keys: integer order is region
+    order, then cube order (``indexing.region_major_of_indices`` of the
+    keys' three fields)."""
+    k = np.asarray(keys, dtype=np.int64)
+    return region_major_of_indices(k >> 42, k >> 21, k, mask_bits)
 
 
 def table_keys(map_):
-    """Packed keys of the map's cubes, in cube-table (region-major) order."""
-    return map_._keys_at(slice(None))
+    """Packed keys of the map's cubes, in region-major order."""
+    return map_._cubes(slice(None))[0]
+
+
+def _bits_set(map_, words, keys) -> np.ndarray:
+    """Whether each packed cube key's bit is set in a bitmap of the map
+    (``_occ`` or ``_ground``): the bit of its local z index in its slot's
+    word of its region's row; False when the region is absent."""
+    bits = map_.config.mask_bits
+    keys = np.asarray(keys, dtype=np.int64)
+    rows, found = find_sorted(map_._rkeys, keys & region_key_mask(bits))
+    _, slot = column_slots(column_of(keys), bits)
+    z = (z_of_keys(keys) & map_.config.mask).astype(words.dtype)
+    found[found] &= ((words[rows[found], slot[found]] >> z[found]) & 1) == 1
+    return found
+
+
+def has_cubes(map_, keys) -> np.ndarray:
+    """Whether each packed cube key is a cube of the map."""
+    return _bits_set(map_, map_._occ, keys)
 
 
 def ground_keys(map_):
-    """Sorted packed keys of the map's ground cubes (a copy)."""
-    return map_._gkeys.copy()
+    """Sorted packed keys of the map's ground cubes (every ground cube is
+    occupied; see ``unoccupied_ground``)."""
+    bits = map_.config.mask_bits
+    return np.sort(bitmap_cubes(map_._rkeys, map_._ground, bits)[0])
+
+
+def unoccupied_ground(map_) -> int:
+    """Count of the map's ground bits whose cube is not occupied: 0 when
+    every ground cube is a cube of the map."""
+    return int(np.bitwise_count(map_._ground & ~map_._occ).sum())
 
 
 def mark_ground_keys(map_, keys):
     """Mark cubes of the map as ground, by packed key, through
     ``RHMap.mark_ground``; every key must be a cube of the map."""
     keys = np.asarray(keys, dtype=np.int64)
-    assert lookup_pos(map_, keys)[1].all()
+    assert has_cubes(map_, keys).all()
     map_.mark_ground(keys)
 
 
@@ -205,18 +241,19 @@ def cube_state(map_, idx):
     is not in the map."""
     x, y, z = idx
     key = pack3([x], [y], [z])
-    if not lookup_pos(map_, key)[1][0]:
+    if not has_cubes(map_, key)[0]:
         return None
-    return bool(find_sorted(map_._gkeys, key)[1][0])
+    return bool(_bits_set(map_, map_._ground, key)[0])
 
 
 def region(map_, rkey) -> SimpleNamespace:
     """One row of the map's region table; KeyError when ``rkey`` is absent.
 
     ``keys`` are the packed keys of the region's cubes in key order and
-    ``occupied_count`` their count (the table keeps no count).
-    ``z_min`` and ``z_max`` are the table's extent of their centre
-    heights, ``fitted`` whether a ground fit passed and ``fit_failed_at``
+    ``occupied_count`` their count (the table keeps no count: its bitmap
+    does).
+    ``z_min`` and ``z_max`` are the extent of their centre heights
+    (``region_bands``), ``fitted`` whether a ground fit passed and ``fit_failed_at``
     the table's fit state: the cube count the last failed fit saw, 0 for
     no fit yet and -1 for a fitted region.  The map keeps no plane:
     ``fit_ground_planes`` returns the planes it fits.
@@ -225,7 +262,7 @@ def region(map_, rkey) -> SimpleNamespace:
     if i == len(map_._rkeys) or map_._rkeys[i] != rkey:
         raise KeyError(rkey)
     rkeys = np.array([rkey], dtype=np.int64)
-    keys = map_._keys_at(gather_runs(*map_._region_runs(rkeys))[0])
+    keys = map_._cubes(np.array([i]))[0]
     (z_min,), (z_max,) = map_.region_bands(rkeys)
     fit = int(map_._rfit[i])
     return SimpleNamespace(

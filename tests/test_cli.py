@@ -34,8 +34,9 @@ SCENE = {
 # the keys of each frame of `rhmap run --report`, in order
 FRAME_KEYS = ["columns_flagged", "regions_flagged", "cubes_removed",
               "regions_elected", "regions_fitted", "planes_failed",
-              "ground_cubes_added", "map_cubes", "map_regions", "evicted",
-              "elapsed_ms", "cpu_ms", "stages_ms", "backend_reports"]
+              "ground_cubes_added", "map_cubes", "map_regions", "map_bytes",
+              "evicted", "elapsed_ms", "cpu_ms", "stages_ms",
+              "backend_reports"]
 
 CFG_FLAGS = ["--image_rows", "32", "--image_cols", "360",
              "--fov_down_deg", "-30", "--fov_up_deg", "5",
@@ -104,6 +105,11 @@ def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys,
     last = body["frames"][-1]
     assert last["map_cubes"] == len(pts)
     assert 0 < last["map_regions"] <= last["map_cubes"]
+    assert [f["map_bytes"] for f in body["frames"]] == [
+        f.map_bytes for f in result.frames]
+    # mask_bits 3: 32 B of key, z extent and fit state, and two 64 B
+    # bitmaps a region
+    assert last["map_bytes"] == 160 * last["map_regions"]
     assert sum(f["ground_cubes_added"] for f in body["frames"]) >= ground.sum()
 
 
@@ -252,7 +258,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["run", "--synthetic", "x.json",
                  "--mask_bits", "zero"]) == 1      # bad config value
     assert main(["run", "--synthetic", "x.json",
-                 "--mask_bits", "22"]) == 1        # no region field left
+                 "--mask_bits", "22"]) == 1        # past the region cap
     # keys of the removed log-odds occupancy are unknown
     assert main(["run", "--synthetic", "x.json",
                  "--occupied_threshold", "1"]) == 1
@@ -371,6 +377,8 @@ def test_bench_reports_throughput(capsys):
     assert 2 < body["peak_rss_mb"] < 8192
     # the preservation rate of the run's own labeled frames
     assert 0 <= body["pr"] <= 1
+    # the map's tables after the last frame: 160 B a region at mask_bits 3
+    assert body["map_bytes"] > 0 and body["map_bytes"] % 160 == 0
 
 
 def test_bench_streams_the_scene(monkeypatch, capsys):

@@ -25,11 +25,16 @@ def test_map_config_rejections():
         MapConfig(cube_size=0.0).validate()
     with pytest.raises(ConfigError):
         MapConfig(mask_bits=0).validate()
-    # a region key must keep a region field in each 21-bit packed axis
-    MapConfig(mask_bits=20).validate()
-    for bits in (21, 22):
+    # a region's bitmaps take 1 KB at mask_bits 4, and 8 KB at 5
+    MapConfig(mask_bits=4).validate()
+    for bits in (5, 6, 7, 20, 21, 22):
         with pytest.raises(ConfigError):
             MapConfig(mask_bits=bits).validate()
+
+
+def test_mask_bits_5_is_rejected_for_its_bitmap_size():
+    with pytest.raises(ConfigError, match="1..4.*bitmaps take"):
+        MapConfig(mask_bits=5).validate()
 
 
 def test_frontend_config_rejections():

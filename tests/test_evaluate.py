@@ -13,11 +13,11 @@ from rhmap import evaluate as evaluate_mod
 from rhmap.config import MapConfig
 from rhmap.evaluate import (TruthHistogram, count_dynamic_cubes, cube_keys,
                             evaluate, f1_score)
-from rhmap.indexing import ScanCubes, from_region_major, region_major
+from rhmap.indexing import ScanCubes, from_region_major
 from rhmap.map_core import RHMap
 
 from conftest import (count_dynamic_cubes_points, evaluate_points, integrate,
-                      truth_histogram)
+                      region_major, truth_histogram)
 
 
 def test_f1_reference_row_and_extremes():

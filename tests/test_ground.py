@@ -20,8 +20,8 @@ from rhmap.pipeline import run_pipeline
 from rhmap.synth import synth_frames
 
 from conftest import (cube_state, dor_config, ground_keys, hit_cubes,
-                      integrate, lookup_pos, mark_ground_keys, region,
-                      residue_config, residue_scene)
+                      integrate, mark_ground_keys, region,
+                      residue_config, residue_scene, unoccupied_ground)
 
 
 FCFG = FrontendConfig()
@@ -244,7 +244,7 @@ def test_extract_without_plane_is_empty():
     map_ = make_map()
     hit_cubes(map_, (0, 0, 0))
     assert_fit_failed(map_, fit_all(map_))
-    assert len(map_._gkeys) == 0
+    assert len(ground_keys(map_)) == 0
 
 
 def test_election_isolated_region_excluded():
@@ -267,7 +267,7 @@ def test_election_rejects_a_grouping_of_another_shape():
             elect_candidate_ground_regions(map_, ScanCubes(pts, cfg), FCFG)
         with pytest.raises(ValueError):
             r_gpe(map_, ScanCubes(pts, cfg), FCFG)
-    assert len(map_._gkeys) == 0
+    assert len(ground_keys(map_)) == 0
 
 
 def test_election_flat_disc_elects_all_touched_regions():
@@ -437,7 +437,7 @@ def test_election_equals_the_oracle_over_planeless_regions(
     assert (got.regions_fitted, got.planes_failed, got.ground_cubes_added) == (
         want.regions_fitted, want.planes_failed, want.ground_cubes_added)
     assert fit_states(map_) == fit_states(oracle_map)
-    assert np.array_equal(map_._gkeys, oracle_map._gkeys)
+    assert np.array_equal(ground_keys(map_), ground_keys(oracle_map))
 
 
 def test_batch_fit_matches_per_region_path():
@@ -468,7 +468,7 @@ def test_batch_fit_matches_per_region_path():
             assert np.allclose(fits[k][0], planes[k][0], atol=1e-9)
             assert abs(fits[k][1] - planes[k][1]) < 1e-9
     expect = np.sort(np.concatenate(oracle_keys))
-    assert np.array_equal(map_._gkeys, expect)
+    assert np.array_equal(ground_keys(map_), expect)
 
 
 def test_sloped_terrain_ground_coverage():
@@ -503,7 +503,7 @@ def fit_outcome(map_, fits):
         path = Path(tmp) / "map.ply"
         write_map_ply(map_, path)
         ply = path.read_bytes()
-    return state, planes, map_._gkeys.tobytes(), ply
+    return state, planes, ground_keys(map_).tobytes(), ply
 
 
 @settings(max_examples=60, deadline=None)
@@ -548,8 +548,8 @@ def ground_by_column(map_):
 
 
 def assert_ground_reference_matches(map_):
-    # every ground key is a cube of the map
-    assert lookup_pos(map_, map_._gkeys)[1].all()
+    # every ground cube is a cube of the map
+    assert unoccupied_ground(map_) == 0
     cols, z_sum, count = ground_by_column(map_)
     got_sum, got_count = map_.ground_columns(cols)
     assert np.array_equal(got_sum, z_sum)

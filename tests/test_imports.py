@@ -85,16 +85,23 @@ def test_every_definition_is_read():
 
 
 def layout_shifts(source: str) -> list[int]:
-    """Lines of a module that shift by the literal 21, the packed key's
-    field width."""
+    """Lines of a module that shift by the literal 21 or 42: the packed
+    key's field width, and where its x field starts."""
     return sorted(n.lineno for n in ast.walk(ast.parse(source))
                   if isinstance(n, ast.BinOp)
                   and isinstance(n.op, (ast.LShift, ast.RShift))
-                  and isinstance(n.right, ast.Constant) and n.right.value == 21)
+                  and isinstance(n.right, ast.Constant)
+                  and n.right.value in (21, 42))
 
 
 def test_layout_shifts_finds_shifts_by_21():
-    source = "a = k >> 21\nb = k << 21\nc = k >> 42\nd = k >> AXIS_BITS\n"
+    source = "a = k >> 21\nb = k << 21\nc = k >> 20\nd = k >> AXIS_BITS\n"
+    assert layout_shifts(source) == [1, 2]
+
+
+def test_layout_shifts_finds_shifts_by_42():
+    # the x field's offset: a module that packs or unpacks x by hand
+    source = "a = k >> 42\nb = (x & m) << 42\nc = k >> 2 * AXIS_BITS\n"
     assert layout_shifts(source) == [1, 2]
 
 

@@ -9,7 +9,7 @@ from rhmap.config import MapConfig
 from rhmap.indexing import (cube_centers, cube_indices, cube_local_key_mask,
                             pack2, pack3, region_key_mask, unpack3)
 
-from conftest import point_to_indices
+from conftest import point_to_indices, region_major
 
 
 CFG = MapConfig(cube_size=0.1, mask_bits=3)
@@ -93,7 +93,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from rhmap.indexing import (ScanCubes, column_of, column_runs,  # noqa: E402
                             column_start, delete_rows, from_region_major,
                             gather_runs, insert_rows, region_key_mask,
-                            region_major, sorted_unique)
+                            sorted_unique)
 
 _coord = st.integers(-(1 << 20), (1 << 20) - 1)
 
@@ -291,3 +291,25 @@ def test_a_grouping_is_read_only():
         cubes.cube_keys += 1
     assert not any(arr.flags.writeable for arr in vars(cubes).values()
                    if isinstance(arr, np.ndarray))
+
+
+# ------------------------------------------------------ cube-column words
+
+from rhmap.indexing import word_bits, word_dtype  # noqa: E402
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4]), st.data())
+def test_word_bits_match_python(bits, data):
+    side = 1 << bits
+    values = data.draw(st.lists(st.integers(0, (1 << side) - 1), max_size=20))
+    words = np.array(values, dtype=word_dtype(bits))
+    assert words.dtype.itemsize * 8 >= side
+    got = word_bits(words, bits)
+    assert got.shape == (len(values), side)
+    assert got.tolist() == [[v >> k & 1 for k in range(side)] for v in values]
+
+
+def test_word_dtype_holds_a_region_side():
+    assert [word_dtype(b).itemsize for b in range(1, 5)] == [1, 1, 1, 2]
+    assert all(word_dtype(b).kind == "u" for b in range(1, 5))

@@ -1,5 +1,7 @@
 """Occupancy integration, region statistics, column tables, removal."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +12,10 @@ from rhmap.indexing import (ScanCubes, pack2, pack3, region_key_mask,
                             run_starts, unpack3)
 from rhmap.map_core import RHMap
 
-from conftest import (cube_state, hit_cubes, integrate, lookup_pos,
-                      mark_ground_keys, region, table_keys)
+import conftest
+from conftest import (cube_state, ground_keys, has_cubes, hit_cubes,
+                      integrate, mark_ground_keys, region, table_keys,
+                      unoccupied_ground)
 
 
 def make_map():
@@ -122,7 +126,7 @@ def _check_against_set_model(mask_bits):
         assert dict(zip(cube_keys(pts, 0.1).tolist(), flags.tolist())) == \
             {k: k in ground for k in live}
         # cubes marked again in a later step enter the ground keys once
-        assert map_._gkeys.tolist() == sorted(ground)
+        assert ground_keys(map_).tolist() == sorted(ground)
         kz = unpack3(keys)[:, 2]
         zc = (kz + 0.5) * 0.1
         rkeys = keys & rmask
@@ -246,12 +250,25 @@ def test_mark_ground_keeps_the_ground_keys_sorted_and_distinct():
     keys = table_keys(map_)
     # repeats within one call, and keys already ground in a later one
     map_.mark_ground(np.concatenate([keys[:4], keys[2::-1], keys[:1]]))
-    assert map_._gkeys.tolist() == sorted(set(keys[:4].tolist()))
+    assert ground_keys(map_).tolist() == sorted(set(keys[:4].tolist()))
     map_.mark_ground(keys[::-2].repeat(2))
     expect = sorted(set(keys[:4].tolist()) | set(keys[::-2].tolist()))
-    assert map_._gkeys.tolist() == expect
+    assert ground_keys(map_).tolist() == expect
     map_.mark_ground(keys[:0])
-    assert map_._gkeys.tolist() == expect
+    assert ground_keys(map_).tolist() == expect
+
+
+def test_mark_ground_ignores_keys_of_cubes_not_in_the_map():
+    # regions at x = 0 and 16: (8, 0, 0) lies in an absent region between
+    # them, (99, 0, 0) past the last one, and (1, 0, 0) is a free cube of
+    # a present region
+    map_ = make_map()
+    hit_cubes(map_, [(0, 0, 0), (16, 0, 0)])
+    map_.mark_ground(pack3([8, 99, 1], [0, 0, 0], [0, 0, 0]))
+    assert len(ground_keys(map_)) == 0
+    assert cube_state(map_, (16, 0, 0)) is False
+    assert map_.ground_columns(pack2([1, 8, 16], [0, 0, 0]))[1].tolist() == \
+        [0, 0, 0]
 
 
 def test_ground_mean_examples():
@@ -400,9 +417,8 @@ def test_bulk_lookup_after_many_inserts():
     idx = np.unique(rng.integers(-40, 40, size=(20_000, 3)), axis=0)
     keys = pack3(idx[:, 0], idx[:, 1], idx[:, 2])
     assert hit_cubes(map_, idx) == len(idx)
-    pos, present = lookup_pos(map_, keys)
-    assert present.all()
-    assert (table_keys(map_)[pos] == keys).all()
+    assert has_cubes(map_, keys).all()
+    assert np.array_equal(np.sort(table_keys(map_)), np.sort(keys))
 
 
 def test_batched_removal_matches_brute_force():
@@ -477,3 +493,184 @@ def test_failed_fit_count_follows_the_cube_run_through_removal():
     cubes, stale = map_.unfitted_region_cubes(rkey)
     assert stale == 0 and cubes.count.tolist() == [7]
     assert cubes.z_sum.tolist() == [sum(range(6))]
+
+
+# ---------------------------------------------------------------------------
+# The bitmap map against a plain-Python model: a set of occupied keys, a
+# set of ground keys and a dict of fit states, after every step of a random
+# interleaving of the map's four writers, at every supported region width.
+
+def _py_key(x, y, z):
+    m = (1 << 21) - 1
+    return ((x & m) << 42) | ((y & m) << 21) | (z & m)
+
+
+def _py_z(key):
+    z = key & ((1 << 21) - 1)
+    return z - (1 << 21) if z >= 1 << 20 else z
+
+
+class SetModel:
+    """The map as sets: occupied and ground keys, and each region's fit
+    state (-1 fitted, 0 never fitted, n failed at n cubes)."""
+
+    def __init__(self, mask_bits):
+        m = (1 << mask_bits) - 1
+        self.rmask = ~((m << 42) | (m << 21) | m)
+        self.occ, self.ground, self.fit = set(), set(), {}
+
+    def region_cubes(self):
+        out = {}
+        for k in self.occ:
+            out.setdefault(k & self.rmask, []).append(k)
+        return out
+
+    def integrate(self, keys):
+        new = set(keys) - self.occ
+        for k in new:
+            self.fit.setdefault(k & self.rmask, 0)
+        self.occ |= new
+        return len(new)
+
+    def remove(self, rkeys):
+        gone = {k for k in self.occ
+                if k & self.rmask in rkeys and k not in self.ground}
+        self.occ -= gone
+        for r in set(self.fit) - set(self.region_cubes()):
+            del self.fit[r]
+        return len(gone)
+
+    def record(self, rkeys, ok):
+        cubes = self.region_cubes()
+        for r, good in zip(rkeys, ok):
+            self.fit[r] = -1 if good else len(cubes[r])
+
+
+def _check_against(map_, model):
+    cubes = model.region_cubes()
+    rkeys = sorted(cubes)
+    assert len(map_) == len(model.occ)
+    assert map_.region_count == len(rkeys)
+    assert map_.regions.tolist() == rkeys
+    assert map_.occupied_keys().tolist() == sorted(model.occ)
+    # region-major export order: by region, then by cube key
+    order = sorted(model.occ, key=lambda k: (k & model.rmask, k))
+    pts, flags = map_.export_occupied_points()
+    assert cube_keys(pts, 0.1).tolist() == order
+    assert flags.tolist() == [k in model.ground for k in order]
+    assert unoccupied_ground(map_) == 0
+    if rkeys:
+        z_min, z_max = map_.region_bands(np.array(rkeys))
+        for i, r in enumerate(rkeys):
+            zs = [_py_z(k) for k in cubes[r]]
+            assert (z_min[i], z_max[i]) == ((min(zs) + 0.5) * 0.1,
+                                            (max(zs) + 0.5) * 0.1)
+    got, stale = map_.unfitted_region_cubes(np.array(rkeys, dtype=np.int64))
+    want = [r for r in rkeys if model.fit[r] >= 0
+            and model.fit[r] != len(cubes[r])]
+    assert stale == sum(model.fit[r] > 0 and model.fit[r] == len(cubes[r])
+                        for r in rkeys)
+    assert got.rkeys.tolist() == want
+    assert got.count.tolist() == [len(cubes[r]) for r in want]
+    assert got.z_sum.tolist() == [sum(map(_py_z, cubes[r])) for r in want]
+    assert got.keys.tolist() == [k for r in want for k in sorted(cubes[r])]
+    assert got.owner.tolist() == [i for i, r in enumerate(want)
+                                  for _ in cubes[r]]
+
+
+def _some(data, items):
+    """A drawn subset of ``items``, in order."""
+    keep = data.draw(st.lists(st.booleans(), min_size=len(items),
+                              max_size=len(items)))
+    return [k for k, kept in zip(items, keep) if kept]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4]), st.data())
+def test_bitmap_map_matches_a_set_model(mask_bits, data):
+    # each step runs the four writers in a drawn order on drawn subsets
+    map_ = RHMap(MapConfig(cube_size=0.1, mask_bits=mask_bits))
+    model = SetModel(mask_bits)
+    span = max(8, 2 << mask_bits)
+    coord = st.integers(-span, span - 1)
+    for _ in range(data.draw(st.integers(1, 5))):
+        for op in data.draw(st.permutations(
+                ["integrate", "ground", "remove", "fit"])):
+            occ, regions = sorted(model.occ), sorted(model.region_cubes())
+            if op == "integrate":
+                idx = data.draw(st.lists(st.tuples(coord, coord, coord),
+                                         max_size=40))
+                # cubes seen before, removed ones included, come back too
+                assert hit_cubes(map_, idx) == model.integrate(
+                    [_py_key(*i) for i in idx])
+            elif op == "ground":
+                keys = _some(data, occ)
+                # stray keys, mostly of cubes not in the map, mark nothing
+                stray = [_py_key(*i) for i in data.draw(st.lists(
+                    st.tuples(coord, coord, coord), max_size=3))]
+                map_.mark_ground(np.array(keys + keys[:3] + stray,
+                                          dtype=np.int64))
+                model.ground |= set(keys) | (set(stray) & model.occ)
+            elif op == "remove":
+                flagged = _some(data, regions)
+                absent = [r for r in (_py_key(a, a, a) & model.rmask for a in
+                                      data.draw(st.lists(coord, max_size=2)))
+                          if r not in regions]
+                assert map_.remove_regions_nonground(
+                    np.array(flagged + absent, dtype=np.int64)) == \
+                    model.remove(set(flagged))
+            else:
+                rkeys = _some(data, regions)
+                ok = data.draw(st.lists(st.booleans(), min_size=len(rkeys),
+                                        max_size=len(rkeys)))
+                map_.record_plane_fits(np.array(rkeys, dtype=np.int64),
+                                       np.array(ok, dtype=bool))
+                model.record(rkeys, ok)
+            _check_against(map_, model)
+
+
+def _peak_bytes(fn, *args):
+    """``fn(*args)`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_frame_copies_no_table_of_the_maps_cubes():
+    # a 400 x 400 ground layer: 160,000 cubes in 2,500 regions of 64, half
+    # of them ground.  A table with a row per cube, 8 B a cube, would be
+    # copied by every insert and delete; a quarter of it is the budget of
+    # a frame's two map writes, which touch only the scan's regions.
+    map_ = make_map()
+    xy = np.stack(np.meshgrid(np.arange(400), np.arange(400)), -1)
+    idx = np.column_stack([xy.reshape(-1, 2), np.zeros(400 * 400, np.int64)])
+    hit_cubes(map_, idx)
+    map_.mark_ground(pack3(*idx[::2].T))
+    budget = 8 * len(map_) // 4
+
+    # new cubes one level up, in regions the map holds already: x < 100,
+    # y < 50, so the first four regions each gain 64
+    up = idx[(idx[:, 0] < 100) & (idx[:, 1] < 50)] + [0, 0, 1]
+    scan = ScanCubes((up + 0.5) * 0.1, map_.config)
+    added, peak = _peak_bytes(map_.integrate_points, scan)
+    assert added == 5000 and map_.region_count == 2500
+    assert peak < budget
+
+    # the first regions keep their ground cubes, so none leaves the table;
+    # the unguarded removal, since the test guard snapshots the map
+    rkeys = map_.regions[:4]
+    removed, peak = _peak_bytes(conftest._orig_remove, map_, rkeys)
+    assert removed == 4 * (32 + 64) and map_.region_count == 2500
+    assert peak < budget
+
+    # a region left empty leaves the table: one copy of the region table,
+    # 160 B a region at mask_bits 3
+    hit_cubes(map_, [(0, 0, 20)])
+    nbytes = map_.nbytes
+    removed, peak = _peak_bytes(conftest._orig_remove, map_,
+                                pack3([0], [0], [16]))
+    assert removed == 1 and map_.region_count == 2500
+    assert peak < 1.25 * nbytes

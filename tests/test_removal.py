@@ -13,8 +13,8 @@ from rhmap.removal import (ScanContext3D, _flag_columns, _flag_regions,
                            build_scan_context_2d, build_scan_context_3d,
                            select_candidate_regions, s2m_removal)
 
-from conftest import (cube_state, frame_contexts, ground_keys, hit_cubes,
-                      identity_pose, integrate, lookup_pos, region)
+from conftest import (cube_state, frame_contexts, ground_keys, has_cubes,
+                      hit_cubes, identity_pose, integrate, region)
 
 
 CFG = MapConfig(cube_size=0.1, mask_bits=3)
@@ -399,7 +399,7 @@ def test_s2m_removes_planted_trail_but_keeps_ground():
     trail = [(20, 10, z) for z in range(2, 15)]
     hit_cubes(map_, trail)
     ground = ground_keys(map_)
-    assert len(ground) > 0 and lookup_pos(map_, ground)[1].all()
+    assert len(ground) > 0 and has_cubes(map_, ground).all()
     removed_total = 0
     contexts = frame_contexts(scan, pose, fcfg, CFG)
     for _ in range(3):
@@ -409,7 +409,7 @@ def test_s2m_removes_planted_trail_but_keeps_ground():
         assert cube_state(map_, idx) is None
     assert removed_total >= len(trail)
     # every marked ground cube survived the removal passes
-    assert lookup_pos(map_, ground)[1].all()
+    assert has_cubes(map_, ground).all()
 
 
 def test_s2m_empty_scan_noop():
