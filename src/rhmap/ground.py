@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FrontendConfig
-from .indexing import (ScanCubes, column_of, find_sorted, gather_runs, pack2,
-                       run_starts, unpack3, z_of_keys)
+from .indexing import (ScanCubes, column_of, gather_runs, pack2, run_starts,
+                       unpack3, z_of_keys)
 from .map_core import RHMap
 
 # Two covariance eigenvalues closer than this, relative to the largest (or
@@ -87,13 +87,16 @@ def elect_candidate_ground_regions(map_: RHMap, cubes: ScanCubes,
     if len(rkeys) == 0:
         return rkeys
     step = cfg.mask + 1
-    occ_cols = map_.occupied_columns()
     rxy = unpack3(rkeys)
     offs = np.array([(dx, dy) for dx in (-step, 0, step)
                      for dy in (-step, 0, step) if dx or dy], dtype=np.int64)
     nkeys = pack2(rxy[:, None, 0] + offs[:, 0], rxy[:, None, 1] + offs[:, 1])
-    _, hit = find_sorted(occ_cols, nkeys)
-    return rkeys[hit.any(axis=1)]
+    # a region keeps its vote when a map region stands in a neighbour
+    # column; row i of nkeys holds region i's neighbours
+    _, owner = map_.regions_in_columns(nkeys.ravel())
+    near = np.zeros(len(rkeys), dtype=bool)
+    near[owner // len(offs)] = True
+    return rkeys[near]
 
 
 def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,

@@ -220,11 +220,6 @@ class RHMap:
             known[i] = True
         return lo, hi, known
 
-    def occupied_columns(self) -> np.ndarray:
-        """Sorted keys of the region columns holding at least one region."""
-        rcols = column_of(self._rkeys)
-        return rcols[run_starts(rcols)]
-
     @property
     def region_count(self) -> int:
         """Count of the regions holding cubes."""

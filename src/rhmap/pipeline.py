@@ -168,8 +168,8 @@ def run_pipeline(cfg: PipelineConfig, frames) -> PipelineResult:
     """Process (Scan, Pose[, dynamic_mask]) frames into a static map.
 
     Each frame submits its work that reads no map as jobs: the sensor side
-    (range image of the sensor-frame scan, its max-ring and sup/inf bounds
-    and its information content), then, once the main thread has grouped
+    (range image of the sensor-frame scan, its sup/inf bounds and its
+    information content), then, once the main thread has grouped
     the world points by cube, the scan contexts and, when masks are
     supplied, the truth step: ``TruthHistogram.add`` of the grouping's
     cube keys, the points' cube ids and the mask, which adds the frame's

@@ -108,17 +108,6 @@ def build_range_image(points: np.ndarray, rows: int, cols: int,
     return RangeImage(rng, pid, dropped, valid)
 
 
-def extract_max_ring(image: RangeImage) -> np.ndarray:
-    """Point ids of the per-column farthest return (the sensor's max ring).
-
-    Empty cells read range 0, below any return, so a column's maximum is
-    a filled cell unless the whole column is empty.
-    """
-    best = np.argmax(image.rng, axis=0)
-    ids = image.pid[best, np.arange(image.cols)]
-    return ids[ids >= 0].astype(np.int64)
-
-
 def extract_sup_inf(image: RangeImage, r1: float, r2: float,
                     max_search: int):
     """Per-point occlusion bounds found across vertical range jumps.

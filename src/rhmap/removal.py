@@ -20,7 +20,7 @@ from .config import FrontendConfig
 from .indexing import (ScanCubes, column_of, find_sorted, sorted_unique,
                        z_of_keys)
 from .map_core import RHMap
-from .range_image import RangeImage, extract_max_ring, extract_sup_inf
+from .range_image import RangeImage, extract_sup_inf
 
 
 @dataclass
@@ -31,7 +31,6 @@ class ScanContext2D:
     z_max: np.ndarray
     z_min: np.ndarray
     count: np.ndarray      # scan points in the column
-    max_ring: np.ndarray   # the column holds a max-ring point
 
     def __len__(self):
         return len(self.keys)
@@ -56,7 +55,6 @@ class SensorBounds:
     """What a frame's contexts take from its range image: point ids only."""
 
     in_fov: np.ndarray     # (N,) bool, the point is inside the vertical FOV
-    max_ring: np.ndarray   # ids of the per-column farthest returns
     sup: np.ndarray        # ids of points bounded from above ...
     sup_bound: np.ndarray  # ... by the height of these points
     inf: np.ndarray        # ids of points bounded from below ...
@@ -70,16 +68,13 @@ class RemovalReport:
     cubes_removed: int = 0
 
 
-def build_scan_context_2d(cubes: ScanCubes, max_ring: np.ndarray,
-                          roi: np.ndarray, z: np.ndarray) -> ScanContext2D:
-    """Per region-column height extrema of the scan, with max-ring flags.
+def build_scan_context_2d(cubes: ScanCubes, roi: np.ndarray,
+                          z: np.ndarray) -> ScanContext2D:
+    """Per region-column height extrema and point count of the scan.
 
     ``roi`` masks the points to summarise; columns without a point in it
-    are left out.  ``max_ring`` are point ids of ``cubes``, as in
-    :func:`build_scan_context_3d`: a column is flagged max-ring when one of
-    those points falls into it, which the grouping already knows.  ``z``
-    are the points' heights in the grouping's sorted order,
-    ``cubes.points[cubes.order, 2]``.
+    are left out.  ``z`` are the points' heights in the grouping's sorted
+    order, ``cubes.points[cubes.order, 2]``.
     """
     starts = cubes.column_start
     in_roi = np.asarray(roi, dtype=bool)[cubes.order]
@@ -88,23 +83,20 @@ def build_scan_context_2d(cubes: ScanCubes, max_ring: np.ndarray,
     keys = cubes.column_keys[seen]
     z_max = np.maximum.reduceat(np.where(in_roi, z, -np.inf), starts)[seen]
     z_min = np.minimum.reduceat(np.where(in_roi, z, np.inf), starts)[seen]
-    ring = np.zeros(len(starts), dtype=bool)
-    ring[cubes.cube_column[cubes.point_cube[max_ring]]] = True
-    return ScanContext2D(keys, z_max, z_min, count[seen], ring[seen])
+    return ScanContext2D(keys, z_max, z_min, count[seen])
 
 
 def _flag_columns(ctx: ScanContext2D, map_: RHMap,
                   fcfg: FrontendConfig) -> np.ndarray:
     """Sorted keys of the columns failing the 2D ratio test.
 
-    ratio1 is the scan band over the map's column band; a max-ring column
-    compares against the scan's own top instead of the map's, discounting
-    structure beyond the sensor's reach.  Missing map columns and
-    denominators ``<= 0`` score 1 (no removal), and a column needs at
-    least ``min_flag_points`` scan points before it may flag.
+    ratio1 is the scan band over the map's column band ``hi - lo``.
+    Missing map columns and denominators ``<= 0`` score 1 (no removal),
+    and a column needs at least ``min_flag_points`` scan points before it
+    may flag.
     """
     lo, hi, known = map_.column_bands(ctx.keys)
-    denom = np.where(ctx.max_ring, ctx.z_max - lo, hi - lo)
+    denom = hi - lo
     safe = known & (denom > 0)
     ratio = np.ones(len(ctx))
     ratio[safe] = (ctx.z_max - ctx.z_min)[safe] / denom[safe]
@@ -180,14 +172,13 @@ def _flag_regions(ctx: ScanContext3D, map_: RHMap, candidates: np.ndarray,
 
 
 def sensor_bounds(image: RangeImage, fcfg: FrontendConfig) -> SensorBounds:
-    """The range-image part of a frame's contexts: max ring and sup/inf.
+    """The range-image part of a frame's contexts: FOV mask and sup/inf.
 
     It reads only the range image of the sensor-frame scan, never the map
     or the world points, so it can run while the map is being updated.
     """
-    return SensorBounds(image.in_fov, extract_max_ring(image),
-                        *extract_sup_inf(image, fcfg.r1, fcfg.r2,
-                                         fcfg.max_search))
+    return SensorBounds(image.in_fov, *extract_sup_inf(image, fcfg.r1, fcfg.r2,
+                                                       fcfg.max_search))
 
 
 def scan_contexts(bounds: SensorBounds, cubes: ScanCubes
@@ -197,14 +188,14 @@ def scan_contexts(bounds: SensorBounds, cubes: ScanCubes
     ``bounds`` come from the frame's range image (:func:`sensor_bounds`)
     and ``cubes`` are its world points grouped by cube, in the same point
     order.  The 2D context summarises the points inside the vertical
-    field of view, with the max-ring flags; the 3D context summarises the
-    sup/inf points with their occlusion bounds.  The contexts share no
-    memory with their inputs.  The points' sorted heights are gathered
-    once for both, on the thread that builds them.
+    field of view; the 3D context summarises the sup/inf points with
+    their occlusion bounds.  The contexts share no memory with their
+    inputs.  The points' sorted heights are gathered once for both, on
+    the thread that builds them.
     """
     pw = cubes.points
     z = cubes.points[cubes.order, 2]
-    return (build_scan_context_2d(cubes, bounds.max_ring, bounds.in_fov, z),
+    return (build_scan_context_2d(cubes, bounds.in_fov, z),
             build_scan_context_3d(cubes, bounds.sup, pw[bounds.sup_bound, 2],
                                   bounds.inf, pw[bounds.inf_bound, 2], z=z))
 

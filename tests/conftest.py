@@ -7,6 +7,7 @@ insert and read single cubes and regions through the batch map API."""
 
 from __future__ import annotations
 
+import shutil
 import sys
 import time
 from types import SimpleNamespace
@@ -15,10 +16,12 @@ import numpy as np
 import pytest
 
 from rhmap import map_core, pipeline
+from rhmap.cli import main
 from rhmap.config import PipelineConfig
 from rhmap.evaluate import (EvalResult, count_dynamic_cubes, evaluate,
                             f1_score)
 from rhmap.geometry import Pose, transform_scan
+from rhmap.io_formats import write_kitti_scan, write_poses
 from rhmap.indexing import (ScanCubes, bitmap_cubes, column_of, column_slots,
                             cube_indices, find_sorted, pack3,
                             region_key_mask, region_major_of_indices,
@@ -376,6 +379,30 @@ def dor_rerun(dor_frames):
     result = run_pipeline(dor_config(3), dor_frames)
     ev = evaluate(result.map, result.truth_points, result.truth_mask)
     return result, ev
+
+
+@pytest.fixture(scope="session")
+def dor_kitti_map(dor_frames, tmp_path_factory):
+    """The bytes of the 0.8 m DOR map that ``rhmap run`` builds from the DOR
+    frames written as KITTI scans, whose float32 coordinates round the
+    synthetic points."""
+    root = tmp_path_factory.mktemp("dor_kitti")
+    scans, poses, out = root / "velodyne", root / "poses.txt", root / "map.ply"
+    scans.mkdir()
+    for i, (scan, _, _) in enumerate(dor_frames):
+        write_kitti_scan(scans / f"{i:06d}.bin", scan.points)
+    write_poses(poses, [pose for _, pose, _ in dor_frames])
+    fe = dor_config(3).frontend
+    flags = {"mask_bits": 3, "image_rows": fe.image_rows,
+             "image_cols": fe.image_cols, "fov_down_deg": fe.fov_down_deg,
+             "fov_up_deg": fe.fov_up_deg, "r_max": fe.r_max}
+    argv = ["run", "--scans", str(scans), "--poses", str(poses),
+            "--out", str(out)]
+    for key, value in flags.items():
+        argv += [f"--{key}", str(value)]
+    assert main(argv) == 0
+    shutil.rmtree(scans)
+    return out.read_bytes()
 
 
 @pytest.fixture(scope="session")

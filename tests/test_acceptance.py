@@ -35,6 +35,7 @@ MAP_SHA256 = {
     "residue, back end off": "e772f84c459b45d3",
     "residue, back end on": "129e3f576d50ec77",
     "30-frame throughput scene": "bcd1ce0fcd51d5d8",
+    "DOR 0.8 m regions, read from KITTI files": "8e655ccdcff26215",
 }
 
 
@@ -180,7 +181,7 @@ def test_region_size_trend(dor_runs):
 
 
 def test_exported_maps_match_sha_table(dor_runs, residue_runs, bench_run,
-                                       tmp_path):
+                                       dor_kitti_map, tmp_path):
     maps = {f"DOR {size} m regions": dor_runs[bits][0].map
             for bits, size in ((2, 0.4), (3, 0.8), (4, 1.6))}
     maps["residue, back end off"] = residue_runs[3][False]
@@ -191,6 +192,8 @@ def test_exported_maps_match_sha_table(dor_runs, residue_runs, bench_run,
         path = tmp_path / "map.ply"
         write_map_ply(map_, path)
         got[name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    got["DOR 0.8 m regions, read from KITTI files"] = hashlib.sha256(
+        dor_kitti_map).hexdigest()[:16]
     changed = sorted(f"{name} -> {got[name]}" for name in MAP_SHA256
                      if got[name] != MAP_SHA256[name])
     ok = not changed

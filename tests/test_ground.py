@@ -119,7 +119,7 @@ def elect_every_region(map_, cubes, fcfg):
     offs = np.array([(dx, dy) for dx in (-step, 0, step)
                      for dy in (-step, 0, step) if dx or dy], dtype=np.int64)
     nkeys = pack2(rxy[:, None, 0] + offs[:, 0], rxy[:, None, 1] + offs[:, 1])
-    _, hit = find_sorted(map_.occupied_columns(), nkeys)
+    _, hit = find_sorted(np.unique(map_.regions >> 21), nkeys)
     return rkeys[hit.any(axis=1)]
 
 

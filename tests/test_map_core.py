@@ -215,7 +215,6 @@ def test_empty_region_evicted_and_column_updated():
     assert rkey not in map_.regions
     col = int(pack2(np.int64(0), np.int64(0)))
     assert len(map_.regions_in_columns(np.array([col]))[0]) == 0
-    assert col not in map_.occupied_columns()
     assert column_band(map_, col) is None
 
 

@@ -1,11 +1,10 @@
-"""Range image projection, max ring and the sup/inf occlusion bounds."""
+"""Range image projection and the sup/inf occlusion bounds."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from rhmap.backend import information_content
-from rhmap.range_image import (RangeImage, build_range_image,
-                               extract_max_ring, extract_sup_inf)
+from rhmap.range_image import RangeImage, build_range_image, extract_sup_inf
 
 FOV = (-np.pi / 6, np.pi / 6)
 
@@ -39,44 +38,6 @@ def test_full_ring_fills_one_row():
     assert np.allclose(img.rng[2], 7.0)
 
 
-def test_max_ring_simple_cases():
-    # one point per column: every point selected
-    az = (np.arange(8) + 0.5) * 2 * np.pi / 8
-    pts = np.column_stack([np.cos(az), np.sin(az), np.zeros_like(az)]) * 3.0
-    img = build_range_image(pts, 4, 8, FOV)
-    assert sorted(extract_max_ring(img).tolist()) == list(range(8))
-
-    # two ranges in one column (different rows): the farther return wins
-    pts = np.array([[3.0, 0.0, 1.0], [20.0, 0.0, 0.0]])
-    img = build_range_image(pts, 8, 8, FOV)
-    assert extract_max_ring(img).tolist() == [1]
-
-
-def test_max_ring_matches_brute_force():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(2000, 3)) * 10
-    img = build_range_image(pts, 16, 90, FOV)
-    got = set(extract_max_ring(img).tolist())
-    expect = set()
-    for j in range(img.cols):
-        best, best_r = -1, -1.0
-        for i in range(img.rows):
-            if img.pid[i, j] >= 0 and img.rng[i, j] > best_r:
-                best, best_r = img.pid[i, j], img.rng[i, j]
-        if best >= 0:
-            expect.add(int(best))
-    assert got == expect
-
-
-def max_ring_with_empty_cells_masked(image):
-    """The max ring with every empty cell read as -inf, not as range 0."""
-    filled = image.filled()
-    best = np.argmax(np.where(filled, image.rng, -np.inf), axis=0)
-    cols = np.arange(image.cols)
-    has = filled[best, cols]
-    return image.pid[best[has], cols[has]].astype(np.int64)
-
-
 def information_with_empty_cells_masked(image, r_max):
     """The information content with every empty cell zeroed explicitly."""
     rng = np.where(image.filled(), image.rng, 0.0)
@@ -97,8 +58,6 @@ def test_ranges_read_directly_match_masked_empty_cells(n, rows, cols, seed,
     img = build_range_image(pts, rows, cols, FOV)
     filled = img.filled()
     assert (img.rng[~filled] == 0).all() and (img.rng[filled] > 0).all()
-    assert np.array_equal(extract_max_ring(img),
-                          max_ring_with_empty_cells_masked(img))
     assert (information_content(img, 25.0)
             == information_with_empty_cells_masked(img, 25.0))
 

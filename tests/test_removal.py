@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from rhmap.config import FrontendConfig, MapConfig
 from rhmap.geometry import Pose, Scan, transform_scan
 from rhmap.ground import r_gpe
-from rhmap.indexing import (ScanCubes, cube_indices, find_sorted, pack2, pack3,
-                            sorted_unique)
+from rhmap.indexing import ScanCubes, pack2, pack3
 from rhmap.map_core import RHMap
 from rhmap.removal import (ScanContext3D, _flag_columns, _flag_regions,
                            build_scan_context_2d, build_scan_context_3d,
@@ -25,21 +24,16 @@ def col_key(x, y):
     return int(pack2(np.int64(x), np.int64(y)))
 
 
-NO_RING = np.empty(0, dtype=np.int64)
-
-
 def sorted_z(cubes):
     """The grouping's point heights in its sorted order, as
     ``scan_contexts`` gathers them for both contexts."""
     return cubes.points[cubes.order, 2]
 
 
-def ctx_2d(points_roi_w, max_ring):
-    """2D context of a point set, every point inside the region of interest;
-    ``max_ring`` are ids of the points on the max ring."""
+def ctx_2d(points_roi_w):
+    """2D context of a point set, every point inside the region of interest."""
     cubes = ScanCubes(points_roi_w, CFG)
-    return build_scan_context_2d(cubes, max_ring,
-                                 np.ones(len(points_roi_w), dtype=bool),
+    return build_scan_context_2d(cubes, np.ones(len(points_roi_w), dtype=bool),
                                  sorted_z(cubes))
 
 
@@ -57,16 +51,14 @@ def ctx_3d(sup_w, sup_heights, inf_w, inf_heights):
 def compute_ratio1(ctx, map_, col_key):
     """Scan-to-map height band ratio of one region column.
 
-    Missing map columns and denominators ``<= 0`` yield 1 (no removal);
-    a max-ring column compares against the scan's own top instead of the
-    map's.
+    Missing map columns and denominators ``<= 0`` yield 1 (no removal).
     """
     lo, hi, known = map_.column_bands(np.array([col_key]))
     if not known[0]:
         return 1.0
     i = ctx.keys.tolist().index(col_key)
     dh = ctx.z_max[i] - ctx.z_min[i]
-    denom = (ctx.z_max[i] - lo[0]) if ctx.max_ring[i] else (hi[0] - lo[0])
+    denom = hi[0] - lo[0]
     if denom <= 0:
         return 1.0
     return dh / denom
@@ -87,26 +79,24 @@ def compute_ratio2(ctx, map_, region_key):
 
 
 def test_ctx2d_single_point():
-    ctx = ctx_2d(np.array([[0.1, 0.1, 0.7]]), NO_RING)
+    ctx = ctx_2d(np.array([[0.1, 0.1, 0.7]]))
     assert len(ctx) == 1
     assert ctx.z_max[0] == ctx.z_min[0] == 0.7
-    assert not ctx.max_ring[0]
     assert ctx.count[0] == 1
 
 
-def test_ctx2d_band_and_max_ring():
+def test_ctx2d_band_and_count():
     pts = np.array([[0.1, 0.1, 0.1], [0.2, 0.2, 1.9]])
-    ctx = ctx_2d(pts, np.arange(1))
+    ctx = ctx_2d(pts)
     (i,) = np.flatnonzero(ctx.keys == col_key(0, 0))
     assert (ctx.z_max[i], ctx.z_min[i]) == (1.9, 0.1)
-    assert ctx.max_ring[i]
     assert ctx.count[i] == 2
 
 
 def test_ctx2d_matches_brute_force():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-3, 3, size=(4000, 3))
-    ctx = ctx_2d(pts, NO_RING)
+    ctx = ctx_2d(pts)
     gidx = np.floor(pts / 0.1).astype(np.int64)
     m = CFG.mask
     groups = {}
@@ -119,35 +109,6 @@ def test_ctx2d_matches_brute_force():
         assert ctx.count[i] == len(zs)
 
 
-def max_ring_flags_by_requantising(cubes, ctx, max_ring):
-    """The 2D context's max-ring flags found from the max-ring points'
-    coordinates: quantise them again, pack their region columns and look
-    the context's columns up among them."""
-    cfg = cubes.config
-    if len(max_ring) == 0:
-        return np.zeros(len(ctx), dtype=bool)
-    midx = cube_indices(cubes.points[max_ring], cfg.cube_size)
-    m = cfg.mask
-    ring_cols = sorted_unique(pack2(midx[:, 0] & ~m, midx[:, 1] & ~m))
-    return find_sorted(ring_cols, ctx.keys)[1]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.floats(0.2, 6.0),
-       st.lists(st.integers(0, 299), max_size=40))
-def test_ctx2d_max_ring_flags_match_requantised_points(n, seed, spread, ring):
-    # scans around the origin, so columns of negative indexes occur; some
-    # max-ring points may lie outside the region of interest
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-spread, spread, size=(n, 3))
-    roi = rng.random(n) < 0.8
-    max_ring = np.array([i for i in ring if i < n], dtype=np.int64)
-    cubes = ScanCubes(pts, CFG)
-    ctx = build_scan_context_2d(cubes, max_ring, roi, sorted_z(cubes))
-    assert np.array_equal(ctx.max_ring,
-                          max_ring_flags_by_requantising(cubes, ctx, max_ring))
-
-
 def _map_with_column_band(lo_idx, hi_idx):
     map_ = RHMap(CFG)
     hit_cubes(map_, [(0, 0, lo_idx), (0, 0, hi_idx)])
@@ -156,46 +117,77 @@ def _map_with_column_band(lo_idx, hi_idx):
 
 def test_ratio1_perfect_match_is_one():
     map_ = _map_with_column_band(0, 19)
-    ctx = ctx_2d(np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 1.95]]), NO_RING)
+    ctx = ctx_2d(np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 1.95]]))
     assert abs(compute_ratio1(ctx, map_, col_key(0, 0)) - 1.0) < 1e-12
 
 
 def test_ratio1_thin_scan_band():
     map_ = _map_with_column_band(0, 19)   # map band 0.05 .. 1.95
-    ctx = ctx_2d(np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.25]]), NO_RING)
+    ctx = ctx_2d(np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 0.25]]))
     ratio = compute_ratio1(ctx, map_, col_key(0, 0))
     assert abs(ratio - 0.2 / 1.9) < 1e-12
-
-
-def test_ratio1_max_ring_uses_scan_top():
-    map_ = _map_with_column_band(0, 39)   # map top beyond the sensor reach
-    pts = np.array([[0.0, 0.0, 0.05], [0.0, 0.0, 1.05]])
-    ctx = ctx_2d(pts, np.array([1]))
-    ratio = compute_ratio1(ctx, map_, col_key(0, 0))
-    assert abs(ratio - 1.0) < 1e-12     # denominator is scan top - map min
 
 
 def test_ratio1_missing_column_and_degenerate_band():
     map_ = RHMap(CFG)
     pts = np.array([[0.0, 0.0, 0.5]])
-    ctx = ctx_2d(pts, NO_RING)
+    ctx = ctx_2d(pts)
     assert compute_ratio1(ctx, map_, col_key(0, 0)) == 1.0
     hit_cubes(map_, (0, 0, 5))          # single cube, zero-height band
     assert compute_ratio1(ctx, map_, col_key(0, 0)) == 1.0
 
 
+def _column_points(rng, col, n, z_lo, z_hi):
+    """``n`` points spread over region column ``col``, an (x, y) pair of
+    region indexes, with heights in ``[z_lo, z_hi]``."""
+    xy = (np.array(col) + rng.uniform(0.05, 0.95, size=(n, 2))) * CFG.region_size
+    return np.column_stack([xy, rng.uniform(z_lo, z_hi, n)])
+
+
+def _region_col_key(col):
+    side = CFG.mask + 1
+    return col_key(side * col[0], side * col[1])
+
+
 def test_flag_columns_matches_per_column_reference():
+    # a map of tall column bands, 0 to 3 m, over 6 x 6 region columns and a
+    # scan of thin bands over them, about half thin enough to flag
     rng = np.random.default_rng(1)
     map_ = RHMap(CFG)
-    integrate(map_, rng.uniform(-2, 2, size=(3000, 3)))
-    pts = rng.uniform(-2, 2, size=(2000, 3))
-    ctx = ctx_2d(pts, np.arange(50))
+    grid = [(cx, cy) for cx in range(-3, 3) for cy in range(-3, 3)]
+    integrate(map_, np.concatenate([_column_points(rng, col, 120, 0.0, 3.0)
+                                    for col in grid]))
+    scan = []
+    for col in grid:
+        z_lo, h = rng.uniform(0.5, 1.5), rng.uniform(0.0, 1.2)
+        scan.append(_column_points(rng, col, int(rng.integers(6, 20)),
+                                   z_lo, z_lo + h))
+    # a thin band of one point too few, in a tall map column
+    few = (3, 0)
+    integrate(map_, _column_points(rng, few, 40, 0.0, 3.0))
+    scan.append(_column_points(rng, few, FCFG.min_flag_points - 1, 1.0, 1.1))
+    # a map band of one cube level, and a column the map lacks
+    flat, missing = (4, 0), (5, 0)
+    hit_cubes(map_, [(32 + i, i, 12) for i in range(8)])
+    scan.append(_column_points(rng, flat, 20, 1.0, 1.1))
+    scan.append(_column_points(rng, missing, 20, 1.0, 1.1))
+
+    ctx = ctx_2d(np.concatenate(scan))
     got = _flag_columns(ctx, map_, FCFG)
     counts = dict(zip(ctx.keys.tolist(), ctx.count.tolist()))
     expect = [k for k in sorted(counts)
               if counts[k] >= FCFG.min_flag_points
               and compute_ratio1(ctx, map_, k) < FCFG.delta1]
     assert got.tolist() == expect
+    assert 0 < len(got) < len(ctx)
+    # the column of too few points fails its count alone, the other two
+    # score 1
+    few, flat, missing = map(_region_col_key, (few, flat, missing))
+    assert counts[few] == FCFG.min_flag_points - 1
+    assert compute_ratio1(ctx, map_, few) < FCFG.delta1
+    assert compute_ratio1(ctx, map_, flat) == 1.0
+    assert compute_ratio1(ctx, map_, missing) == 1.0
+    assert not {few, flat, missing} & set(got.tolist())
 
 
 def test_ctx3d_single_sup_point():
