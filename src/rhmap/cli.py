@@ -13,8 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .config import (BackendConfig, ConfigError, FrontendConfig, MapConfig,
-                     PipelineConfig, load_config, set_config_key)
+from .config import (_SUBSECTIONS, BackendConfig, ConfigError, FrontendConfig,
+                     MapConfig, PipelineConfig, load_config, set_config_key)
 from .evaluate import TruthHistogram, cube_keys, evaluate
 from .indexing import group_cubes, sorted_unique
 from .io_formats import (FormatError, read_kitti_scan, read_labels, read_map_ply,
@@ -35,12 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key = value config file")
-    skip = {"map", "frontend", "backend",
-            "scans_dir", "poses_file", "labels_dir", "out_map", "report"}
     seen = set()
     for section in (PipelineConfig, MapConfig, FrontendConfig, BackendConfig):
         for f in fields(section):
-            if f.name in skip or f.name in seen:
+            if f.name in _SUBSECTIONS or f.name in seen:
                 continue
             seen.add(f.name)
             parser.add_argument(f"--{f.name}", dest=f"cfg_{f.name}",
@@ -121,22 +119,18 @@ def cmd_run(args) -> int:
     if args.synthetic:
         frames = synth_frames(load_scene(args.synthetic))
     else:
-        scans = args.scans or cfg.scans_dir
-        poses = args.poses or cfg.poses_file
-        if not scans or not poses:
+        if not args.scans or not args.poses:
             print("run: need --scans and --poses, or --synthetic", file=sys.stderr)
             return EXIT_USAGE
-        frames = _dataset_frames(scans, poses, args.labels or cfg.labels_dir or None)
+        frames = _dataset_frames(args.scans, args.poses, args.labels)
     result = run_pipeline(cfg, frames)
-    out = args.out or cfg.out_map
-    if out:
-        write_map_ply(result.map, out)
+    if args.out:
+        write_map_ply(result.map, args.out)
     ev = None
     if result.truth_points is not None:
         ev = evaluate(result.map, result.truth_points, result.truth_mask)
-    report = args.report or cfg.report
-    if report:
-        _write_report(result, ev, report)
+    if args.report:
+        _write_report(result, ev, args.report)
     if ev is not None:
         print(json.dumps(ev.to_dict()))
     return EXIT_OK

@@ -78,6 +78,10 @@ class FrontendConfig:
             raise ConfigError("range image must have at least one row and column")
         if self.fov_down_deg >= self.fov_up_deg:
             raise ConfigError("vertical FOV interval is empty")
+        # a fitted normal is a unit vector: above 1 no ground fit passes
+        if not 0 <= self.min_ground_normal_z <= 1:
+            raise ConfigError(f"min_ground_normal_z must be in [0, 1], got "
+                              f"{self.min_ground_normal_z}")
         return self
 
 
@@ -104,11 +108,6 @@ class PipelineConfig:
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     backend: BackendConfig = field(default_factory=BackendConfig)
     backend_enabled: bool = True
-    scans_dir: str = ""
-    poses_file: str = ""
-    labels_dir: str = ""
-    out_map: str = ""
-    report: str = ""
 
     def validate(self):
         self.map.validate()
@@ -130,9 +129,7 @@ def _coerce(raw: str, like):
         raise ValueError(f"not a boolean: {raw!r}")
     if isinstance(like, int):
         return int(raw, 0)
-    if isinstance(like, float):
-        return float(raw)
-    return raw
+    return float(raw)
 
 
 def set_config_key(cfg: PipelineConfig, key: str, raw: str):

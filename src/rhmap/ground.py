@@ -28,9 +28,9 @@ class GroundReport:
     """One scan's ground estimation counts.
 
     ``regions_elected`` counts the elected regions, which all lack a
-    plane: regions with a plane are never elected.  ``planes_failed``
-    counts the fits that failed now and the elected regions whose last fit
-    failed at their current cube count, which are not fitted again.
+    plane: regions with a plane are never elected.  Each elected region
+    is fitted, and its fit counts in ``regions_fitted`` when it passed or
+    in ``planes_failed`` when it failed.
     """
 
     regions_elected: int = 0
@@ -103,10 +103,9 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
                       report: GroundReport):
     """Fit ground planes to the given regions and mark their ground cubes.
 
-    Only regions that want a plane are fitted (see
+    Only regions without a plane are fitted (see
     :meth:`RHMap.unfitted_region_cubes`): absent and already fitted
-    regions are skipped, and so is a region whose last fit failed at its
-    current cube count, which counts as a failed plane.
+    regions are skipped.
 
     A region's plane is the PCA fit, in cube-index units, of its low
     cubes.  A cube is low when its z index ``k`` is at most the
@@ -134,8 +133,7 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
     each fit passed, and each plane ``n . i = d`` in cube-index units.
     The map keeps only the outcome, not the plane.
     """
-    cubes, skipped = map_.unfitted_region_cubes(rkeys)
-    report.planes_failed += skipped
+    cubes = map_.unfitted_region_cubes(rkeys)
     if len(cubes.rkeys) == 0:
         return cubes.rkeys, np.zeros(0, dtype=bool), np.zeros((0, 3)), np.zeros(0)
     owner = cubes.owner
@@ -180,9 +178,9 @@ def fit_ground_planes(map_: RHMap, rkeys: np.ndarray, fcfg: FrontendConfig,
 def r_gpe(map_: RHMap, cubes: ScanCubes, fcfg: FrontendConfig) -> GroundReport:
     """Run ground estimation for a freshly inserted scan, grouped by cube.
 
-    Regions elected this scan get a plane when they want one: fits on
-    already-fitted regions are never repeated, and a failed fit is
-    retried only after the region's cube population changes.
+    Regions elected this scan, which all lack a plane, are fitted; a
+    passed fit is kept for good, and a failed one is tried again whenever
+    the region is next elected.
     """
     report = GroundReport()
     elected = elect_candidate_ground_regions(map_, cubes, fcfg)

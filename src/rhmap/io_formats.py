@@ -8,7 +8,9 @@ import numpy as np
 
 from .geometry import Pose, Scan
 
-DEFAULT_MOVING_CLASSES = frozenset(range(252, 260))
+# SemanticKITTI's moving classes: moving car, bicyclist, person,
+# motorcyclist, on-rails, bus, truck and other vehicle
+MOVING_CLASSES = np.arange(252, 260, dtype=np.uint32)
 
 
 class FormatError(ValueError):
@@ -99,9 +101,9 @@ def write_poses(path, poses):
             fh.write(" ".join(repr(float(v)) for v in mat.ravel()) + "\n")
 
 
-def read_labels(path, moving_class_ids=DEFAULT_MOVING_CLASSES,
-                expected_count: int | None = None) -> np.ndarray:
-    """Per-point dynamic mask from uint32 labels (low 16 bits = class id)."""
+def read_labels(path, expected_count: int | None = None) -> np.ndarray:
+    """Per-point dynamic mask from uint32 labels (low 16 bits = class id):
+    a point is dynamic when its class is one of ``MOVING_CLASSES``."""
     raw = np.fromfile(path, dtype=np.uint8)
     if len(raw) % 4 != 0:
         raise FormatError(f"{path}: label file length {len(raw)} is not a "
@@ -111,7 +113,7 @@ def read_labels(path, moving_class_ids=DEFAULT_MOVING_CLASSES,
         raise FormatError(f"{path}: {len(labels)} labels for "
                           f"{expected_count} scan points")
     classes = labels & 0xFFFF
-    return np.isin(classes, np.fromiter(moving_class_ids, dtype=np.uint32))
+    return np.isin(classes, MOVING_CLASSES)
 
 
 def write_labels(path, labels: np.ndarray):

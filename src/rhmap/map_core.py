@@ -6,10 +6,9 @@ the region table, sorted by packed region key; its second layer lives in
 the table's rows, as two bitmaps a region.  A row holds:
 
 * the packed region key, the int64 z-index extent of the region's cubes
-  and one ground-fit state: -1 fitted, 0 never fitted, ``n > 0`` when the
-  last fit failed at ``n`` cubes; 32 B.  The fitted plane is not kept.
-  The extent is what the occupancy bits give, kept because the band
-  queries of removal read it every frame;
+  and whether a ground fit of the region has passed; 25 B.  The fitted
+  plane is not kept.  The extent is what the occupancy bits give, kept
+  because the band queries of removal read it every frame;
 * the bitmaps ``occ`` and ``ground``: one unsigned word per (x, y) cube
   column of the region (its slot, :func:`~rhmap.indexing.cube_slots`),
   whose bit ``k`` is set when the column's cube at local z index ``k`` is
@@ -91,7 +90,7 @@ class RHMap:
         self._rkeys = np.empty(0, dtype=np.int64)
         self._rz_lo = np.empty(0, dtype=np.int64)      # z-index extent
         self._rz_hi = np.empty(0, dtype=np.int64)
-        self._rfit = np.empty(0, dtype=np.int64)       # fit state
+        self._fitted = np.empty(0, dtype=bool)         # a fit passed
         words = np.zeros((0, 1 << 2 * bits), dtype=word_dtype(bits))
         self._occ = words                              # occupied z bits
         self._ground = words.copy()                    # ground z bits
@@ -99,20 +98,16 @@ class RHMap:
 
     def _table(self) -> list[np.ndarray]:
         """The region table's parallel columns, bitmaps included."""
-        return [self._rkeys, self._rz_lo, self._rz_hi, self._rfit,
+        return [self._rkeys, self._rz_lo, self._rz_hi, self._fitted,
                 self._occ, self._ground]
 
     def _set_table(self, columns):
-        (self._rkeys, self._rz_lo, self._rz_hi, self._rfit,
+        (self._rkeys, self._rz_lo, self._rz_hi, self._fitted,
          self._occ, self._ground) = columns
 
     def _zc(self, kz) -> np.ndarray:
         """Cube-centre heights of z indices."""
         return (kz + 0.5) * self.config.cube_size
-
-    def _counts(self, rows) -> np.ndarray:
-        """The int64 cube count of each region-table row."""
-        return np.bitwise_count(self._occ[rows]).sum(axis=1, dtype=np.int64)
 
     def _cubes(self, rows):
         """The cubes of region-table ``rows`` (an index array, or a slice)
@@ -168,7 +163,7 @@ class RHMap:
             self._set_table(insert_rows(
                 self._table(), pos[new],
                 [cubes.region_keys[new], lo[new], hi[new],
-                 np.zeros_like(lo[new]), empty, empty]))
+                 np.zeros(len(empty), dtype=bool), empty, empty]))
         # each scan region's row, the new regions before it counted
         rows = pos + np.cumsum(new) - new
         self._rz_lo[rows] = np.minimum(self._rz_lo[rows], lo)
@@ -237,43 +232,29 @@ class RHMap:
         region, or one whose fits all failed, has none."""
         pos, found = find_sorted(self._rkeys, rkeys)
         out = np.ones(len(rkeys), dtype=bool)
-        out[found] = self._rfit[pos[found]] >= 0
+        out[found] = ~self._fitted[pos[found]]
         return out
 
-    def unfitted_region_cubes(self, rkeys) -> tuple[RegionCubes, int]:
-        """Cubes of the given regions that still want a ground plane.
+    def unfitted_region_cubes(self, rkeys) -> RegionCubes:
+        """Cubes of the given regions that have no ground plane yet.
 
-        A region wants one while it has none, unless its last fit failed
-        at its current cube count: a retry is pointless until the region
-        gains or loses cubes.  Absent keys are ignored.  Returns the
-        wanting regions' cubes, with each region's count and z-index sum
-        summed over them, and the count of regions skipped for a pointless
-        retry.
+        Absent keys are ignored.  Returns the regions' cubes, with each
+        region's count and z-index sum summed over them.
         """
         rkeys = sorted_unique(np.atleast_1d(rkeys))
         at, found = find_sorted(self._rkeys, rkeys)
         at = at[found]
-        at = at[self._rfit[at] >= 0]
-        count = self._counts(at)
-        want = self._rfit[at] != count
-        at, count = at[want], count[want]
+        at = at[~self._fitted[at]]
+        count = np.bitwise_count(self._occ[at]).sum(axis=1, dtype=np.int64)
         keys, owner, _, _ = self._cubes(at)
         # every region holds a cube, so each run starts a reduceat segment
         z_sum = np.add.reduceat(z_of_keys(keys), np.cumsum(count) - count)
-        cubes = RegionCubes(self._rkeys[at], z_sum, count, keys, owner)
-        return cubes, int((~want).sum())
+        return RegionCubes(self._rkeys[at], z_sum, count, keys, owner)
 
     def record_plane_fits(self, rkeys: np.ndarray, ok: np.ndarray):
-        """Store the outcome of ground fits on existing regions.
-
-        A region whose fit passed (``ok``) is fitted (-1) and is never
-        offered a fit again; one whose fit failed records its cube count,
-        so that :meth:`unfitted_region_cubes` skips it until the count
-        changes.
-        """
-        at = np.searchsorted(self._rkeys, rkeys)
-        self._rfit[at[ok]] = -1
-        self._rfit[at[~ok]] = self._counts(at[~ok])
+        """Mark the existing regions whose ground fit passed (``ok``) as
+        fitted: they are never offered a fit again."""
+        self._fitted[np.searchsorted(self._rkeys, rkeys[ok])] = True
 
     def mark_ground(self, keys: np.ndarray):
         """Mark cubes of the map, by packed key, as ground: their z bits
@@ -328,9 +309,7 @@ class RHMap:
 
         Absent region keys are ignored.  Regions that lose cubes get their
         z extents recomputed from the OR of their kept words, or leave the
-        table when none are kept; a failed fit's count then no longer
-        matches, so the region wants a fit again.  Returns the removed
-        cube count.
+        table when none are kept.  Returns the removed cube count.
         """
         rkeys = sorted_unique(np.atleast_1d(region_keys))
         rows, found = find_sorted(self._rkeys, rkeys)

@@ -231,6 +231,13 @@ def unoccupied_ground(map_) -> int:
     return int(np.bitwise_count(map_._ground & ~map_._occ).sum())
 
 
+def unfitted_ground(map_) -> int:
+    """Count of the map's ground bits in regions without a ground plane:
+    0 when every region holding ground is fitted, as it is when ground is
+    marked only in regions whose fit has passed."""
+    return int(np.bitwise_count(map_._ground[~map_._fitted]).sum())
+
+
 def mark_ground_keys(map_, keys):
     """Mark cubes of the map as ground, by packed key, through
     ``RHMap.mark_ground``; every key must be a cube of the map."""
@@ -256,10 +263,8 @@ def region(map_, rkey) -> SimpleNamespace:
     ``occupied_count`` their count (the table keeps no count: its bitmap
     does).
     ``z_min`` and ``z_max`` are the extent of their centre heights
-    (``region_bands``), ``fitted`` whether a ground fit passed and ``fit_failed_at``
-    the table's fit state: the cube count the last failed fit saw, 0 for
-    no fit yet and -1 for a fitted region.  The map keeps no plane:
-    ``fit_ground_planes`` returns the planes it fits.
+    (``region_bands``) and ``fitted`` whether a ground fit passed.  The
+    map keeps no plane: ``fit_ground_planes`` returns the planes it fits.
     """
     i = int(np.searchsorted(map_._rkeys, rkey))
     if i == len(map_._rkeys) or map_._rkeys[i] != rkey:
@@ -267,10 +272,9 @@ def region(map_, rkey) -> SimpleNamespace:
     rkeys = np.array([rkey], dtype=np.int64)
     keys = map_._cubes(np.array([i]))[0]
     (z_min,), (z_max,) = map_.region_bands(rkeys)
-    fit = int(map_._rfit[i])
     return SimpleNamespace(
         keys=keys, z_min=float(z_min), z_max=float(z_max),
-        occupied_count=len(keys), fitted=fit == -1, fit_failed_at=fit)
+        occupied_count=len(keys), fitted=bool(map_._fitted[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -107,9 +107,9 @@ def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys,
     assert 0 < last["map_regions"] <= last["map_cubes"]
     assert [f["map_bytes"] for f in body["frames"]] == [
         f.map_bytes for f in result.frames]
-    # mask_bits 3: 32 B of key, z extent and fit state, and two 64 B
+    # mask_bits 3: 25 B of key, z extent and fitted flag, and two 64 B
     # bitmaps a region
-    assert last["map_bytes"] == 160 * last["map_regions"]
+    assert last["map_bytes"] == 153 * last["map_regions"]
     assert sum(f["ground_cubes_added"] for f in body["frames"]) >= ground.sum()
 
 
@@ -272,6 +272,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     cfg.write_text("hash_prime_x = 3\n")
     assert main(["run", "--synthetic", "x.json", "--config", str(cfg)]) == 1
     capsys.readouterr()
+    # paths are flags alone: `--out`, not a config key
+    cfg.write_text("out_map = x.ply\n")
+    assert main(["run", "--synthetic", "x.json", "--config", str(cfg)]) == 1
+    assert "unknown config key 'out_map'" in capsys.readouterr().err
 
 
 def test_data_errors_exit_two(tmp_path, capsys):
@@ -361,6 +365,14 @@ def test_bench_rejects_a_non_finite_config_value(capsys):
     assert "config error: delta1 must be finite" in capsys.readouterr().err
 
 
+def test_bench_rejects_a_ground_normal_bound_past_one(capsys):
+    # a fitted normal is a unit vector, so no ground fit could pass
+    assert main(["bench", "--frames", "1",
+                 "--min_ground_normal_z", "1.5"]) == 1
+    err = capsys.readouterr().err
+    assert "config error: min_ground_normal_z must be in [0, 1]" in err
+
+
 def test_bench_reports_throughput(capsys):
     rc = main(["bench", "--frames", "2"])
     assert rc == 0
@@ -377,8 +389,8 @@ def test_bench_reports_throughput(capsys):
     assert 2 < body["peak_rss_mb"] < 8192
     # the preservation rate of the run's own labeled frames
     assert 0 <= body["pr"] <= 1
-    # the map's tables after the last frame: 160 B a region at mask_bits 3
-    assert body["map_bytes"] > 0 and body["map_bytes"] % 160 == 0
+    # the map's tables after the last frame: 153 B a region at mask_bits 3
+    assert body["map_bytes"] > 0 and body["map_bytes"] % 153 == 0
 
 
 def test_bench_streams_the_scene(monkeypatch, capsys):

@@ -46,6 +46,12 @@ def test_frontend_config_rejections():
         FrontendConfig(image_rows=0).validate()
     with pytest.raises(ConfigError):
         FrontendConfig(fov_down_deg=10.0, fov_up_deg=-10.0).validate()
+    # a fitted normal is a unit vector: past 1 no ground fit could pass
+    for z in (-0.1, 1.5):
+        with pytest.raises(ConfigError, match="min_ground_normal_z"):
+            FrontendConfig(min_ground_normal_z=z).validate()
+    for z in (0.0, 1.0):
+        FrontendConfig(min_ground_normal_z=z).validate()
 
 
 def _float_fields(section):
@@ -84,12 +90,10 @@ def test_set_config_key_reaches_nested_sections():
     set_config_key(cfg, "delta1", "0.3")
     set_config_key(cfg, "dist_away", "15")
     set_config_key(cfg, "backend_enabled", "false")
-    set_config_key(cfg, "scans_dir", "/data/seq00")
     assert cfg.map.mask_bits == 4
     assert cfg.frontend.delta1 == 0.3
     assert cfg.backend.dist_away == 15.0
     assert cfg.backend_enabled is False
-    assert cfg.scans_dir == "/data/seq00"
 
 
 def test_set_config_key_errors():

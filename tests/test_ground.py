@@ -21,7 +21,8 @@ from rhmap.synth import synth_frames
 
 from conftest import (cube_state, dor_config, ground_keys, hit_cubes,
                       integrate, mark_ground_keys, region,
-                      residue_config, residue_scene, unoccupied_ground)
+                      residue_config, residue_scene, unfitted_ground,
+                      unoccupied_ground)
 
 
 FCFG = FrontendConfig()
@@ -54,7 +55,6 @@ def assert_fit_failed(map_, report):
     r = region(map_, rkey)
     assert not r.fitted
     assert report.regions_fitted == 0 and report.planes_failed == 1
-    assert r.fit_failed_at == r.occupied_count
     assert report.ground_cubes_added == 0
     assert len(ground_keys(map_)) == 0
 
@@ -338,14 +338,14 @@ def test_rgpe_trigger_rule_fits_once():
 
 def test_planeless_regions():
     map_ = make_map()
-    hit_cubes(map_, [(x, 0, 0) for x in range(0, 32, 8)])
-    fitted, stale, fresh, never = map_.regions
-    map_.record_plane_fits(np.array([fitted, stale, fresh]),
-                           np.array([True, False, False]))
-    hit_cubes(map_, [(17, 1, 0)])             # fresh gains a cube
+    hit_cubes(map_, [(x, 0, 0) for x in range(0, 24, 8)])
+    fitted, failed, never = map_.regions
+    map_.record_plane_fits(np.array([fitted, failed]), np.array([True, False]))
+    # a failed fit leaves a fitted region fitted
+    map_.record_plane_fits(np.array([fitted]), np.array([False]))
     absent = int(pack3(0, 0, 8))
-    keys = np.array([never, absent, fresh, stale, fitted])
-    assert map_.planeless(keys).tolist() == [True, True, True, True, False]
+    keys = np.array([never, absent, failed, fitted])
+    assert map_.planeless(keys).tolist() == [True, True, True, False]
 
 
 def test_election_queries_no_cube_of_a_region_with_a_plane(monkeypatch):
@@ -390,8 +390,7 @@ def test_election_equals_the_oracle_over_planeless_regions(
     # a bumpy 24 x 24 surface over nine region columns plus clutter, fed in
     # over several integrations.  After each, ground is estimated and a
     # random share of the regions is then forced fitted or failed, so the
-    # last scan meets fitted regions, failed ones at their current count
-    # (stale) or since grown (fresh), and never fitted ones.  Its points
+    # last scan meets fitted, failed and never fitted regions.  Its points
     # lie anywhere in their cubes, so the bootstrap reference varies.
     xy = np.stack(np.meshgrid(np.arange(-8, 16), np.arange(-8, 16)),
                   -1).reshape(-1, 2)
@@ -415,8 +414,7 @@ def test_election_equals_the_oracle_over_planeless_regions(
         regions = map_.regions
         pick = rng.integers(0, 3, size=len(regions))   # keep, fit, fail
         map_.record_plane_fits(regions[pick > 0], pick[pick > 0] == 1)
-    # new cubes in a random half of the region columns only, so failed
-    # regions elsewhere stay stale
+    # new cubes in a random half of the region columns only
     grows = rng.random((3, 3)) < 0.5
     last = last[grows[(last[:, 0] >> 3) + 1, (last[:, 1] >> 3) + 1]]
     seen = np.concatenate(past)
@@ -487,14 +485,13 @@ def test_sloped_terrain_ground_coverage():
 
 
 def fit_states(map_):
-    """Each region's fitted flag and failed-fit count, in key order."""
-    return [(r.fitted, r.fit_failed_at)
-            for r in (region(map_, k) for k in map_.regions)]
+    """Each region's fitted flag, in key order."""
+    return [region(map_, k).fitted for k in map_.regions]
 
 
 def fit_outcome(map_, fits):
-    """Every fit result of a map, as bytes: each region's fitted flag and
-    failed-fit count, the planes of ``fits`` (a region key -> (n, d) dict)
+    """Every fit result of a map, as bytes: each region's fitted flag,
+    the planes of ``fits`` (a region key -> (n, d) dict)
     in key order, the ground keys and the exported PLY."""
     state = fit_states(map_)
     planes = [(k, fits[k][0].tobytes(), np.float64(fits[k][1]).tobytes())
@@ -548,8 +545,9 @@ def ground_by_column(map_):
 
 
 def assert_ground_reference_matches(map_):
-    # every ground cube is a cube of the map
+    # every ground cube is a cube of the map, in a fitted region
     assert unoccupied_ground(map_) == 0
+    assert unfitted_ground(map_) == 0
     cols, z_sum, count = ground_by_column(map_)
     got_sum, got_count = map_.ground_columns(cols)
     assert np.array_equal(got_sum, z_sum)

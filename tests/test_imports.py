@@ -1,12 +1,16 @@
-"""Every name a module of the package imports is read in that module, and
-every top-level function and class of the package is read in it."""
+"""Every name a module of the package imports is read in that module,
+every top-level function and class of the package is read in it, and so
+is every config key."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import rhmap
+from rhmap.config import (_SUBSECTIONS, BackendConfig, FrontendConfig,
+                          MapConfig, PipelineConfig)
 
 SRC = Path(rhmap.__file__).parent
 
@@ -82,6 +86,36 @@ def test_unread_definitions_finds_what_is_never_read():
 def test_every_definition_is_read():
     sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
     assert unread_definitions(sources, BENCHMARK_ONLY) == []
+
+
+def read_attributes(source: str) -> set[str]:
+    """Attribute names a module reads outside its ``validate`` methods,
+    which check a value without using it."""
+    tree = ast.parse(source)
+    checks = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "validate"
+              for n in ast.walk(f)}
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+            and id(n) not in checks}
+
+
+def test_read_attributes_skips_validate_and_stores():
+    source = ("class C:\n"
+              "    def validate(self): return self.a > 0\n"
+              "    def f(self): return self.b\n"
+              "def g(c):\n    c.d = 1\n    return c.e.f\n")
+    assert read_attributes(source) == {"b", "e", "f"}
+
+
+def test_every_config_key_is_read_by_the_runtime():
+    # a key only `validate` reads changes nothing but which values pass
+    read = set().union(*(read_attributes(p.read_text(encoding="utf-8"))
+                         for p in SRC.glob("*.py")))
+    keys = {f.name for section in (MapConfig, FrontendConfig, BackendConfig,
+                                   PipelineConfig)
+            for f in fields(section)} - set(_SUBSECTIONS)
+    assert sorted(keys - read) == []
 
 
 def layout_shifts(source: str) -> list[int]:

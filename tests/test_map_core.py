@@ -15,7 +15,7 @@ from rhmap.map_core import RHMap
 import conftest
 from conftest import (cube_state, ground_keys, has_cubes, hit_cubes,
                       integrate, mark_ground_keys, region, table_keys,
-                      unoccupied_ground)
+                      unfitted_ground, unoccupied_ground)
 
 
 def make_map():
@@ -53,9 +53,9 @@ def test_integrate_rejects_a_grouping_of_another_shape():
 def region_stats(map_):
     """Each region's cube count and z-index sum, as the ground fit reads
     them (``RHMap.unfitted_region_cubes``), by region key; the map must
-    hold no fit outcome, so that every region wants a fit."""
-    cubes, stale = map_.unfitted_region_cubes(map_.regions)
-    assert stale == 0 and np.array_equal(cubes.rkeys, map_.regions)
+    hold no fitted region, so that every region is offered a fit."""
+    cubes = map_.unfitted_region_cubes(map_.regions)
+    assert np.array_equal(cubes.rkeys, map_.regions)
     return dict(zip(cubes.rkeys.tolist(),
                     zip(cubes.count.tolist(), cubes.z_sum.tolist())))
 
@@ -463,40 +463,9 @@ def test_removal_at_top_of_key_space():
     assert len(map_) == 0
 
 
-def test_failed_fit_count_follows_the_cube_run_through_removal():
-    # a fit failed at 6 cubes; removal leaves the region 2 ground cubes, so
-    # it wants a fit again at 2; integrated back to exactly 6 cubes, with
-    # no fit in between, it is stale again, and at 7 it wants one
-    map_ = make_map()
-    idx = np.array([(0, 0, z) for z in range(6)] + [(1, 0, 0)])
-    keys = pack3(*idx.T)
-    hit_cubes(map_, idx[:6])
-    (rkey,) = map_.regions
-    map_.record_plane_fits(map_.regions, np.array([False]))
-    assert region(map_, rkey).fit_failed_at == 6
-    cubes, stale = map_.unfitted_region_cubes(rkey)
-    assert len(cubes.rkeys) == 0 and stale == 1
-
-    mark_ground_keys(map_, keys[[0, 3]])
-    assert remove(map_, rkey) == 4
-    cubes, stale = map_.unfitted_region_cubes(rkey)
-    assert stale == 0 and cubes.rkeys.tolist() == [rkey]
-    assert (cubes.count.tolist(), cubes.z_sum.tolist()) == ([2], [0 + 3])
-    assert sorted(cubes.keys.tolist()) == sorted(keys[[0, 3]].tolist())
-    assert region(map_, rkey).fit_failed_at == 6
-
-    assert hit_cubes(map_, idx[[1, 2, 4, 5]]) == 4
-    cubes, stale = map_.unfitted_region_cubes(rkey)
-    assert len(cubes.rkeys) == 0 and stale == 1
-    assert hit_cubes(map_, idx[6]) == 1
-    cubes, stale = map_.unfitted_region_cubes(rkey)
-    assert stale == 0 and cubes.count.tolist() == [7]
-    assert cubes.z_sum.tolist() == [sum(range(6))]
-
-
 # ---------------------------------------------------------------------------
 # The bitmap map against a plain-Python model: a set of occupied keys, a
-# set of ground keys and a dict of fit states, after every step of a random
+# set of ground keys and a dict of fitted flags, after every step of a random
 # interleaving of the map's four writers, at every supported region width.
 
 def _py_key(x, y, z):
@@ -510,8 +479,8 @@ def _py_z(key):
 
 
 class SetModel:
-    """The map as sets: occupied and ground keys, and each region's fit
-    state (-1 fitted, 0 never fitted, n failed at n cubes)."""
+    """The map as sets: occupied and ground keys, and whether a fit of
+    each region has passed."""
 
     def __init__(self, mask_bits):
         m = (1 << mask_bits) - 1
@@ -524,10 +493,16 @@ class SetModel:
             out.setdefault(k & self.rmask, []).append(k)
         return out
 
+    def markable(self, key):
+        """Whether marking the cube of ``key`` keeps every ground cube in
+        a fitted region: its region is fitted, or absent (the key then
+        marks nothing)."""
+        return self.fit.get(key & self.rmask, True)
+
     def integrate(self, keys):
         new = set(keys) - self.occ
         for k in new:
-            self.fit.setdefault(k & self.rmask, 0)
+            self.fit.setdefault(k & self.rmask, False)
         self.occ |= new
         return len(new)
 
@@ -540,9 +515,8 @@ class SetModel:
         return len(gone)
 
     def record(self, rkeys, ok):
-        cubes = self.region_cubes()
         for r, good in zip(rkeys, ok):
-            self.fit[r] = -1 if good else len(cubes[r])
+            self.fit[r] = self.fit[r] or good
 
 
 def _check_against(map_, model):
@@ -558,17 +532,15 @@ def _check_against(map_, model):
     assert cube_keys(pts, 0.1).tolist() == order
     assert flags.tolist() == [k in model.ground for k in order]
     assert unoccupied_ground(map_) == 0
+    assert unfitted_ground(map_) == 0
     if rkeys:
         z_min, z_max = map_.region_bands(np.array(rkeys))
         for i, r in enumerate(rkeys):
             zs = [_py_z(k) for k in cubes[r]]
             assert (z_min[i], z_max[i]) == ((min(zs) + 0.5) * 0.1,
                                             (max(zs) + 0.5) * 0.1)
-    got, stale = map_.unfitted_region_cubes(np.array(rkeys, dtype=np.int64))
-    want = [r for r in rkeys if model.fit[r] >= 0
-            and model.fit[r] != len(cubes[r])]
-    assert stale == sum(model.fit[r] > 0 and model.fit[r] == len(cubes[r])
-                        for r in rkeys)
+    got = map_.unfitted_region_cubes(np.array(rkeys, dtype=np.int64))
+    want = [r for r in rkeys if not model.fit[r]]
     assert got.rkeys.tolist() == want
     assert got.count.tolist() == [len(cubes[r]) for r in want]
     assert got.z_sum.tolist() == [sum(map(_py_z, cubes[r])) for r in want]
@@ -587,7 +559,8 @@ def _some(data, items):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 2, 3, 4]), st.data())
 def test_bitmap_map_matches_a_set_model(mask_bits, data):
-    # each step runs the four writers in a drawn order on drawn subsets
+    # each step runs the four writers in a drawn order on drawn subsets;
+    # ground is marked only in fitted regions, as r_gpe marks it
     map_ = RHMap(MapConfig(cube_size=0.1, mask_bits=mask_bits))
     model = SetModel(mask_bits)
     span = max(8, 2 << mask_bits)
@@ -603,10 +576,11 @@ def test_bitmap_map_matches_a_set_model(mask_bits, data):
                 assert hit_cubes(map_, idx) == model.integrate(
                     [_py_key(*i) for i in idx])
             elif op == "ground":
-                keys = _some(data, occ)
+                keys = _some(data, [k for k in occ if model.markable(k)])
                 # stray keys, mostly of cubes not in the map, mark nothing
-                stray = [_py_key(*i) for i in data.draw(st.lists(
-                    st.tuples(coord, coord, coord), max_size=3))]
+                stray = [k for k in (_py_key(*i) for i in data.draw(st.lists(
+                    st.tuples(coord, coord, coord), max_size=3)))
+                    if model.markable(k)]
                 map_.mark_ground(np.array(keys + keys[:3] + stray,
                                           dtype=np.int64))
                 model.ground |= set(keys) | (set(stray) & model.occ)
@@ -666,7 +640,7 @@ def test_a_frame_copies_no_table_of_the_maps_cubes():
     assert peak < budget
 
     # a region left empty leaves the table: one copy of the region table,
-    # 160 B a region at mask_bits 3
+    # 153 B a region at mask_bits 3
     hit_cubes(map_, [(0, 0, 20)])
     nbytes = map_.nbytes
     removed, peak = _peak_bytes(conftest._orig_remove, map_,
