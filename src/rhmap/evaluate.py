@@ -12,8 +12,11 @@ from .indexing import (cube_indices, find_sorted, from_region_major,
                        insert_rows, pack3, run_starts)
 
 #: Keys converted at a time by :meth:`TruthHistogram.finish`, so the
-#: conversion's temporaries stay small beside the table.
-_CONVERT_CHUNK = 1 << 16
+#: conversion's temporaries stay small beside the table.  At 64k keys they
+#: came to ~2 MB, 18 B a cube of a 121k-cube histogram, more than the
+#: counts' copy; at 16k the conversion of 321k keys also ran faster (3.6
+#: against 4.7 ms).
+_CONVERT_CHUNK = 1 << 14
 
 
 @dataclass
@@ -66,6 +69,17 @@ def _histogram(keys, counts):
 #: once that total would pass this.
 COUNT_MAX = int(np.iinfo(np.int32).max)
 
+#: Pending rows are folded into the truth table once they number at least
+#: 1/FOLD_DIVISOR of its rows.  Most pending rows repeat a key (late in
+#: the residue drive 235k pending rows held 58k distinct keys), so waiting
+#: for as many as the table's rows doubled what a fold holds.  On that
+#: 600-frame drive (2-vCPU host, one run each) the tracemalloc peak of the
+#: run was 14.3, 13.0, 12.1 and 11.9 MB at divisors 1, 2, 4 and 8, in 10,
+#: 14, 20 and 31 folds, and the largest fold fell 24.7 -> 8.0 ms from 1 to
+#: 4 while the folds' total time held.  Beyond 4 the peak barely moves and the folds,
+#: each a copy of the whole table, keep multiplying.
+FOLD_DIVISOR = 4
+
 
 class TruthHistogram:
     """Static and dynamic point counts per cube of a labeled cloud, added
@@ -79,10 +93,12 @@ class TruthHistogram:
     takes 16 B, until the labeled points added would pass
     :data:`COUNT_MAX`; then they widen to int64, once.  A part's rows whose
     keys the table holds are added in place.  The others wait in a pending
-    list, folded in (one sort, one reduce, one sorted insert) once they are
-    as many as the table's rows.  So table plus pending rows stay below
-    twice the distinct keys added, and each fold is paid for by at least as
-    many rows added since the last one.
+    list, folded in (one sort, one reduce, one sorted insert) once they
+    number a quarter of the table's rows (:data:`FOLD_DIVISOR`).  So table
+    plus pending rows stay within 1.25 times the distinct keys added, and
+    each fold is paid for by at least a quarter as many rows added since
+    the last one.  :meth:`finish` hands the counts over in the dtype they
+    were kept in.
     """
 
     def __init__(self, mask_bits: int):
@@ -130,7 +146,7 @@ class TruthHistogram:
         for col, part in zip(self._pending, (cube_rm, *counts)):
             col.append(part[new])
         self._n_pending += len(self._pending[0][-1])
-        if self._n_pending >= len(self._keys):
+        if self._n_pending * FOLD_DIVISOR >= len(self._keys):
             self._fold()
 
     def _widen(self):
@@ -142,9 +158,10 @@ class TruthHistogram:
     def _fold(self):
         """Insert the pending rows into the table a column at a time: the
         keys, then the static counts, then the dynamic counts, each at the
-        same positions.  A column's pending parts and its old table column
-        are dropped as soon as its grown column exists.  No pending key is
-        in the table, but a key may be pending more than once."""
+        same rows of the grown table, which one destination index holds.
+        A column's pending parts and its old table column are dropped as
+        soon as its grown column exists.  No pending key is in the table,
+        but a key may be pending more than once."""
         pending, self._pending = self._pending, ([], [], [])
         self._n_pending = 0
         keys = np.concatenate(pending[0])
@@ -153,20 +170,23 @@ class TruthHistogram:
         keys = keys[order]
         starts = run_starts(keys)
         keys = keys[starts]
-        pos = np.searchsorted(self._keys, keys)
-        [self._keys] = insert_rows([self._keys], pos, [keys])
+        dest = np.searchsorted(self._keys, keys)
+        dest += np.arange(len(dest))
+        [self._keys] = insert_rows([self._keys], dest, [keys])
         del keys
         for i, parts in enumerate(pending[1:]):
             part = np.concatenate(parts)
             parts.clear()
             part = np.add.reduceat(part[order], starts, dtype=part.dtype)
-            [self._counts[i]] = insert_rows([self._counts[i]], pos, [part])
+            [self._counts[i]] = insert_rows([self._counts[i]], dest, [part])
 
     def finish(self):
-        """The histogram as (packed keys, (n, 2) int64 counts), each key
-        once, and the accumulator emptied.  The keys are converted from
-        region-major keys in place, a chunk at a time, so they stay in
-        region-major order, which is not packed order."""
+        """The histogram as (packed keys, (n, 2) counts), each key once,
+        and the accumulator emptied.  The counts keep the histogram's
+        dtype: int32, or int64 once :data:`COUNT_MAX` widened them.  The
+        keys are converted from region-major keys in place, a chunk at a
+        time, so they stay in region-major order, which is not packed
+        order."""
         if self._n_pending:
             self._fold()
         keys, columns = self._keys, self._counts
@@ -174,8 +194,8 @@ class TruthHistogram:
         for lo in range(0, len(keys), _CONVERT_CHUNK):
             chunk = keys[lo:lo + _CONVERT_CHUNK]
             chunk[:] = from_region_major(chunk, self._mask_bits)
-        # each count column is widened, then dropped
-        counts = np.empty((2, len(keys)), dtype=np.int64)
+        # each count column is copied, then dropped
+        counts = np.empty((2, len(keys)), dtype=columns[0].dtype)
         for i in range(2):
             counts[i] = columns[i]
             columns[i] = None
@@ -194,8 +214,9 @@ def evaluate(map_, truth_keys: np.ndarray, counts: np.ndarray) -> EvalResult:
     """
     keys, counts = _histogram(truth_keys, counts)
     _, hit = find_sorted(map_.occupied_keys(), keys)
-    n_sta, n_dyn = (int(c.sum()) for c in counts.T)
-    n_tn, n_tp = (int(c[hit].sum()) for c in counts.T)
+    # int32 counts are summed as int64: their sums may pass COUNT_MAX
+    n_sta, n_dyn = (int(c.sum(dtype=np.int64)) for c in counts.T)
+    n_tn, n_tp = (int(c[hit].sum(dtype=np.int64)) for c in counts.T)
     pr = n_tn / n_sta if n_sta else None
     rr = 1.0 - n_tp / n_dyn if n_dyn else None
     f1 = f1_score(pr, rr) if pr is not None and rr is not None else None

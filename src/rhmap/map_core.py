@@ -157,15 +157,15 @@ class RHMap:
         hi = np.maximum.reduceat(kz, seg)
         pos, found = find_sorted(self._rkeys, cubes.region_keys)
         new = ~found
+        # each scan region's row, the new regions before it counted
+        rows = pos + np.cumsum(new) - new
         if new.any():
             empty = np.zeros((int(new.sum()),) + self._occ.shape[1:],
                              dtype=self._occ.dtype)
             self._set_table(insert_rows(
-                self._table(), pos[new],
+                self._table(), rows[new],
                 [cubes.region_keys[new], lo[new], hi[new],
                  np.zeros(len(empty), dtype=bool), empty, empty]))
-        # each scan region's row, the new regions before it counted
-        rows = pos + np.cumsum(new) - new
         self._rz_lo[rows] = np.minimum(self._rz_lo[rows], lo)
         self._rz_hi[rows] = np.maximum(self._rz_hi[rows], hi)
 

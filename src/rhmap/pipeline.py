@@ -75,9 +75,10 @@ class PipelineResult:
     #: order.  None without masks.  The name is kept for the benchmark
     #: harness, which reads it.
     truth_points: np.ndarray | None = None
-    #: (n, 2) int64 static and dynamic point counts of each truth key,
-    #: widened from the histogram's int32 columns at the end of the run;
-    #: the name is kept for the benchmark harness too.
+    #: (n, 2) static and dynamic point counts of each truth key, in the
+    #: histogram's dtype: int32, or int64 once the labeled points passed
+    #: ``evaluate.COUNT_MAX``; the name is kept for the benchmark harness
+    #: too.
     truth_mask: np.ndarray | None = None
 
     @property
@@ -87,8 +88,9 @@ class PipelineResult:
 
 def timing_report(frame_times_ms, stages_ms=()) -> dict:
     """Frame wall time (mean, implied frequency, p50, p95 and the worst
-    frame) of a run, and the mean of each stage over the ``stages_ms``
-    dicts when given."""
+    frame) of a run, and the mean and the largest value of each stage over
+    the ``stages_ms`` dicts when given, so a one-frame stall such as a
+    truth fold shows beside the means."""
     times = np.asarray(list(frame_times_ms), dtype=np.float64)
     if len(times) == 0:
         raise ValueError("timing report needs at least one frame")
@@ -102,6 +104,8 @@ def timing_report(frame_times_ms, stages_ms=()) -> dict:
     if stages:
         body["stages_ms"] = {k: float(np.mean([s[k] for s in stages]))
                              for k in stages[0]}
+        body["stages_max_ms"] = {k: float(max(s[k] for s in stages))
+                                 for k in stages[0]}
     return body
 
 

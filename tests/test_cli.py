@@ -92,6 +92,9 @@ def test_run_synthetic_with_report_and_map(tmp_path, scene_file, capsys,
     assert all(list(f["stages_ms"]) == list(STAGES) for f in body["frames"])
     timing = body["timing"]
     assert list(timing["stages_ms"]) == list(STAGES)
+    assert list(timing["stages_max_ms"]) == list(STAGES)
+    assert all(timing["stages_max_ms"][k] == max(
+        f["stages_ms"][k] for f in body["frames"]) for k in STAGES)
     assert 0 < timing["p50_ms"] <= timing["p95_ms"]
     assert timing["p95_ms"] <= timing["max_ms"] == max(
         f["elapsed_ms"] for f in body["frames"])
@@ -381,6 +384,9 @@ def test_bench_reports_throughput(capsys):
     assert 0 < body["p50_ms"] <= body["p95_ms"]
     assert body["p95_ms"] <= body["max_ms"]
     assert list(body["stages_ms"]) == list(STAGES)
+    assert list(body["stages_max_ms"]) == list(STAGES)
+    assert all(body["stages_max_ms"][k] >= body["stages_ms"][k]
+               for k in STAGES)
     assert 0 < body["cpu_p50_ms"] and 0 < body["cpu_mean_ms"]
     assert body["points_per_frame"] > 50000
     assert body["scene_ms_mean"] > 0

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from rhmap import evaluate as evaluate_mod
 from rhmap.config import MapConfig
-from rhmap.evaluate import (TruthHistogram, count_dynamic_cubes, cube_keys,
-                            evaluate, f1_score)
+from rhmap.evaluate import (FOLD_DIVISOR, TruthHistogram, count_dynamic_cubes,
+                            cube_keys, evaluate, f1_score)
 from rhmap.indexing import ScanCubes, from_region_major
 from rhmap.map_core import RHMap
 
@@ -67,6 +67,22 @@ def test_evaluate_empty_denominators_give_none():
                                           np.zeros(0, dtype=bool)))
     assert res.pr is None and res.rr is None and res.f1 is None
     assert res.n_sta == 0 and res.n_dyn == 0
+
+
+def test_int32_counts_score_as_their_int64_widening():
+    # int32 counts as a finished histogram hands them over: no count passes
+    # COUNT_MAX, but every column sum does, hit cubes' sums too
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-1, 1, size=(200, 3))
+    map_ = _populated_map(pts[:100])
+    keys = np.unique(cube_keys(pts, 0.1))
+    counts = rng.integers(2**29, 2**31, size=(len(keys), 2)).astype(np.int32)
+    wide = evaluate(map_, keys, counts.astype(np.int64))
+    assert min(wide.n_tn, wide.n_tp, wide.n_sta - wide.n_tn,
+               wide.n_dyn - wide.n_tp) > evaluate_mod.COUNT_MAX
+    assert evaluate(map_, keys, counts) == wide
+    assert (count_dynamic_cubes(map_, keys, counts)
+            == count_dynamic_cubes(map_, keys, counts.astype(np.int64)))
 
 
 def test_count_dynamic_cubes():
@@ -155,7 +171,8 @@ def test_histogram_scores_equal_the_point_by_point_oracle(seed, n_map, n,
         truth.add(cubes.cube_rm, cubes.point_cube, dyn[part])
     hkeys, counts = truth.finish()
     assert np.all(np.diff(region_major(hkeys, bits)) > 0)
-    assert counts.dtype == np.int64 and counts.shape == (len(hkeys), 2)
+    # far fewer points than COUNT_MAX: the counts are handed over as int32
+    assert counts.dtype == np.int32 and counts.shape == (len(hkeys), 2)
     want_keys, want_counts = truth_histogram(keys, dyn)
     order = np.argsort(hkeys)
     assert np.array_equal(hkeys[order], want_keys)
@@ -214,12 +231,15 @@ def test_folded_parts_equal_a_unique_oracle(raw_parts, seed):
         shuffle = rng.permutation(len(point_cube))
         truth.add(keys, point_cube[shuffle], mask[shuffle])
         added.update(keys.tolist())
-        assert truth.rows <= 2 * len(added)
-    # far fewer points than COUNT_MAX: the counts stay int32
+        # no more pending rows than a quarter of the table, which holds
+        # each key once
+        assert truth.rows * FOLD_DIVISOR <= (FOLD_DIVISOR + 1) * len(added)
+    # far fewer points than COUNT_MAX: the counts stay int32, and are
+    # handed over as int32
     assert all(row.dtype == np.int32 for row in truth._counts)
     keys, counts = truth.finish()
     want_keys, want_counts = _fold_oracle(parts)
-    assert keys.dtype == np.int64 and counts.dtype == np.int64
+    assert keys.dtype == np.int64 and counts.dtype == np.int32
     # finishing converts the region-major keys to packed keys in place
     assert np.array_equal(keys, from_region_major(want_keys, 3))
     assert np.array_equal(counts, want_counts)
@@ -291,6 +311,32 @@ def test_truth_histogram_peak_memory_per_cube():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # 24 B a cube is the finished histogram itself; a fold holds the table
-    # and as many pending rows at 16 B each, plus one column's temporaries
-    assert peak < 52 * len(keys)
+    # 16 B a cube is the table; a fold holds it, at most a quarter as many
+    # pending rows at 16 B each, the grown key column and its own index
+    # temporaries, and finishing holds the table and the counts' copy.
+    # Measured 29.6 B a cube (42.0 with folds at the table's size, int64
+    # counts handed over and 64k keys converted at a time)
+    assert peak < 32 * len(keys)
+
+
+def test_folds_start_at_a_quarter_of_the_table(monkeypatch):
+    # on a drive of recurring cubes a fold starts with no more pending rows
+    # than a quarter of the table plus the new rows of the part that
+    # triggered it, and never before a quarter
+    starts = []
+    fold = TruthHistogram._fold
+
+    def recording(self):
+        starts.append((len(self._keys), self._n_pending,
+                       len(self._pending[0][-1])))
+        fold(self)
+
+    monkeypatch.setattr(TruthHistogram, "_fold", recording)
+    truth = TruthHistogram(3)
+    for part in _drive_parts(3, frames=200, cubes=1500, window=4000,
+                             step=100):
+        truth.add(*part)
+    assert len(starts) > 10 and starts[-1][0] > 15_000
+    for table, pending, trigger in starts:
+        assert table <= pending * FOLD_DIVISOR
+        assert (pending - trigger) * FOLD_DIVISOR <= table

@@ -161,27 +161,36 @@ _table = st.integers(0, 40).flatmap(lambda n: st.tuples(
 @example((7, []), 2)
 @example((7, [0, 0, 3, 7, 7]), 3)
 def test_insert_and_delete_rows_match_numpy(table, seed):
-    # int64, int32 and (n, 3) float columns of one table move together, at
-    # the ends of the table too; the rows inserted are then deleted from
-    # random places, as many as were inserted
+    # int64, int32, (n, 3) float and bitmap-like (n, 64) uint8 and (n, 256)
+    # uint16 columns of one table move together, at the ends of the table
+    # too; the float rows come from a strided view, not contiguous rows.
+    # The rows inserted are then deleted from random places, as many as
+    # were inserted
     (n, pos), rng = table, np.random.default_rng(seed)
     k = len(pos)
 
     def columns(m):
         return [rng.integers(-2**62, 2**62, m),
                 rng.integers(-2**31, 2**31, m).astype(np.int32),
-                rng.normal(size=(m, 3))]
+                rng.normal(size=(m, 6))[:, ::2],
+                rng.integers(0, 2**8, (m, 64)).astype(np.uint8),
+                rng.integers(0, 2**16, (m, 256)).astype(np.uint16)]
 
     cols, vals = columns(n), columns(k)
-    grown = insert_rows(cols, np.array(pos, dtype=np.int64), vals)
+    # np.insert's positions, as rows of the grown table
+    dest = np.array(pos, dtype=np.int64) + np.arange(k)
+    grown = insert_rows(cols, dest, vals)
     for got, col, v in zip(grown, cols, vals):
         want = np.insert(col, pos, v, axis=0)
         assert got.dtype == col.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
     gone = rng.choice(n + k, k, replace=False)
-    for got, col in zip(delete_rows(grown, gone), grown):
-        want = np.delete(col, gone, axis=0)
-        assert got.dtype == col.dtype and np.array_equal(got, want)
+    # the reversed views have negative strides
+    for table in (grown, [col[::-1] for col in grown]):
+        for got, col in zip(delete_rows(table, gone), table):
+            want = np.delete(col, gone, axis=0)
+            assert got.dtype == col.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
 
 _top = (-1, -1)    # the column 2**42 - 1, whose last key is 2**63 - 1

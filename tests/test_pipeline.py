@@ -3,7 +3,9 @@
 import gc
 import threading
 import time
+import tracemalloc
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +67,8 @@ def _assert_histogram_of(result, oracle: PointTruth):
     key once, with its static and dynamic point counts."""
     assert result.truth_points.ndim == 1
     assert result.truth_points.dtype == np.int64
-    assert result.truth_mask.dtype == np.int64
+    # int32 until the labeled points would pass evaluate.COUNT_MAX
+    assert result.truth_mask.dtype == np.int32
     assert result.truth_mask.shape == (len(result.truth_points), 2)
     order = np.argsort(result.truth_points)
     keys, counts = result.truth_points[order], result.truth_mask[order]
@@ -197,10 +200,13 @@ def test_timing_report():
     assert rep["max_ms"] == 100.0
     # the worst frame, wherever it falls in the run
     assert timing_report([5.0, 90.0, 6.0, 7.0])["max_ms"] == 90.0
-    assert "stages_ms" not in rep
-    rep = timing_report([1.0, 3.0], [{"s2m": 2.0, "ground": 0.0},
-                                     {"s2m": 4.0, "ground": 1.0}])
+    assert "stages_ms" not in rep and "stages_max_ms" not in rep
+    rep = timing_report([1.0, 3.0, 2.0], [{"s2m": 2.0, "ground": 0.0},
+                                          {"s2m": 4.0, "ground": 1.0},
+                                          {"s2m": 3.0, "ground": 0.5}])
     assert rep["stages_ms"] == {"s2m": 3.0, "ground": 0.5}
+    # the largest value of each stage, wherever it falls in the run
+    assert rep["stages_max_ms"] == {"s2m": 4.0, "ground": 1.0}
     with pytest.raises(ValueError):
         timing_report([])
 
@@ -468,6 +474,35 @@ def test_truth_rows_stay_within_twice_the_distinct_cubes(monkeypatch):
     assert (count_dynamic_cubes(result.map, result.truth_points,
                                 result.truth_mask)
             == count_dynamic_cubes_points(result.map, keys, mask))
+
+
+def _traced_peak(cfg, frames):
+    """A run of ``frames`` and the tracemalloc peak inside it, above what
+    was traced before it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_pipeline(cfg, frames)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_truth_adds_a_bounded_share_to_a_labeled_run_peak():
+    # the first 120 frames of the residue drive, with and without their
+    # masks: the unlabeled run's peak holds the map and a frame's working
+    # set, and the labeled run may add at most 1.7 times the finished
+    # histogram at 16 B a cube (int64 key, two int32 counts).  On this
+    # drive the truth added 1.21-1.43 times that at 40-120 frames, and
+    # 1.98-2.65 times with folds at the table's size and int64 counts
+    # handed over
+    frames = synth_scene(replace(residue_scene(), frames=120), seed=0)
+    cfg = residue_config(True)
+    labeled, peak = _traced_peak(cfg, frames)
+    _, unlabeled_peak = _traced_peak(cfg, [f[:2] for f in frames])
+    assert labeled.truth_mask.dtype == np.int32
+    assert len(labeled.truth_points) > 100_000
+    assert peak - unlabeled_peak < 1.7 * 16 * len(labeled.truth_points)
 
 
 def test_reference_runs_score_as_the_point_by_point_oracle(dor_runs,
